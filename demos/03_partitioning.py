@@ -17,9 +17,9 @@ cal = {
 }
 model = build_hardware(topo, cal)
 
-table = fidelity_degree(model, lam=2.0)
+degrees = fidelity_degree(model, lam=2.0)
 print("fidelity degrees (weighted neighbour CNOT fidelity + readout fidelity):")
-for q, value in enumerate(table.values):
+for q, value in enumerate(degrees):
     print(f"  qubit {q}: degree {model.degree(q)}, fidelity degree {value:.3f}")
 
 # a 4-qubit circuit whose busiest qubit talks to three partners

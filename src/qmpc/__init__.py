@@ -3,75 +3,21 @@
 Partitions a device into reliable, crosstalk-aware regions, allocates several
 small circuits to them, routes each with SWAP/bridged-CNOT insertion, and
 emits one merged hardware-compliant program plus metrics.
+
+The package root exports the pipeline and the building blocks the demos use;
+everything else lives in its submodule.
 """
 
-from .circuits import (
-    BARRIER,
-    CX,
-    MEASURE,
-    CircuitStats,
-    DagCircuit,
-    Gate,
-    QuantumCircuit,
-    build_dag,
-    emit_qasm,
-    parse_merged_qasm,
-    parse_qasm,
-    stats,
-)
+from .circuits import build_dag, emit_qasm, parse_qasm, stats
 from .hardware import (
-    CrosstalkTable,
-    DistanceMatrices,
-    HardwareModel,
     build_crosstalk,
     build_hardware,
-    combined_distance,
     distance_matrices,
     extract_strong_crosstalk,
     hop_count_matrix,
-    load_crosstalk,
-    load_hardware,
     subgraph_diameter,
-    swap_distance_matrix,
-    swap_error_matrix,
-)
-from .manager import ExecutionPlan, Verdict, fidelity_gate, independent_plan, plan_all, select_k, sort_by_density
-from .partition import (
-    GSP_MAX_QUBITS,
-    FidelityDegreeTable,
-    Partition,
-    allocate_all,
-    connected_k_subsets,
-    crosstalk_adjust,
-    fidelity_degree,
-    gsp_partition,
-    qhsp_partition,
-    score_gsp,
-    score_qhsp,
-    starting_points,
 )
 from .pipeline import CompiledPlan, CompileResult, RunConfig, compile_workloads
-from .scheduler import (
-    Schedule,
-    ScheduledGate,
-    TentativeGate,
-    cost_h,
-    emit_merged_qasm,
-    find_swap_bridge_pairs,
-    initial_mapping,
-    mapping_transition,
-    merged_circuit,
-)
-from .verify import (
-    EquivalenceReport,
-    check_equivalence,
-    compute_pst,
-    estimate_success,
-    expected_outcomes,
-    marginalize,
-    simulate,
-    statevector,
-    total_variation,
-)
+from .verify import check_equivalence
 
 __version__ = "0.1.0"

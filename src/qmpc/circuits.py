@@ -43,10 +43,6 @@ class Gate:
         if self.kind == CX and (len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]):
             raise ValueError(f"cx needs two distinct qubits, got {self.qubits}")
 
-    @property
-    def is_two_qubit(self) -> bool:
-        return self.kind == CX
-
 
 @dataclass(frozen=True)
 class QuantumCircuit:
@@ -100,12 +96,33 @@ def stats(circuit: QuantumCircuit) -> CircuitStats:
     )
 
 
+def depth(gates) -> int:
+    """Number of layers when every gate starts once its qubits are free.
+
+    Barriers align the qubits they span without adding a layer.
+    """
+    level: dict[int, int] = {}
+    deepest = 0
+    for g in gates:
+        top = max((level.get(q, 0) for q in g.qubits), default=0)
+        if g.kind == BARRIER:
+            for q in g.qubits:
+                level[q] = top
+            continue
+        for q in g.qubits:
+            level[q] = top + 1
+        deepest = max(deepest, top + 1)
+    return deepest
+
+
 class DagCircuit:
     """Dependency DAG over gate indices.
 
-    An edge a -> b exists iff the two gates share a qubit and no gate between
-    them touches that qubit.  Barriers participate like any other node, which
-    makes them scheduling fences for every qubit they span.
+    An edge a -> b exists iff the two gates share a wire and no gate between
+    them touches that wire.  The wires are the qubits and the classical bits:
+    two measurements writing the same bit stay in program order, so the last
+    write wins as in the source.  Barriers participate like any other node,
+    which makes them scheduling fences for every qubit they span.
     """
 
     def __init__(self, circuit: QuantumCircuit):
@@ -115,11 +132,13 @@ class DagCircuit:
         pred: list[set[int]] = [set() for _ in range(n)]
         last_on: dict[int, int] = {}
         for i, g in enumerate(circuit.gates):
-            for q in g.qubits:
-                if q in last_on:
-                    succ[last_on[q]].add(i)
-                    pred[i].add(last_on[q])
-                last_on[q] = i
+            # classical bit b is wire ~b: negative, so apart from every qubit
+            wires = g.qubits if g.clbit is None else (*g.qubits, ~g.clbit)
+            for w in wires:
+                if w in last_on:
+                    succ[last_on[w]].add(i)
+                    pred[i].add(last_on[w])
+                last_on[w] = i
         self.successors = [tuple(sorted(s)) for s in succ]
         self.predecessors = [tuple(sorted(p)) for p in pred]
 

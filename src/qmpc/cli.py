@@ -17,7 +17,6 @@ from .circuits import parse_merged_qasm, parse_qasm
 from .errors import QmpcError
 from .hardware import build_crosstalk, extract_strong_crosstalk, load_crosstalk, load_hardware
 from .manager import plan_all
-from .partition import allocate_all
 from .pipeline import RunConfig, compile_workloads
 from .verify import check_equivalence
 
@@ -36,7 +35,6 @@ def _add_common(parser: argparse.ArgumentParser, with_compile_flags: bool = True
         parser.add_argument("--ext-layer", dest="ext_layer", type=int, default=20, help="lookahead window size")
         parser.add_argument("--attempts", type=int, default=10, help="random initial placements to try")
         parser.add_argument("--seed", type=int, default=None)
-        parser.add_argument("--jobs", type=int, default=1, help="threads for candidate scoring")
         parser.add_argument("--swap-only", action="store_true", help="disable bridged CNOTs")
         parser.add_argument("--no-self-cost", action="store_true", help="ignore a repair gate's own CNOT cost")
 
@@ -52,7 +50,7 @@ def _resolve_seed(args) -> int:
     return int(time.time())
 
 
-def _config(args) -> RunConfig:
+def _config(args, seed: int = 0) -> RunConfig:
     return RunConfig(
         method=args.method,
         lam=args.lam,
@@ -62,8 +60,7 @@ def _config(args) -> RunConfig:
         alpha2=args.alpha2,
         ext_layer=args.ext_layer,
         attempts=args.attempts,
-        seed=_resolve_seed(args),
-        jobs=args.jobs,
+        seed=seed,
         swap_only=args.swap_only,
         self_cost=not args.no_self_cost,
     )
@@ -93,9 +90,9 @@ def _dump(obj) -> str:
 
 
 def cmd_compile(args) -> int:
+    config = _config(args, _resolve_seed(args))
     model, strong = _load_inputs(args)
     circuits = _load_circuits(args.circuits)
-    config = _config(args)
     result = compile_workloads(model, circuits, config, strong)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -115,9 +112,12 @@ def cmd_compile(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    config = _config(args)
     model, strong = _load_inputs(args)
     circuits = _load_circuits(args.circuits)
-    plans = plan_all(model, circuits, method=args.method, lam=args.lam, threshold=args.delta, strong_pairs=strong)
+    plans = plan_all(
+        model, circuits, method=config.method, lam=config.lam, threshold=config.delta, strong_pairs=strong
+    )
     partitions = [p.to_json_dict() for plan in plans for p in plan.partitions]
     sys.stdout.write(_dump(partitions))
     return 0

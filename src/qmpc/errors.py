@@ -10,6 +10,10 @@ class QmpcError(Exception):
     """Base class for user-facing errors."""
 
 
+class ConfigError(QmpcError):
+    """A compilation setting outside its valid range."""
+
+
 class QasmError(QmpcError):
     """Malformed source text, with position information."""
 

@@ -231,12 +231,6 @@ def subgraph_diameter(model: HardwareModel, qubits) -> int:
     return nx.diameter(sub)
 
 
-def induced_distances(model: HardwareModel, qubits) -> dict[int, dict[int, int]]:
-    """All-pairs shortest paths restricted to the induced subgraph."""
-    sub = model.graph().subgraph(set(qubits))
-    return {src: dict(lengths) for src, lengths in nx.all_pairs_shortest_path_length(sub)}
-
-
 # --- crosstalk ----------------------------------------------------------------
 
 

@@ -2,7 +2,9 @@
 
 Capacity gives an upper bound K; the fidelity gate then compares the score of
 partitioning each circuit alone against partitioning them together, and trims
-the batch until the mean degradation stays under the user threshold.
+the batch until the mean degradation stays under the user threshold.  A batch
+that fits by qubit count but not by free connected regions shrinks to the
+prefix that does fit; the rest is re-queued.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from .circuits import QuantumCircuit, stats
 from .errors import CircuitTooLargeError, PartitionError
 from .hardware import CrosstalkTable, HardwareModel
-from .partition import Partition, allocate_all, gsp_partition, qhsp_partition
+from .partition import Partition, allocate_all, allocate_prefix
 
 
 class Verdict(enum.Enum):
@@ -71,12 +73,6 @@ def select_k(circuits: list[QuantumCircuit], num_qubits: int) -> list[QuantumCir
     return prefix
 
 
-def _best_alone(model, circuit, method, lam, strong, jobs=1) -> Partition:
-    if method == "gsp":
-        return gsp_partition(model, circuit, set(), strong, jobs=jobs)[0]
-    return qhsp_partition(model, circuit, set(), strong, lam=lam)[0]
-
-
 def independent_plan(
     model: HardwareModel,
     circuit: QuantumCircuit,
@@ -84,9 +80,8 @@ def independent_plan(
     lam: float = 2.0,
     threshold: float = 0.1,
     strong_pairs: CrosstalkTable | None = None,
-    jobs: int = 1,
 ) -> ExecutionPlan:
-    best = _best_alone(model, circuit, method, lam, strong_pairs, jobs=jobs)
+    best = allocate_all(model, [circuit], method, lam, strong_pairs)[0]
     return ExecutionPlan((circuit.id,), (best,), 0.0, threshold, Verdict.INDEPENDENT, 1)
 
 
@@ -97,7 +92,6 @@ def fidelity_gate(
     lam: float = 2.0,
     threshold: float = 0.1,
     strong_pairs: CrosstalkTable | None = None,
-    jobs: int = 1,
 ) -> ExecutionPlan:
     """Gate a density-ordered batch on the joint-vs-alone score difference.
 
@@ -105,21 +99,24 @@ def fidelity_gate(
     the circuit partitioned alone).  While it does not stay under the
     threshold, the lowest-density circuit is dropped and the check repeats;
     a single survivor is declared independent.
+
+    The batch is allocated once: allocation is greedy in batch order, so the
+    regions of every shorter prefix are the first entries of that one
+    allocation.  When the device runs out of room before the last circuit,
+    the batch shrinks to the prefix that fits.
     """
     if len(circuits) < 2:
         raise ValueError("fidelity_gate needs at least two circuits; use independent_plan")
-    alone = {c.id: _best_alone(model, c, method, lam, strong_pairs, jobs=jobs).score for c in circuits}
-    current = list(circuits)
-    while len(current) >= 2:
-        joint = allocate_all(model, current, method=method, lam=lam, strong_pairs=strong_pairs, jobs=jobs)
-        delta_s = sum(p.score - alone[p.circuit_id] for p in joint) / len(current)
+    joint, _ = allocate_prefix(model, circuits, method, lam, strong_pairs)
+    alone = {c.id: allocate_all(model, [c], method, lam, strong_pairs)[0].score for c in circuits[:len(joint)]}
+    for n in range(len(joint), 1, -1):
+        delta_s = sum(p.score - alone[p.circuit_id] for p in joint[:n]) / n
         if delta_s < threshold:
-            verdict = Verdict.SIMULTANEOUS if len(current) == len(circuits) else Verdict.REDUCED
+            verdict = Verdict.SIMULTANEOUS if n == len(circuits) else Verdict.REDUCED
             return ExecutionPlan(
-                tuple(c.id for c in current), tuple(joint), delta_s, threshold, verdict, len(current)
+                tuple(c.id for c in circuits[:n]), tuple(joint[:n]), delta_s, threshold, verdict, n
             )
-        current = current[:-1]
-    return independent_plan(model, current[0], method, lam, threshold, strong_pairs, jobs=jobs)
+    return independent_plan(model, circuits[0], method, lam, threshold, strong_pairs)
 
 
 def plan_all(
@@ -129,10 +126,9 @@ def plan_all(
     lam: float = 2.0,
     threshold: float = 0.1,
     strong_pairs: CrosstalkTable | None = None,
-    jobs: int = 1,
 ) -> list[ExecutionPlan]:
     """Cover every submitted circuit with a plan, re-queueing whatever the
-    fidelity gate drops."""
+    fidelity gate drops or the device has no room for."""
     ids = [c.id for c in circuits]
     if len(set(ids)) != len(ids):
         raise PartitionError("circuit ids must be unique")
@@ -141,9 +137,9 @@ def plan_all(
     while remaining:
         prefix = select_k(remaining, model.num_qubits)
         if len(prefix) <= 1:
-            plan = independent_plan(model, prefix[0], method, lam, threshold, strong_pairs, jobs=jobs)
+            plan = independent_plan(model, prefix[0], method, lam, threshold, strong_pairs)
         else:
-            plan = fidelity_gate(model, prefix, method, lam, threshold, strong_pairs, jobs=jobs)
+            plan = fidelity_gate(model, prefix, method, lam, threshold, strong_pairs)
         plans.append(plan)
         taken = set(plan.selected)
         remaining = [c for c in remaining if c.id not in taken]

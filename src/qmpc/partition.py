@@ -8,12 +8,14 @@ stays polynomial.  Both score candidates the same way, except that the
 exhaustive score adds the region diameter as a connectivity penalty, and both
 raise the CNOT error of region edges that sit under strong crosstalk from
 already-allocated neighbours.
+
+Allocation is greedy: circuits take the best region left in density order,
+as in Das et al., "A Case for Multi-Programming Quantum Computers" (MICRO
+2019), and the pass stops at the first circuit that finds no region.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,15 +55,7 @@ class Partition:
         }
 
 
-@dataclass(frozen=True)
-class FidelityDegreeTable:
-    """Per-qubit fidelity degree and the weight it was computed with."""
-
-    values: np.ndarray
-    lam: float
-
-
-def fidelity_degree(model: HardwareModel, lam: float = 2.0) -> FidelityDegreeTable:
+def fidelity_degree(model: HardwareModel, lam: float = 2.0) -> np.ndarray:
     """Score each qubit by weighted neighbour CNOT fidelity plus readout fidelity.
 
     degree(q) = sum over neighbours v of lam * (1 - E[q][v]), plus (1 - R[q]).
@@ -73,7 +67,7 @@ def fidelity_degree(model: HardwareModel, lam: float = 2.0) -> FidelityDegreeTab
     for q in range(model.num_qubits):
         total = sum(lam * (1.0 - model.edge_error(q, v)) for v in model.neighbors(q))
         values[q] = total + (1.0 - float(model.readout_error[q]))
-    return FidelityDegreeTable(values, lam)
+    return values
 
 
 def starting_points(model: HardwareModel, circuit: QuantumCircuit) -> list[int]:
@@ -119,24 +113,18 @@ def crosstalk_adjust(
     return adjusted
 
 
-def _score(model: HardwareModel, qubits, circuit: QuantumCircuit, adjusted: dict[Edge, float], with_diameter: bool) -> float:
+def score(
+    model: HardwareModel, qubits, circuit: QuantumCircuit, adjusted: dict[Edge, float], with_diameter: bool
+) -> float:
+    """Mean internal CNOT error x CNOT count + readout sum, plus the region
+    diameter when ``with_diameter`` (the exhaustive search's score)."""
     edges = _induced_edges(model, qubits)
     avg = sum(adjusted[e] for e in edges) / len(edges) if edges else 0.0
     readout = sum(float(model.readout_error[q]) for q in qubits)
-    score = avg * circuit.cnot_count + readout
+    total = avg * circuit.cnot_count + readout
     if with_diameter:
-        score += subgraph_diameter(model, qubits)
-    return score
-
-
-def score_gsp(model: HardwareModel, qubits, circuit: QuantumCircuit, adjusted: dict[Edge, float]) -> float:
-    """Region diameter + mean internal CNOT error x CNOT count + readout sum."""
-    return _score(model, qubits, circuit, adjusted, with_diameter=True)
-
-
-def score_qhsp(model: HardwareModel, qubits, circuit: QuantumCircuit, adjusted: dict[Edge, float]) -> float:
-    """Same as the exhaustive score minus the diameter term."""
-    return _score(model, qubits, circuit, adjusted, with_diameter=False)
+        total += subgraph_diameter(model, qubits)
+    return total
 
 
 def connected_k_subsets(model: HardwareModel, free: set[int], k: int) -> list[tuple[int, ...]]:
@@ -164,7 +152,6 @@ def gsp_partition(
     circuit: QuantumCircuit,
     used_qubits,
     strong_pairs: CrosstalkTable | None = None,
-    jobs: int = 1,
 ) -> list[Partition]:
     """Exhaustively score every connected region of the right size.
 
@@ -184,23 +171,17 @@ def gsp_partition(
     if not subsets:
         raise PartitionError(f"no connected {k}-qubit region among free qubits")
 
-    def score_one(subset: tuple[int, ...]) -> Partition:
+    candidates = []
+    for subset in subsets:
         adjusted = crosstalk_adjust(model, subset, used, strong_pairs)
-        return Partition(circuit.id, subset, score_gsp(model, subset, circuit, adjusted), METHOD_GSP)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            candidates = list(pool.map(score_one, subsets))
-    else:
-        candidates = [score_one(s) for s in subsets]
+        candidates.append(Partition(circuit.id, subset, score(model, subset, circuit, adjusted, True), METHOD_GSP))
     candidates.sort(key=lambda p: (p.score, tuple(sorted(p.qubits))))
     return candidates
 
 
-def _grow_region(model: HardwareModel, start: int, k: int, table: FidelityDegreeTable, used: set[int]) -> list[int] | None:
+def _grow_region(model: HardwareModel, start: int, k: int, values: np.ndarray, used: set[int]) -> list[int] | None:
     """Grow a region from ``start`` by repeatedly letting the highest-degree
     member adopt its best free neighbour.  Returns None when growth stalls."""
-    values = table.values
     region = [start]
     while len(region) < k:
         merged = False
@@ -229,11 +210,11 @@ def qhsp_partition(
     free = set(range(model.num_qubits)) - used
     if len(free) < k:
         raise PartitionError(f"only {len(free)} free qubits for a {k}-qubit circuit")
-    table = fidelity_degree(model, lam)
+    values = fidelity_degree(model, lam)
     candidates: list[Partition] = []
     seen: set[frozenset[int]] = set()
     for start in sorted(starting_points(model, circuit)):
-        region = _grow_region(model, start, k, table, used)
+        region = _grow_region(model, start, k, values, used)
         if region is None:
             continue
         if used & set(region):  # only possible when the start itself is taken
@@ -244,7 +225,7 @@ def qhsp_partition(
         seen.add(key)
         adjusted = crosstalk_adjust(model, region, used, strong_pairs)
         candidates.append(
-            Partition(circuit.id, tuple(region), score_qhsp(model, region, circuit, adjusted), METHOD_QHSP)
+            Partition(circuit.id, tuple(region), score(model, region, circuit, adjusted, False), METHOD_QHSP)
         )
     if not candidates:
         raise PartitionError(f"no feasible {k}-qubit region from any starting point")
@@ -252,8 +233,44 @@ def qhsp_partition(
     return candidates
 
 
-def _densities(circuits) -> list[Fraction]:
-    return [stats(c).density for c in circuits]
+def allocate_prefix(
+    model: HardwareModel,
+    circuits: list[QuantumCircuit],
+    method: str = "qhsp",
+    lam: float = 2.0,
+    strong_pairs: CrosstalkTable | None = None,
+) -> tuple[list[Partition], PartitionError | None]:
+    """Allocate disjoint regions to circuits already ordered by density,
+    greedily and in order, until a circuit finds none.
+
+    Each allocation marks its qubits used, and later candidates see their
+    edge errors adjusted against everything allocated so far, so the regions
+    of any prefix of ``circuits`` are the first entries of the regions of
+    the whole list.  Returns the regions of the longest prefix that fits and
+    the error that stopped the pass (None when every circuit fits).  A
+    ``PartitionSizeError`` is a refused request, not a full device, and
+    propagates.
+    """
+    if method not in ("gsp", "qhsp"):
+        raise ValueError(f"unknown partition method {method!r}")
+    dens = [stats(c).density for c in circuits]
+    if any(dens[i] < dens[i + 1] for i in range(len(dens) - 1)):
+        raise PartitionError("circuits must be ordered by density, descending")
+    used: set[int] = set()
+    out: list[Partition] = []
+    for circuit in circuits:
+        try:
+            if method == "gsp":
+                best = gsp_partition(model, circuit, used, strong_pairs)[0]
+            else:
+                best = qhsp_partition(model, circuit, used, strong_pairs, lam=lam)[0]
+        except PartitionSizeError:
+            raise
+        except PartitionError as exc:
+            return out, exc
+        out.append(best)
+        used |= best.qubit_set
+    return out, None
 
 
 def allocate_all(
@@ -262,27 +279,12 @@ def allocate_all(
     method: str = "qhsp",
     lam: float = 2.0,
     strong_pairs: CrosstalkTable | None = None,
-    jobs: int = 1,
 ) -> list[Partition]:
-    """Allocate disjoint regions to circuits already ordered by density.
-
-    Each allocation marks its qubits used, and later candidates see their
-    edge errors adjusted against everything allocated so far.
-    """
-    dens = _densities(circuits)
-    if any(dens[i] < dens[i + 1] for i in range(len(dens) - 1)):
-        raise PartitionError("circuits must be ordered by density, descending")
+    """Allocate disjoint regions to circuits already ordered by density, as
+    ``allocate_prefix`` does, but raise ``PartitionError`` unless all fit."""
     if sum(c.num_qubits for c in circuits) > model.num_qubits:
         raise PartitionError("combined circuit size exceeds the device")
-    used: set[int] = set()
-    out: list[Partition] = []
-    for circuit in circuits:
-        if method == "gsp":
-            best = gsp_partition(model, circuit, used, strong_pairs, jobs=jobs)[0]
-        elif method == "qhsp":
-            best = qhsp_partition(model, circuit, used, strong_pairs, lam=lam)[0]
-        else:
-            raise ValueError(f"unknown partition method {method!r}")
-        out.append(best)
-        used |= best.qubit_set
+    out, error = allocate_prefix(model, circuits, method, lam, strong_pairs)
+    if error is not None:
+        raise error
     return out

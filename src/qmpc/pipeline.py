@@ -1,11 +1,13 @@
 """End-to-end compilation: plan batches, place, route, and package outputs."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuits import QuantumCircuit, build_dag
+from .errors import ConfigError
 from .hardware import CrosstalkTable, HardwareModel, distance_matrices
 from .manager import ExecutionPlan, plan_all
 from .scheduler import Schedule, emit_merged_qasm, initial_mapping, mapping_transition, merged_circuit
@@ -14,7 +16,11 @@ from .verify import estimate_success
 
 @dataclass
 class RunConfig:
-    """Knobs for one compilation run; defaults are the recommended settings."""
+    """Knobs for one compilation run; defaults are the recommended settings.
+
+    Every knob is checked once, here, so a bad value fails with a
+    ``ConfigError`` before any work starts.
+    """
 
     method: str = "qhsp"
     lam: float = 2.0
@@ -25,9 +31,21 @@ class RunConfig:
     ext_layer: int = 20
     attempts: int = 10
     seed: int = 0
-    jobs: int = 1
     swap_only: bool = False
     self_cost: bool = True
+
+    def __post_init__(self):
+        if self.method not in ("gsp", "qhsp"):
+            raise ConfigError(f"method must be 'gsp' or 'qhsp', got {self.method!r}")
+        if self.attempts < 1:
+            raise ConfigError(f"attempts must be at least 1, got {self.attempts}")
+        if self.ext_layer < 0:
+            raise ConfigError(f"ext_layer must be non-negative, got {self.ext_layer}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
+        for name in ("delta", "weight_w", "alpha1", "alpha2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -117,7 +135,6 @@ def compile_workloads(
     plans = plan_all(
         model, circuits,
         method=config.method, lam=config.lam, threshold=config.delta, strong_pairs=strong_pairs,
-        jobs=config.jobs,
     )
     by_id = {c.id: c for c in circuits}
     root = np.random.SeedSequence(config.seed)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import BARRIER, CX, Gate, MEASURE, DagCircuit, QuantumCircuit
+from .circuits import CX, MEASURE, DagCircuit, Gate, QuantumCircuit, _format_gate, depth
 from .errors import RoutingError
 from .hardware import HardwareModel
 from .partition import Partition
@@ -72,19 +72,7 @@ class Schedule:
         return 3 * (sum(self.swap_counts.values()) + sum(self.bridge_counts.values()))
 
     def depth(self) -> int:
-        level: dict[int, int] = {}
-        deepest = 0
-        for entry in self.entries:
-            qubits = entry.gate.qubits
-            top = max((level.get(q, 0) for q in qubits), default=0)
-            if entry.gate.kind == BARRIER:
-                for q in qubits:
-                    level[q] = top
-                continue
-            for q in qubits:
-                level[q] = top + 1
-            deepest = max(deepest, top + 1)
-        return deepest
+        return depth(entry.gate for entry in self.entries)
 
 
 class _Job:
@@ -449,17 +437,7 @@ def emit_merged_qasm(schedule: Schedule, model: HardwareModel, circuits: list[Qu
         if c.num_clbits:
             lines.append(f"creg {creg_names[c.id]}[{c.num_clbits}];")
     for entry in schedule.entries:
-        g = entry.gate
-        if g.kind == MEASURE:
-            lines.append(f"measure q[{g.qubits[0]}] -> {creg_names[entry.circuit_id]}[{g.clbit}];")
-        elif g.kind == BARRIER:
-            args = ",".join(f"q[{q}]" for q in g.qubits)
-            lines.append(f"barrier {args};")
-        else:
-            head = g.kind
-            if g.params:
-                head += "(" + ",".join(repr(p) for p in g.params) + ")"
-            args = ",".join(f"q[{q}]" for q in g.qubits)
-            lines.append(f"{head} {args};")
+        creg = creg_names[entry.circuit_id]
+        lines.append(_format_gate(entry.gate, clbit_ref=lambda b: f"{creg}[{b}]"))
     _, manifest = merged_circuit(schedule, model, circuits)
     return "\n".join(lines) + "\n", manifest

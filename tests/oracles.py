@@ -2,13 +2,19 @@
 
 Everything here deliberately avoids the package's own code paths: plain BFS,
 Floyd-Warshall, brute-force path and subset enumeration, and a dense unitary
-builder that works on integer basis indices.
+builder that works on integer basis indices.  The one exception is the
+trim-and-reallocate fidelity gate, which keeps the planner's first design
+(allocate every trimmed batch from scratch) as the reference for the
+one-pass gate.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
 import numpy as np
+
+from qmpc.manager import ExecutionPlan, Verdict
+from qmpc.partition import allocate_all, gsp_partition, qhsp_partition
 
 
 def bfs_hops(n: int, edges: list[tuple[int, int]], src: int) -> dict[int, int]:
@@ -85,13 +91,21 @@ def best_swap_path_error(edges: list[tuple[int, int]], errors: dict, src: int, d
     return 1.0 - best
 
 
+def _wires(gate) -> set[tuple[str, int]]:
+    wires = {("q", q) for q in gate.qubits}
+    if gate.clbit is not None:
+        wires.add(("c", gate.clbit))
+    return wires
+
+
 def dependency_edges(gates) -> set[tuple[int, int]]:
-    """Brute-force scan: (a, b) iff a shared qubit has no toucher between them."""
+    """Brute-force scan: (a, b) iff a shared wire (a qubit, or the classical
+    bit two measurements write) has no toucher between them."""
     out = set()
     for a in range(len(gates)):
         for b in range(a + 1, len(gates)):
-            for q in set(gates[a].qubits) & set(gates[b].qubits):
-                if not any(q in gates[m].qubits for m in range(a + 1, b)):
+            for w in _wires(gates[a]) & _wires(gates[b]):
+                if not any(w in _wires(gates[m]) for m in range(a + 1, b)):
                     out.add((a, b))
                     break
     return out
@@ -188,3 +202,30 @@ def circuit_unitary(n: int, ops: list[tuple]) -> np.ndarray:
                     gate[row, col] = mat[out_bit, bit]
         unitary = gate @ unitary
     return unitary
+
+
+# --- planner reference ------------------------------------------------------------
+
+
+def trim_and_reallocate_gate(model, circuits, method="qhsp", lam=2.0, threshold=0.1, strong_pairs=None):
+    """The fidelity gate as first written: every trim allocates the shorter
+    batch again from an empty device.  Raises ``PartitionError`` when the
+    whole batch does not fit."""
+
+    def best_alone(circuit):
+        if method == "gsp":
+            return gsp_partition(model, circuit, set(), strong_pairs)[0]
+        return qhsp_partition(model, circuit, set(), strong_pairs, lam=lam)[0]
+
+    alone = {c.id: best_alone(c).score for c in circuits}
+    current = list(circuits)
+    while len(current) >= 2:
+        joint = allocate_all(model, current, method=method, lam=lam, strong_pairs=strong_pairs)
+        delta_s = sum(p.score - alone[p.circuit_id] for p in joint) / len(current)
+        if delta_s < threshold:
+            verdict = Verdict.SIMULTANEOUS if len(current) == len(circuits) else Verdict.REDUCED
+            return ExecutionPlan(
+                tuple(c.id for c in current), tuple(joint), delta_s, threshold, verdict, len(current)
+            )
+        current = current[:-1]
+    return ExecutionPlan((current[0].id,), (best_alone(current[0]),), 0.0, threshold, Verdict.INDEPENDENT, 1)

@@ -10,7 +10,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from qmpc.circuits import Gate, QuantumCircuit, build_dag
+from qmpc.circuits import Gate, QuantumCircuit, build_dag, depth
 from qmpc.errors import PartitionSizeError
 from qmpc.hardware import build_crosstalk, build_hardware, extract_strong_crosstalk
 from qmpc.manager import Verdict, fidelity_gate
@@ -20,8 +20,7 @@ from qmpc.partition import (
     crosstalk_adjust,
     gsp_partition,
     qhsp_partition,
-    score_gsp,
-    score_qhsp,
+    score,
 )
 from qmpc.pipeline import RunConfig, compile_workloads
 from qmpc.presets import line_topology, ring_topology, synthetic_calibration, topology
@@ -40,21 +39,6 @@ def _device(name, seed):
     return build_hardware(topo, synthetic_calibration(topo, seed=seed))
 
 
-def _circuit_depth(circuit) -> int:
-    level: dict[int, int] = {}
-    deepest = 0
-    for g in circuit.gates:
-        top = max((level.get(q, 0) for q in g.qubits), default=0)
-        if g.kind == "barrier":
-            for q in g.qubits:
-                level[q] = top
-            continue
-        for q in g.qubits:
-            level[q] = top + 1
-        deepest = max(deepest, top + 1)
-    return deepest
-
-
 @pytest.fixture(scope="module")
 def suite():
     """25 seeded random workloads compiled alone (7-qubit device) and in
@@ -62,7 +46,7 @@ def suite():
     rng = np.random.default_rng(2024)
     circuits = [random_circuit(rng, f"w{i:02d}") for i in range(25)]
     for c in circuits:
-        assert 3 <= c.num_qubits <= 6 and _circuit_depth(c) <= 20
+        assert 3 <= c.num_qubits <= 6 and depth(c.gates) <= 20
     jakarta = _device("jakarta", 1)
     guadalupe = _device("guadalupe", 2)
     started = time.monotonic()
@@ -142,10 +126,10 @@ def test_criterion_2_oracle_dominance_and_near_optimality(request):
         best = gsp_partition(model, circuit, set())[0]
         choice = qhsp_partition(model, circuit, set())[0]
         adjusted = crosstalk_adjust(model, choice.qubits, set(), None)
-        if best.score <= score_gsp(model, choice.qubits, circuit, adjusted) + 1e-12:
+        if best.score <= score(model, choice.qubits, circuit, adjusted, with_diameter=True) + 1e-12:
             dominance += 1
         optimum = min(
-            score_qhsp(model, s, circuit, crosstalk_adjust(model, s, set(), None))
+            score(model, s, circuit, crosstalk_adjust(model, s, set(), None), with_diameter=False)
             for s in connected_k_subsets(model, set(range(model.num_qubits)), k)
         )
         if abs(choice.score - optimum) <= 1e-12:
@@ -303,7 +287,7 @@ def test_criterion_7_threshold_gate_behaviour(suite, request):
 def test_criterion_8_worked_partition_example(valencia_ranked, request):
     from qmpc.partition import fidelity_degree
 
-    values = fidelity_degree(valencia_ranked, 2.0).values
+    values = fidelity_degree(valencia_ranked, 2.0)
     rank = sorted(range(5), key=lambda q: -values[q])[:4]
     assert rank == [1, 3, 0, 2]  # calibration constructed to rank this way
     circuit = QuantumCircuit("ex", 4, 0, (Gate("cx", (0, 1)), Gate("cx", (0, 2)), Gate("cx", (0, 3))))

@@ -128,6 +128,33 @@ def test_dag_brute_force_on_longer_circuit(circuit_factory):
     assert got == dependency_edges(c.gates)
 
 
+def test_dag_orders_measurements_into_the_same_bit():
+    c = parse_qasm("qreg q[3]; creg c[2]; measure q[0] -> c[0]; measure q[1] -> c[1]; measure q[2] -> c[0];")
+    dag = build_dag(c)
+    assert dag.successors == [(2,), (), ()]
+    got = {(a, b) for a in range(3) for b in dag.successors[a]}
+    assert got == dependency_edges(c.gates)
+
+
+def test_same_bit_measurements_compile_in_source_order():
+    # measuring q[1] into c[0] last must win, however the router orders the
+    # two independent qubits
+    from qmpc.hardware import build_hardware
+    from qmpc.pipeline import RunConfig, compile_workloads
+    from qmpc.presets import line_topology, uniform_calibration
+    from qmpc.verify import check_equivalence
+
+    source = (
+        "qreg q[2]; creg c[1]; h q[0]; h q[0]; h q[0]; h q[0]; "
+        "measure q[0] -> c[0]; x q[1]; measure q[1] -> c[0];"
+    )
+    topo = line_topology(2)
+    model = build_hardware(topo, uniform_calibration(topo))
+    compiled = compile_workloads(model, [parse_qasm(source, "w")], RunConfig(seed=1)).plans[0]
+    report = check_equivalence(compiled.circuits, compiled.merged, compiled.manifest)
+    assert report.passed, report
+
+
 def test_barrier_fences_all_touched_qubits():
     c = parse_qasm("qreg q[2]; h q[0]; barrier q; h q[1];")
     dag = build_dag(c)

@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
 from qmpc.cli import main
+from qmpc.errors import ConfigError
+from qmpc.pipeline import RunConfig
 from qmpc.presets import line_topology, synthetic_calibration, topology, uniform_calibration
 
 BELL = "qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q -> c;\n"
@@ -165,3 +168,25 @@ def test_missing_file_is_user_error(tmp_path, capsys):
         "--out-dir", str(tmp_path / "out"), str(tmp_path / "nope.qasm"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--attempts", "0"), ("--lambda", "0"), ("--delta", "nan")])
+def test_out_of_range_setting_is_user_error(device_files, capsys, flag, value):
+    assert main(_compile_args(device_files, extra=(flag, value))) == 1
+    assert flag.lstrip("-") in capsys.readouterr().err
+    code = main([
+        "partition", "--topology", str(device_files / "topology.json"),
+        "--calibration", str(device_files / "calibration.json"),
+        flag, value, str(device_files / "bell.qasm"),
+    ])
+    assert code == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("method", "sabre"), ("attempts", 0), ("ext_layer", -1), ("lam", 0.0), ("lam", math.inf),
+     ("delta", math.nan), ("weight_w", math.inf), ("alpha1", math.nan), ("alpha2", -math.inf)],
+)
+def test_run_config_rejects_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field.replace("lam", "lambda")):
+        RunConfig(**{field: value})

@@ -1,12 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from qmpc.circuits import Gate, QuantumCircuit
 from qmpc.errors import CircuitTooLargeError
 from qmpc.hardware import build_hardware
-from qmpc.manager import Verdict, fidelity_gate, plan_all, select_k, sort_by_density
+from qmpc.manager import Verdict, fidelity_gate, independent_plan, plan_all, select_k, sort_by_density
+from qmpc.pipeline import RunConfig, compile_workloads
 from qmpc.presets import line_topology, uniform_calibration
+from qmpc.verify import check_equivalence
+
+from conftest import random_circuit
 
 
 def cx_circuit(cid, n, n_cx):
@@ -130,6 +135,14 @@ def test_plan_all_covers_every_circuit():
             assert plan.trf == len(plan.selected)
 
 
+def test_unknown_method_raises_alone_and_joint():
+    model = staircase_device()
+    with pytest.raises(ValueError, match="sabre"):
+        independent_plan(model, cx_circuit("a", 2, 3), method="sabre")
+    with pytest.raises(ValueError, match="sabre"):
+        fidelity_gate(model, five_pairs(), method="sabre")
+
+
 def test_plan_serialization_shape():
     model = staircase_device()
     plan = fidelity_gate(model, five_pairs(), method="gsp", threshold=0.2)
@@ -137,3 +150,30 @@ def test_plan_serialization_shape():
     assert set(blob) == {"selected", "partitions", "delta_s", "threshold", "verdict", "trf"}
     assert blob["verdict"] == "SIMULTANEOUS"
     assert all(set(p) == {"circuit_id", "qubits", "score", "method"} for p in blob["partitions"])
+
+
+# --- packed device ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method, seed", [("qhsp", 1), ("qhsp", 3), ("gsp", 5), ("gsp", 7)])
+def test_packed_device_shrinks_batch_instead_of_raising(toronto, method, seed):
+    # four circuits of 4-8 qubits fit toronto's 27 qubits by count, but the
+    # greedy allocation leaves no connected region for the last of them; at
+    # these seeds the planner used to raise PartitionError
+    rng = np.random.default_rng(seed)
+    circuits = [random_circuit(rng, f"c{i}", int(rng.integers(4, 9)), 30) for i in range(4)]
+    assert len(select_k(circuits, toronto.num_qubits)) == 4
+    result = compile_workloads(toronto, circuits, RunConfig(method=method, seed=seed))
+    covered = [cid for compiled in result.plans for cid in compiled.plan.selected]
+    assert sorted(covered) == sorted(c.id for c in circuits)
+    assert len(result.plans) > 1
+    for compiled in result.plans:
+        # the merged program spans more qubits than the simulator takes, so
+        # each circuit is checked against the gates on its own region
+        merged = compiled.merged
+        for circuit, part in zip(compiled.circuits, compiled.plan.partitions):
+            region = set(part.qubits)
+            gates = tuple(g for g in merged.gates if region.issuperset(g.qubits))
+            sub = QuantumCircuit(circuit.id, merged.num_qubits, merged.num_clbits, gates)
+            report = check_equivalence([circuit], sub, {circuit.id: compiled.manifest[circuit.id]})
+            assert report.passed, (circuit.id, report.max_tv)

@@ -1,13 +1,18 @@
 """Invariant checks driven by generated instances."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qmpc.circuits import Gate, QuantumCircuit, build_dag, emit_qasm, parse_qasm, stats
 from qmpc.hardware import build_hardware, distance_matrices, subgraph_diameter
-from qmpc.manager import fidelity_gate, sort_by_density
-from qmpc.partition import allocate_all, crosstalk_adjust, gsp_partition, qhsp_partition, score_gsp
+from qmpc.errors import PartitionError
+from qmpc.manager import Verdict, fidelity_gate, select_k, sort_by_density
+from qmpc.partition import allocate_all, crosstalk_adjust, gsp_partition, qhsp_partition, score
 from qmpc.verify import estimate_success, simulate
+
+from oracles import trim_and_reallocate_gate
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -132,7 +137,7 @@ def test_partitions_disjoint_connected_and_gsp_dominates(model, k):
     best = gsp_partition(model, c1, set())[0]
     choice = qhsp_partition(model, c1, set())[0]
     adjusted = crosstalk_adjust(model, choice.qubits, set(), None)
-    assert best.score <= score_gsp(model, choice.qubits, c1, adjusted) + 1e-12
+    assert best.score <= score(model, choice.qubits, c1, adjusted, with_diameter=True) + 1e-12
 
 
 @settings(max_examples=25, **COMMON)
@@ -194,6 +199,36 @@ def test_reduction_never_increases_delta_sum_for_exhaustive(model):
     except Exception:
         return
     assert reduced <= full + 1e-12
+
+
+@settings(max_examples=100, **COMMON)
+@given(
+    connected_device(min_qubits=5, max_qubits=9),
+    st.lists(small_circuit(max_qubits=4).filter(lambda c: c.num_qubits >= 2), min_size=2, max_size=5),
+    st.sampled_from(["gsp", "qhsp"]),
+    st.sampled_from([0.0, 0.02, 0.1, 0.5, float("inf")]),
+)
+def test_one_pass_gate_matches_trim_and_reallocate(model, drawn, method, threshold):
+    circuits = [dataclasses.replace(c, id=f"c{i}") for i, c in enumerate(drawn)]
+    batch = select_k(circuits, model.num_qubits)
+    if len(batch) < 2:
+        return
+    got = fidelity_gate(model, batch, method=method, threshold=threshold)
+    # the reference raises on a batch the device cannot hold; the one-pass
+    # gate instead gates the longest prefix that fits, as a reduced batch
+    for fits in range(len(batch), 0, -1):
+        try:
+            allocate_all(model, batch[:fits], method=method)
+            break
+        except PartitionError:
+            continue
+    if fits == 1:
+        assert got.verdict is Verdict.INDEPENDENT and got.selected == (batch[0].id,)
+        return
+    want = trim_and_reallocate_gate(model, batch[:fits], method=method, threshold=threshold)
+    if fits < len(batch) and want.verdict is Verdict.SIMULTANEOUS:
+        want = dataclasses.replace(want, verdict=Verdict.REDUCED)
+    assert got == want
 
 
 # --- metrics ----------------------------------------------------------------------
