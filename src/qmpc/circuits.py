@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import MultiRegisterError, QasmError, UnsupportedGateError
 
@@ -57,7 +58,7 @@ class QuantumCircuit:
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(f"gate {g.kind} references qubit {q} outside register of size {self.num_qubits}")
 
-    @property
+    @cached_property
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == CX)
 

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import networkx as nx
 import numpy as np
@@ -42,17 +45,20 @@ class HardwareModel:
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adjacency[q]
 
-    @property
+    # Derived values are built on first use and kept on the instance; the
+    # model is frozen and its fields are treated as immutable.
+    @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj = self.__dict__.get("_adj_cache")
-        if adj is None:
-            tmp: dict[int, list[int]] = {q: [] for q in range(self.num_qubits)}
-            for a, b in self.edges:
-                tmp[a].append(b)
-                tmp[b].append(a)
-            adj = {q: tuple(sorted(ns)) for q, ns in tmp.items()}
-            object.__setattr__(self, "_adj_cache", adj)
-        return adj
+        tmp: dict[int, list[int]] = {q: [] for q in range(self.num_qubits)}
+        for a, b in self.edges:
+            tmp[a].append(b)
+            tmp[b].append(a)
+        return {q: tuple(sorted(ns)) for q, ns in tmp.items()}
+
+    @cached_property
+    def _distance_matrices(self) -> dict[tuple[float, float], DistanceMatrices]:
+        """``distance_matrices`` results by ``(alpha1, alpha2)``."""
+        return {}
 
     def has_edge(self, i: int, j: int) -> bool:
         return _edge(i, j) in self.cnot_error
@@ -118,10 +124,7 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
     readout = calibration.get("readout_errors")
     if readout is None or len(readout) != n:
         raise CalibrationError(f"readout_errors must list all {n} qubits")
-    readout = np.asarray([float(r) for r in readout])
-    if np.any(readout < 0.0) or np.any(readout >= 1.0):
-        bad = int(np.argmax((readout < 0.0) | (readout >= 1.0)))
-        raise CalibrationError(f"readout error for qubit {bad} outside [0,1)")
+    readout = _error_rates(readout, "readout")
 
     single = calibration.get("single_qubit_errors")
     if single is None:
@@ -129,9 +132,18 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
     else:
         if len(single) != n:
             raise CalibrationError(f"single_qubit_errors must list all {n} qubits")
-        single = np.asarray([float(s) for s in single])
+        single = _error_rates(single, "single-qubit")
 
     return HardwareModel(n, tuple(edges), cnot_error, readout, single)
+
+
+def _error_rates(values, what: str) -> np.ndarray:
+    """Per-qubit error rates as an array, each checked to lie in [0, 1)."""
+    rates = np.asarray([float(v) for v in values])
+    outside = ~((rates >= 0.0) & (rates < 1.0))  # NaN is outside too
+    if np.any(outside):
+        raise CalibrationError(f"{what} error for qubit {int(np.argmax(outside))} outside [0,1)")
+    return rates
 
 
 def load_hardware(topology_path: str | Path, calibration_path: str | Path) -> HardwareModel:
@@ -212,23 +224,50 @@ class DistanceMatrices:
 
 
 def distance_matrices(model: HardwareModel, alpha1: float = 0.5, alpha2: float = 0.5) -> DistanceMatrices:
-    s = swap_distance_matrix(model)
-    e = swap_error_matrix(model)
-    return DistanceMatrices(s, e, combined_distance(s, e, alpha1, alpha2), alpha1, alpha2)
+    """The routing matrices of ``model``, built once per ``(alpha1, alpha2)``
+    and kept on the model; the arrays are read-only because they are shared."""
+    cache = model._distance_matrices
+    if (alpha1, alpha2) not in cache:
+        s = swap_distance_matrix(model)
+        e = swap_error_matrix(model)
+        c = combined_distance(s, e, alpha1, alpha2)
+        for arr in (s, e, c):
+            arr.setflags(write=False)
+        cache[(alpha1, alpha2)] = DistanceMatrices(s, e, c, alpha1, alpha2)
+    return cache[(alpha1, alpha2)]
 
 
 def subgraph_diameter(model: HardwareModel, qubits) -> int:
-    """Longest shortest path within the induced subgraph on ``qubits``."""
+    """Longest shortest path within the induced subgraph on ``qubits``.
+
+    A breadth-first search from every member that never leaves the set, so
+    its cost depends on the region's size, not on the device's.
+    """
     qubits = set(qubits)
     for q in qubits:
         if not 0 <= q < model.num_qubits:
             raise HardwareError(f"qubit {q} outside device")
-    sub = model.graph().subgraph(qubits)
     if len(qubits) <= 1:
         return 0
-    if not nx.is_connected(sub):
-        raise DisconnectedGraphError(f"qubit set {sorted(qubits)} induces a disconnected subgraph")
-    return nx.diameter(sub)
+    adj = model._adjacency
+    diameter = 0
+    for src in qubits:
+        seen = {src}
+        frontier = [src]
+        depth = -1
+        while frontier:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v in qubits and v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        if len(seen) != len(qubits):
+            raise DisconnectedGraphError(f"qubit set {sorted(qubits)} induces a disconnected subgraph")
+        diameter = max(diameter, depth)
+    return diameter
 
 
 # --- crosstalk ----------------------------------------------------------------
@@ -246,8 +285,20 @@ class CrosstalkTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def conditional_errors(self, gate: Edge) -> dict[Edge, float]:
-        return {cond: err for (g, cond), err in self.entries.items() if g == gate}
+    def conditional_errors(self, gate: Edge) -> Mapping[Edge, float]:
+        """Conditioning edge -> conditional error for the affected ``gate``,
+        in table order; read from an index built on first use."""
+        return self._by_gate.get(gate, _NO_CONDITIONS)
+
+    @cached_property
+    def _by_gate(self) -> dict[Edge, Mapping[Edge, float]]:
+        index: dict[Edge, dict[Edge, float]] = {}
+        for (gate, cond), err in self.entries.items():
+            index.setdefault(gate, {})[cond] = err
+        return {gate: MappingProxyType(conds) for gate, conds in index.items()}
+
+
+_NO_CONDITIONS: Mapping[Edge, float] = MappingProxyType({})
 
 
 def _validate_pair(gate: Edge, cond: Edge, model: HardwareModel, hops: np.ndarray) -> None:

@@ -73,6 +73,21 @@ def select_k(circuits: list[QuantumCircuit], num_qubits: int) -> list[QuantumCir
     return prefix
 
 
+def _alone_region(
+    model: HardwareModel,
+    circuit: QuantumCircuit,
+    method: str,
+    lam: float,
+    strong_pairs: CrosstalkTable | None,
+    alone: dict[str, Partition],
+) -> Partition:
+    """The circuit's best region on an empty device, searched once per
+    ``alone`` cache (keyed by circuit id)."""
+    if circuit.id not in alone:
+        alone[circuit.id] = allocate_all(model, [circuit], method, lam, strong_pairs)[0]
+    return alone[circuit.id]
+
+
 def independent_plan(
     model: HardwareModel,
     circuit: QuantumCircuit,
@@ -80,8 +95,11 @@ def independent_plan(
     lam: float = 2.0,
     threshold: float = 0.1,
     strong_pairs: CrosstalkTable | None = None,
+    alone: dict[str, Partition] | None = None,
 ) -> ExecutionPlan:
-    best = allocate_all(model, [circuit], method, lam, strong_pairs)[0]
+    """Run ``circuit`` by itself on its best region.  ``alone`` caches alone
+    regions by circuit id across calls with the same device and knobs."""
+    best = _alone_region(model, circuit, method, lam, strong_pairs, {} if alone is None else alone)
     return ExecutionPlan((circuit.id,), (best,), 0.0, threshold, Verdict.INDEPENDENT, 1)
 
 
@@ -92,6 +110,7 @@ def fidelity_gate(
     lam: float = 2.0,
     threshold: float = 0.1,
     strong_pairs: CrosstalkTable | None = None,
+    alone: dict[str, Partition] | None = None,
 ) -> ExecutionPlan:
     """Gate a density-ordered batch on the joint-vs-alone score difference.
 
@@ -103,20 +122,26 @@ def fidelity_gate(
     The batch is allocated once: allocation is greedy in batch order, so the
     regions of every shorter prefix are the first entries of that one
     allocation.  When the device runs out of room before the last circuit,
-    the batch shrinks to the prefix that fits.
+    the batch shrinks to the prefix that fits.  The first circuit is
+    allocated on an empty device, so its joint region is its alone region;
+    the others are looked up in ``alone`` (alone regions by circuit id, as
+    for ``independent_plan``) and searched only when missing.
     """
     if len(circuits) < 2:
         raise ValueError("fidelity_gate needs at least two circuits; use independent_plan")
+    alone = {} if alone is None else alone
     joint, _ = allocate_prefix(model, circuits, method, lam, strong_pairs)
-    alone = {c.id: allocate_all(model, [c], method, lam, strong_pairs)[0].score for c in circuits[:len(joint)]}
+    if joint:
+        alone.setdefault(joint[0].circuit_id, joint[0])
+    scores = {c.id: _alone_region(model, c, method, lam, strong_pairs, alone).score for c in circuits[:len(joint)]}
     for n in range(len(joint), 1, -1):
-        delta_s = sum(p.score - alone[p.circuit_id] for p in joint[:n]) / n
+        delta_s = sum(p.score - scores[p.circuit_id] for p in joint[:n]) / n
         if delta_s < threshold:
             verdict = Verdict.SIMULTANEOUS if n == len(circuits) else Verdict.REDUCED
             return ExecutionPlan(
                 tuple(c.id for c in circuits[:n]), tuple(joint[:n]), delta_s, threshold, verdict, n
             )
-    return independent_plan(model, circuits[0], method, lam, threshold, strong_pairs)
+    return independent_plan(model, circuits[0], method, lam, threshold, strong_pairs, alone)
 
 
 def plan_all(
@@ -128,18 +153,20 @@ def plan_all(
     strong_pairs: CrosstalkTable | None = None,
 ) -> list[ExecutionPlan]:
     """Cover every submitted circuit with a plan, re-queueing whatever the
-    fidelity gate drops or the device has no room for."""
+    fidelity gate drops or the device has no room for.  Each circuit's alone
+    region is searched at most once, however often it is re-queued."""
     ids = [c.id for c in circuits]
     if len(set(ids)) != len(ids):
         raise PartitionError("circuit ids must be unique")
     remaining = sort_by_density(circuits)
     plans: list[ExecutionPlan] = []
+    alone: dict[str, Partition] = {}
     while remaining:
         prefix = select_k(remaining, model.num_qubits)
         if len(prefix) <= 1:
-            plan = independent_plan(model, prefix[0], method, lam, threshold, strong_pairs)
+            plan = independent_plan(model, prefix[0], method, lam, threshold, strong_pairs, alone)
         else:
-            plan = fidelity_gate(model, prefix, method, lam, threshold, strong_pairs)
+            plan = fidelity_gate(model, prefix, method, lam, threshold, strong_pairs, alone)
         plans.append(plan)
         taken = set(plan.selected)
         remaining = [c for c in remaining if c.id not in taken]

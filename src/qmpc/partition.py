@@ -85,8 +85,10 @@ def starting_points(model: HardwareModel, circuit: QuantumCircuit) -> list[int]:
 
 
 def _induced_edges(model: HardwareModel, qubits) -> list[Edge]:
+    """Coupling edges inside ``qubits`` in sorted order, the order of
+    ``model.edges``; the score's float sums run in this order."""
     qs = set(qubits)
-    return [e for e in model.edges if e[0] in qs and e[1] in qs]
+    return [(q, v) for q in sorted(qs) for v in model.neighbors(q) if v > q and v in qs]
 
 
 def crosstalk_adjust(

@@ -133,12 +133,12 @@ class _Job:
         """Next unexecuted CNOTs beyond the front layer, in program order."""
         out = []
         for node in self.cx_nodes:
+            if len(out) >= size:
+                break
             if self.executed[node] or node in self.front:
                 continue
             g = self.dag.gate(node)
             out.append((g.qubits[0], g.qubits[1]))
-            if len(out) >= size:
-                break
         return out
 
 
@@ -224,6 +224,9 @@ def _forced_path_route(job: _Job, model: HardwareModel, entries: list[ScheduledG
     The cost-driven selection can orbit between retreat swaps whose own CNOTs
     look cheaper than any approach; this deterministic fallback guarantees
     progress once a circuit has gone too long without emitting anything.
+    It is the same idea as the "release valve" of LightSABRE (Zou et al.,
+    arXiv:2409.08368), which routes one front-layer gate along a shortest
+    path once the heuristic stops making progress.
     """
     node = min(job.front)
     gate = job.dag.gate(node)

@@ -1,16 +1,18 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the package's own code paths: plain BFS,
-Floyd-Warshall, brute-force path and subset enumeration, and a dense unitary
-builder that works on integer basis indices.  The one exception is the
-trim-and-reallocate fidelity gate, which keeps the planner's first design
-(allocate every trimmed batch from scratch) as the reference for the
-one-pass gate.
+Floyd-Warshall, brute-force path and subset enumeration, ``networkx`` region
+diameters, linear scans of the edge list and the crosstalk table, and a
+dense unitary builder that works on integer basis indices.  The one
+exception is the trim-and-reallocate fidelity gate, which keeps the
+planner's first design (allocate every trimmed batch from scratch) as the
+reference for the one-pass gate.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 
 from qmpc.manager import ExecutionPlan, Verdict
@@ -128,6 +130,34 @@ def connected_subsets_brute(n: int, edges: list[tuple[int, int]], free: set[int]
         return seen == sub_set
 
     return {frozenset(c) for c in combinations(sorted(free), k) if connected(c)}
+
+
+def region_diameter_nx(num_qubits: int, edges, qubits) -> int:
+    """Diameter of the induced subgraph on ``qubits`` by ``networkx``; raises
+    ``IndexError`` for a qubit off the device and ``ValueError`` for a
+    disconnected region of two or more qubits."""
+    qubits = set(qubits)
+    if any(not 0 <= q < num_qubits for q in qubits):
+        raise IndexError("qubit outside device")
+    if len(qubits) <= 1:
+        return 0
+    sub = nx.Graph()
+    sub.add_nodes_from(qubits)
+    sub.add_edges_from(e for e in edges if e[0] in qubits and e[1] in qubits)
+    if not nx.is_connected(sub):
+        raise ValueError("disconnected region")
+    return nx.diameter(sub)
+
+
+def induced_edges_scan(edges, qubits) -> list[tuple[int, int]]:
+    """Edges with both ends in ``qubits``, in the order of ``edges``."""
+    qs = set(qubits)
+    return [e for e in edges if e[0] in qs and e[1] in qs]
+
+
+def conditional_errors_scan(entries: dict, gate) -> dict:
+    """Conditioning edge -> error for ``gate``, by a scan of every entry."""
+    return {cond: err for (g, cond), err in entries.items() if g == gate}
 
 
 # --- dense unitary oracle ------------------------------------------------------

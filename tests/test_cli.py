@@ -182,6 +182,14 @@ def test_out_of_range_setting_is_user_error(device_files, capsys, flag, value):
     assert code == 1
 
 
+def test_bad_single_qubit_error_is_user_error(device_files, capsys):
+    cal = json.loads((device_files / "calibration.json").read_text())
+    cal["single_qubit_errors"][2] = 1.5
+    (device_files / "calibration.json").write_text(json.dumps(cal))
+    assert main(_compile_args(device_files)) == 1
+    assert "single-qubit error for qubit 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("method", "sabre"), ("attempts", 0), ("ext_layer", -1), ("lam", 0.0), ("lam", math.inf),

@@ -6,13 +6,14 @@ from qmpc.hardware import (
     build_crosstalk,
     build_hardware,
     combined_distance,
+    distance_matrices,
     extract_strong_crosstalk,
     hop_count_matrix,
     subgraph_diameter,
     swap_distance_matrix,
     swap_error_matrix,
 )
-from qmpc.presets import line_topology, topology, uniform_calibration
+from qmpc.presets import line_topology, synthetic_calibration, topology, uniform_calibration
 
 from oracles import all_pairs_hops, best_swap_path_error, floyd_warshall
 
@@ -42,6 +43,16 @@ def test_missing_cnot_error_named():
     topo = {"num_qubits": 3, "edges": [[0, 1], [1, 2]]}
     cal = {"cnot_errors": [[0, 1, 0.01]], "readout_errors": [0.01] * 3}
     with pytest.raises(CalibrationError, match=r"\(1, 2\)"):
+        build_hardware(topo, cal)
+
+
+@pytest.mark.parametrize("field, what", [("readout_errors", "readout"), ("single_qubit_errors", "single-qubit")])
+@pytest.mark.parametrize("bad", [-0.01, 1.0, float("nan")])
+def test_per_qubit_error_outside_unit_interval_rejected(field, what, bad):
+    topo = line_topology(3)
+    cal = uniform_calibration(topo)
+    cal[field] = [0.0, bad, 0.0]
+    with pytest.raises(CalibrationError, match=rf"{what} error for qubit 1 outside \[0,1\)"):
         build_hardware(topo, cal)
 
 
@@ -172,6 +183,33 @@ def test_matrices_symmetric_zero_diagonal(guadalupe):
         assert np.allclose(mat, mat.T)
         assert np.all(np.diag(mat) == 0)
         assert mat.max() == 1.0
+
+
+def test_distance_matrices_built_once_per_model_and_weights(guadalupe):
+    first = distance_matrices(guadalupe, 0.5, 0.5)
+    assert distance_matrices(guadalupe, 0.5, 0.5) is first
+    assert distance_matrices(guadalupe) is first  # the defaults are the same key
+    rebuilt = build_hardware(topology("guadalupe"), synthetic_calibration(topology("guadalupe"), seed=2))
+    assert distance_matrices(rebuilt) is not first
+    assert np.array_equal(distance_matrices(rebuilt).combined, first.combined)
+
+
+def test_distance_matrices_are_read_only(guadalupe):
+    mats = distance_matrices(guadalupe)
+    for mat in (mats.swap_distance, mats.swap_error, mats.combined):
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 1] = 0.0
+
+
+def test_distance_matrices_depend_on_weights(guadalupe):
+    hops_only = distance_matrices(guadalupe, 1.0, 0.0)
+    errors_only = distance_matrices(guadalupe, 0.0, 1.0)
+    assert np.array_equal(hops_only.combined, swap_distance_matrix(guadalupe))
+    assert np.array_equal(errors_only.combined, swap_error_matrix(guadalupe))
+    assert not np.array_equal(hops_only.combined, errors_only.combined)
+    assert (hops_only.alpha1, hops_only.alpha2) == (1.0, 0.0)
+    assert (errors_only.alpha1, errors_only.alpha2) == (0.0, 1.0)
 
 
 # --- diameter ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from qmpc.circuits import Gate, QuantumCircuit
 from qmpc.errors import CircuitTooLargeError
+from qmpc import manager
 from qmpc.hardware import build_hardware
 from qmpc.manager import Verdict, fidelity_gate, independent_plan, plan_all, select_k, sort_by_density
 from qmpc.pipeline import RunConfig, compile_workloads
@@ -150,6 +151,37 @@ def test_plan_serialization_shape():
     assert set(blob) == {"selected", "partitions", "delta_s", "threshold", "verdict", "trf"}
     assert blob["verdict"] == "SIMULTANEOUS"
     assert all(set(p) == {"circuit_id", "qubits", "score", "method"} for p in blob["partitions"])
+
+
+@pytest.mark.parametrize("method", ["qhsp", "gsp"])
+def test_plan_all_searches_each_alone_region_once(toronto, monkeypatch, method):
+    # at threshold 0 every batch ends INDEPENDENT and the rest is re-queued,
+    # so the same circuits pass through the gate again and again
+    rng = np.random.default_rng(3)
+    circuits = [random_circuit(rng, f"c{i}") for i in range(4)]
+    reference = []  # the same loop without a shared cache: every call searches again
+    remaining = sort_by_density(circuits)
+    while remaining:
+        prefix = select_k(remaining, toronto.num_qubits)
+        if len(prefix) == 1:
+            plan = independent_plan(toronto, prefix[0], method, threshold=0.0)
+        else:
+            plan = fidelity_gate(toronto, prefix, method, threshold=0.0)
+        reference.append(plan)
+        remaining = [c for c in remaining if c.id not in plan.selected]
+
+    searched = []
+    allocate_all = manager.allocate_all
+
+    def counting(model, batch, *args, **kwargs):
+        if len(batch) == 1:
+            searched.append(batch[0].id)
+        return allocate_all(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(manager, "allocate_all", counting)
+    assert plan_all(toronto, circuits, method=method, threshold=0.0) == reference
+    assert len(reference) == len(circuits)
+    assert sorted(searched) == sorted(set(searched))
 
 
 # --- packed device ------------------------------------------------------------------

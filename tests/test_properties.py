@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qmpc import presets
 from qmpc.circuits import Gate, QuantumCircuit, build_dag, emit_qasm, parse_qasm, stats
-from qmpc.hardware import build_hardware, distance_matrices, subgraph_diameter
-from qmpc.errors import PartitionError
+from qmpc.hardware import build_crosstalk, build_hardware, distance_matrices, subgraph_diameter
+from qmpc.errors import DisconnectedGraphError, HardwareError, PartitionError
 from qmpc.manager import Verdict, fidelity_gate, select_k, sort_by_density
-from qmpc.partition import allocate_all, crosstalk_adjust, gsp_partition, qhsp_partition, score
+from qmpc.partition import _induced_edges, allocate_all, crosstalk_adjust, gsp_partition, qhsp_partition, score
 from qmpc.verify import estimate_success, simulate
 
-from oracles import trim_and_reallocate_gate
+from oracles import conditional_errors_scan, induced_edges_scan, region_diameter_nx, trim_and_reallocate_gate
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -116,6 +117,78 @@ def test_distance_matrices_symmetric_zero_diag_normalized(model):
 def test_every_edge_has_diameter_one(model):
     for e in model.edges:
         assert subgraph_diameter(model, set(e)) == 1
+
+
+PRESET_MODELS = {name: presets.model(name, seed=5) for name in ("valencia", "jakarta", "guadalupe", "toronto", "manhattan")}
+
+
+@st.composite
+def preset_region(draw):
+    """A preset device and a qubit list that is a connected region, an
+    arbitrary subset (often disconnected), or a subset with a qubit off the
+    device; at most 8 distinct qubits, as the exhaustive search asks for."""
+    model = PRESET_MODELS[draw(st.sampled_from(sorted(PRESET_MODELS)))]
+    kind = draw(st.sampled_from(["connected", "subset", "out_of_range"]))
+    k = draw(st.integers(1, min(8, model.num_qubits)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "connected":
+        region = [int(rng.integers(model.num_qubits))]
+        while len(region) < k:
+            rim = sorted({v for q in region for v in model.neighbors(q)} - set(region))
+            region.append(int(rng.choice(rim)))
+    else:
+        region = [int(q) for q in rng.choice(model.num_qubits, size=k, replace=False)]
+        if kind == "out_of_range":
+            region[int(rng.integers(k))] = draw(st.sampled_from([-1, model.num_qubits, model.num_qubits + 7]))
+    return model, kind, region
+
+
+@settings(max_examples=300, **COMMON)
+@given(preset_region())
+def test_bfs_diameter_matches_networkx(case):
+    model, kind, region = case
+    try:
+        want = region_diameter_nx(model.num_qubits, model.edges, region)
+    except IndexError:
+        with pytest.raises(HardwareError, match="outside device") as info:
+            subgraph_diameter(model, region)
+        assert type(info.value) is HardwareError
+        return
+    except ValueError:
+        with pytest.raises(DisconnectedGraphError):
+            subgraph_diameter(model, region)
+        return
+    assert kind != "out_of_range"
+    assert subgraph_diameter(model, region) == want
+    assert subgraph_diameter(model, iter(region)) == want  # any iterable of qubits
+
+
+@settings(max_examples=100, **COMMON)
+@given(preset_region())
+def test_induced_edges_match_edge_list_scan_in_order(case):
+    model, kind, region = case
+    if kind == "out_of_range":
+        region = [q for q in region if 0 <= q < model.num_qubits]
+    assert _induced_edges(model, region) == induced_edges_scan(model.edges, region)
+
+
+@settings(max_examples=50, **COMMON)
+@given(st.sampled_from(sorted(PRESET_MODELS)), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0))
+def test_indexed_conditional_errors_match_table_scan(name, seed, keep):
+    model = PRESET_MODELS[name]
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for gate in model.edges:
+        for cond in model.edges:
+            one_hop = any(model.has_edge(a, b) for a in gate for b in cond)
+            if set(gate) & set(cond) or not one_hop or rng.random() > keep:
+                continue
+            pairs.append({"gate": list(gate), "conditioned_on": list(cond), "error": float(rng.uniform(0, 0.5))})
+    rng.shuffle(pairs)  # one gate's entries are spread through the table
+    table = build_crosstalk(pairs, model)
+    for gate in list(model.edges) + [(0, model.num_qubits)]:
+        got = table.conditional_errors(gate)
+        assert list(got.items()) == list(conditional_errors_scan(table.entries, gate).items())
 
 
 # --- partition properties ------------------------------------------------------------

@@ -5,10 +5,12 @@ from qmpc.circuits import CX, Gate, QuantumCircuit, build_dag, parse_merged_qasm
 from qmpc.errors import RoutingError
 from qmpc.hardware import build_hardware, distance_matrices
 from qmpc.partition import Partition
+from qmpc.pipeline import RunConfig, compile_workloads
 from qmpc.scheduler import (
     BRIDGE,
     SWAP,
     TentativeGate,
+    _Job,
     cost_h,
     emit_merged_qasm,
     find_swap_bridge_pairs,
@@ -17,6 +19,7 @@ from qmpc.scheduler import (
     merged_circuit,
 )
 from qmpc.presets import line_topology, uniform_calibration
+from qmpc.verify import check_equivalence
 
 
 def line_model(n, cnot=0.01, readout=0.02):
@@ -252,6 +255,28 @@ def test_accounting_identity_on_random_circuits(circuit_factory, guadalupe):
         emitted_cx = sum(1 for e in sched.entries if e.gate.kind == CX)
         assert emitted_cx == circuit.cnot_count + sched.additional_cnots()
         assert sched.additional_cnots() == 3 * (sched.swap_counts["c%d" % trial] + sched.bridge_counts["c%d" % trial])
+
+
+def test_extended_layer_returns_at_most_size_lookahead_cnots(circuit_factory):
+    model = line_model(4)
+    circuit = circuit_factory(np.random.default_rng(3), "c", n_qubits=4)
+    job = _Job(model, circuit, build_dag(circuit), make_part("c", [0, 1, 2, 3]), [0, 1, 2, 3])
+    full = job.extended_layer(len(circuit.gates))
+    assert len(full) >= 2
+    assert job.extended_layer(0) == []
+    for size in range(1, len(full) + 1):
+        assert job.extended_layer(size) == full[:size]
+
+
+def test_zero_lookahead_window_compiles_and_verifies(circuit_factory, guadalupe):
+    rng = np.random.default_rng(4)
+    circuits = [circuit_factory(rng, f"c{i}", n_qubits=4) for i in range(2)]
+    result = compile_workloads(guadalupe, circuits, RunConfig(ext_layer=0, seed=2))
+    by_id = {c.id: c for c in circuits}
+    for compiled in result.plans:
+        assert all(guadalupe.has_edge(*g.qubits) for g in compiled.merged.gates if g.kind == CX)
+        sources = [by_id[cid] for cid in compiled.plan.selected]
+        assert check_equivalence(sources, compiled.merged, compiled.manifest).passed
 
 
 def test_iteration_guard_surfaces_routing_bugs(monkeypatch):
