@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a merged program against its sources")
     p_verify.add_argument("--merged", required=True)
     p_verify.add_argument("--manifest", required=True)
-    p_verify.add_argument("--cap", type=int, default=12, help="active-qubit simulation cap")
+    p_verify.add_argument("--cap", type=int, default=12, help="active-qubit cap per independent component")
     p_verify.add_argument("sources", nargs="+")
     p_verify.set_defaults(func=cmd_verify)
 

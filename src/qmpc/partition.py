@@ -119,9 +119,11 @@ def score(
     model: HardwareModel, qubits, circuit: QuantumCircuit, adjusted: dict[Edge, float], with_diameter: bool
 ) -> float:
     """Mean internal CNOT error x CNOT count + readout sum, plus the region
-    diameter when ``with_diameter`` (the exhaustive search's score)."""
-    edges = _induced_edges(model, qubits)
-    avg = sum(adjusted[e] for e in edges) / len(edges) if edges else 0.0
+    diameter when ``with_diameter`` (the exhaustive search's score).
+
+    ``adjusted`` is ``crosstalk_adjust``'s map for this region: one entry per
+    internal edge, in ``model.edges`` order, so the sum runs in that order."""
+    avg = sum(adjusted.values()) / len(adjusted) if adjusted else 0.0
     readout = sum(float(model.readout_error[q]) for q in qubits)
     total = avg * circuit.cnot_count + readout
     if with_diameter:

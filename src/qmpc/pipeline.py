@@ -11,7 +11,7 @@ from .errors import ConfigError
 from .hardware import CrosstalkTable, HardwareModel, distance_matrices
 from .manager import ExecutionPlan, plan_all
 from .scheduler import Schedule, emit_merged_qasm, initial_mapping, mapping_transition, merged_circuit
-from .verify import estimate_success
+from .verify import check_compliance, estimate_success
 
 
 @dataclass
@@ -98,7 +98,11 @@ def compile_plan(
     seed_seq: np.random.SeedSequence,
     index: int = 0,
 ) -> CompiledPlan:
-    """Place and route one plan's circuits simultaneously."""
+    """Place and route one plan's circuits simultaneously.
+
+    The merged program is checked against the device and the plan before
+    it is returned (``check_compliance``); a violation is a ``RoutingError``.
+    """
     circuits = [circuits_by_id[cid] for cid in plan.selected]
     dags = [build_dag(c) for c in circuits]
     children = seed_seq.spawn(len(circuits))
@@ -117,6 +121,7 @@ def compile_plan(
         swap_only=config.swap_only, self_cost=config.self_cost,
     )
     merged, manifest = merged_circuit(schedule, model, circuits)
+    check_compliance(merged, manifest, plan, model)
     qasm, _ = emit_merged_qasm(schedule, model, circuits)
     compiled = CompiledPlan(plan, circuits, schedule, merged, qasm, manifest, {})
     compiled.stats = _plan_stats(model, compiled, index)

@@ -1,11 +1,20 @@
-"""Desk-scale correctness checks: exact simulation, equivalence, metrics.
+"""Desk-scale correctness checks: exact simulation, equivalence, compliance
+and metrics.
 
 The simulator is a dense statevector over the qubits a circuit actually
 touches, so a merged circuit on a large device stays cheap as long as its
 active region is small.  Measurements whose qubit is acted on again later
-split the state into outcome branches; terminal measurements are read off the
-final state jointly, which keeps the common all-measures-at-the-end case to a
-single branch.
+split the state into outcome branches; every branch lives in one
+``(branches, 2, ..., 2)`` array with a weight vector, so each gate is one
+numpy call however many branches there are.  Terminal measurements are read
+off the final state jointly, which keeps the common all-measures-at-the-end
+case to a single branch.
+
+The equivalence check never simulates a merged program whole.  It splits the
+program into connected components over qubit and classical-bit wires and
+simulates each component that measures anything on its own; a circuit's
+distribution is the product of its components' marginals.  The active-qubit
+cap and the branch cap therefore apply per component.
 
 Bit-order conventions (also documented in the README): in a distribution key,
 string position i holds classical bit i (or qubit i when the circuit never
@@ -19,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import BARRIER, CX, MEASURE, Gate, QuantumCircuit
-from .errors import SimulationError, VerificationError
+from .errors import RoutingError, SimulationError, VerificationError
 from .hardware import HardwareModel
+from .manager import ExecutionPlan
 
 SIMULATION_QUBIT_CAP = 12
 _BRANCH_CAP = 4096
@@ -76,46 +86,59 @@ def gate_matrix(kind: str, params: tuple[float, ...]) -> np.ndarray:
     raise SimulationError(f"no matrix for gate kind {kind!r}")
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, state, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
+def _apply(state: np.ndarray, g: Gate, axis_of: dict[int, int]) -> np.ndarray:
+    """Apply a one-qubit gate or a CX to every branch at once.
+
+    Axis 0 of ``state`` runs over branches and ``axis_of`` maps a qubit to
+    its axis.  A CX swaps two quarter views in place; a one-qubit gate is one
+    ``matmul`` of its 2x2 matrix with an ``(L, 2, R)`` reshape.
+    """
+    if g.kind == CX:
+        on10 = [slice(None)] * state.ndim
+        on10[axis_of[g.qubits[0]]] = 1
+        on11 = list(on10)
+        on10[axis_of[g.qubits[1]]] = 0
+        on11[axis_of[g.qubits[1]]] = 1
+        zero, one = state[tuple(on10)], state[tuple(on11)]
+        held = zero.copy()
+        zero[...] = one
+        one[...] = held
+        return state
+    axis = axis_of[g.qubits[0]]
+    lead = math.prod(state.shape[:axis])
+    return np.matmul(gate_matrix(g.kind, g.params), state.reshape(lead, 2, -1)).reshape(state.shape)
 
 
-def _apply_cx(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    out = state.copy()
-    m = state.ndim
-    sel10 = [slice(None)] * m
-    sel11 = [slice(None)] * m
-    sel10[control], sel10[target] = 1, 0
-    sel11[control], sel11[target] = 1, 1
-    out[tuple(sel10)] = state[tuple(sel11)]
-    out[tuple(sel11)] = state[tuple(sel10)]
+def _measure(state: np.ndarray, weights: np.ndarray, axis: int):
+    """Split every branch on the outcome of the qubit at ``axis``.
+
+    Outcomes of probability at most 1e-30 are dropped.  Returns the
+    renormalised states and weights of the surviving branches, with the
+    parent branch and the outcome of each, parent-major.
+    """
+    shape = state.shape
+    view = state.reshape(shape[0], math.prod(shape[1:axis]), 2, -1)
+    probs = (np.abs(view) ** 2).sum(axis=(1, 3))
+    keep = probs > 1e-30
+    if np.count_nonzero(keep) > _BRANCH_CAP:
+        raise SimulationError("too many mid-circuit measurement branches")
+    parent, outcome = np.nonzero(keep)
+    post = view[parent]
+    post[np.arange(len(parent)), :, 1 - outcome] = 0.0
+    post /= np.sqrt(probs[parent, outcome])[:, None, None, None]
+    return post.reshape((len(parent),) + shape[1:]), weights[parent] * probs[parent, outcome], parent, outcome
+
+
+def _tally(rows: np.ndarray, probs: np.ndarray) -> dict[str, float]:
+    """Sum ``probs`` over equal rows of the 0/1 matrix ``rows``; each key is
+    its row written out as a bit string."""
+    width = rows.shape[1]
+    text = (rows + ord("0")).astype(np.uint8).tobytes().decode()
+    out: dict[str, float] = {}
+    for i, p in enumerate(probs.tolist()):
+        key = text[i * width : (i + 1) * width]
+        out[key] = out.get(key, 0.0) + p
     return out
-
-
-@dataclass
-class _Branch:
-    weight: float
-    state: np.ndarray
-    writes: dict[int, tuple[int, int]]  # clbit -> (gate index, value)
-
-
-def _project(state: np.ndarray, axis: int):
-    """Probabilities and renormalized post-measurement states for one qubit."""
-    probs = np.abs(state) ** 2
-    axes = tuple(i for i in range(state.ndim) if i != axis)
-    marg = probs.sum(axis=axes)
-    outcomes = []
-    for value in (0, 1):
-        p = float(marg[value])
-        if p <= 1e-30:
-            continue
-        sel = [slice(None)] * state.ndim
-        sel[axis] = 1 - value
-        post = state.copy()
-        post[tuple(sel)] = 0.0
-        outcomes.append((value, p, post / math.sqrt(p)))
-    return outcomes
 
 
 def simulate(circuit: QuantumCircuit, cap: int = SIMULATION_QUBIT_CAP) -> dict[str, float]:
@@ -125,98 +148,57 @@ def simulate(circuit: QuantumCircuit, cap: int = SIMULATION_QUBIT_CAP) -> dict[s
     qubits.  The cap applies to the number of *active* qubits, so merged
     circuits on big devices are fine while their occupied region is small.
     """
-    active = sorted({q for g in circuit.gates for q in g.qubits})
+    gates = circuit.gates
+    active = sorted({q for g in gates for q in g.qubits})
     if len(active) > cap:
         raise SimulationError(f"{len(active)} active qubits exceed the simulation cap of {cap}")
-    axis_of = {q: i for i, q in enumerate(active)}
-    m = len(active)
+    axis_of = {q: i + 1 for i, q in enumerate(active)}  # axis 0 holds the branches
 
-    # a measurement can be read off the final state unless a gate acts on its
-    # qubit afterwards, in which case the state has to branch on the outcome
-    measure_positions = [i for i, g in enumerate(circuit.gates) if g.kind == MEASURE]
-    must_branch = set()
-    for i in measure_positions:
-        q = circuit.gates[i].qubits[0]
-        for j in range(i + 1, len(circuit.gates)):
-            gate = circuit.gates[j]
-            if gate.kind not in (MEASURE, BARRIER) and q in gate.qubits:
+    # One reverse scan.  A measurement can be read off the final state unless
+    # a gate acts on its qubit afterwards, in which case every branch splits
+    # on its outcome; only the last measurement into a bit sets its value.
+    must_branch: set[int] = set()
+    acted_on_later: set[int] = set()
+    last_write: dict[int, int] = {}
+    for i in range(len(gates) - 1, -1, -1):
+        g = gates[i]
+        if g.kind == MEASURE:
+            if g.qubits[0] in acted_on_later:
                 must_branch.add(i)
-                break
+            last_write.setdefault(g.clbit, i)
+        elif g.kind != BARRIER:
+            acted_on_later.update(g.qubits)
+    if last_write:
+        width = circuit.num_clbits
+        read = {b: axis_of[gates[i].qubits[0]] for b, i in last_write.items() if i not in must_branch}
+    else:  # keys over qubits: every active qubit is read at the end
+        width = circuit.num_qubits
+        read = {q: axis_of[q] for q in active}
 
-    state0 = np.zeros([2] * m, dtype=complex)
-    state0[tuple([0] * m)] = 1.0
-    branches = [_Branch(1.0, state0, {})]
-    pending: list[tuple[int, int, int]] = []  # (gate index, clbit, axis)
-
-    for i, g in enumerate(circuit.gates):
-        if g.kind == BARRIER:
+    state = np.zeros((1,) + (2,) * len(active), dtype=complex)
+    state.flat[0] = 1.0
+    weights = np.ones(1)
+    bits = np.zeros((1, width), dtype=np.uint8)  # per branch: bits set by branching
+    for i, g in enumerate(gates):
+        if g.kind == BARRIER or (g.kind == MEASURE and i not in must_branch):
             continue
         if g.kind == MEASURE:
-            axis = axis_of[g.qubits[0]]
-            if i in must_branch:
-                grown: list[_Branch] = []
-                for br in branches:
-                    for value, p, post in _project(br.state, axis):
-                        writes = dict(br.writes)
-                        writes[g.clbit] = (i, value)
-                        grown.append(_Branch(br.weight * p, post, writes))
-                branches = grown
-                if len(branches) > _BRANCH_CAP:
-                    raise SimulationError("too many mid-circuit measurement branches")
-            else:
-                pending.append((i, g.clbit, axis))
-            continue
-        if g.kind == CX:
-            ca, ta = axis_of[g.qubits[0]], axis_of[g.qubits[1]]
-            for br in branches:
-                br.state = _apply_cx(br.state, ca, ta)
+            state, weights, parent, outcome = _measure(state, weights, axis_of[g.qubits[0]])
+            bits = bits[parent]
+            if last_write[g.clbit] == i:
+                bits[:, g.clbit] = outcome
         else:
-            mat = gate_matrix(g.kind, g.params)
-            axis = axis_of[g.qubits[0]]
-            for br in branches:
-                br.state = _apply_1q(br.state, mat, axis)
+            state = _apply(state, g, axis_of)
 
-    has_measure = bool(measure_positions)
-    result: dict[str, float] = {}
-    if has_measure:
-        width = circuit.num_clbits
-        read_axes = sorted({axis for _, _, axis in pending})
-        pos_of = {axis: k for k, axis in enumerate(read_axes)}
-        for br in branches:
-            probs = np.abs(br.state) ** 2
-            drop = tuple(i for i in range(m) if i not in pos_of)
-            joint = probs.sum(axis=drop) if drop else probs
-            joint = joint.reshape([2] * len(read_axes)) if read_axes else joint.reshape([])
-            for outcome in np.ndindex(*([2] * len(read_axes))):
-                p = float(joint[outcome]) if read_axes else float(joint)
-                if p <= 0.0:
-                    continue
-                bits = [0] * width
-                last_write: dict[int, tuple[int, int]] = dict(br.writes)
-                for gate_idx, clbit, axis in pending:
-                    prev = last_write.get(clbit)
-                    if prev is None or gate_idx > prev[0]:
-                        last_write[clbit] = (gate_idx, outcome[pos_of[axis]])
-                for clbit, (_, value) in last_write.items():
-                    bits[clbit] = value
-                key = "".join(map(str, bits))
-                result[key] = result.get(key, 0.0) + br.weight * p
-                if not read_axes:
-                    break
-    else:
-        br = branches[0]
-        probs = np.abs(br.state) ** 2
-        width = circuit.num_qubits
-        for outcome in np.ndindex(*([2] * m)):
-            p = float(probs[outcome])
-            if p <= 0.0:
-                continue
-            bits = ["0"] * width
-            for q, axis in axis_of.items():
-                bits[q] = str(outcome[axis])
-            key = "".join(bits)
-            result[key] = result.get(key, 0.0) + p
-    return result
+    read_axes = sorted(set(read.values()))
+    probs = np.abs(state) ** 2
+    drop = tuple(a for a in range(1, state.ndim) if a not in read_axes)
+    joint = (probs.sum(axis=drop) if drop else probs).reshape(len(weights), -1)
+    branch, outcome = np.nonzero(joint > 0.0)
+    rows = bits[branch]
+    for b, axis in read.items():  # outcome index is C order over read_axes
+        rows[:, b] = (outcome >> (len(read_axes) - 1 - read_axes.index(axis))) & 1
+    return _tally(rows, weights[branch] * joint[branch, outcome])
 
 
 def statevector(circuit: QuantumCircuit, cap: int = SIMULATION_QUBIT_CAP) -> np.ndarray:
@@ -229,17 +211,14 @@ def statevector(circuit: QuantumCircuit, cap: int = SIMULATION_QUBIT_CAP) -> np.
     if circuit.num_qubits > cap:
         raise SimulationError(f"{circuit.num_qubits} qubits exceed the simulation cap of {cap}")
     n = circuit.num_qubits
-    state = np.zeros([2] * n, dtype=complex)
-    state[tuple([0] * n)] = 1.0
+    axis_of = {q: q + 1 for q in range(n)}
+    state = np.zeros((1,) + (2,) * n, dtype=complex)
+    state.flat[0] = 1.0
     for g in circuit.gates:
-        if g.kind == BARRIER:
-            continue
-        if g.kind == CX:
-            state = _apply_cx(state, g.qubits[0], g.qubits[1])
-        else:
-            state = _apply_1q(state, gate_matrix(g.kind, g.params), g.qubits[0])
-    # axis q carries qubit q; little-endian flat order wants qubit 0 last
-    return np.transpose(state, axes=tuple(reversed(range(n)))).reshape(-1)
+        if g.kind != BARRIER:
+            state = _apply(state, g, axis_of)
+    # axis q + 1 carries qubit q; little-endian flat order wants qubit 0 last
+    return np.transpose(state[0], axes=tuple(reversed(range(n)))).reshape(-1)
 
 
 def total_variation(p: dict[str, float], q: dict[str, float]) -> float:
@@ -253,6 +232,71 @@ def marginalize(dist: dict[str, float], positions: list[int]) -> dict[str, float
     for key, p in dist.items():
         sub = "".join(key[i] for i in positions)
         out[sub] = out.get(sub, 0.0) + p
+    return out
+
+
+def _components(circuit: QuantumCircuit) -> list[tuple[list[Gate], list[int]]]:
+    """Gates and written classical bits of each connected component that
+    measures anything, in order of first gate.
+
+    Wires are qubits and classical bits (bit b is wire ~b, as in
+    ``DagCircuit``); a gate joins every wire it touches, and barriers join
+    nothing.  Components share no wire, so their outcomes are independent.
+    """
+    root: dict[int, int] = {}
+
+    def find(w: int) -> int:
+        while root.setdefault(w, w) != w:
+            root[w] = root[root[w]]
+            w = root[w]
+        return w
+
+    ops = [g for g in circuit.gates if g.kind != BARRIER]
+    for g in ops:
+        wires = g.qubits if g.clbit is None else (*g.qubits, ~g.clbit)
+        first = find(wires[0])
+        for w in wires[1:]:
+            root[find(w)] = first
+    parts: dict[int, tuple[list[Gate], set[int]]] = {}
+    for g in ops:
+        gates, written = parts.setdefault(find(g.qubits[0]), ([], set()))
+        gates.append(g)
+        if g.kind == MEASURE:
+            written.add(g.clbit)
+    return [(gates, sorted(written)) for gates, written in parts.values() if written]
+
+
+def marginals(circuit: QuantumCircuit, bit_lists: list[list[int]], cap: int = SIMULATION_QUBIT_CAP):
+    """Outcome distribution of each list of classical bits of ``circuit``.
+
+    Each independent component that measures anything is simulated once on
+    its own, so ``cap`` and the branch cap apply per component, and each
+    list's distribution is the product of its components' marginals; bits
+    that nothing writes read 0.  Key position i holds the list's i-th bit.
+    """
+    factors = []  # (bit -> position in the component's keys, its distribution)
+    for gates, written in _components(circuit):
+        local = {b: i for i, b in enumerate(written)}
+        renumbered = tuple(Gate(MEASURE, g.qubits, clbit=local[g.clbit]) if g.kind == MEASURE else g for g in gates)
+        part = QuantumCircuit(circuit.id, circuit.num_qubits, len(written), renumbered)
+        factors.append((local, simulate(part, cap=cap)))
+    out = []
+    for bits in bit_lists:
+        dist = {"0" * len(bits): 1.0}
+        for local, part_dist in factors:
+            picks = [(k, local[b]) for k, b in enumerate(bits) if b in local]
+            if not picks:
+                continue
+            grown: dict[str, float] = {}
+            for sub, q in marginalize(part_dist, [i for _, i in picks]).items():
+                for key, p in dist.items():
+                    chars = list(key)
+                    for (k, _), c in zip(picks, sub):
+                        chars[k] = c
+                    joined = "".join(chars)
+                    grown[joined] = grown.get(joined, 0.0) + p * q
+            dist = grown
+        out.append(dist)
     return out
 
 
@@ -271,9 +315,13 @@ def check_equivalence(
     tol: float = 1e-9,
 ) -> EquivalenceReport:
     """Compare each source circuit's ideal distribution against the matching
-    marginal of the merged circuit's distribution."""
-    merged_dist = simulate(merged, cap=cap)
-    per_circuit: dict[str, float] = {}
+    marginal of the merged circuit's distribution.
+
+    Both sides are simulated one independent component at a time (see
+    ``marginals``).  Nothing is taken on trust from the manifest beyond
+    which bits to read: a gate that crosses two regions merges their
+    components, and the check stays exact.
+    """
     for src in sources:
         entry = manifest.get(src.id)
         if entry is None:
@@ -287,30 +335,37 @@ def check_equivalence(
             raise VerificationError(f"circuit {src.id!r} has no measurements to compare")
         if any(not 0 <= b < merged.num_clbits for b in clbits):
             raise VerificationError(f"manifest clbits for {src.id!r} fall outside the merged register")
-        got = marginalize(merged_dist, list(clbits))
-        want = simulate(src, cap=cap)
-        per_circuit[src.id] = total_variation(got, want)
+    got = marginals(merged, [list(manifest[src.id]["clbits"]) for src in sources], cap=cap)
+    per_circuit: dict[str, float] = {}
+    for src, dist in zip(sources, got):
+        (want,) = marginals(src, [list(range(src.num_clbits))], cap=cap)
+        per_circuit[src.id] = total_variation(dist, want)
     max_tv = max(per_circuit.values(), default=0.0)
     return EquivalenceReport(max_tv < tol, max_tv, per_circuit)
 
 
-def expected_outcomes(circuit: QuantumCircuit, cap: int = SIMULATION_QUBIT_CAP) -> set[str]:
-    """Most likely ideal outcomes (ties included) for use as a PST target."""
-    dist = simulate(circuit, cap=cap)
-    peak = max(dist.values())
-    return {k for k, v in dist.items() if v >= peak - 1e-12}
-
-
-def compute_pst(counts: dict[str, int], expected) -> float:
-    """Fraction of trials that landed in the expected outcome set."""
-    if not counts:
-        raise VerificationError("empty counts")
-    total = sum(counts.values())
-    if total <= 0:
-        raise VerificationError("counts sum to zero")
-    targets = {expected} if isinstance(expected, str) else set(expected)
-    hit = sum(v for k, v in counts.items() if k in targets)
-    return hit / total
+def check_compliance(merged: QuantumCircuit, manifest: dict, plan: ExecutionPlan, model: HardwareModel) -> None:
+    """Raise ``RoutingError`` unless the merged program obeys the device and
+    the plan: every CX on a coupling edge, every gate inside one circuit's
+    region, every measurement into that circuit's bits, and each manifest
+    map a bijection onto its circuit's region.  One pass over the gates."""
+    owner: dict[int, str] = {}
+    bits: dict[str, set[int]] = {}
+    for part in plan.partitions:
+        region = set(part.qubits)
+        placed = list(manifest[part.circuit_id]["logical_to_physical"].values())
+        if len(placed) != len(region) or set(placed) != region:
+            raise RoutingError(f"manifest map of {part.circuit_id!r} is not a bijection onto its region")
+        owner.update((q, part.circuit_id) for q in region)
+        bits[part.circuit_id] = set(manifest[part.circuit_id]["clbits"])
+    for i, g in enumerate(merged.gates):
+        if g.kind == CX and not model.has_edge(*g.qubits):
+            raise RoutingError(f"gate {i}: cx {g.qubits} is not on a coupling edge")
+        cids = {owner.get(q) for q in g.qubits}
+        if len(cids) != 1 or None in cids:
+            raise RoutingError(f"gate {i}: {g.kind} {g.qubits} leaves every circuit's region")
+        if g.kind == MEASURE and g.clbit not in bits[owner[g.qubits[0]]]:
+            raise RoutingError(f"gate {i}: measurement writes bit {g.clbit}, which its circuit does not own")
 
 
 def estimate_success(gates, model: HardwareModel, adjusted_errors=None) -> float:

@@ -3,18 +3,23 @@
 Everything here deliberately avoids the package's own code paths: plain BFS,
 Floyd-Warshall, brute-force path and subset enumeration, ``networkx`` region
 diameters, linear scans of the edge list and the crosstalk table, and a
-dense unitary builder that works on integer basis indices.  The one
-exception is the trim-and-reallocate fidelity gate, which keeps the
-planner's first design (allocate every trimmed batch from scratch) as the
-reference for the one-pass gate.
+dense unitary builder that works on integer basis indices.  Two
+exceptions keep a first design as the reference for its replacement: the
+trim-and-reallocate fidelity gate (allocate every trimmed batch from
+scratch) for the one-pass gate, and the per-branch simulator (one state per
+measurement branch, the whole program at once) for the branch-batched one.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import networkx as nx
 import numpy as np
 
+from qmpc.circuits import BARRIER, CX, MEASURE, QuantumCircuit
+from qmpc.errors import SimulationError
 from qmpc.manager import ExecutionPlan, Verdict
 from qmpc.partition import allocate_all, gsp_partition, qhsp_partition
 
@@ -259,3 +264,145 @@ def trim_and_reallocate_gate(model, circuits, method="qhsp", lam=2.0, threshold=
             )
         current = current[:-1]
     return ExecutionPlan((current[0].id,), (best_alone(current[0]),), 0.0, threshold, Verdict.INDEPENDENT, 1)
+
+
+# --- simulator reference -----------------------------------------------------------
+
+ORACLE_QUBIT_CAP = 12
+ORACLE_BRANCH_CAP = 4096
+
+
+def _apply_1q(state: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    out = np.tensordot(mat, state, axes=(1, axis))
+    return np.moveaxis(out, 0, axis)
+
+
+def _apply_cx(state: np.ndarray, control: int, target: int) -> np.ndarray:
+    out = state.copy()
+    m = state.ndim
+    sel10 = [slice(None)] * m
+    sel11 = [slice(None)] * m
+    sel10[control], sel10[target] = 1, 0
+    sel11[control], sel11[target] = 1, 1
+    out[tuple(sel10)] = state[tuple(sel11)]
+    out[tuple(sel11)] = state[tuple(sel10)]
+    return out
+
+
+@dataclass
+class _Branch:
+    weight: float
+    state: np.ndarray
+    writes: dict[int, tuple[int, int]]  # clbit -> (gate index, value)
+
+
+def _project(state: np.ndarray, axis: int):
+    """Probabilities and renormalized post-measurement states for one qubit."""
+    probs = np.abs(state) ** 2
+    axes = tuple(i for i in range(state.ndim) if i != axis)
+    marg = probs.sum(axis=axes)
+    outcomes = []
+    for value in (0, 1):
+        p = float(marg[value])
+        if p <= 1e-30:
+            continue
+        sel = [slice(None)] * state.ndim
+        sel[axis] = 1 - value
+        post = state.copy()
+        post[tuple(sel)] = 0.0
+        outcomes.append((value, p, post / math.sqrt(p)))
+    return outcomes
+
+
+def per_branch_simulate(circuit: QuantumCircuit, cap: int = ORACLE_QUBIT_CAP) -> dict[str, float]:
+    """The whole program as one state, one state per measurement branch, and
+    a forward rescan per measurement to decide whether it must branch."""
+    active = sorted({q for g in circuit.gates for q in g.qubits})
+    if len(active) > cap:
+        raise SimulationError(f"{len(active)} active qubits exceed the simulation cap of {cap}")
+    axis_of = {q: i for i, q in enumerate(active)}
+    m = len(active)
+
+    measure_positions = [i for i, g in enumerate(circuit.gates) if g.kind == MEASURE]
+    must_branch = set()
+    for i in measure_positions:
+        q = circuit.gates[i].qubits[0]
+        for j in range(i + 1, len(circuit.gates)):
+            gate = circuit.gates[j]
+            if gate.kind not in (MEASURE, BARRIER) and q in gate.qubits:
+                must_branch.add(i)
+                break
+
+    state0 = np.zeros([2] * m, dtype=complex)
+    state0[tuple([0] * m)] = 1.0
+    branches = [_Branch(1.0, state0, {})]
+    pending: list[tuple[int, int, int]] = []  # (gate index, clbit, axis)
+
+    for i, g in enumerate(circuit.gates):
+        if g.kind == BARRIER:
+            continue
+        if g.kind == MEASURE:
+            axis = axis_of[g.qubits[0]]
+            if i in must_branch:
+                grown: list[_Branch] = []
+                for br in branches:
+                    for value, p, post in _project(br.state, axis):
+                        writes = dict(br.writes)
+                        writes[g.clbit] = (i, value)
+                        grown.append(_Branch(br.weight * p, post, writes))
+                branches = grown
+                if len(branches) > ORACLE_BRANCH_CAP:
+                    raise SimulationError("too many mid-circuit measurement branches")
+            else:
+                pending.append((i, g.clbit, axis))
+            continue
+        if g.kind == CX:
+            ca, ta = axis_of[g.qubits[0]], axis_of[g.qubits[1]]
+            for br in branches:
+                br.state = _apply_cx(br.state, ca, ta)
+        else:
+            mat = one_qubit_matrix(g.kind, g.params)
+            axis = axis_of[g.qubits[0]]
+            for br in branches:
+                br.state = _apply_1q(br.state, mat, axis)
+
+    result: dict[str, float] = {}
+    if measure_positions:
+        width = circuit.num_clbits
+        read_axes = sorted({axis for _, _, axis in pending})
+        pos_of = {axis: k for k, axis in enumerate(read_axes)}
+        for br in branches:
+            probs = np.abs(br.state) ** 2
+            drop = tuple(i for i in range(m) if i not in pos_of)
+            joint = probs.sum(axis=drop) if drop else probs
+            joint = joint.reshape([2] * len(read_axes)) if read_axes else joint.reshape([])
+            for outcome in np.ndindex(*([2] * len(read_axes))):
+                p = float(joint[outcome]) if read_axes else float(joint)
+                if p <= 0.0:
+                    continue
+                bits = [0] * width
+                last_write: dict[int, tuple[int, int]] = dict(br.writes)
+                for gate_idx, clbit, axis in pending:
+                    prev = last_write.get(clbit)
+                    if prev is None or gate_idx > prev[0]:
+                        last_write[clbit] = (gate_idx, outcome[pos_of[axis]])
+                for clbit, (_, value) in last_write.items():
+                    bits[clbit] = value
+                key = "".join(map(str, bits))
+                result[key] = result.get(key, 0.0) + br.weight * p
+                if not read_axes:
+                    break
+    else:
+        br = branches[0]
+        probs = np.abs(br.state) ** 2
+        width = circuit.num_qubits
+        for outcome in np.ndindex(*([2] * m)):
+            p = float(probs[outcome])
+            if p <= 0.0:
+                continue
+            bits = ["0"] * width
+            for q, axis in axis_of.items():
+                bits[q] = str(outcome[axis])
+            key = "".join(bits)
+            result[key] = result.get(key, 0.0) + p
+    return result

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -198,3 +199,27 @@ def test_bad_single_qubit_error_is_user_error(device_files, capsys):
 def test_run_config_rejects_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field.replace("lam", "lambda")):
         RunConfig(**{field: value})
+
+
+def test_verify_passes_a_merged_program_over_the_component_cap(tmp_path, capsys):
+    # two 7-qubit GHZ circuits side by side: 14 active qubits, 7 per component
+    topo = line_topology(14)
+    (tmp_path / "topology.json").write_text(json.dumps(topo))
+    (tmp_path / "calibration.json").write_text(json.dumps(uniform_calibration(topo)))
+    ghz7 = "qreg q[7]; creg c[7]; h q[0]; " + " ".join(f"cx q[{i}],q[{i + 1}];" for i in range(6)) + " measure q -> c;\n"
+    sources = [tmp_path / "ga.qasm", tmp_path / "gb.qasm"]
+    for path in sources:
+        path.write_text(ghz7)
+    out = tmp_path / "out"
+    assert main([
+        "compile", "--topology", str(tmp_path / "topology.json"),
+        "--calibration", str(tmp_path / "calibration.json"),
+        "--delta", "1e9", "--seed", "3", "--out-dir", str(out), *map(str, sources),
+    ]) == 0
+    assert json.loads((out / "plans.json").read_text())[0]["selected"] == ["ga", "gb"]
+    merged = (out / "merged_0.qasm").read_text()
+    assert len(set(re.findall(r"q\[(\d+)\]", merged.split("creg", 1)[1]))) == 14
+    capsys.readouterr()
+    code = main(["verify", "--merged", str(out / "merged_0.qasm"), "--manifest", str(out / "manifest_0.json"), *map(str, sources)])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("PASS")

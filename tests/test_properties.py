@@ -1,5 +1,6 @@
 """Invariant checks driven by generated instances."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qmpc import presets
 from qmpc.circuits import Gate, QuantumCircuit, build_dag, emit_qasm, parse_qasm, stats
 from qmpc.hardware import build_crosstalk, build_hardware, distance_matrices, subgraph_diameter
-from qmpc.errors import DisconnectedGraphError, HardwareError, PartitionError
+from qmpc.errors import DisconnectedGraphError, HardwareError, PartitionError, SimulationError
 from qmpc.manager import Verdict, fidelity_gate, select_k, sort_by_density
 from qmpc.partition import _induced_edges, allocate_all, crosstalk_adjust, gsp_partition, qhsp_partition, score
-from qmpc.verify import estimate_success, simulate
+from qmpc.pipeline import RunConfig, compile_workloads
+from qmpc.verify import check_compliance, check_equivalence, estimate_success, marginalize, marginals, simulate
 
-from oracles import conditional_errors_scan, induced_edges_scan, region_diameter_nx, trim_and_reallocate_gate
+from oracles import (
+    conditional_errors_scan,
+    induced_edges_scan,
+    per_branch_simulate,
+    region_diameter_nx,
+    trim_and_reallocate_gate,
+)
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -326,3 +334,135 @@ def test_esp_monotone_under_error_increase(model, seed):
 def test_simulation_normalized(circuit, seed):
     dist = simulate(circuit)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+# --- simulator and equivalence check -------------------------------------------------
+
+ONE_Q_PARAMS = {"h": 0, "x": 0, "s": 0, "t": 0, "sdg": 0, "rz": 1, "ry": 1, "u3": 3}
+
+
+def random_gates(rng, qubits, clbits, n_gates, measure_p=0.25):
+    """Random 1q gates, CXs, barriers and measurements into random bits of
+    ``clbits``, so measured qubits are reused and bits are written twice."""
+    gates = []
+    for _ in range(n_gates):
+        r = rng.random()
+        if r < measure_p and clbits:
+            gates.append(Gate("measure", (int(rng.choice(qubits)),), clbit=int(rng.choice(clbits))))
+        elif r < measure_p + 0.05:
+            span = rng.choice(qubits, size=int(rng.integers(1, len(qubits) + 1)), replace=False)
+            gates.append(Gate("barrier", tuple(sorted(int(q) for q in span))))
+        elif r < measure_p + 0.4 and len(qubits) >= 2:
+            a, b = rng.choice(qubits, size=2, replace=False)
+            gates.append(Gate("cx", (int(a), int(b))))
+        else:
+            kind = sorted(ONE_Q_PARAMS)[int(rng.integers(len(ONE_Q_PARAMS)))]
+            params = tuple(float(rng.uniform(0, 2 * np.pi)) for _ in range(ONE_Q_PARAMS[kind]))
+            gates.append(Gate(kind, (int(rng.choice(qubits)),), params))
+    return gates
+
+
+@st.composite
+def measured_program(draw):
+    """At most 12 active qubits among a few more declared ones; no bits at
+    all (keys over qubits) or up to 4 bits, some of which nothing writes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = draw(st.integers(1, 12))
+    declared = active + draw(st.integers(0, 3))
+    qubits = [int(q) for q in rng.choice(declared, size=active, replace=False)]
+    width = draw(st.integers(0, 4))
+    gates = random_gates(rng, qubits, list(range(width)), draw(st.integers(0, 30)))
+    return QuantumCircuit("p", declared, width + draw(st.integers(0, 2)), tuple(gates))
+
+
+def assert_close(got: dict, want: dict, tol: float = 1e-12) -> None:
+    assert max((abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in set(got) | set(want)), default=0.0) <= tol
+
+
+@settings(max_examples=200, **COMMON)
+@given(measured_program(), st.sampled_from([4, 12]))
+def test_batched_simulate_matches_per_branch_oracle(circuit, cap):
+    try:
+        want = per_branch_simulate(circuit, cap=cap)
+    except SimulationError as exc:
+        with pytest.raises(SimulationError, match=re.escape(str(exc))):
+            simulate(circuit, cap=cap)
+        return
+    assert_close(simulate(circuit, cap=cap), want)
+
+
+@st.composite
+def multi_region_program(draw):
+    """Up to three regions, each with qubits and bits of its own and ending
+    in a measurement, interleaved in random order; with two or more regions,
+    a CX or a measurement may cross from the first region into the second.
+    Returns the program and each region's bits."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    declared = sum(sizes) + draw(st.integers(0, 2))
+    order = [int(q) for q in rng.permutation(declared)]
+    regions, region_bits, streams = [], [], []
+    for k in sizes:
+        qubits, order = order[:k], order[k:]
+        first = sum(len(b) for b in region_bits)
+        bits = list(range(first, first + int(rng.integers(1, 4))))
+        gates = random_gates(rng, qubits, bits, int(rng.integers(0, 16)))
+        gates.append(Gate("measure", (qubits[0],), clbit=bits[0]))
+        regions.append(qubits)
+        region_bits.append(bits)
+        streams.append(gates)
+    gates = []
+    while any(streams):
+        stream = streams[int(rng.choice([i for i, s in enumerate(streams) if s]))]
+        gates.append(stream.pop(0))
+    crossing = draw(st.sampled_from(["none", "cx", "measure"])) if len(sizes) > 1 else "none"
+    if crossing != "none":
+        a = int(rng.choice(regions[0]))
+        if crossing == "cx":
+            cross = Gate("cx", (a, int(rng.choice(regions[1]))))
+        else:
+            cross = Gate("measure", (a,), clbit=int(rng.choice(region_bits[1])))
+        gates.insert(int(rng.integers(len(gates) + 1)), cross)
+    num_clbits = sum(len(b) for b in region_bits) + draw(st.integers(0, 2))
+    return QuantumCircuit("merged", declared, num_clbits, tuple(gates)), region_bits
+
+
+@settings(max_examples=150, **COMMON)
+@given(multi_region_program(), st.integers(0, 2**32 - 1))
+def test_factorised_marginals_match_whole_program_oracle(case, seed):
+    merged, region_bits = case
+    rng = np.random.default_rng(seed)
+    mixed = [int(b) for b in rng.permutation(merged.num_clbits)[: int(rng.integers(1, merged.num_clbits + 1))]]
+    lists = region_bits + [mixed]  # a list may span components and unwritten bits
+    whole = per_branch_simulate(merged)
+    for got, bits in zip(marginals(merged, lists), lists):
+        assert_close(got, marginalize(whole, bits))
+
+
+@st.composite
+def filled_device_workload(draw):
+    """A random device and circuits of 1-4 qubits, with mid-circuit
+    measurements, whose sizes add up to the whole device."""
+    model = draw(connected_device(min_qubits=6, max_qubits=16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circuits, free = [], model.num_qubits
+    while free:
+        k = min(int(rng.integers(1, 5)), free)
+        free -= k
+        gates = random_gates(rng, list(range(k)), list(range(k)), int(rng.integers(0, 14)), measure_p=0.15)
+        gates += [Gate("measure", (q,), clbit=q) for q in range(k)]
+        circuits.append(QuantumCircuit(f"c{len(circuits)}", k, k, tuple(gates)))
+    return model, circuits
+
+
+@settings(max_examples=30, **COMMON)
+@given(filled_device_workload(), st.integers(0, 2**31 - 1))
+def test_filled_device_compiles_to_compliant_verified_programs(case, seed):
+    model, circuits = case
+    result = compile_workloads(model, circuits, RunConfig(seed=seed, attempts=2))
+    placed = [cid for compiled in result.plans for cid in compiled.plan.selected]
+    assert sorted(placed) == sorted(c.id for c in circuits)
+    for compiled in result.plans:
+        check_compliance(compiled.merged, compiled.manifest, compiled.plan, model)
+        report = check_equivalence(compiled.circuits, compiled.merged, compiled.manifest)
+        assert report.passed, report

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from qmpc.circuits import Gate, QuantumCircuit, parse_qasm
-from qmpc.errors import SimulationError, VerificationError
+from qmpc.errors import RoutingError, SimulationError, VerificationError
 from qmpc.hardware import build_hardware
 from qmpc.presets import line_topology, uniform_calibration
 from qmpc.verify import (
+    _BRANCH_CAP,
+    check_compliance,
     check_equivalence,
-    compute_pst,
     estimate_success,
-    expected_outcomes,
     marginalize,
     simulate,
     statevector,
@@ -144,6 +144,86 @@ def test_manifest_mismatch_errors(bell):
         check_equivalence([bell], bell, {"bell": {"clbits": [0]}})
 
 
+def _ghz(cid, n):
+    gates = [Gate("h", (0,))] + [Gate("cx", (q, q + 1)) for q in range(n - 1)]
+    gates += [Gate("measure", (q,), clbit=q) for q in range(n)]
+    return QuantumCircuit(cid, n, n, tuple(gates))
+
+
+def _side_by_side(circuits):
+    """The circuits on disjoint qubits and bits of one program, interleaved."""
+    offsets, q0, b0 = [], 0, 0
+    for c in circuits:
+        offsets.append((q0, b0))
+        q0 += c.num_qubits
+        b0 += c.num_clbits
+    gates = []
+    for step in range(max(len(c.gates) for c in circuits)):
+        for c, (qo, bo) in zip(circuits, offsets):
+            if step < len(c.gates):
+                g = c.gates[step]
+                clbit = None if g.clbit is None else g.clbit + bo
+                gates.append(Gate(g.kind, tuple(q + qo for q in g.qubits), g.params, clbit))
+    manifest = {c.id: {"clbits": list(range(bo, bo + c.num_clbits))} for c, (_, bo) in zip(circuits, offsets)}
+    return QuantumCircuit("merged", q0, b0, tuple(gates)), manifest
+
+
+def test_cap_applies_per_independent_component():
+    sources = [_ghz("a", 7), _ghz("b", 7)]
+    merged, manifest = _side_by_side(sources)
+    with pytest.raises(SimulationError, match="14 active qubits"):
+        simulate(merged)
+    report = check_equivalence(sources, merged, manifest)
+    assert report.passed and report.max_tv < 1e-12
+
+
+def test_one_component_over_the_branch_cap_still_raises():
+    # 13 branching measurements of one qubit: 2**13 branches in one component
+    flips = [g for _ in range(13) for g in (Gate("h", (0,)), Gate("measure", (0,), clbit=0))]
+    flips.append(Gate("x", (0,)))
+    coin = QuantumCircuit("coin", 1, 1, tuple(flips))
+    assert 2**13 > _BRANCH_CAP
+    merged, manifest = _side_by_side([coin, _ghz("g", 3)])
+    with pytest.raises(SimulationError, match="branches"):
+        check_equivalence([coin, _ghz("g", 3)], merged, manifest)
+
+
+def _compiled_two(bell):
+    topo = line_topology(4)
+    model = build_hardware(topo, uniform_calibration(topo))
+    other = parse_qasm("qreg q[2]; creg c[2]; x q[0]; cx q[0],q[1]; measure q -> c;", "other")
+    return model, _compile_pair(model, [bell, other])
+
+
+def test_compliance_accepts_compiled_plan(bell):
+    model, compiled = _compiled_two(bell)
+    check_compliance(compiled.merged, compiled.manifest, compiled.plan, model)
+
+
+def test_compliance_rejects_each_violation(bell):
+    model, compiled = _compiled_two(bell)
+    merged, manifest, plan = compiled.merged, compiled.manifest, compiled.plan
+    a, b = (sorted(p.qubits) for p in plan.partitions)
+    bits_b = manifest[plan.partitions[1].circuit_id]["clbits"]
+
+    def with_gate(gate):
+        return QuantumCircuit(merged.id, merged.num_qubits, merged.num_clbits, merged.gates + (gate,))
+
+    far = (min(a + b), max(a + b))  # the two ends of the line: not an edge
+    bad_programs = {
+        "not on a coupling edge": with_gate(Gate("cx", far)),
+        "leaves every circuit's region": with_gate(Gate("cx", (max(a), min(b)))),
+        "does not own": with_gate(Gate("measure", (a[0],), clbit=bits_b[0])),
+    }
+    for message, program in bad_programs.items():
+        with pytest.raises(RoutingError, match=message):
+            check_compliance(program, manifest, plan, model)
+    cid = plan.partitions[0].circuit_id
+    folded = dict(manifest, **{cid: dict(manifest[cid], logical_to_physical={"0": a[0], "1": a[0]})})
+    with pytest.raises(RoutingError, match="bijection"):
+        check_compliance(merged, folded, plan, model)
+
+
 def test_marginalize_projects_positions():
     dist = {"010": 0.25, "110": 0.75}
     assert marginalize(dist, [0, 2]) == {"00": 0.25, "10": 0.75}
@@ -151,39 +231,6 @@ def test_marginalize_projects_positions():
 
 
 # --- metrics ---------------------------------------------------------------------
-
-
-def test_pst_all_expected():
-    assert compute_pst({"00": 8192}, "00") == 1.0
-
-
-def test_pst_half():
-    assert compute_pst({"00": 4096, "11": 4096}, "00") == 0.5
-
-
-def test_pst_with_expected_set_and_scaling():
-    counts = {"00": 600, "01": 150, "10": 150, "11": 100}
-    expected = {"00", "11"}
-    p = compute_pst(counts, expected)
-    assert p == pytest.approx(0.7)
-    scaled = {k: v * 7 for k, v in counts.items()}
-    assert compute_pst(scaled, expected) == pytest.approx(p)
-
-
-def test_pst_counts_fixture_hand_ratio():
-    # mirrors a hardware-results export: {"counts": {...}, "shots": N}
-    blob = {"counts": {"000": 7000, "001": 512, "111": 680}, "shots": 8192}
-    assert sum(blob["counts"].values()) == blob["shots"]
-    assert compute_pst(blob["counts"], "000") == pytest.approx(7000 / 8192)
-
-
-def test_pst_empty_counts_rejected():
-    with pytest.raises(VerificationError):
-        compute_pst({}, "0")
-
-
-def test_expected_outcomes_from_simulation(bell):
-    assert expected_outcomes(bell) == {"00", "11"}
 
 
 def test_esp_error_free_is_one(bell):
