@@ -14,8 +14,8 @@ import time
 from pathlib import Path
 
 from .circuits import parse_merged_qasm, parse_qasm
-from .errors import QmpcError
-from .hardware import build_crosstalk, extract_strong_crosstalk, load_crosstalk, load_hardware
+from .errors import ConfigError, QmpcError, read_text
+from .hardware import extract_strong_crosstalk, load_crosstalk, load_hardware
 from .manager import plan_all
 from .pipeline import RunConfig, compile_workloads
 from .verify import check_equivalence
@@ -42,7 +42,10 @@ def _add_common(parser: argparse.ArgumentParser, with_compile_flags: bool = True
 def _resolve_seed(args) -> int:
     env = os.environ.get("QMPC_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigError(f"QMPC_SEED must be a non-negative integer, got {env!r}") from None
     if args.seed is not None:
         return args.seed
     if os.environ.get("CI"):
@@ -81,7 +84,7 @@ def _load_circuits(paths):
         stem = Path(path).stem
         names[stem] = names.get(stem, 0) + 1
         cid = stem if names[stem] == 1 else f"{stem}#{names[stem]}"
-        circuits.append(parse_qasm(Path(path).read_text(), cid))
+        circuits.append(parse_qasm(read_text(path), cid))
     return circuits
 
 
@@ -124,9 +127,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    merged_text = Path(args.merged).read_text()
-    merged, _ = parse_merged_qasm(merged_text)
-    manifest = json.loads(Path(args.manifest).read_text())
+    merged, _ = parse_merged_qasm(read_text(args.merged))
+    manifest = json.loads(read_text(args.manifest))
     sources = _load_circuits(args.sources)
     report = check_equivalence(sources, merged, manifest, cap=args.cap)
     status = "PASS" if report.passed else "FAIL"
@@ -185,9 +187,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except QmpcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

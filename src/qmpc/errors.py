@@ -1,9 +1,12 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the reader every input file goes through.
 
 ``QmpcError`` covers everything a user can trigger with bad input; the CLI
 maps it to exit code 1.  ``RoutingError`` signals an internal scheduler bug
 (exit code 2) and deliberately does not inherit from ``QmpcError``.
 """
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class QmpcError(Exception):
@@ -12,6 +15,21 @@ class QmpcError(Exception):
 
 class ConfigError(QmpcError):
     """A compilation setting outside its valid range."""
+
+
+class InputFileError(QmpcError):
+    """An input file that cannot be opened or is not UTF-8 text."""
+
+
+def read_text(path: str | Path) -> str:
+    """The contents of ``path`` as text; ``InputFileError`` names the file
+    when it is missing, a directory, unreadable or not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise InputFileError(f"{path}: {exc.strerror or exc}") from None
 
 
 class QasmError(QmpcError):

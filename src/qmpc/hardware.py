@@ -17,7 +17,7 @@ from types import MappingProxyType
 import networkx as nx
 import numpy as np
 
-from .errors import CalibrationError, CrosstalkError, DisconnectedGraphError, HardwareError
+from .errors import CalibrationError, CrosstalkError, DisconnectedGraphError, HardwareError, read_text
 
 Edge = tuple[int, int]
 
@@ -82,6 +82,8 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
         raise HardwareError(f"topology is missing field: {exc}") from None
     if n < 1:
         raise HardwareError("device must have at least one qubit")
+    if not isinstance(calibration, dict):
+        raise CalibrationError(f"calibration must be a JSON object, got {type(calibration).__name__}")
 
     edges: list[Edge] = []
     seen = set()
@@ -148,10 +150,8 @@ def _error_rates(values, what: str) -> np.ndarray:
 
 def load_hardware(topology_path: str | Path, calibration_path: str | Path) -> HardwareModel:
     """Load topology and calibration JSON files into a validated model."""
-    with open(topology_path) as fh:
-        topology = json.load(fh)
-    with open(calibration_path) as fh:
-        calibration = json.load(fh)
+    topology = json.loads(read_text(topology_path))
+    calibration = json.loads(read_text(calibration_path))
     return build_hardware(topology, calibration)
 
 
@@ -221,6 +221,9 @@ class DistanceMatrices:
     combined: np.ndarray
     alpha1: float
     alpha2: float
+    # ``combined`` as nested tuples of Python floats: the router reads one
+    # entry at a time, and a numpy lookup would build a scalar object each time
+    combined_rows: tuple[tuple[float, ...], ...]
 
 
 def distance_matrices(model: HardwareModel, alpha1: float = 0.5, alpha2: float = 0.5) -> DistanceMatrices:
@@ -233,7 +236,7 @@ def distance_matrices(model: HardwareModel, alpha1: float = 0.5, alpha2: float =
         c = combined_distance(s, e, alpha1, alpha2)
         for arr in (s, e, c):
             arr.setflags(write=False)
-        cache[(alpha1, alpha2)] = DistanceMatrices(s, e, c, alpha1, alpha2)
+        cache[(alpha1, alpha2)] = DistanceMatrices(s, e, c, alpha1, alpha2, tuple(map(tuple, c.tolist())))
     return cache[(alpha1, alpha2)]
 
 
@@ -330,9 +333,11 @@ def build_crosstalk(pairs: list[dict], model: HardwareModel) -> CrosstalkTable:
 
 
 def load_crosstalk(path: str | Path, model: HardwareModel) -> CrosstalkTable:
-    with open(path) as fh:
-        data = json.load(fh)
-    return build_crosstalk(data.get("pairs", []), model)
+    data = json.loads(read_text(path))
+    pairs = data.get("pairs", []) if isinstance(data, dict) else None
+    if not isinstance(pairs, list):
+        raise CrosstalkError(f"{path}: expected a JSON object with a list of \"pairs\"")
+    return build_crosstalk(pairs, model)
 
 
 def extract_strong_crosstalk(table: CrosstalkTable, model: HardwareModel, factor: float = 3.0) -> CrosstalkTable:

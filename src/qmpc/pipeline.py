@@ -10,7 +10,7 @@ from .circuits import QuantumCircuit, build_dag
 from .errors import ConfigError
 from .hardware import CrosstalkTable, HardwareModel, distance_matrices
 from .manager import ExecutionPlan, plan_all
-from .scheduler import Schedule, emit_merged_qasm, initial_mapping, mapping_transition, merged_circuit
+from .scheduler import Schedule, emit_merged_qasm, initial_mapping, interleave, merged_circuit
 from .verify import check_compliance, estimate_success
 
 
@@ -37,6 +37,8 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("gsp", "qhsp"):
             raise ConfigError(f"method must be 'gsp' or 'qhsp', got {self.method!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.attempts < 1:
             raise ConfigError(f"attempts must be at least 1, got {self.attempts}")
         if self.ext_layer < 0:
@@ -94,32 +96,30 @@ def compile_plan(
     plan: ExecutionPlan,
     circuits_by_id: dict[str, QuantumCircuit],
     config: RunConfig,
-    dist: np.ndarray,
+    dist,
     seed_seq: np.random.SeedSequence,
     index: int = 0,
 ) -> CompiledPlan:
     """Place and route one plan's circuits simultaneously.
 
-    The merged program is checked against the device and the plan before
-    it is returned (``check_compliance``); a violation is a ``RoutingError``.
+    Each circuit's route is the winning trial of its placement search;
+    the plan's schedule interleaves them in plan order.  ``dist`` is the
+    combined distance matrix or its ``combined_rows``.  The merged program
+    is checked against the device and the plan before it is returned
+    (``check_compliance``); a violation is a ``RoutingError``.
     """
     circuits = [circuits_by_id[cid] for cid in plan.selected]
     dags = [build_dag(c) for c in circuits]
     children = seed_seq.spawn(len(circuits))
-    jobs_spec = []
+    routes = []
     for circuit, dag, part, child in zip(circuits, dags, plan.partitions, children):
-        rng = np.random.default_rng(child)
-        l2p = initial_mapping(
-            model, dist, part, circuit, dag, rng,
+        _, route = initial_mapping(
+            model, dist, part, circuit, dag, np.random.default_rng(child),
             attempts=config.attempts, weight_w=config.weight_w, ext_size=config.ext_layer,
             swap_only=config.swap_only, self_cost=config.self_cost,
         )
-        jobs_spec.append((circuit, dag, part, l2p))
-    schedule = mapping_transition(
-        model, dist, jobs_spec,
-        weight_w=config.weight_w, ext_size=config.ext_layer,
-        swap_only=config.swap_only, self_cost=config.self_cost,
-    )
+        routes.append(route)
+    schedule = interleave(routes)
     merged, manifest = merged_circuit(schedule, model, circuits)
     check_compliance(merged, manifest, plan, model)
     qasm, _ = emit_merged_qasm(schedule, model, circuits)
@@ -146,5 +146,5 @@ def compile_workloads(
     plan_seeds = root.spawn(len(plans))
     result = CompileResult()
     for i, (plan, seq) in enumerate(zip(plans, plan_seeds)):
-        result.plans.append(compile_plan(model, plan, by_id, config, matrices.combined, seq, index=i))
+        result.plans.append(compile_plan(model, plan, by_id, config, matrices.combined_rows, seq, index=i))
     return result

@@ -11,10 +11,16 @@ of its logical pair in the lookahead window (see ``cost_h``); this charge is
 part of the self-cost term, so the ``self_cost=False`` and ``swap_only``
 ablations score exactly as without it.  All movement stays inside the owning
 circuit's partition.
+
+Partitions are disjoint, so every circuit is routed alone and a plan's joint
+schedule interleaves the solo routes round by round (``interleave``).  The
+placement search reuses this: the winning trial of ``initial_mapping`` is
+the circuit's route, and trials that can no longer win stop early.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,11 +48,12 @@ class TentativeGate:
     def n_tent(self) -> int:
         return 3 if self.kind == SWAP else 4
 
+    @cached_property
     def cnot_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The CNOTs this repair emits, in order."""
         if self.kind == SWAP:
             a, b = self.qubits
             return ((a, b), (b, a), (a, b))
-        c, m, t = self.qubits
         return tuple((self.qubits[i], self.qubits[j]) for i, j in BRIDGE_PATTERN)
 
 
@@ -58,13 +65,25 @@ class ScheduledGate:
 
 @dataclass
 class Schedule:
-    """Routing result: emitted sequence plus per-circuit accounting."""
+    """Routing result: emitted sequence plus per-circuit accounting.
+
+    ``round_ends[r]`` is the length of ``entries`` after routing round ``r``.
+    An ``aborted`` schedule is a placement trial stopped once it could no
+    longer win; its entries and counts are incomplete.
+    """
 
     entries: list[ScheduledGate]
     swap_counts: dict[str, int]
     bridge_counts: dict[str, int]
     final_mappings: dict[str, dict[int, int]]
-    iterations: int
+    round_ends: list[int] = field(default_factory=list)
+    aborted: bool = False
+
+    @property
+    def iterations(self) -> int:
+        """Routing rounds, each emitting what is ready and then at most one
+        repair per blocked circuit."""
+        return len(self.round_ends)
 
     def additional_cnots(self, circuit_id: str | None = None) -> int:
         if circuit_id is not None:
@@ -95,7 +114,10 @@ class _Job:
         self.remaining = dag.num_nodes
         self.part_edges = sorted(e for e in model.edges if e[0] in self.part_set and e[1] in self.part_set)
         self.adjacency = {q: set(model.neighbors(q)) & self.part_set for q in self.partition}
+        self.swap_gates = [TentativeGate(SWAP, e) for e in self.part_edges]
         self.cx_nodes = [i for i, g in enumerate(circuit.gates) if g.kind == CX]
+        self.cx_pairs = [circuit.gates[i].qubits for i in self.cx_nodes]  # (control, target)
+        self.cx_cursor = 0  # index into cx_nodes of the first CNOT not yet executed
         self.swaps = 0
         self.bridges = 0
         # anti-oscillation state, cleared whenever the circuit emits a gate
@@ -106,14 +128,18 @@ class _Job:
     def done(self) -> bool:
         return self.remaining == 0
 
-    def mark_executed(self, node: int) -> None:
+    def mark_executed(self, node: int) -> list[int]:
+        """Retire ``node``; return the successors this moved into the front."""
         self.executed[node] = True
         self.front.discard(node)
         self.remaining -= 1
+        ready = []
         for succ in self.dag.successors[node]:
             self.in_deg[succ] -= 1
             if self.in_deg[succ] == 0:
                 self.front.add(succ)
+                ready.append(succ)
+        return ready
 
     def apply_swap(self, a: int, b: int) -> None:
         la, lb = self.p2l[a], self.p2l[b]
@@ -130,32 +156,45 @@ class _Job:
         return out
 
     def extended_layer(self, size: int) -> list[tuple[int, int]]:
-        """Next unexecuted CNOTs beyond the front layer, in program order."""
-        out = []
-        for node in self.cx_nodes:
-            if len(out) >= size:
-                break
-            if self.executed[node] or node in self.front:
-                continue
-            g = self.dag.gate(node)
-            out.append((g.qubits[0], g.qubits[1]))
+        """Next unexecuted CNOTs beyond the front layer, in program order.
+
+        The scan starts at a cursor on the first unexecuted CNOT; the
+        cursor only moves forward.
+        """
+        nodes, executed, front, pairs = self.cx_nodes, self.executed, self.front, self.cx_pairs
+        start, n = self.cx_cursor, len(nodes)
+        while start < n and executed[nodes[start]]:
+            start += 1
+        self.cx_cursor = start
+        out: list[tuple[int, int]] = []
+        if size > 0:
+            for i in range(start, n):
+                node = nodes[i]
+                if not executed[node] and node not in front:
+                    out.append(pairs[i])
+                    if len(out) == size:
+                        break
         return out
 
 
-def find_swap_bridge_pairs(job: _Job, model: HardwareModel) -> list[TentativeGate]:
+def find_swap_bridge_pairs(
+    job: _Job, model: HardwareModel, front: list[tuple[int, int, int]] | None = None
+) -> list[TentativeGate]:
     """Repair candidates for a job whose front layer is fully blocked.
 
     SWAPs: every partition-internal edge touching a front-gate operand.
     BRIDGEs: every front CNOT whose operands are exactly two apart inside the
-    partition, one candidate per valid middle qubit.
+    partition, one candidate per valid middle qubit.  ``front`` is
+    ``job.blocked_front()`` when the caller already has it.
     """
-    front = job.blocked_front()
+    if front is None:
+        front = job.blocked_front()
     endpoints = set()
     for _, lq1, lq2 in front:
         endpoints.add(job.l2p[lq1])
         endpoints.add(job.l2p[lq2])
     candidates: list[TentativeGate] = [
-        TentativeGate(SWAP, e) for e in job.part_edges if e[0] in endpoints or e[1] in endpoints
+        g for g in job.swap_gates if g.qubits[0] in endpoints or g.qubits[1] in endpoints
     ]
     for node, lq1, lq2 in front:
         c, t = job.l2p[lq1], job.l2p[lq2]
@@ -170,7 +209,7 @@ def cost_h(
     tentative: TentativeGate,
     front: list[tuple[int, int, int]],
     extended: list[tuple[int, int]],
-    dist: np.ndarray,
+    dist,
     l2p: list[int],
     p2l: dict[int, int],
     weight_w: float = 0.5,
@@ -191,33 +230,50 @@ def cost_h(
     window only, not the remaining DAG).  With ``r == 0`` the formula is
     unchanged.  The charge is part of the self-cost term, so it vanishes
     with ``self_cost=False``, and SWAP candidates never carry it.
+
+    ``dist`` is read as ``dist[p][q]``: the compiler passes nested rows of
+    Python floats (``DistanceMatrices.combined_rows``), and a numpy matrix
+    works too.  Every
+    sum adds its terms one by one from the left, as ``sum`` over numpy
+    scalars does; ``sum`` over Python floats is compensated from Python
+    3.12 on and would move the last bits, which can flip a choice.
     """
     if tentative.kind == SWAP:
         a, b = tentative.qubits
         mapping = list(l2p)
-        la, lb = p2l[a], p2l[b]
-        mapping[la], mapping[lb] = b, a
+        mapping[p2l[a]], mapping[p2l[b]] = b, a
         resolved = None
     else:
         mapping = l2p
         resolved = tentative.node
 
-    front_term = sum(dist[mapping[lq1], mapping[lq2]] for node, lq1, lq2 in front if node != resolved)
+    front_term = 0
+    for node, lq1, lq2 in front:
+        if node != resolved:
+            front_term += dist[mapping[lq1]][mapping[lq2]]
     if self_cost:
-        self_term = sum(dist[p, q] for p, q in tentative.cnot_pairs())
+        self_term = 0
+        for p, q in tentative.cnot_pairs:
+            self_term += dist[p][q]
         if resolved is not None:
-            pair = next({lq1, lq2} for node, lq1, lq2 in front if node == resolved)
-            self_term *= 1 + sum(1 for lq1, lq2 in extended if {lq1, lq2} == pair)
+            x, y = next((lq1, lq2) for node, lq1, lq2 in front if node == resolved)
+            repeats = 0
+            for lq1, lq2 in extended:
+                if (lq1 == x and lq2 == y) or (lq1 == y and lq2 == x):
+                    repeats += 1
+            self_term *= 1 + repeats
         h = (front_term + self_term) / (len(front) + tentative.n_tent)
     else:
         h = front_term / len(front)
     if extended:
-        ext_term = sum(dist[mapping[lq1], mapping[lq2]] for lq1, lq2 in extended)
+        ext_term = 0
+        for lq1, lq2 in extended:
+            ext_term += dist[mapping[lq1]][mapping[lq2]]
         h += weight_w * ext_term / len(extended)
     return h
 
 
-def _forced_path_route(job: _Job, model: HardwareModel, entries: list[ScheduledGate]) -> None:
+def _forced_path_route(job: _Job, entries: list[ScheduledGate]) -> None:
     """Stall escape hatch: walk the oldest blocked gate's control along the
     shortest partition-internal path until the gate is executable.
 
@@ -249,46 +305,158 @@ def _forced_path_route(job: _Job, model: HardwareModel, entries: list[ScheduledG
     path.reverse()
     for step in path[1:-1]:  # move the control up to the target's neighbour
         edge = (min(src, step), max(src, step))
-        for p, q in TentativeGate(SWAP, edge).cnot_pairs():
+        for p, q in TentativeGate(SWAP, edge).cnot_pairs:
             entries.append(ScheduledGate(job.circuit.id, Gate(CX, (p, q))))
         job.apply_swap(*edge)  # apply_swap also counts the swap
         src = step
 
 
 def _emit_ready(job: _Job, model: HardwareModel, entries: list[ScheduledGate]) -> None:
-    """Emit every front gate that is executable as mapped, cascading."""
-    progress = True
-    while progress:
-        progress = False
-        for node in sorted(job.front):
-            gate = job.dag.gate(node)
+    """Emit every front gate that is executable as mapped, cascading.
+
+    Each pass visits its nodes in index order.  The mapping does not change
+    in here, so a CNOT blocked in one pass stays blocked, and every pass
+    after the first visits only the nodes the pass before made ready.
+    """
+    l2p, gates, cid = job.l2p, job.circuit.gates, job.circuit.id
+    visit = sorted(job.front)
+    emitted_any = False
+    while visit:
+        ready: list[int] = []
+        for node in visit:
+            gate = gates[node]
             if gate.kind == CX:
-                a, b = job.l2p[gate.qubits[0]], job.l2p[gate.qubits[1]]
+                a, b = l2p[gate.qubits[0]], l2p[gate.qubits[1]]
                 if not model.has_edge(a, b):
                     continue
                 emitted = Gate(CX, (a, b))
             elif gate.kind == MEASURE:
-                emitted = Gate(MEASURE, (job.l2p[gate.qubits[0]],), clbit=gate.clbit)
+                emitted = Gate(MEASURE, (l2p[gate.qubits[0]],), clbit=gate.clbit)
             else:  # 1q gates and barriers never block
-                emitted = Gate(gate.kind, tuple(job.l2p[q] for q in gate.qubits), gate.params)
-            entries.append(ScheduledGate(job.circuit.id, emitted))
-            job.mark_executed(node)
-            job.banned_edges.clear()
-            job.stalled = 0
-            progress = True
+                emitted = Gate(gate.kind, tuple(l2p[q] for q in gate.qubits), gate.params)
+            entries.append(ScheduledGate(cid, emitted))
+            ready += job.mark_executed(node)
+            emitted_any = True
+        visit = sorted(ready)
+    if emitted_any:
+        job.banned_edges.clear()
+        job.stalled = 0
+
+
+def _route(
+    job: _Job,
+    model: HardwareModel,
+    dist,
+    weight_w: float,
+    ext_size: int,
+    swap_only: bool,
+    self_cost: bool,
+    stall_limit: int | None,
+    cap: int,
+    max_inserted: int | None,
+) -> Schedule:
+    """Route one circuit alone; see ``mapping_transition``."""
+    entries: list[ScheduledGate] = []
+    round_ends: list[int] = []
+    limit = stall_limit if stall_limit is not None else 2 * len(job.partition) + 4
+    aborted = False
+    while not job.done:
+        if max_inserted is not None and 3 * (job.swaps + job.bridges) > max_inserted:
+            aborted = True
+            break
+        if len(round_ends) >= cap:
+            raise RoutingError(f"routing did not terminate within {cap} iterations")
+        _emit_ready(job, model, entries)
+        if job.front:
+            if job.stalled >= limit:
+                _forced_path_route(job, entries)
+            else:
+                _repair(job, model, dist, weight_w, ext_size, swap_only, self_cost, entries)
+        round_ends.append(len(entries))
+    cid = job.circuit.id
+    return Schedule(
+        entries=entries,
+        swap_counts={cid: job.swaps},
+        bridge_counts={cid: job.bridges},
+        final_mappings={cid: dict(enumerate(job.l2p))},
+        round_ends=round_ends,
+        aborted=aborted,
+    )
+
+
+def _repair(job, model, dist, weight_w, ext_size, swap_only, self_cost, entries) -> None:
+    """Insert the cheapest SWAP or BRIDGE for a blocked front layer."""
+    front = job.blocked_front()
+    candidates = find_swap_bridge_pairs(job, model, front)
+    if swap_only:
+        candidates = [c for c in candidates if c.kind == SWAP]
+        if not candidates:
+            raise RoutingError("swap-only routing found no SWAP candidate")
+    # a swap edge used since the last emitted gate would likely just
+    # oscillate (a cheap retreat edge can outscore every approach),
+    # so prune those while alternatives exist; emission lifts the ban
+    if job.banned_edges:
+        pruned = [c for c in candidates if not (c.kind == SWAP and c.qubits in job.banned_edges)]
+        if pruned:
+            candidates = pruned
+    extended = job.extended_layer(ext_size)
+    best = min(
+        candidates,
+        key=lambda cand: (
+            cost_h(cand, front, extended, dist, job.l2p, job.p2l, weight_w, self_cost),
+            0 if cand.kind == BRIDGE else 1,
+            cand.qubits,
+        ),
+    )
+    for p, q in best.cnot_pairs:
+        entries.append(ScheduledGate(job.circuit.id, Gate(CX, (p, q))))
+    if best.kind == SWAP:
+        job.apply_swap(*best.qubits)
+        job.banned_edges.add(best.qubits)
+        job.stalled += 1
+    else:
+        job.bridges += 1
+        job.mark_executed(best.node)
+        job.banned_edges.clear()
+        job.stalled = 0
+
+
+def interleave(schedules: list[Schedule]) -> Schedule:
+    """Join solo routes of circuits in disjoint partitions into one schedule.
+
+    Round ``r`` of the joint schedule is round ``r`` of every route that
+    has one, in list order: what routing the circuits together in one loop,
+    visiting them in that order each round, would emit.
+    """
+    if len(schedules) == 1:
+        return schedules[0]
+    entries: list[ScheduledGate] = []
+    round_ends: list[int] = []
+    for r in range(max((s.iterations for s in schedules), default=0)):
+        for s in schedules:
+            if r < s.iterations:
+                entries += s.entries[s.round_ends[r - 1] if r else 0 : s.round_ends[r]]
+        round_ends.append(len(entries))
+    joint = Schedule(entries, {}, {}, {}, round_ends, any(s.aborted for s in schedules))
+    for s in schedules:
+        joint.swap_counts.update(s.swap_counts)
+        joint.bridge_counts.update(s.bridge_counts)
+        joint.final_mappings.update(s.final_mappings)
+    return joint
 
 
 def mapping_transition(
     model: HardwareModel,
-    dist: np.ndarray,
+    dist,
     jobs_spec: list[tuple[QuantumCircuit, DagCircuit, Partition, list[int]]],
     weight_w: float = 0.5,
     ext_size: int = 20,
     swap_only: bool = False,
     self_cost: bool = True,
     stall_limit: int | None = None,
+    max_inserted: int | None = None,
 ) -> Schedule:
-    """Route all circuits together, visiting them densest-first each round.
+    """Route all circuits, each alone in its partition, and interleave them.
 
     Each round emits whatever is executable, then inserts at most one repair
     gate per still-blocked circuit.  A circuit that keeps inserting swaps
@@ -296,72 +464,22 @@ def mapping_transition(
     routing after ``stall_limit`` insertions (default: scales with its
     partition size).  An iteration cap of ten times the total gate count
     remains as the guard against a non-terminating selection loop, which
-    would be a bug rather than an input problem.
+    would be a bug rather than an input problem.  A circuit that has
+    inserted more than ``max_inserted`` CNOTs stops early and the schedule
+    comes back ``aborted``.  ``dist`` is the combined distance matrix or,
+    faster, its ``combined_rows``.
     """
     jobs = [_Job(model, c, dag, part, l2p) for c, dag, part, l2p in jobs_spec]
-    entries: list[ScheduledGate] = []
-    total_gates = sum(len(j.circuit.gates) for j in jobs)
-    cap = 10 * max(total_gates, 1)
-    iterations = 0
-    while any(not j.done for j in jobs):
-        iterations += 1
-        if iterations > cap:
-            raise RoutingError(f"routing did not terminate within {cap} iterations")
-        for job in jobs:
-            if job.done:
-                continue
-            _emit_ready(job, model, entries)
-            if not job.front:
-                continue
-            limit = stall_limit if stall_limit is not None else 2 * len(job.partition) + 4
-            if job.stalled >= limit:
-                _forced_path_route(job, model, entries)
-                continue
-            candidates = find_swap_bridge_pairs(job, model)
-            if swap_only:
-                candidates = [c for c in candidates if c.kind == SWAP]
-                if not candidates:
-                    raise RoutingError("swap-only routing found no SWAP candidate")
-            # a swap edge used since the last emitted gate would likely just
-            # oscillate (a cheap retreat edge can outscore every approach),
-            # so prune those while alternatives exist; emission lifts the ban
-            if job.banned_edges:
-                pruned = [c for c in candidates if not (c.kind == SWAP and c.qubits in job.banned_edges)]
-                if pruned:
-                    candidates = pruned
-            front = job.blocked_front()
-            extended = job.extended_layer(ext_size)
-            best = min(
-                candidates,
-                key=lambda cand: (
-                    cost_h(cand, front, extended, dist, job.l2p, job.p2l, weight_w, self_cost),
-                    0 if cand.kind == BRIDGE else 1,
-                    cand.qubits,
-                ),
-            )
-            for p, q in best.cnot_pairs():
-                entries.append(ScheduledGate(job.circuit.id, Gate(CX, (p, q))))
-            if best.kind == SWAP:
-                job.apply_swap(*best.qubits)
-                job.banned_edges.add(best.qubits)
-                job.stalled += 1
-            else:
-                job.bridges += 1
-                job.mark_executed(best.node)
-                job.banned_edges.clear()
-                job.stalled = 0
-    return Schedule(
-        entries=entries,
-        swap_counts={j.circuit.id: j.swaps for j in jobs},
-        bridge_counts={j.circuit.id: j.bridges for j in jobs},
-        final_mappings={j.circuit.id: dict(enumerate(j.l2p)) for j in jobs},
-        iterations=iterations,
-    )
+    cap = 10 * max(sum(len(j.circuit.gates) for j in jobs), 1)
+    return interleave([
+        _route(job, model, dist, weight_w, ext_size, swap_only, self_cost, stall_limit, cap, max_inserted)
+        for job in jobs
+    ])
 
 
 def initial_mapping(
     model: HardwareModel,
-    dist: np.ndarray,
+    dist,
     partition: Partition,
     circuit: QuantumCircuit,
     dag: DagCircuit,
@@ -371,32 +489,42 @@ def initial_mapping(
     ext_size: int = 20,
     swap_only: bool = False,
     self_cost: bool = True,
-) -> list[int]:
-    """Pick the best of ``attempts`` random placements.
+) -> tuple[list[int], Schedule]:
+    """Pick the best of ``attempts`` random placements; return it and its route.
 
-    Each candidate bijection is evaluated by actually routing the circuit to
-    completion and counting inserted CNOTs; ties fall back to the summed
-    routing distance of the circuit's CNOTs under the candidate placement,
-    then to attempt order, so a fixed generator state fixes the result.
+    Each candidate bijection is evaluated by routing the circuit and
+    counting inserted CNOTs; ties fall back to the summed routing distance
+    of the circuit's CNOTs under the candidate placement, then to attempt
+    order, so a fixed generator state fixes the result.
+
+    Inserted CNOTs only grow during a route and the tie value is known
+    before it starts, so a trial stops as soon as it can no longer beat the
+    best so far (branch and bound).  Every attempt still draws its
+    permutation, so the choice is that of routing every trial to the end.
     """
     base = sorted(partition.qubits)
     cx_pairs = [(g.qubits[0], g.qubits[1]) for g in circuit.gates if g.kind == CX]
     best_key = None
-    best_l2p: list[int] | None = None
+    best: tuple[list[int], Schedule] | None = None
     for attempt in range(attempts):
         l2p = [int(p) for p in rng.permutation(base)]
+        # built-in sum over Python floats, as when this value was first
+        # defined: it must stay the same float on every Python version
+        tie = sum(float(dist[l2p[a]][l2p[b]]) for a, b in cx_pairs)
+        bound = None
+        if best_key is not None:  # a later attempt wins a tie on inserted CNOTs only by a lower tie value
+            bound = best_key[0] if tie < best_key[1] else best_key[0] - 1
         trial = mapping_transition(
             model, dist, [(circuit, dag, partition, l2p)],
             weight_w=weight_w, ext_size=ext_size, swap_only=swap_only, self_cost=self_cost,
+            max_inserted=bound,
         )
-        inserted = trial.additional_cnots(circuit.id)
-        tie = sum(float(dist[l2p[a], l2p[b]]) for a, b in cx_pairs)
-        key = (inserted, tie, attempt)
-        if best_key is None or key < best_key:
+        key = (trial.additional_cnots(circuit.id), tie, attempt)
+        if not trial.aborted and (best_key is None or key < best_key):
             best_key = key
-            best_l2p = l2p
-    assert best_l2p is not None
-    return best_l2p
+            best = (l2p, trial)
+    assert best is not None
+    return best
 
 
 # --- merged output -----------------------------------------------------------

@@ -322,11 +322,15 @@ def check_equivalence(
     which bits to read: a gate that crosses two regions merges their
     components, and the check stays exact.
     """
+    if not isinstance(manifest, dict):
+        raise VerificationError(f"manifest must be a JSON object keyed by circuit id, got {type(manifest).__name__}")
     for src in sources:
         entry = manifest.get(src.id)
         if entry is None:
             raise VerificationError(f"manifest has no entry for circuit {src.id!r}")
-        clbits = entry.get("clbits", [])
+        clbits = entry.get("clbits", []) if isinstance(entry, dict) else None
+        if not isinstance(clbits, list) or not all(isinstance(b, int) for b in clbits):
+            raise VerificationError(f"manifest entry for {src.id!r} needs a list of integer \"clbits\"")
         if len(clbits) != src.num_clbits:
             raise VerificationError(
                 f"manifest lists {len(clbits)} clbits for {src.id!r}, circuit has {src.num_clbits}"

@@ -6,8 +6,11 @@ diameters, linear scans of the edge list and the crosstalk table, and a
 dense unitary builder that works on integer basis indices.  Two
 exceptions keep a first design as the reference for its replacement: the
 trim-and-reallocate fidelity gate (allocate every trimmed batch from
-scratch) for the one-pass gate, and the per-branch simulator (one state per
-measurement branch, the whole program at once) for the branch-batched one.
+scratch) for the one-pass gate, the per-branch simulator (one state per
+measurement branch, the whole program at once) for the branch-batched one,
+and the first router (every circuit of a plan routed in one joint loop,
+every placement trial routed to completion, lookahead rescanned from the
+first CNOT, numpy-scalar distance sums) for the bounded, interleaved one.
 """
 from __future__ import annotations
 
@@ -18,10 +21,11 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 
-from qmpc.circuits import BARRIER, CX, MEASURE, QuantumCircuit
-from qmpc.errors import SimulationError
+from qmpc.circuits import BARRIER, CX, MEASURE, Gate, QuantumCircuit
+from qmpc.errors import RoutingError, SimulationError
 from qmpc.manager import ExecutionPlan, Verdict
 from qmpc.partition import allocate_all, gsp_partition, qhsp_partition
+from qmpc.scheduler import BRIDGE, SWAP, ScheduledGate, TentativeGate
 
 
 def bfs_hops(n: int, edges: list[tuple[int, int]], src: int) -> dict[int, int]:
@@ -406,3 +410,224 @@ def per_branch_simulate(circuit: QuantumCircuit, cap: int = ORACLE_QUBIT_CAP) ->
             key = "".join(bits)
             result[key] = result.get(key, 0.0) + p
     return result
+
+
+# --- reference router ----------------------------------------------------------
+
+
+class _RefJob:
+    """Routing state for one circuit, as the first router kept it."""
+
+    def __init__(self, model, circuit, dag, partition, l2p):
+        self.circuit = circuit
+        self.dag = dag
+        self.partition = tuple(partition.qubits)
+        self.part_set = set(self.partition)
+        self.l2p = list(l2p)
+        self.p2l = {p: l for l, p in enumerate(self.l2p)}
+        self.in_deg = dag.in_degrees()
+        self.front = {i for i, d in enumerate(self.in_deg) if d == 0}
+        self.executed = [False] * dag.num_nodes
+        self.remaining = dag.num_nodes
+        self.part_edges = sorted(e for e in model.edges if e[0] in self.part_set and e[1] in self.part_set)
+        self.adjacency = {q: set(model.neighbors(q)) & self.part_set for q in self.partition}
+        self.cx_nodes = [i for i, g in enumerate(circuit.gates) if g.kind == CX]
+        self.swaps = 0
+        self.bridges = 0
+        self.banned_edges: set[tuple[int, int]] = set()
+        self.stalled = 0
+
+    def mark_executed(self, node):
+        self.executed[node] = True
+        self.front.discard(node)
+        self.remaining -= 1
+        for succ in self.dag.successors[node]:
+            self.in_deg[succ] -= 1
+            if self.in_deg[succ] == 0:
+                self.front.add(succ)
+
+    def apply_swap(self, a, b):
+        la, lb = self.p2l[a], self.p2l[b]
+        self.l2p[la], self.l2p[lb] = b, a
+        self.p2l[a], self.p2l[b] = lb, la
+        self.swaps += 1
+
+    def blocked_front(self):
+        return [(node, *self.dag.gate(node).qubits) for node in sorted(self.front)]
+
+
+def naive_extended_layer(job, size: int) -> list[tuple[int, int]]:
+    """The first ``size`` unexecuted CNOTs outside the front, scanned from
+    the circuit's first gate."""
+    out = []
+    for node, g in enumerate(job.circuit.gates):
+        if g.kind == CX and not job.executed[node] and node not in job.front:
+            out.append((g.qubits[0], g.qubits[1]))
+    return out[:size]
+
+
+def _ref_candidates(job):
+    front = job.blocked_front()
+    endpoints = {job.l2p[lq] for _, lq1, lq2 in front for lq in (lq1, lq2)}
+    cands = [TentativeGate(SWAP, e) for e in job.part_edges if e[0] in endpoints or e[1] in endpoints]
+    for node, lq1, lq2 in front:
+        c, t = job.l2p[lq1], job.l2p[lq2]
+        for middle in sorted(job.adjacency[c] & job.adjacency[t]):
+            cands.append(TentativeGate(BRIDGE, (c, middle, t), node))
+    if not cands:
+        raise RoutingError("no SWAP or BRIDGE candidate for a blocked front layer")
+    return cands
+
+
+def _ref_cost(tentative, front, extended, dist, l2p, p2l, weight_w, self_cost):
+    """The first ``cost_h``: numpy-scalar lookups summed by ``sum``."""
+    if tentative.kind == SWAP:
+        a, b = tentative.qubits
+        mapping = list(l2p)
+        mapping[p2l[a]], mapping[p2l[b]] = b, a
+        resolved = None
+    else:
+        mapping = l2p
+        resolved = tentative.node
+    front_term = sum(dist[mapping[lq1], mapping[lq2]] for node, lq1, lq2 in front if node != resolved)
+    if self_cost:
+        self_term = sum(dist[p, q] for p, q in tentative.cnot_pairs)
+        if resolved is not None:
+            pair = next({lq1, lq2} for node, lq1, lq2 in front if node == resolved)
+            self_term *= 1 + sum(1 for lq1, lq2 in extended if {lq1, lq2} == pair)
+        h = (front_term + self_term) / (len(front) + tentative.n_tent)
+    else:
+        h = front_term / len(front)
+    if extended:
+        h += weight_w * sum(dist[mapping[lq1], mapping[lq2]] for lq1, lq2 in extended) / len(extended)
+    return h
+
+
+def _ref_forced_path(job, entries):
+    node = min(job.front)
+    gate = job.dag.gate(node)
+    src, dst = job.l2p[gate.qubits[0]], job.l2p[gate.qubits[1]]
+    parent = {src: None}
+    queue = [src]
+    while queue:
+        nxt = []
+        for u in queue:
+            for v in sorted(job.adjacency[u]):
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        queue = nxt
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    path.reverse()
+    for step in path[1:-1]:
+        edge = (min(src, step), max(src, step))
+        for p, q in TentativeGate(SWAP, edge).cnot_pairs:
+            entries.append(ScheduledGate(job.circuit.id, Gate(CX, (p, q))))
+        job.apply_swap(*edge)
+        src = step
+
+
+def _ref_emit_ready(job, model, entries):
+    progress = True
+    while progress:
+        progress = False
+        for node in sorted(job.front):
+            gate = job.dag.gate(node)
+            if gate.kind == CX:
+                a, b = job.l2p[gate.qubits[0]], job.l2p[gate.qubits[1]]
+                if not model.has_edge(a, b):
+                    continue
+                emitted = Gate(CX, (a, b))
+            elif gate.kind == MEASURE:
+                emitted = Gate(MEASURE, (job.l2p[gate.qubits[0]],), clbit=gate.clbit)
+            else:
+                emitted = Gate(gate.kind, tuple(job.l2p[q] for q in gate.qubits), gate.params)
+            entries.append(ScheduledGate(job.circuit.id, emitted))
+            job.mark_executed(node)
+            job.banned_edges.clear()
+            job.stalled = 0
+            progress = True
+
+
+@dataclass
+class RefSchedule:
+    entries: list
+    swap_counts: dict
+    bridge_counts: dict
+    final_mappings: dict
+    iterations: int
+
+
+def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only=False, self_cost=True):
+    """All of a plan's circuits routed in one joint loop, densest-first each
+    round, with the numpy matrix ``dist``."""
+    jobs = [_RefJob(model, c, dag, part, l2p) for c, dag, part, l2p in jobs_spec]
+    entries: list = []
+    cap = 10 * max(sum(len(j.circuit.gates) for j in jobs), 1)
+    iterations = 0
+    while any(j.remaining for j in jobs):
+        iterations += 1
+        if iterations > cap:
+            raise RoutingError(f"routing did not terminate within {cap} iterations")
+        for job in jobs:
+            if not job.remaining:
+                continue
+            _ref_emit_ready(job, model, entries)
+            if not job.front:
+                continue
+            if job.stalled >= 2 * len(job.partition) + 4:
+                _ref_forced_path(job, entries)
+                continue
+            candidates = _ref_candidates(job)
+            if swap_only:
+                candidates = [c for c in candidates if c.kind == SWAP]
+            if job.banned_edges:
+                pruned = [c for c in candidates if not (c.kind == SWAP and c.qubits in job.banned_edges)]
+                if pruned:
+                    candidates = pruned
+            front = job.blocked_front()
+            extended = naive_extended_layer(job, ext_size)
+            best = min(
+                candidates,
+                key=lambda cand: (
+                    _ref_cost(cand, front, extended, dist, job.l2p, job.p2l, weight_w, self_cost),
+                    0 if cand.kind == BRIDGE else 1,
+                    cand.qubits,
+                ),
+            )
+            for p, q in best.cnot_pairs:
+                entries.append(ScheduledGate(job.circuit.id, Gate(CX, (p, q))))
+            if best.kind == SWAP:
+                job.apply_swap(*best.qubits)
+                job.banned_edges.add(best.qubits)
+                job.stalled += 1
+            else:
+                job.bridges += 1
+                job.mark_executed(best.node)
+                job.banned_edges.clear()
+                job.stalled = 0
+    return RefSchedule(
+        entries,
+        {j.circuit.id: j.swaps for j in jobs},
+        {j.circuit.id: j.bridges for j in jobs},
+        {j.circuit.id: dict(enumerate(j.l2p)) for j in jobs},
+        iterations,
+    )
+
+
+def reference_placement(model, dist, partition, circuit, dag, rng, attempts=10, **route_kw) -> list[int]:
+    """Best of ``attempts`` random placements, each routed to completion;
+    key (inserted CNOTs, summed CNOT distance, attempt)."""
+    base = sorted(partition.qubits)
+    cx_pairs = [(g.qubits[0], g.qubits[1]) for g in circuit.gates if g.kind == CX]
+    best_key = best_l2p = None
+    for attempt in range(attempts):
+        l2p = [int(p) for p in rng.permutation(base)]
+        trial = reference_route(model, dist, [(circuit, dag, partition, l2p)], **route_kw)
+        inserted = 3 * (trial.swap_counts[circuit.id] + trial.bridge_counts[circuit.id])
+        key = (inserted, sum(float(dist[l2p[a], l2p[b]]) for a, b in cx_pairs), attempt)
+        if best_key is None or key < best_key:
+            best_key, best_l2p = key, l2p
+    return best_l2p

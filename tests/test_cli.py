@@ -223,3 +223,50 @@ def test_verify_passes_a_merged_program_over_the_component_cap(tmp_path, capsys)
     code = main(["verify", "--merged", str(out / "merged_0.qasm"), "--manifest", str(out / "manifest_0.json"), *map(str, sources)])
     assert code == 0
     assert capsys.readouterr().out.startswith("PASS")
+
+
+def test_negative_seed_is_user_error(device_files, capsys):
+    args = _compile_args(device_files)
+    args[args.index("--seed") + 1] = "-1"
+    assert main(args) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(seed=-1)
+
+
+def test_non_integer_env_seed_is_user_error(device_files, monkeypatch, capsys):
+    monkeypatch.setenv("QMPC_SEED", "abc")
+    assert main(_compile_args(device_files)) == 1
+    assert "QMPC_SEED" in capsys.readouterr().err
+
+
+def test_undecodable_circuit_file_is_user_error(device_files, capsys):
+    (device_files / "bell.qasm").write_bytes(b"\xff\xfe\x00\x01qreg q[2];")
+    assert main(_compile_args(device_files)) == 1
+    assert "bell.qasm" in capsys.readouterr().err
+
+
+def test_directory_as_circuit_is_user_error(device_files, capsys):
+    (device_files / "bell.qasm").unlink()
+    (device_files / "bell.qasm").mkdir()
+    assert main(_compile_args(device_files)) == 1
+    assert "bell.qasm" in capsys.readouterr().err
+
+
+def test_manifest_that_is_not_an_object_is_user_error(device_files, capsys):
+    assert main(_compile_args(device_files)) == 0
+    out = device_files / "out"
+    (out / "manifest_0.json").write_text("[1, 2]")
+    capsys.readouterr()
+    code = main([
+        "verify", "--merged", str(out / "merged_0.qasm"), "--manifest", str(out / "manifest_0.json"),
+        str(device_files / "ghz3.qasm"), str(device_files / "bell.qasm"),
+    ])
+    assert code == 1
+    assert "manifest must be a JSON object" in capsys.readouterr().err
+
+
+def test_crosstalk_that_is_not_an_object_is_user_error(device_files, capsys):
+    (device_files / "crosstalk.json").write_text("[1, 2]")
+    assert main(_compile_args(device_files, extra=("--crosstalk", str(device_files / "crosstalk.json")))) == 1
+    assert "crosstalk.json" in capsys.readouterr().err

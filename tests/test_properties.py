@@ -12,13 +12,17 @@ from qmpc.hardware import build_crosstalk, build_hardware, distance_matrices, su
 from qmpc.errors import DisconnectedGraphError, HardwareError, PartitionError, SimulationError
 from qmpc.manager import Verdict, fidelity_gate, select_k, sort_by_density
 from qmpc.partition import _induced_edges, allocate_all, crosstalk_adjust, gsp_partition, qhsp_partition, score
+from qmpc.partition import Partition
 from qmpc.pipeline import RunConfig, compile_workloads
+from qmpc.scheduler import initial_mapping, interleave, mapping_transition
 from qmpc.verify import check_compliance, check_equivalence, estimate_success, marginalize, marginals, simulate
 
 from oracles import (
     conditional_errors_scan,
     induced_edges_scan,
     per_branch_simulate,
+    reference_placement,
+    reference_route,
     region_diameter_nx,
     trim_and_reallocate_gate,
 )
@@ -466,3 +470,61 @@ def test_filled_device_compiles_to_compliant_verified_programs(case, seed):
         check_compliance(compiled.merged, compiled.manifest, compiled.plan, model)
         report = check_equivalence(compiled.circuits, compiled.merged, compiled.manifest)
         assert report.passed, report
+
+
+# --- router ----------------------------------------------------------------------
+
+
+@st.composite
+def routing_case(draw):
+    """``guadalupe`` or ``toronto`` with 1-3 random circuits (mid-circuit
+    measurements, barriers) in disjoint connected regions of 1-7 qubits,
+    and the router's settings."""
+    model = PRESET_MODELS[draw(st.sampled_from(["guadalupe", "toronto"]))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    used: set[int] = set()
+    jobs = []
+    for i in range(draw(st.integers(1, 3))):
+        region = [int(rng.choice(sorted(set(range(model.num_qubits)) - used)))]
+        for _ in range(draw(st.integers(0, 6))):
+            rim = sorted({v for q in region for v in model.neighbors(q)} - set(region) - used)
+            if rim:
+                region.append(int(rng.choice(rim)))
+        used |= set(region)
+        k = len(region)
+        gates = random_gates(rng, list(range(k)), list(range(k)), draw(st.integers(0, 50)), measure_p=0.1)
+        gates += [Gate("measure", (q,), clbit=q) for q in range(k)]
+        jobs.append((QuantumCircuit(f"c{i}", k, k, tuple(gates)), Partition(f"c{i}", tuple(sorted(region)), 0.0, "QHSP")))
+    route_kw = dict(
+        ext_size=draw(st.sampled_from([0, 1, 5, 20])),
+        swap_only=draw(st.booleans()),
+        self_cost=draw(st.booleans()),
+    )
+    return model, jobs, route_kw, draw(st.integers(1, 10)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, **COMMON)
+@given(routing_case())
+def test_bounded_placement_and_interleaved_routes_match_reference_router(case):
+    model, jobs, route_kw, attempts, seed = case
+    matrices = distance_matrices(model)
+    routes, specs = [], []
+    for circuit, part in jobs:
+        dag = build_dag(circuit)
+        l2p, route = initial_mapping(
+            model, matrices.combined_rows, part, circuit, dag, np.random.default_rng(seed), attempts=attempts, **route_kw
+        )
+        want = reference_placement(
+            model, matrices.combined, part, circuit, dag, np.random.default_rng(seed), attempts=attempts, **route_kw
+        )
+        assert l2p == want
+        routes.append(route)
+        specs.append((circuit, dag, part, l2p))
+    ref = reference_route(model, matrices.combined, specs, **route_kw)
+    for got in (interleave(routes), mapping_transition(model, matrices.combined, specs, **route_kw)):
+        assert not got.aborted
+        assert got.entries == ref.entries
+        assert list(got.swap_counts.items()) == list(ref.swap_counts.items())
+        assert list(got.bridge_counts.items()) == list(ref.bridge_counts.items())
+        assert list(got.final_mappings.items()) == list(ref.final_mappings.items())
+        assert got.iterations == ref.iterations

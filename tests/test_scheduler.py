@@ -45,7 +45,7 @@ def test_initial_mapping_trivial_two_qubits():
     model = line_model(2)
     circuit = QuantumCircuit("c", 2, 0, (Gate(CX, (0, 1)),))
     D = distance_matrices(model).combined
-    l2p = initial_mapping(model, D, make_part("c", [0, 1]), circuit, build_dag(circuit), np.random.default_rng(0))
+    l2p, _ = initial_mapping(model, D, make_part("c", [0, 1]), circuit, build_dag(circuit), np.random.default_rng(0))
     sched = route_single(model, circuit, l2p)
     assert sched.additional_cnots() == 0
 
@@ -65,7 +65,7 @@ def test_initial_mapping_finds_zero_insertion_layout():
         if sched.additional_cnots() == 0:
             zero_layouts.append(perm)
     assert zero_layouts  # oracle: some bijection needs no insertions
-    l2p = initial_mapping(model, D, make_part("c", [0, 1, 2]), circuit, dag, np.random.default_rng(1))
+    l2p, _ = initial_mapping(model, D, make_part("c", [0, 1, 2]), circuit, dag, np.random.default_rng(1))
     assert l2p[1] == 1
     assert tuple(l2p) in zero_layouts
 
@@ -76,7 +76,7 @@ def test_initial_mapping_deterministic_under_seed():
     D = distance_matrices(model).combined
     part = make_part("c", [0, 1, 2, 3])
     runs = [
-        initial_mapping(model, D, part, circuit, build_dag(circuit), np.random.default_rng(42))
+        initial_mapping(model, D, part, circuit, build_dag(circuit), np.random.default_rng(42))[0]
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -250,7 +250,7 @@ def test_accounting_identity_on_random_circuits(circuit_factory, guadalupe):
 
         part = qhsp_partition(guadalupe, circuit, set())[0]
         dag = build_dag(circuit)
-        l2p = initial_mapping(guadalupe, D, part, circuit, dag, np.random.default_rng(trial))
+        l2p, _ = initial_mapping(guadalupe, D, part, circuit, dag, np.random.default_rng(trial))
         sched = mapping_transition(guadalupe, D, [(circuit, dag, part, l2p)])
         emitted_cx = sum(1 for e in sched.entries if e.gate.kind == CX)
         assert emitted_cx == circuit.cnot_count + sched.additional_cnots()
@@ -266,6 +266,56 @@ def test_extended_layer_returns_at_most_size_lookahead_cnots(circuit_factory):
     assert job.extended_layer(0) == []
     for size in range(1, len(full) + 1):
         assert job.extended_layer(size) == full[:size]
+
+
+def test_extended_layer_matches_a_naive_scan_at_every_routing_step(monkeypatch, circuit_factory, guadalupe):
+    from oracles import naive_extended_layer
+    from qmpc.partition import qhsp_partition
+
+    original = _Job.extended_layer
+    checked = []
+
+    def checking(job, size):
+        got = original(job, size)
+        assert got == naive_extended_layer(job, size)
+        checked.append(size)
+        return got
+
+    monkeypatch.setattr(_Job, "extended_layer", checking)
+    D = distance_matrices(guadalupe).combined_rows
+    rng = np.random.default_rng(11)
+    for trial in range(3):
+        circuit = circuit_factory(rng, f"c{trial}", n_qubits=6, max_gates=60)
+        part = qhsp_partition(guadalupe, circuit, set())[0]
+        for size in (1, 3, 20):
+            initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(trial), attempts=3, ext_size=size)
+    assert len(checked) > 100
+
+
+def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory, guadalupe):
+    # every attempt still routes through mapping_transition and draws its
+    # permutation; a losing trial comes back aborted, and the winner is a
+    # complete route whose count matches routing its placement alone
+    import qmpc.scheduler as sched_mod
+    from qmpc.partition import qhsp_partition
+
+    route = sched_mod.mapping_transition
+    trials = []
+
+    def recording(*args, **kwargs):
+        trials.append(route(*args, **kwargs))
+        return trials[-1]
+
+    monkeypatch.setattr(sched_mod, "mapping_transition", recording)
+    circuit = circuit_factory(np.random.default_rng(5), "c", n_qubits=6, max_gates=60)
+    part = qhsp_partition(guadalupe, circuit, set())[0]
+    D = distance_matrices(guadalupe).combined
+    l2p, best = initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(0))
+    assert len(trials) == 10
+    assert any(t.aborted for t in trials)
+    assert not best.aborted and best in trials
+    alone = route(guadalupe, D, [(circuit, build_dag(circuit), part, l2p)])
+    assert alone.entries == best.entries and alone.additional_cnots() == best.additional_cnots()
 
 
 def test_zero_lookahead_window_compiles_and_verifies(circuit_factory, guadalupe):
