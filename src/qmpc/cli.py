@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .circuits import parse_merged_qasm, parse_qasm
-from .errors import ConfigError, QmpcError, read_text
+from .errors import ConfigError, OutputDirError, QmpcError, read_text
 from .hardware import extract_strong_crosstalk, load_crosstalk, load_hardware
 from .manager import plan_all
 from .pipeline import RunConfig, compile_workloads
@@ -92,13 +92,24 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _out_dir(path: str) -> Path:
+    """``path`` as a writable directory, made if missing."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputDirError(f"{path}: cannot create output directory: {exc.strerror or exc}") from None
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        raise OutputDirError(f"{path}: output directory is not writable")
+    return out_dir
+
+
 def cmd_compile(args) -> int:
     config = _config(args, _resolve_seed(args))
     model, strong = _load_inputs(args)
     circuits = _load_circuits(args.circuits)
+    out_dir = _out_dir(args.out_dir)  # before the compile, so that a bad path fails fast
     result = compile_workloads(model, circuits, config, strong)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
     for i, compiled in enumerate(result.plans):
         (out_dir / f"merged_{i}.qasm").write_text(compiled.qasm)

@@ -32,6 +32,10 @@ def read_text(path: str | Path) -> str:
         raise InputFileError(f"{path}: {exc.strerror or exc}") from None
 
 
+class OutputDirError(QmpcError):
+    """An output directory that cannot be made or written."""
+
+
 class QasmError(QmpcError):
     """Malformed source text, with position information."""
 

@@ -60,6 +60,11 @@ class HardwareModel:
         """``distance_matrices`` results by ``(alpha1, alpha2)``."""
         return {}
 
+    @cached_property
+    def _region_tables(self) -> dict[int, tuple]:
+        """``partition.region_table`` results by region size."""
+        return {}
+
     def has_edge(self, i: int, j: int) -> bool:
         return _edge(i, j) in self.cnot_error
 

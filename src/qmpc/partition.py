@@ -1,13 +1,20 @@
 """Qubit partitioning: reserve a connected, reliability-scored region of the
 device for each circuit.
 
-Two searches produce candidates.  The exhaustive one enumerates every
-connected k-subset of free qubits and is the quality baseline; the heuristic
-one grows regions from well-connected starting points by fidelity degree and
-stays polynomial.  Both score candidates the same way, except that the
-exhaustive score adds the region diameter as a connectivity penalty, and both
-raise the CNOT error of region edges that sit under strong crosstalk from
+Two searches produce candidates.  The exhaustive one scores every connected
+k-subset of free qubits and is the quality baseline; the heuristic one grows
+regions from well-connected starting points by fidelity degree and stays
+polynomial.  Both score candidates the same way, except that the exhaustive
+score adds the region diameter as a connectivity penalty, and both raise the
+CNOT error of region edges that sit under strong crosstalk from
 already-allocated neighbours.
+
+The exhaustive search reads a region table, built once per device and region
+size: every connected k-subset of the device with its qubit bitmask, internal
+edges, mean solo CNOT error, readout sum and diameter.  A search skips the
+rows that meet the used qubits and recomputes the mean CNOT error only for
+rows holding a "hot" edge, one with a strong conditioner wholly inside the
+used qubits; every other row's mean is its solo mean.
 
 Allocation is greedy: circuits take the best region left in density order,
 as in Das et al., "A Case for Multi-Programming Quantum Computers" (MICRO
@@ -16,6 +23,7 @@ as in Das et al., "A Case for Multi-Programming Quantum Computers" (MICRO
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,6 +123,22 @@ def crosstalk_adjust(
     return adjusted
 
 
+def _mean(errors) -> float:
+    return sum(errors) / len(errors) if errors else 0.0
+
+
+def _readout_sum(model: HardwareModel, qubits) -> float:
+    return sum(float(model.readout_error[q]) for q in qubits)
+
+
+def _total(avg: float, readout: float, cnot_count: int, diameter: int | None) -> float:
+    """A region's score from its parts; both searches add them in this order."""
+    total = avg * cnot_count + readout
+    if diameter is not None:
+        total += diameter
+    return total
+
+
 def score(
     model: HardwareModel, qubits, circuit: QuantumCircuit, adjusted: dict[Edge, float], with_diameter: bool
 ) -> float:
@@ -123,12 +147,10 @@ def score(
 
     ``adjusted`` is ``crosstalk_adjust``'s map for this region: one entry per
     internal edge, in ``model.edges`` order, so the sum runs in that order."""
-    avg = sum(adjusted.values()) / len(adjusted) if adjusted else 0.0
-    readout = sum(float(model.readout_error[q]) for q in qubits)
-    total = avg * circuit.cnot_count + readout
-    if with_diameter:
-        total += subgraph_diameter(model, qubits)
-    return total
+    avg = _mean(adjusted.values())
+    readout = _readout_sum(model, qubits)
+    diameter = subgraph_diameter(model, qubits) if with_diameter else None
+    return _total(avg, readout, circuit.cnot_count, diameter)
 
 
 def connected_k_subsets(model: HardwareModel, free: set[int], k: int) -> list[tuple[int, ...]]:
@@ -151,6 +173,48 @@ def connected_k_subsets(model: HardwareModel, free: set[int], k: int) -> list[tu
     return sorted(tuple(sorted(s)) for s in level)
 
 
+class Region(NamedTuple):
+    """One row of a region table: the parts of a region's exhaustive score
+    that depend on neither the circuit nor the qubits already used."""
+
+    qubits: tuple[int, ...]  # sorted
+    mask: int  # bit q set for each member qubit q
+    edges: tuple[Edge, ...]  # internal edges, in ``model.edges`` order
+    solo_mean: float  # mean solo CNOT error over ``edges``, 0.0 without edges
+    readout: float
+    diameter: int
+
+
+def region_table(model: HardwareModel, k: int) -> tuple[Region, ...]:
+    """Every connected k-qubit region of the device, in sorted order; built
+    once per ``k`` and kept on the model."""
+    tables = model._region_tables
+    if k not in tables:
+        rows = []
+        for qubits in connected_k_subsets(model, set(range(model.num_qubits)), k):
+            edges = tuple(_induced_edges(model, qubits))
+            rows.append(
+                Region(
+                    qubits,
+                    sum(1 << q for q in qubits),
+                    edges,
+                    _mean([model.cnot_error[e] for e in edges]),
+                    _readout_sum(model, qubits),
+                    subgraph_diameter(model, qubits),
+                )
+            )
+        tables[k] = tuple(rows)
+    return tables[k]
+
+
+def _hot_edges(used: set[int], strong_pairs: CrosstalkTable | None) -> set[Edge]:
+    """Edges with a strong conditioner wholly inside ``used``: the only edges
+    whose error ``crosstalk_adjust`` can raise."""
+    if strong_pairs is None or not used:
+        return set()
+    return {gate for gate, (a, b) in strong_pairs.entries if a in used and b in used}
+
+
 def gsp_partition(
     model: HardwareModel,
     circuit: QuantumCircuit,
@@ -171,16 +235,20 @@ def gsp_partition(
     free = set(range(model.num_qubits)) - used
     if len(free) < k:
         raise PartitionError(f"only {len(free)} free qubits for a {k}-qubit circuit")
-    subsets = connected_k_subsets(model, free, k)
-    if not subsets:
+    blocked = ~sum(1 << q for q in free)  # every qubit that is not free
+    hot = _hot_edges(used, strong_pairs)
+    cnots = circuit.cnot_count
+    scored = []
+    for qubits, mask, edges, avg, readout, diameter in region_table(model, k):
+        if mask & blocked:
+            continue
+        if hot and not hot.isdisjoint(edges):
+            avg = _mean(crosstalk_adjust(model, qubits, used, strong_pairs).values())
+        scored.append((_total(avg, readout, cnots, diameter), qubits))
+    if not scored:
         raise PartitionError(f"no connected {k}-qubit region among free qubits")
-
-    candidates = []
-    for subset in subsets:
-        adjusted = crosstalk_adjust(model, subset, used, strong_pairs)
-        candidates.append(Partition(circuit.id, subset, score(model, subset, circuit, adjusted, True), METHOD_GSP))
-    candidates.sort(key=lambda p: (p.score, tuple(sorted(p.qubits))))
-    return candidates
+    scored.sort()
+    return [Partition(circuit.id, qubits, total, METHOD_GSP) for total, qubits in scored]
 
 
 def _grow_region(model: HardwareModel, start: int, k: int, values: np.ndarray, used: set[int]) -> list[int] | None:

@@ -56,13 +56,14 @@ def valencia_ranked():
 
 
 def random_circuit(rng: np.random.Generator, cid: str, n_qubits: int | None = None, max_gates: int = 18) -> QuantumCircuit:
-    """Seeded random workload: 1q/2q mix, all qubits measured at the end."""
+    """Seeded random workload: 1q/2q mix (1q only on one qubit), all qubits
+    measured at the end."""
     n = int(n_qubits if n_qubits is not None else rng.integers(3, 7))
     gates: list[Gate] = []
     n_gates = int(rng.integers(max(6, max_gates - 8), max_gates + 1))
     one_q = ["h", "x", "t", "s", "rz"]
     for _ in range(n_gates):
-        if rng.random() < 0.5:
+        if n > 1 and rng.random() < 0.5:
             a, b = rng.choice(n, size=2, replace=False)
             gates.append(Gate("cx", (int(a), int(b))))
         else:

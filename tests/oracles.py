@@ -3,10 +3,12 @@
 Everything here deliberately avoids the package's own code paths: plain BFS,
 Floyd-Warshall, brute-force path and subset enumeration, ``networkx`` region
 diameters, linear scans of the edge list and the crosstalk table, and a
-dense unitary builder that works on integer basis indices.  Two
+dense unitary builder that works on integer basis indices.  Four
 exceptions keep a first design as the reference for its replacement: the
 trim-and-reallocate fidelity gate (allocate every trimmed batch from
-scratch) for the one-pass gate, the per-branch simulator (one state per
+scratch) for the one-pass gate, the per-search exhaustive partitioner
+(every connected subset of the free qubits enumerated and scored from
+scratch) for the table-driven one, the per-branch simulator (one state per
 measurement branch, the whole program at once) for the branch-batched one,
 and the first router (every circuit of a plan routed in one joint loop,
 every placement trial routed to completion, lookahead rescanned from the
@@ -22,9 +24,19 @@ import networkx as nx
 import numpy as np
 
 from qmpc.circuits import BARRIER, CX, MEASURE, Gate, QuantumCircuit
-from qmpc.errors import RoutingError, SimulationError
+from qmpc.errors import PartitionError, PartitionSizeError, RoutingError, SimulationError
+from qmpc.hardware import subgraph_diameter
 from qmpc.manager import ExecutionPlan, Verdict
-from qmpc.partition import allocate_all, gsp_partition, qhsp_partition
+from qmpc.partition import (
+    GSP_MAX_QUBITS,
+    METHOD_GSP,
+    Partition,
+    allocate_all,
+    connected_k_subsets,
+    crosstalk_adjust,
+    gsp_partition,
+    qhsp_partition,
+)
 from qmpc.scheduler import BRIDGE, SWAP, ScheduledGate, TentativeGate
 
 
@@ -268,6 +280,34 @@ def trim_and_reallocate_gate(model, circuits, method="qhsp", lam=2.0, threshold=
             )
         current = current[:-1]
     return ExecutionPlan((current[0].id,), (best_alone(current[0]),), 0.0, threshold, Verdict.INDEPENDENT, 1)
+
+
+def reference_gsp_partition(model, circuit, used_qubits, strong_pairs=None):
+    """The exhaustive search as first written: the connected subsets of the
+    free qubits enumerated again on every call, each scored from scratch."""
+    k = circuit.num_qubits
+    if k > GSP_MAX_QUBITS:
+        raise PartitionSizeError(
+            f"exhaustive search is capped at {GSP_MAX_QUBITS} circuit qubits (got {k}); use the qhsp method"
+        )
+    used = set(used_qubits)
+    free = set(range(model.num_qubits)) - used
+    if len(free) < k:
+        raise PartitionError(f"only {len(free)} free qubits for a {k}-qubit circuit")
+    subsets = connected_k_subsets(model, free, k)
+    if not subsets:
+        raise PartitionError(f"no connected {k}-qubit region among free qubits")
+
+    candidates = []
+    for subset in subsets:
+        adjusted = crosstalk_adjust(model, subset, used, strong_pairs)
+        avg = sum(adjusted.values()) / len(adjusted) if adjusted else 0.0
+        readout = sum(float(model.readout_error[q]) for q in subset)
+        total = avg * circuit.cnot_count + readout
+        total += subgraph_diameter(model, subset)
+        candidates.append(Partition(circuit.id, subset, total, METHOD_GSP))
+    candidates.sort(key=lambda p: (p.score, tuple(sorted(p.qubits))))
+    return candidates
 
 
 # --- simulator reference -----------------------------------------------------------

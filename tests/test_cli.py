@@ -46,6 +46,26 @@ def test_compile_two_toys_exit_zero(device_files, capsys):
     assert (out_dir / "manifest_0.json").exists()
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_dir_blocked_by_a_file_fails_before_compiling(device_files, capsys, monkeypatch, out):
+    (device_files / "taken").write_text("")
+
+    def compile_workloads(*args):
+        raise AssertionError("compiled before checking the output directory")
+
+    monkeypatch.setattr("qmpc.cli.compile_workloads", compile_workloads)
+    assert main(_compile_args(device_files, out=out)) == 1
+    err = capsys.readouterr().err
+    assert "cannot create output directory" in err
+    assert str(device_files / out) in err
+
+
+def test_unwritable_out_dir_is_user_error(device_files, capsys, monkeypatch):
+    monkeypatch.setattr("qmpc.cli.os.access", lambda path, mode: False)
+    assert main(_compile_args(device_files)) == 1
+    assert f"{device_files / 'out'}: output directory is not writable" in capsys.readouterr().err
+
+
 def test_compile_rejects_oversized_circuit(tmp_path, capsys):
     topo = line_topology(2)
     (tmp_path / "topology.json").write_text(json.dumps(topo))

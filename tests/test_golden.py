@@ -1,4 +1,4 @@
-"""Golden outputs: every byte ``qmpc compile`` writes for two small seeded runs.
+"""Golden outputs: every byte ``qmpc compile`` writes for three small seeded runs.
 
 A refactor or speed-up of the compiler must leave these digests unchanged.
 A digest that moves means the emitted programs, manifests, statistics or
@@ -20,6 +20,7 @@ from qmpc.presets import synthetic_calibration, topology
 from conftest import random_circuit
 
 GOLDEN = {
+    "gsp-manhattan-crosstalk": "15ecb72083da536911510698dc1849d2fb47c4a70febd049c2e99ab1386a5097",
     "gsp-toronto-crosstalk": "deed4790bcb73a227cf2ab5d09f4f5bb71470a034e636e14d95e4546d4b33575",
     "qhsp-guadalupe": "023905dcdcec24e7ea3eb0b741111a2cef57f1a559463fa94f43fd3c0cbecbc1",
 }
@@ -47,7 +48,10 @@ def _crosstalk_pairs(topo: dict, cal: dict, seed: int) -> list[dict]:
 
 CASES = {
     # (device, calibration seed, method, delta, crosstalk, circuit seed, circuit sizes);
-    # each delta is low enough that the fidelity gate trims and re-queues
+    # each delta is low enough that the fidelity gate trims and re-queues;
+    # the manhattan case covers the largest exhaustive search (8 qubits) and
+    # regions without edges (1 qubit)
+    "gsp-manhattan-crosstalk": ("manhattan", 4, "gsp", "0.01", True, 13, (8, 8, 1, 6, 5, 1, 4)),
     "gsp-toronto-crosstalk": ("toronto", 3, "gsp", "0.04", True, 11, (5, 4, 5, 4)),
     "qhsp-guadalupe": ("guadalupe", 2, "qhsp", "0.04", False, 12, (6, 5, 4)),
 }

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmpc import partition
 from qmpc.circuits import Gate, QuantumCircuit
 from qmpc.errors import PartitionError, PartitionSizeError
 from qmpc.hardware import build_crosstalk, build_hardware, extract_strong_crosstalk
@@ -11,6 +12,7 @@ from qmpc.partition import (
     fidelity_degree,
     gsp_partition,
     qhsp_partition,
+    region_table,
     score,
     starting_points,
 )
@@ -96,6 +98,29 @@ def test_gsp_size_cap():
     model = build_hardware(topo, uniform_calibration(topo))
     with pytest.raises(PartitionSizeError, match="qhsp"):
         gsp_partition(model, cx_circuit("c", 9, chain(9)), set())
+
+
+def test_region_table_is_built_once_per_model_and_size(guadalupe, toronto, monkeypatch):
+    calls = []
+    diameter = partition.subgraph_diameter
+
+    def counted(model, qubits):
+        calls.append(model)
+        return diameter(model, qubits)
+
+    monkeypatch.setattr(partition, "subgraph_diameter", counted)
+    circuit = cx_circuit("c", 4, chain(4))
+    gsp_partition(guadalupe, circuit, set())
+    table = region_table(guadalupe, 4)
+    assert len(calls) == len(table) > 0  # one diameter per row, on first use
+    calls.clear()
+    gsp_partition(guadalupe, circuit, {0, 1})
+    assert calls == []
+    assert region_table(guadalupe, 4) is table
+    other = region_table(toronto, 4)
+    assert other is not table and calls == [toronto] * len(other)
+    assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+    hash(table)  # immutable all the way down
 
 
 def test_connected_subsets_match_brute_force(guadalupe):

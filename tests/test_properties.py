@@ -11,7 +11,15 @@ from qmpc.circuits import Gate, QuantumCircuit, build_dag, emit_qasm, parse_qasm
 from qmpc.hardware import build_crosstalk, build_hardware, distance_matrices, subgraph_diameter
 from qmpc.errors import DisconnectedGraphError, HardwareError, PartitionError, SimulationError
 from qmpc.manager import Verdict, fidelity_gate, select_k, sort_by_density
-from qmpc.partition import _induced_edges, allocate_all, crosstalk_adjust, gsp_partition, qhsp_partition, score
+from qmpc.partition import (
+    GSP_MAX_QUBITS,
+    _induced_edges,
+    allocate_all,
+    crosstalk_adjust,
+    gsp_partition,
+    qhsp_partition,
+    score,
+)
 from qmpc.partition import Partition
 from qmpc.pipeline import RunConfig, compile_workloads
 from qmpc.scheduler import initial_mapping, interleave, mapping_transition
@@ -21,6 +29,7 @@ from oracles import (
     conditional_errors_scan,
     induced_edges_scan,
     per_branch_simulate,
+    reference_gsp_partition,
     reference_placement,
     reference_route,
     region_diameter_nx,
@@ -223,6 +232,50 @@ def test_partitions_disjoint_connected_and_gsp_dominates(model, k):
     choice = qhsp_partition(model, c1, set())[0]
     adjusted = crosstalk_adjust(model, choice.qubits, set(), None)
     assert best.score <= score(model, choice.qubits, c1, adjusted, with_diameter=True) + 1e-12
+
+
+@st.composite
+def exhaustive_search(draw):
+    """A device (two presets, whose region tables persist between examples,
+    or a fresh random one), a k-qubit circuit, a random set of used qubits
+    and a random crosstalk table whose entries may or may not fire."""
+    name = draw(st.sampled_from(["guadalupe", "toronto", "random"]))
+    model = PRESET_MODELS[name] if name != "random" else draw(connected_device(min_qubits=4, max_qubits=12))
+    k = draw(st.sampled_from(range(1, GSP_MAX_QUBITS + 2)))  # evenly, one past the cap
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    used_share = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    used = {q for q in range(model.num_qubits) if rng.random() < used_share}
+    for i in rng.choice(len(model.edges), size=draw(st.integers(0, 2))):  # whole edges can condition
+        used.update(model.edges[int(i)])
+    strong = None
+    keep = draw(st.sampled_from([None, 0.0, 0.3, 1.0]))
+    if keep is not None:
+        pairs = []
+        for gate in model.edges:
+            for cond in model.edges:
+                one_hop = any(model.has_edge(a, b) for a in gate for b in cond)
+                if set(gate) & set(cond) or not one_hop or rng.random() >= keep:
+                    continue
+                # errors below the solo error too, which never replace it
+                pairs.append({"gate": list(gate), "conditioned_on": list(cond), "error": float(rng.uniform(0, 0.5))})
+        strong = build_crosstalk(pairs, model)
+    cnots = tuple(Gate("cx", (i % k, (i + 1) % k)) for i in range(draw(st.integers(0, 20)))) if k > 1 else ()
+    return model, QuantumCircuit("c", k, 0, cnots), used, strong
+
+
+@settings(max_examples=300, **COMMON)
+@given(exhaustive_search())
+def test_table_driven_gsp_matches_reference_search(case):
+    model, circuit, used, strong = case
+    try:
+        want = reference_gsp_partition(model, circuit, used, strong)
+    except PartitionError as exc:
+        with pytest.raises(PartitionError) as info:
+            gsp_partition(model, circuit, used, strong)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    got = gsp_partition(model, circuit, used, strong)
+    assert got == want  # ids, qubits, methods, order, and every score exactly
 
 
 @settings(max_examples=25, **COMMON)
