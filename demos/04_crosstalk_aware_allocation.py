@@ -9,7 +9,7 @@ second circuit once the first owns (0,1).
 
 Run with:  python3 demos/04_crosstalk_aware_allocation.py
 """
-from qmpc import build_crosstalk, build_hardware, extract_strong_crosstalk
+from qmpc import RunConfig, build_crosstalk, build_hardware, extract_strong_crosstalk
 from qmpc.circuits import Gate, QuantumCircuit
 from qmpc.partition import allocate_all, crosstalk_adjust
 
@@ -36,8 +36,9 @@ calm = QuantumCircuit("calm", 2, 0, tuple(Gate("cx", (0, 1)) for _ in range(4)))
 adjusted = crosstalk_adjust(model, {2, 3}, used_qubits={0, 1}, strong_pairs=strong)
 print(f"\nedge (2,3) error once (0,1) is occupied: {adjusted[(2, 3)]} (solo 0.01)")
 
-without = allocate_all(model, [busy, calm], method="qhsp", strong_pairs=None)
-with_xt = allocate_all(model, [busy, calm], method="qhsp", strong_pairs=strong)
+config = RunConfig(method="qhsp")
+without = allocate_all(model, [busy, calm], config, strong_pairs=None)
+with_xt = allocate_all(model, [busy, calm], config, strong_pairs=strong)
 print(f"\nignoring crosstalk:   busy -> {without[0].qubits}, calm -> {without[1].qubits}")
 print(f"respecting crosstalk: busy -> {with_xt[0].qubits}, calm -> {with_xt[1].qubits}")
 print("the tied candidate (2,3) loses once its adjusted error enters the score")

@@ -17,7 +17,8 @@ from .hardware import (
     hop_count_matrix,
     subgraph_diameter,
 )
-from .pipeline import CompiledPlan, CompileResult, RunConfig, compile_workloads
+from .config import RunConfig
+from .pipeline import CompiledPlan, CompileResult, compile_workloads
 from .verify import check_equivalence
 
 __version__ = "0.1.0"

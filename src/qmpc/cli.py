@@ -11,13 +11,15 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .circuits import parse_merged_qasm, parse_qasm
+from .config import RunConfig
 from .errors import ConfigError, OutputDirError, QmpcError, read_text
 from .hardware import extract_strong_crosstalk, load_crosstalk, load_hardware
 from .manager import plan_all
-from .pipeline import RunConfig, compile_workloads
+from .pipeline import compile_workloads
 from .verify import check_equivalence
 
 
@@ -26,17 +28,29 @@ def _add_common(parser: argparse.ArgumentParser, with_compile_flags: bool = True
     parser.add_argument("--calibration", required=True, help="calibration JSON file")
     parser.add_argument("--crosstalk", help="conditional-error JSON file (optional)")
     if with_compile_flags:
-        parser.add_argument("--method", choices=["gsp", "qhsp"], default="qhsp")
-        parser.add_argument("--lambda", dest="lam", type=float, default=2.0, help="fidelity-degree weight")
-        parser.add_argument("--delta", type=float, default=0.1, help="max mean score degradation for a shared run")
-        parser.add_argument("--weight-w", dest="weight_w", type=float, default=0.5, help="lookahead weight")
-        parser.add_argument("--alpha1", type=float, default=0.5, help="hop-distance weight")
-        parser.add_argument("--alpha2", type=float, default=0.5, help="swap-error weight")
-        parser.add_argument("--ext-layer", dest="ext_layer", type=int, default=20, help="lookahead window size")
-        parser.add_argument("--attempts", type=int, default=10, help="random initial placements to try")
+        parser.add_argument("--method", choices=["gsp", "qhsp"], default=RunConfig.method)
+        parser.add_argument("--lambda", dest="lam", type=float, default=RunConfig.lam, help="fidelity-degree weight")
+        parser.add_argument(
+            "--delta", type=float, default=RunConfig.delta, help="max mean score degradation for a shared run"
+        )
+        parser.add_argument(
+            "--weight-w", dest="weight_w", type=float, default=RunConfig.weight_w, help="lookahead weight"
+        )
+        parser.add_argument("--alpha1", type=float, default=RunConfig.alpha1, help="hop-distance weight")
+        parser.add_argument("--alpha2", type=float, default=RunConfig.alpha2, help="swap-error weight")
+        parser.add_argument(
+            "--ext-layer", dest="ext_layer", type=int, default=RunConfig.ext_layer, help="lookahead window size"
+        )
+        parser.add_argument("--attempts", type=int, default=RunConfig.attempts, help="random initial placements to try")
         parser.add_argument("--seed", type=int, default=None)
-        parser.add_argument("--swap-only", action="store_true", help="disable bridged CNOTs")
-        parser.add_argument("--no-self-cost", action="store_true", help="ignore a repair gate's own CNOT cost")
+        parser.add_argument(
+            "--swap-only", dest="swap_only", action="store_true", default=RunConfig.swap_only,
+            help="disable bridged CNOTs",
+        )
+        parser.add_argument(
+            "--no-self-cost", dest="self_cost", action="store_false", default=RunConfig.self_cost,
+            help="ignore a repair gate's own CNOT cost",
+        )
 
 
 def _resolve_seed(args) -> int:
@@ -54,19 +68,10 @@ def _resolve_seed(args) -> int:
 
 
 def _config(args, seed: int = 0) -> RunConfig:
-    return RunConfig(
-        method=args.method,
-        lam=args.lam,
-        delta=args.delta,
-        weight_w=args.weight_w,
-        alpha1=args.alpha1,
-        alpha2=args.alpha2,
-        ext_layer=args.ext_layer,
-        attempts=args.attempts,
-        seed=seed,
-        swap_only=args.swap_only,
-        self_cost=not args.no_self_cost,
-    )
+    """The run's settings: every ``RunConfig`` field but the seed comes from
+    the flag of the same name."""
+    knobs = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "seed"}
+    return RunConfig(seed=seed, **knobs)
 
 
 def _load_inputs(args):
@@ -129,9 +134,7 @@ def cmd_partition(args) -> int:
     config = _config(args)
     model, strong = _load_inputs(args)
     circuits = _load_circuits(args.circuits)
-    plans = plan_all(
-        model, circuits, method=config.method, lam=config.lam, threshold=config.delta, strong_pairs=strong
-    )
+    plans = plan_all(model, circuits, config, strong)
     partitions = [p.to_json_dict() for plan in plans for p in plan.partitions]
     sys.stdout.write(_dump(partitions))
     return 0

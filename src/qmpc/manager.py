@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .circuits import QuantumCircuit, stats
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import CircuitTooLargeError, PartitionError
 from .hardware import CrosstalkTable, HardwareModel
 from .partition import Partition, allocate_all, allocate_prefix
@@ -76,39 +77,34 @@ def select_k(circuits: list[QuantumCircuit], num_qubits: int) -> list[QuantumCir
 def _alone_region(
     model: HardwareModel,
     circuit: QuantumCircuit,
-    method: str,
-    lam: float,
+    config: RunConfig,
     strong_pairs: CrosstalkTable | None,
     alone: dict[str, Partition],
 ) -> Partition:
     """The circuit's best region on an empty device, searched once per
     ``alone`` cache (keyed by circuit id)."""
     if circuit.id not in alone:
-        alone[circuit.id] = allocate_all(model, [circuit], method, lam, strong_pairs)[0]
+        alone[circuit.id] = allocate_all(model, [circuit], config, strong_pairs)[0]
     return alone[circuit.id]
 
 
 def independent_plan(
     model: HardwareModel,
     circuit: QuantumCircuit,
-    method: str = "qhsp",
-    lam: float = 2.0,
-    threshold: float = 0.1,
+    config: RunConfig = DEFAULT_CONFIG,
     strong_pairs: CrosstalkTable | None = None,
     alone: dict[str, Partition] | None = None,
 ) -> ExecutionPlan:
     """Run ``circuit`` by itself on its best region.  ``alone`` caches alone
     regions by circuit id across calls with the same device and knobs."""
-    best = _alone_region(model, circuit, method, lam, strong_pairs, {} if alone is None else alone)
-    return ExecutionPlan((circuit.id,), (best,), 0.0, threshold, Verdict.INDEPENDENT, 1)
+    best = _alone_region(model, circuit, config, strong_pairs, {} if alone is None else alone)
+    return ExecutionPlan((circuit.id,), (best,), 0.0, config.delta, Verdict.INDEPENDENT, 1)
 
 
 def fidelity_gate(
     model: HardwareModel,
     circuits: list[QuantumCircuit],
-    method: str = "qhsp",
-    lam: float = 2.0,
-    threshold: float = 0.1,
+    config: RunConfig = DEFAULT_CONFIG,
     strong_pairs: CrosstalkTable | None = None,
     alone: dict[str, Partition] | None = None,
 ) -> ExecutionPlan:
@@ -116,8 +112,8 @@ def fidelity_gate(
 
     delta_s is the mean over the batch of (score allocated together - score of
     the circuit partitioned alone).  While it does not stay under the
-    threshold, the lowest-density circuit is dropped and the check repeats;
-    a single survivor is declared independent.
+    threshold ``config.delta``, the lowest-density circuit is dropped and the
+    check repeats; a single survivor is declared independent.
 
     The batch is allocated once: allocation is greedy in batch order, so the
     regions of every shorter prefix are the first entries of that one
@@ -130,26 +126,24 @@ def fidelity_gate(
     if len(circuits) < 2:
         raise ValueError("fidelity_gate needs at least two circuits; use independent_plan")
     alone = {} if alone is None else alone
-    joint, _ = allocate_prefix(model, circuits, method, lam, strong_pairs)
+    joint, _ = allocate_prefix(model, circuits, config, strong_pairs)
     if joint:
         alone.setdefault(joint[0].circuit_id, joint[0])
-    scores = {c.id: _alone_region(model, c, method, lam, strong_pairs, alone).score for c in circuits[:len(joint)]}
+    scores = {c.id: _alone_region(model, c, config, strong_pairs, alone).score for c in circuits[:len(joint)]}
     for n in range(len(joint), 1, -1):
         delta_s = sum(p.score - scores[p.circuit_id] for p in joint[:n]) / n
-        if delta_s < threshold:
+        if delta_s < config.delta:
             verdict = Verdict.SIMULTANEOUS if n == len(circuits) else Verdict.REDUCED
             return ExecutionPlan(
-                tuple(c.id for c in circuits[:n]), tuple(joint[:n]), delta_s, threshold, verdict, n
+                tuple(c.id for c in circuits[:n]), tuple(joint[:n]), delta_s, config.delta, verdict, n
             )
-    return independent_plan(model, circuits[0], method, lam, threshold, strong_pairs, alone)
+    return independent_plan(model, circuits[0], config, strong_pairs, alone)
 
 
 def plan_all(
     model: HardwareModel,
     circuits: list[QuantumCircuit],
-    method: str = "qhsp",
-    lam: float = 2.0,
-    threshold: float = 0.1,
+    config: RunConfig = DEFAULT_CONFIG,
     strong_pairs: CrosstalkTable | None = None,
 ) -> list[ExecutionPlan]:
     """Cover every submitted circuit with a plan, re-queueing whatever the
@@ -164,9 +158,9 @@ def plan_all(
     while remaining:
         prefix = select_k(remaining, model.num_qubits)
         if len(prefix) <= 1:
-            plan = independent_plan(model, prefix[0], method, lam, threshold, strong_pairs, alone)
+            plan = independent_plan(model, prefix[0], config, strong_pairs, alone)
         else:
-            plan = fidelity_gate(model, prefix, method, lam, threshold, strong_pairs, alone)
+            plan = fidelity_gate(model, prefix, config, strong_pairs, alone)
         plans.append(plan)
         taken = set(plan.selected)
         remaining = [c for c in remaining if c.id not in taken]

@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import QuantumCircuit, stats
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import PartitionError, PartitionSizeError
 from .hardware import CrosstalkTable, Edge, HardwareModel, subgraph_diameter
 
@@ -63,7 +64,7 @@ class Partition:
         }
 
 
-def fidelity_degree(model: HardwareModel, lam: float = 2.0) -> np.ndarray:
+def fidelity_degree(model: HardwareModel, lam: float = RunConfig.lam) -> np.ndarray:
     """Score each qubit by weighted neighbour CNOT fidelity plus readout fidelity.
 
     degree(q) = sum over neighbours v of lam * (1 - E[q][v]), plus (1 - R[q]).
@@ -274,7 +275,7 @@ def qhsp_partition(
     circuit: QuantumCircuit,
     used_qubits,
     strong_pairs: CrosstalkTable | None = None,
-    lam: float = 2.0,
+    lam: float = RunConfig.lam,
 ) -> list[Partition]:
     """Heuristic partition search seeded at well-connected qubits."""
     k = circuit.num_qubits
@@ -308,8 +309,7 @@ def qhsp_partition(
 def allocate_prefix(
     model: HardwareModel,
     circuits: list[QuantumCircuit],
-    method: str = "qhsp",
-    lam: float = 2.0,
+    config: RunConfig = DEFAULT_CONFIG,
     strong_pairs: CrosstalkTable | None = None,
 ) -> tuple[list[Partition], PartitionError | None]:
     """Allocate disjoint regions to circuits already ordered by density,
@@ -323,8 +323,6 @@ def allocate_prefix(
     ``PartitionSizeError`` is a refused request, not a full device, and
     propagates.
     """
-    if method not in ("gsp", "qhsp"):
-        raise ValueError(f"unknown partition method {method!r}")
     dens = [stats(c).density for c in circuits]
     if any(dens[i] < dens[i + 1] for i in range(len(dens) - 1)):
         raise PartitionError("circuits must be ordered by density, descending")
@@ -332,10 +330,10 @@ def allocate_prefix(
     out: list[Partition] = []
     for circuit in circuits:
         try:
-            if method == "gsp":
+            if config.method == "gsp":
                 best = gsp_partition(model, circuit, used, strong_pairs)[0]
             else:
-                best = qhsp_partition(model, circuit, used, strong_pairs, lam=lam)[0]
+                best = qhsp_partition(model, circuit, used, strong_pairs, lam=config.lam)[0]
         except PartitionSizeError:
             raise
         except PartitionError as exc:
@@ -348,15 +346,14 @@ def allocate_prefix(
 def allocate_all(
     model: HardwareModel,
     circuits: list[QuantumCircuit],
-    method: str = "qhsp",
-    lam: float = 2.0,
+    config: RunConfig = DEFAULT_CONFIG,
     strong_pairs: CrosstalkTable | None = None,
 ) -> list[Partition]:
     """Allocate disjoint regions to circuits already ordered by density, as
     ``allocate_prefix`` does, but raise ``PartitionError`` unless all fit."""
     if sum(c.num_qubits for c in circuits) > model.num_qubits:
         raise PartitionError("combined circuit size exceeds the device")
-    out, error = allocate_prefix(model, circuits, method, lam, strong_pairs)
+    out, error = allocate_prefix(model, circuits, config, strong_pairs)
     if error is not None:
         raise error
     return out

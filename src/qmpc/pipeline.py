@@ -1,53 +1,16 @@
 """End-to-end compilation: plan batches, place, route, and package outputs."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuits import QuantumCircuit, build_dag
-from .errors import ConfigError
+from .config import DEFAULT_CONFIG, RunConfig
 from .hardware import CrosstalkTable, HardwareModel, distance_matrices
 from .manager import ExecutionPlan, plan_all
 from .scheduler import Schedule, emit_merged_qasm, initial_mapping, interleave, merged_circuit
 from .verify import check_compliance, estimate_success
-
-
-@dataclass
-class RunConfig:
-    """Knobs for one compilation run; defaults are the recommended settings.
-
-    Every knob is checked once, here, so a bad value fails with a
-    ``ConfigError`` before any work starts.
-    """
-
-    method: str = "qhsp"
-    lam: float = 2.0
-    delta: float = 0.1
-    weight_w: float = 0.5
-    alpha1: float = 0.5
-    alpha2: float = 0.5
-    ext_layer: int = 20
-    attempts: int = 10
-    seed: int = 0
-    swap_only: bool = False
-    self_cost: bool = True
-
-    def __post_init__(self):
-        if self.method not in ("gsp", "qhsp"):
-            raise ConfigError(f"method must be 'gsp' or 'qhsp', got {self.method!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.attempts < 1:
-            raise ConfigError(f"attempts must be at least 1, got {self.attempts}")
-        if self.ext_layer < 0:
-            raise ConfigError(f"ext_layer must be non-negative, got {self.ext_layer}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
-        for name in ("delta", "weight_w", "alpha1", "alpha2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -113,11 +76,7 @@ def compile_plan(
     children = seed_seq.spawn(len(circuits))
     routes = []
     for circuit, dag, part, child in zip(circuits, dags, plan.partitions, children):
-        _, route = initial_mapping(
-            model, dist, part, circuit, dag, np.random.default_rng(child),
-            attempts=config.attempts, weight_w=config.weight_w, ext_size=config.ext_layer,
-            swap_only=config.swap_only, self_cost=config.self_cost,
-        )
+        _, route = initial_mapping(model, dist, part, circuit, dag, np.random.default_rng(child), config)
         routes.append(route)
     schedule = interleave(routes)
     merged, manifest = merged_circuit(schedule, model, circuits)
@@ -135,12 +94,9 @@ def compile_workloads(
     strong_pairs: CrosstalkTable | None = None,
 ) -> CompileResult:
     """Full pipeline: order by density, gate batch sizes, partition, route."""
-    config = config or RunConfig()
+    config = config or DEFAULT_CONFIG
     matrices = distance_matrices(model, config.alpha1, config.alpha2)
-    plans = plan_all(
-        model, circuits,
-        method=config.method, lam=config.lam, threshold=config.delta, strong_pairs=strong_pairs,
-    )
+    plans = plan_all(model, circuits, config, strong_pairs)
     by_id = {c.id: c for c in circuits}
     root = np.random.SeedSequence(config.seed)
     plan_seeds = root.spawn(len(plans))

@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .circuits import CX, MEASURE, DagCircuit, Gate, QuantumCircuit, _format_gate, depth
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import RoutingError
 from .hardware import HardwareModel
 from .partition import Partition
@@ -212,8 +213,8 @@ def cost_h(
     dist,
     l2p: list[int],
     p2l: dict[int, int],
-    weight_w: float = 0.5,
-    self_cost: bool = True,
+    weight_w: float = RunConfig.weight_w,
+    self_cost: bool = RunConfig.self_cost,
 ) -> float:
     """Average routing distance if ``tentative`` were applied; lower is better.
 
@@ -343,52 +344,11 @@ def _emit_ready(job: _Job, model: HardwareModel, entries: list[ScheduledGate]) -
         job.stalled = 0
 
 
-def _route(
-    job: _Job,
-    model: HardwareModel,
-    dist,
-    weight_w: float,
-    ext_size: int,
-    swap_only: bool,
-    self_cost: bool,
-    stall_limit: int | None,
-    cap: int,
-    max_inserted: int | None,
-) -> Schedule:
-    """Route one circuit alone; see ``mapping_transition``."""
-    entries: list[ScheduledGate] = []
-    round_ends: list[int] = []
-    limit = stall_limit if stall_limit is not None else 2 * len(job.partition) + 4
-    aborted = False
-    while not job.done:
-        if max_inserted is not None and 3 * (job.swaps + job.bridges) > max_inserted:
-            aborted = True
-            break
-        if len(round_ends) >= cap:
-            raise RoutingError(f"routing did not terminate within {cap} iterations")
-        _emit_ready(job, model, entries)
-        if job.front:
-            if job.stalled >= limit:
-                _forced_path_route(job, entries)
-            else:
-                _repair(job, model, dist, weight_w, ext_size, swap_only, self_cost, entries)
-        round_ends.append(len(entries))
-    cid = job.circuit.id
-    return Schedule(
-        entries=entries,
-        swap_counts={cid: job.swaps},
-        bridge_counts={cid: job.bridges},
-        final_mappings={cid: dict(enumerate(job.l2p))},
-        round_ends=round_ends,
-        aborted=aborted,
-    )
-
-
-def _repair(job, model, dist, weight_w, ext_size, swap_only, self_cost, entries) -> None:
+def _repair(job: _Job, model: HardwareModel, dist, config: RunConfig, entries: list[ScheduledGate]) -> None:
     """Insert the cheapest SWAP or BRIDGE for a blocked front layer."""
     front = job.blocked_front()
     candidates = find_swap_bridge_pairs(job, model, front)
-    if swap_only:
+    if config.swap_only:
         candidates = [c for c in candidates if c.kind == SWAP]
         if not candidates:
             raise RoutingError("swap-only routing found no SWAP candidate")
@@ -399,7 +359,8 @@ def _repair(job, model, dist, weight_w, ext_size, swap_only, self_cost, entries)
         pruned = [c for c in candidates if not (c.kind == SWAP and c.qubits in job.banned_edges)]
         if pruned:
             candidates = pruned
-    extended = job.extended_layer(ext_size)
+    extended = job.extended_layer(config.ext_layer)
+    weight_w, self_cost = config.weight_w, config.self_cost
     best = min(
         candidates,
         key=lambda cand: (
@@ -448,33 +409,55 @@ def interleave(schedules: list[Schedule]) -> Schedule:
 def mapping_transition(
     model: HardwareModel,
     dist,
-    jobs_spec: list[tuple[QuantumCircuit, DagCircuit, Partition, list[int]]],
-    weight_w: float = 0.5,
-    ext_size: int = 20,
-    swap_only: bool = False,
-    self_cost: bool = True,
+    circuit: QuantumCircuit,
+    dag: DagCircuit,
+    partition: Partition,
+    l2p: list[int],
+    config: RunConfig,
     stall_limit: int | None = None,
     max_inserted: int | None = None,
 ) -> Schedule:
-    """Route all circuits, each alone in its partition, and interleave them.
+    """Route one circuit inside its partition from the placement ``l2p``.
 
     Each round emits whatever is executable, then inserts at most one repair
-    gate per still-blocked circuit.  A circuit that keeps inserting swaps
-    without emitting anything falls back to deterministic shortest-path
-    routing after ``stall_limit`` insertions (default: scales with its
-    partition size).  An iteration cap of ten times the total gate count
+    gate if the circuit is still blocked.  A circuit that keeps inserting
+    swaps without emitting anything falls back to deterministic
+    shortest-path routing after ``stall_limit`` insertions (default: scales
+    with its partition size).  An iteration cap of ten times the gate count
     remains as the guard against a non-terminating selection loop, which
     would be a bug rather than an input problem.  A circuit that has
     inserted more than ``max_inserted`` CNOTs stops early and the schedule
     comes back ``aborted``.  ``dist`` is the combined distance matrix or,
-    faster, its ``combined_rows``.
+    faster, its ``combined_rows``.  Routes of circuits in disjoint
+    partitions are joined by ``interleave``.
     """
-    jobs = [_Job(model, c, dag, part, l2p) for c, dag, part, l2p in jobs_spec]
-    cap = 10 * max(sum(len(j.circuit.gates) for j in jobs), 1)
-    return interleave([
-        _route(job, model, dist, weight_w, ext_size, swap_only, self_cost, stall_limit, cap, max_inserted)
-        for job in jobs
-    ])
+    job = _Job(model, circuit, dag, partition, l2p)
+    cap = 10 * max(len(circuit.gates), 1)
+    entries: list[ScheduledGate] = []
+    round_ends: list[int] = []
+    limit = stall_limit if stall_limit is not None else 2 * len(job.partition) + 4
+    aborted = False
+    while not job.done:
+        if max_inserted is not None and 3 * (job.swaps + job.bridges) > max_inserted:
+            aborted = True
+            break
+        if len(round_ends) >= cap:
+            raise RoutingError(f"routing did not terminate within {cap} iterations")
+        _emit_ready(job, model, entries)
+        if job.front:
+            if job.stalled >= limit:
+                _forced_path_route(job, entries)
+            else:
+                _repair(job, model, dist, config, entries)
+        round_ends.append(len(entries))
+    return Schedule(
+        entries=entries,
+        swap_counts={circuit.id: job.swaps},
+        bridge_counts={circuit.id: job.bridges},
+        final_mappings={circuit.id: dict(enumerate(job.l2p))},
+        round_ends=round_ends,
+        aborted=aborted,
+    )
 
 
 def initial_mapping(
@@ -484,13 +467,10 @@ def initial_mapping(
     circuit: QuantumCircuit,
     dag: DagCircuit,
     rng: np.random.Generator,
-    attempts: int = 10,
-    weight_w: float = 0.5,
-    ext_size: int = 20,
-    swap_only: bool = False,
-    self_cost: bool = True,
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> tuple[list[int], Schedule]:
-    """Pick the best of ``attempts`` random placements; return it and its route.
+    """Pick the best of ``config.attempts`` random placements; return it and
+    its route.
 
     Each candidate bijection is evaluated by routing the circuit and
     counting inserted CNOTs; ties fall back to the summed routing distance
@@ -506,7 +486,7 @@ def initial_mapping(
     cx_pairs = [(g.qubits[0], g.qubits[1]) for g in circuit.gates if g.kind == CX]
     best_key = None
     best: tuple[list[int], Schedule] | None = None
-    for attempt in range(attempts):
+    for attempt in range(config.attempts):
         l2p = [int(p) for p in rng.permutation(base)]
         # built-in sum over Python floats, as when this value was first
         # defined: it must stay the same float on every Python version
@@ -514,11 +494,7 @@ def initial_mapping(
         bound = None
         if best_key is not None:  # a later attempt wins a tie on inserted CNOTs only by a lower tie value
             bound = best_key[0] if tie < best_key[1] else best_key[0] - 1
-        trial = mapping_transition(
-            model, dist, [(circuit, dag, partition, l2p)],
-            weight_w=weight_w, ext_size=ext_size, swap_only=swap_only, self_cost=self_cost,
-            max_inserted=bound,
-        )
+        trial = mapping_transition(model, dist, circuit, dag, partition, l2p, config, max_inserted=bound)
         key = (trial.additional_cnots(circuit.id), tie, attempt)
         if not trial.aborted and (best_key is None or key < best_key):
             best_key = key

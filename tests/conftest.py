@@ -3,12 +3,11 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from qmpc.circuits import Gate, QuantumCircuit, parse_qasm
+from qmpc.circuits import parse_qasm
 from qmpc.hardware import build_hardware
 from qmpc.presets import (
     line_topology,
@@ -17,6 +16,8 @@ from qmpc.presets import (
     topology,
     uniform_calibration,
 )
+
+from helpers import random_circuit
 
 
 @pytest.fixture
@@ -55,26 +56,6 @@ def valencia_ranked():
     return build_hardware(topo, cal)
 
 
-def random_circuit(rng: np.random.Generator, cid: str, n_qubits: int | None = None, max_gates: int = 18) -> QuantumCircuit:
-    """Seeded random workload: 1q/2q mix (1q only on one qubit), all qubits
-    measured at the end."""
-    n = int(n_qubits if n_qubits is not None else rng.integers(3, 7))
-    gates: list[Gate] = []
-    n_gates = int(rng.integers(max(6, max_gates - 8), max_gates + 1))
-    one_q = ["h", "x", "t", "s", "rz"]
-    for _ in range(n_gates):
-        if n > 1 and rng.random() < 0.5:
-            a, b = rng.choice(n, size=2, replace=False)
-            gates.append(Gate("cx", (int(a), int(b))))
-        else:
-            kind = one_q[int(rng.integers(len(one_q)))]
-            params = (float(rng.uniform(0, 2 * np.pi)),) if kind == "rz" else ()
-            gates.append(Gate(kind, (int(rng.integers(n)),), params))
-    for q in range(n):
-        gates.append(Gate("measure", (q,), clbit=q))
-    return QuantumCircuit(cid, n, n, tuple(gates))
-
-
 @pytest.fixture
 def circuit_factory():
     return random_circuit
@@ -86,14 +67,6 @@ BELL = "qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q -> c;"
 @pytest.fixture
 def bell():
     return parse_qasm(BELL, "bell")
-
-
-def record_criterion(config, number: int, ok: bool, detail: str) -> None:
-    lines = getattr(config, "_acceptance_lines", None)
-    if lines is None:
-        lines = {}
-        config._acceptance_lines = lines
-    lines[number] = f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

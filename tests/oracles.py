@@ -24,6 +24,7 @@ import networkx as nx
 import numpy as np
 
 from qmpc.circuits import BARRIER, CX, MEASURE, Gate, QuantumCircuit
+from qmpc.config import RunConfig
 from qmpc.errors import PartitionError, PartitionSizeError, RoutingError, SimulationError
 from qmpc.hardware import subgraph_diameter
 from qmpc.manager import ExecutionPlan, Verdict
@@ -271,7 +272,7 @@ def trim_and_reallocate_gate(model, circuits, method="qhsp", lam=2.0, threshold=
     alone = {c.id: best_alone(c).score for c in circuits}
     current = list(circuits)
     while len(current) >= 2:
-        joint = allocate_all(model, current, method=method, lam=lam, strong_pairs=strong_pairs)
+        joint = allocate_all(model, current, RunConfig(method=method, lam=lam), strong_pairs)
         delta_s = sum(p.score - alone[p.circuit_id] for p in joint) / len(current)
         if delta_s < threshold:
             verdict = Verdict.SIMULTANEOUS if len(current) == len(circuits) else Verdict.REDUCED

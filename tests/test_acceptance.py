@@ -4,6 +4,7 @@ Each test records a one-line PASS/FAIL verdict that pytest prints in a
 terminal summary section after the run.
 """
 import json
+import sys
 import time
 from itertools import permutations
 
@@ -27,7 +28,7 @@ from qmpc.presets import line_topology, ring_topology, synthetic_calibration, to
 from qmpc.scheduler import BRIDGE_PATTERN
 from qmpc.verify import check_equivalence
 
-from conftest import random_circuit, record_criterion
+from helpers import random_circuit, record_criterion
 from oracles import circuit_unitary
 
 
@@ -240,8 +241,8 @@ def test_criterion_6_crosstalk_avoidance(request):
     seeds = range(10)
     for seed in seeds:
         model, strong = _tied_candidates_fixture(seed)
-        with_xtalk = allocate_all(model, [busy, calm], method="qhsp", strong_pairs=strong)
-        without = allocate_all(model, [busy, calm], method="qhsp", strong_pairs=None)
+        with_xtalk = allocate_all(model, [busy, calm], RunConfig(method="qhsp"), strong_pairs=strong)
+        without = allocate_all(model, [busy, calm], RunConfig(method="qhsp"), strong_pairs=None)
         assert without[1].qubit_set == {2, 3}  # tie breaks to the lower edge without crosstalk
         if with_xtalk[0].qubit_set == {0, 1} and with_xtalk[1].qubit_set == {4, 5}:
             steered += 1
@@ -264,10 +265,11 @@ def test_criterion_7_threshold_gate_behaviour(suite, request):
     model = _staircase()
     batch = [QuantumCircuit(f"c{i}", 2, 0, tuple(Gate("cx", (0, 1)) for _ in range(10 - i))) for i in range(5)]
 
-    zero = fidelity_gate(model, batch, method="gsp", threshold=0.0)
+    zero = fidelity_gate(model, batch, RunConfig(method="gsp", delta=0.0))
     ok_zero = zero.verdict is Verdict.INDEPENDENT and zero.trf == 1
 
-    infinite = fidelity_gate(model, batch, method="gsp", threshold=float("inf"))
+    # the largest threshold a RunConfig accepts: every finite delta_s is below it
+    infinite = fidelity_gate(model, batch, RunConfig(method="gsp", delta=sys.float_info.max))
     ok_inf = infinite.verdict is Verdict.SIMULTANEOUS and infinite.trf == len(batch)
 
     trf_ok = True

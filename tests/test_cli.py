@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -6,7 +7,7 @@ import pytest
 
 from qmpc.cli import main
 from qmpc.errors import ConfigError
-from qmpc.pipeline import RunConfig
+from qmpc.pipeline import CompileResult, RunConfig
 from qmpc.presets import line_topology, synthetic_calibration, topology, uniform_calibration
 
 BELL = "qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q -> c;\n"
@@ -214,11 +215,40 @@ def test_bad_single_qubit_error_is_user_error(device_files, capsys):
 @pytest.mark.parametrize(
     "field, value",
     [("method", "sabre"), ("attempts", 0), ("ext_layer", -1), ("lam", 0.0), ("lam", math.inf),
-     ("delta", math.nan), ("weight_w", math.inf), ("alpha1", math.nan), ("alpha2", -math.inf)],
+     ("delta", math.nan), ("weight_w", math.inf), ("alpha1", math.nan), ("alpha2", -math.inf),
+     ("attempts", 2.5), ("seed", 1.5), ("ext_layer", 1.5), ("attempts", True), ("lam", "2"),
+     ("delta", True), ("swap_only", "no"), ("self_cost", 1)],
 )
 def test_run_config_rejects_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field.replace("lam", "lambda")):
         RunConfig(**{field: value})
+
+
+def test_run_config_is_frozen():
+    config = RunConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.attempts = 1
+
+
+def test_commands_without_knob_flags_use_run_config_defaults(device_files, monkeypatch, capsys):
+    seen = []
+
+    def compile_workloads(model, circuits, config, strong):
+        seen.append(config)
+        return CompileResult()
+
+    def plan_all(model, circuits, config, strong):
+        seen.append(config)
+        return []
+
+    monkeypatch.setattr("qmpc.cli.compile_workloads", compile_workloads)
+    monkeypatch.setattr("qmpc.cli.plan_all", plan_all)
+    assert main(_compile_args(device_files)) == 0
+    assert main([
+        "partition", "--topology", str(device_files / "topology.json"),
+        "--calibration", str(device_files / "calibration.json"), str(device_files / "bell.qasm"),
+    ]) == 0
+    assert seen == [RunConfig(seed=7), RunConfig()]
 
 
 def test_verify_passes_a_merged_program_over_the_component_cap(tmp_path, capsys):

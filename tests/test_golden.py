@@ -13,11 +13,12 @@ import pytest
 
 from qmpc.circuits import emit_qasm, parse_qasm
 from qmpc.cli import main
+from qmpc.config import RunConfig
 from qmpc.hardware import build_crosstalk, build_hardware, extract_strong_crosstalk
 from qmpc.manager import plan_all
 from qmpc.presets import synthetic_calibration, topology
 
-from conftest import random_circuit
+from helpers import random_circuit
 
 GOLDEN = {
     "gsp-manhattan-crosstalk": "15ecb72083da536911510698dc1849d2fb47c4a70febd049c2e99ab1386a5097",
@@ -110,6 +111,7 @@ def test_golden_crosstalk_table_changes_the_plan():
         parse_qasm(emit_qasm(random_circuit(rng, f"w{i}", n_qubits=n, max_gates=30)), f"w{i}")
         for i, n in enumerate(sizes)
     ]
-    with_xtalk = plan_all(model, circuits, method=method, threshold=float(delta), strong_pairs=strong)
-    without = plan_all(model, circuits, method=method, threshold=float(delta), strong_pairs=None)
+    config = RunConfig(method=method, delta=float(delta))
+    with_xtalk = plan_all(model, circuits, config, strong_pairs=strong)
+    without = plan_all(model, circuits, config, strong_pairs=None)
     assert [p.to_json_dict() for p in with_xtalk] != [p.to_json_dict() for p in without]

@@ -1,4 +1,4 @@
-import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from qmpc.pipeline import RunConfig, compile_workloads
 from qmpc.presets import line_topology, uniform_calibration
 from qmpc.verify import check_equivalence
 
-from conftest import random_circuit
+from helpers import random_circuit
 
 
 def cx_circuit(cid, n, n_cx):
@@ -72,7 +72,7 @@ def test_delta_s_zero_on_uniform_device():
     topo = line_topology(8)
     model = build_hardware(topo, uniform_calibration(topo))
     circuits = [cx_circuit("a", 2, 8), cx_circuit("b", 2, 4)]
-    plan = fidelity_gate(model, circuits, method="gsp")
+    plan = fidelity_gate(model, circuits, RunConfig(method="gsp"))
     assert plan.verdict is Verdict.SIMULTANEOUS
     assert plan.delta_s == 0.0
     assert plan.trf == 2
@@ -83,7 +83,7 @@ def test_staircase_delta_matches_hand_computation():
     # circuit gets the k-th best edge, so the mean degradation is
     # 10 * mean(0, 0.01, 0.015, 0.02, 0.025) = 0.14
     model = staircase_device()
-    plan = fidelity_gate(model, five_pairs(), method="gsp", threshold=0.2)
+    plan = fidelity_gate(model, five_pairs(), RunConfig(method="gsp", delta=0.2))
     assert plan.verdict is Verdict.SIMULTANEOUS
     assert plan.trf == 5
     assert plan.delta_s == pytest.approx(0.14, abs=1e-12)
@@ -93,7 +93,7 @@ def test_staircase_delta_matches_hand_computation():
 def test_zero_threshold_forces_independent():
     model = staircase_device()
     circuits = [cx_circuit("a", 2, 10), cx_circuit("b", 2, 4)]
-    plan = fidelity_gate(model, circuits, method="gsp", threshold=0.0)
+    plan = fidelity_gate(model, circuits, RunConfig(method="gsp", delta=0.0))
     assert plan.verdict is Verdict.INDEPENDENT
     assert plan.trf == 1
     assert len(plan.selected) == 1
@@ -101,7 +101,8 @@ def test_zero_threshold_forces_independent():
 
 def test_infinite_threshold_always_simultaneous():
     model = staircase_device()
-    plan = fidelity_gate(model, five_pairs(), method="gsp", threshold=math.inf)
+    # the largest threshold a RunConfig accepts: every finite delta_s is below it
+    plan = fidelity_gate(model, five_pairs(), RunConfig(method="gsp", delta=sys.float_info.max))
     assert plan.verdict is Verdict.SIMULTANEOUS
     assert plan.trf == len(plan.selected) == 5
 
@@ -110,7 +111,7 @@ def test_reduction_drops_lowest_density_first():
     model = staircase_device()
     circuits = [cx_circuit("hot", 2, 12), cx_circuit("mid", 2, 8), cx_circuit("cold", 2, 4)]
     # mean degradation: K=3 gives (0 + 0.08 + 0.06)/3 = 0.04667, K=2 gives 0.04
-    plan = fidelity_gate(model, circuits, method="gsp", threshold=0.045)
+    plan = fidelity_gate(model, circuits, RunConfig(method="gsp", delta=0.045))
     assert plan.verdict is Verdict.REDUCED
     assert plan.verdict_label() == "REDUCED(2)"
     assert plan.selected == ("hot", "mid")
@@ -119,15 +120,15 @@ def test_reduction_drops_lowest_density_first():
 
 def test_verdict_is_deterministic():
     model = staircase_device()
-    p1 = fidelity_gate(model, five_pairs(), method="gsp", threshold=0.2)
-    p2 = fidelity_gate(model, five_pairs(), method="gsp", threshold=0.2)
+    p1 = fidelity_gate(model, five_pairs(), RunConfig(method="gsp", delta=0.2))
+    p2 = fidelity_gate(model, five_pairs(), RunConfig(method="gsp", delta=0.2))
     assert p1 == p2
 
 
 def test_plan_all_covers_every_circuit():
     model = staircase_device()
     circuits = [cx_circuit(f"c{i}", 2, 10 - i) for i in range(5)]
-    plans = plan_all(model, circuits, method="gsp", threshold=0.03)
+    plans = plan_all(model, circuits, RunConfig(method="gsp", delta=0.03))
     covered = [cid for plan in plans for cid in plan.selected]
     assert sorted(covered) == sorted(c.id for c in circuits)
     for plan in plans:
@@ -136,17 +137,9 @@ def test_plan_all_covers_every_circuit():
             assert plan.trf == len(plan.selected)
 
 
-def test_unknown_method_raises_alone_and_joint():
-    model = staircase_device()
-    with pytest.raises(ValueError, match="sabre"):
-        independent_plan(model, cx_circuit("a", 2, 3), method="sabre")
-    with pytest.raises(ValueError, match="sabre"):
-        fidelity_gate(model, five_pairs(), method="sabre")
-
-
 def test_plan_serialization_shape():
     model = staircase_device()
-    plan = fidelity_gate(model, five_pairs(), method="gsp", threshold=0.2)
+    plan = fidelity_gate(model, five_pairs(), RunConfig(method="gsp", delta=0.2))
     blob = plan.to_json_dict()
     assert set(blob) == {"selected", "partitions", "delta_s", "threshold", "verdict", "trf"}
     assert blob["verdict"] == "SIMULTANEOUS"
@@ -159,14 +152,15 @@ def test_plan_all_searches_each_alone_region_once(toronto, monkeypatch, method):
     # so the same circuits pass through the gate again and again
     rng = np.random.default_rng(3)
     circuits = [random_circuit(rng, f"c{i}") for i in range(4)]
+    config = RunConfig(method=method, delta=0.0)
     reference = []  # the same loop without a shared cache: every call searches again
     remaining = sort_by_density(circuits)
     while remaining:
         prefix = select_k(remaining, toronto.num_qubits)
         if len(prefix) == 1:
-            plan = independent_plan(toronto, prefix[0], method, threshold=0.0)
+            plan = independent_plan(toronto, prefix[0], config)
         else:
-            plan = fidelity_gate(toronto, prefix, method, threshold=0.0)
+            plan = fidelity_gate(toronto, prefix, config)
         reference.append(plan)
         remaining = [c for c in remaining if c.id not in plan.selected]
 
@@ -179,7 +173,7 @@ def test_plan_all_searches_each_alone_region_once(toronto, monkeypatch, method):
         return allocate_all(model, batch, *args, **kwargs)
 
     monkeypatch.setattr(manager, "allocate_all", counting)
-    assert plan_all(toronto, circuits, method=method, threshold=0.0) == reference
+    assert plan_all(toronto, circuits, config) == reference
     assert len(reference) == len(circuits)
     assert sorted(searched) == sorted(set(searched))
 

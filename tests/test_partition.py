@@ -3,6 +3,7 @@ import pytest
 
 from qmpc import partition
 from qmpc.circuits import Gate, QuantumCircuit
+from qmpc.config import RunConfig
 from qmpc.errors import PartitionError, PartitionSizeError
 from qmpc.hardware import build_crosstalk, build_hardware, extract_strong_crosstalk
 from qmpc.partition import (
@@ -255,10 +256,10 @@ def test_crosstalk_steers_selection_away():
     model, strong = _crosstalk_fixture()
     first = cx_circuit("busy", 2, [(0, 1)] * 6)
     second = cx_circuit("calm", 2, [(0, 1)] * 4)
-    with_xtalk = allocate_all(model, [first, second], method="qhsp", strong_pairs=strong)
+    with_xtalk = allocate_all(model, [first, second], RunConfig(method="qhsp"), strong_pairs=strong)
     assert with_xtalk[0].qubit_set == {0, 1}
     assert with_xtalk[1].qubit_set == {4, 5}  # steered off the adjusted (2,3) edge
-    without = allocate_all(model, [first, second], method="qhsp", strong_pairs=None)
+    without = allocate_all(model, [first, second], RunConfig(method="qhsp"), strong_pairs=None)
     assert without[1].qubit_set == {2, 3}  # tie broken lexicographically
 
 
@@ -268,7 +269,7 @@ def test_crosstalk_steers_selection_away():
 def test_allocate_single_equals_partition(line5):
     circuit = cx_circuit("c", 2, [(0, 1)])
     alone = gsp_partition(line5, circuit, set())[0]
-    assert allocate_all(line5, [circuit], method="gsp")[0] == alone
+    assert allocate_all(line5, [circuit], RunConfig(method="gsp"))[0] == alone
 
 
 def test_allocate_two_on_line_respects_density_priority():
@@ -280,7 +281,7 @@ def test_allocate_two_on_line_respects_density_priority():
     model = build_hardware(topo, cal)
     dense = cx_circuit("dense", 2, [(0, 1)] * 8)
     sparse = cx_circuit("sparse", 2, [(0, 1)] * 2)
-    parts = allocate_all(model, [dense, sparse], method="gsp")
+    parts = allocate_all(model, [dense, sparse], RunConfig(method="gsp"))
     assert parts[0].qubit_set == {0, 1}  # densest picks the best edge first
     assert parts[1].qubit_set == {2, 3}
 
@@ -289,7 +290,7 @@ def test_allocate_rejects_unsorted_input(line5):
     dense = cx_circuit("dense", 2, [(0, 1)] * 8)
     sparse = cx_circuit("sparse", 2, [(0, 1)] * 2)
     with pytest.raises(PartitionError, match="density"):
-        allocate_all(line5, [sparse, dense], method="gsp")
+        allocate_all(line5, [sparse, dense], RunConfig(method="gsp"))
 
 
 def test_allocations_disjoint_and_connected(guadalupe):
@@ -301,7 +302,7 @@ def test_allocations_disjoint_and_connected(guadalupe):
         cx_circuit("d", 3, [(0, 1), (1, 2)]),
     ]
     for method in ("gsp", "qhsp"):
-        parts = allocate_all(guadalupe, circuits, method=method)
+        parts = allocate_all(guadalupe, circuits, RunConfig(method=method))
         seen: set[int] = set()
         for p in parts:
             assert not (seen & p.qubit_set)

@@ -1,6 +1,7 @@
 """Invariant checks driven by generated instances."""
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qmpc.partition import (
 )
 from qmpc.partition import Partition
 from qmpc.pipeline import RunConfig, compile_workloads
-from qmpc.scheduler import initial_mapping, interleave, mapping_transition
+from qmpc.scheduler import initial_mapping, interleave
 from qmpc.verify import check_compliance, check_equivalence, estimate_success, marginalize, marginals, simulate
 
 from oracles import (
@@ -221,8 +222,8 @@ def test_partitions_disjoint_connected_and_gsp_dominates(model, k):
     c1 = QuantumCircuit("a", k, 0, tuple(Gate("cx", (i % k, (i + 1) % k)) for i in range(k + 1)))
     c2 = QuantumCircuit("b", 2, 0, (Gate("cx", (0, 1)),))
     try:
-        parts = allocate_all(model, sort_by_density([c1, c2]), method="qhsp")
-    except Exception:
+        parts = allocate_all(model, sort_by_density([c1, c2]), RunConfig(method="qhsp"))
+    except PartitionError:
         return  # infeasible layout for this device draw; nothing to check
     assert not (parts[0].qubit_set & parts[1].qubit_set)
     for p in parts:
@@ -284,7 +285,7 @@ def test_score_monotone_in_errors(model, seed):
     circuit = QuantumCircuit("c", 3, 0, (Gate("cx", (0, 1)), Gate("cx", (1, 2))))
     try:
         before = {p.qubits: p.score for p in gsp_partition(model, circuit, set())}
-    except Exception:
+    except PartitionError:
         return
     rng = np.random.default_rng(seed)
     # bump one CNOT error and one readout error
@@ -311,8 +312,8 @@ def test_delta_s_nonnegative_for_exhaustive_method(model):
     c1 = QuantumCircuit("a", 2, 0, tuple(Gate("cx", (0, 1)) for _ in range(6)))
     c2 = QuantumCircuit("b", 2, 0, tuple(Gate("cx", (0, 1)) for _ in range(2)))
     try:
-        plan = fidelity_gate(model, [c1, c2], method="gsp", threshold=float("inf"))
-    except Exception:
+        plan = fidelity_gate(model, [c1, c2], RunConfig(method="gsp", delta=sys.float_info.max))
+    except PartitionError:
         return
     assert plan.delta_s >= -1e-12
 
@@ -328,13 +329,13 @@ def test_reduction_never_increases_delta_sum_for_exhaustive(model):
 
     def delta_sum(batch):
         alone = {c.id: gsp_partition(model, c, set())[0].score for c in batch}
-        joint = allocate_all(model, batch, method="gsp")
+        joint = allocate_all(model, batch, RunConfig(method="gsp"))
         return sum(p.score - alone[p.circuit_id] for p in joint)
 
     try:
         full = delta_sum(circuits)
         reduced = delta_sum(circuits[:-1])
-    except Exception:
+    except PartitionError:
         return
     assert reduced <= full + 1e-12
 
@@ -344,19 +345,19 @@ def test_reduction_never_increases_delta_sum_for_exhaustive(model):
     connected_device(min_qubits=5, max_qubits=9),
     st.lists(small_circuit(max_qubits=4).filter(lambda c: c.num_qubits >= 2), min_size=2, max_size=5),
     st.sampled_from(["gsp", "qhsp"]),
-    st.sampled_from([0.0, 0.02, 0.1, 0.5, float("inf")]),
+    st.sampled_from([0.0, 0.02, 0.1, 0.5, sys.float_info.max]),  # the largest threshold a RunConfig accepts
 )
 def test_one_pass_gate_matches_trim_and_reallocate(model, drawn, method, threshold):
     circuits = [dataclasses.replace(c, id=f"c{i}") for i, c in enumerate(drawn)]
     batch = select_k(circuits, model.num_qubits)
     if len(batch) < 2:
         return
-    got = fidelity_gate(model, batch, method=method, threshold=threshold)
+    got = fidelity_gate(model, batch, RunConfig(method=method, delta=threshold))
     # the reference raises on a batch the device cannot hold; the one-pass
     # gate instead gates the longest prefix that fits, as a reduced batch
     for fits in range(len(batch), 0, -1):
         try:
-            allocate_all(model, batch[:fits], method=method)
+            allocate_all(model, batch[:fits], RunConfig(method=method))
             break
         except PartitionError:
             continue
@@ -548,36 +549,36 @@ def routing_case(draw):
         gates = random_gates(rng, list(range(k)), list(range(k)), draw(st.integers(0, 50)), measure_p=0.1)
         gates += [Gate("measure", (q,), clbit=q) for q in range(k)]
         jobs.append((QuantumCircuit(f"c{i}", k, k, tuple(gates)), Partition(f"c{i}", tuple(sorted(region)), 0.0, "QHSP")))
-    route_kw = dict(
-        ext_size=draw(st.sampled_from([0, 1, 5, 20])),
+    config = RunConfig(
+        ext_layer=draw(st.sampled_from([0, 1, 5, 20])),
         swap_only=draw(st.booleans()),
         self_cost=draw(st.booleans()),
+        attempts=draw(st.integers(1, 10)),
     )
-    return model, jobs, route_kw, draw(st.integers(1, 10)), draw(st.integers(0, 2**32 - 1))
+    return model, jobs, config, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=150, **COMMON)
 @given(routing_case())
 def test_bounded_placement_and_interleaved_routes_match_reference_router(case):
-    model, jobs, route_kw, attempts, seed = case
+    model, jobs, config, seed = case
+    route_kw = dict(ext_size=config.ext_layer, swap_only=config.swap_only, self_cost=config.self_cost)
     matrices = distance_matrices(model)
     routes, specs = [], []
     for circuit, part in jobs:
         dag = build_dag(circuit)
-        l2p, route = initial_mapping(
-            model, matrices.combined_rows, part, circuit, dag, np.random.default_rng(seed), attempts=attempts, **route_kw
-        )
+        l2p, route = initial_mapping(model, matrices.combined_rows, part, circuit, dag, np.random.default_rng(seed), config)
         want = reference_placement(
-            model, matrices.combined, part, circuit, dag, np.random.default_rng(seed), attempts=attempts, **route_kw
+            model, matrices.combined, part, circuit, dag, np.random.default_rng(seed), attempts=config.attempts, **route_kw
         )
         assert l2p == want
         routes.append(route)
         specs.append((circuit, dag, part, l2p))
     ref = reference_route(model, matrices.combined, specs, **route_kw)
-    for got in (interleave(routes), mapping_transition(model, matrices.combined, specs, **route_kw)):
-        assert not got.aborted
-        assert got.entries == ref.entries
-        assert list(got.swap_counts.items()) == list(ref.swap_counts.items())
-        assert list(got.bridge_counts.items()) == list(ref.bridge_counts.items())
-        assert list(got.final_mappings.items()) == list(ref.final_mappings.items())
-        assert got.iterations == ref.iterations
+    got = interleave(routes)
+    assert not got.aborted
+    assert got.entries == ref.entries
+    assert list(got.swap_counts.items()) == list(ref.swap_counts.items())
+    assert list(got.bridge_counts.items()) == list(ref.bridge_counts.items())
+    assert list(got.final_mappings.items()) == list(ref.final_mappings.items())
+    assert got.iterations == ref.iterations

@@ -15,6 +15,7 @@ from qmpc.scheduler import (
     emit_merged_qasm,
     find_swap_bridge_pairs,
     initial_mapping,
+    interleave,
     mapping_transition,
     merged_circuit,
 )
@@ -31,11 +32,16 @@ def make_part(cid, qubits):
     return Partition(cid, tuple(qubits), 0.0, "QHSP")
 
 
-def route_single(model, circuit, l2p, **kw):
+def route_single(model, circuit, l2p, config=RunConfig(), **kw):
     dag = build_dag(circuit)
     part = make_part(circuit.id, sorted(l2p))
     D = distance_matrices(model).combined
-    return mapping_transition(model, D, [(circuit, dag, part, list(l2p))], **kw)
+    return mapping_transition(model, D, circuit, dag, part, list(l2p), config, **kw)
+
+
+def route_solo(model, D, specs):
+    """Each circuit routed alone from its placement, with default settings."""
+    return [mapping_transition(model, D, c, dag, part, l2p, RunConfig()) for c, dag, part, l2p in specs]
 
 
 # --- initial mapping -----------------------------------------------------------
@@ -61,7 +67,7 @@ def test_initial_mapping_finds_zero_insertion_layout():
 
     zero_layouts = []
     for perm in permutations([0, 1, 2]):
-        sched = mapping_transition(model, D, [(circuit, dag, make_part("c", [0, 1, 2]), list(perm))])
+        sched = mapping_transition(model, D, circuit, dag, make_part("c", [0, 1, 2]), list(perm), RunConfig())
         if sched.additional_cnots() == 0:
             zero_layouts.append(perm)
     assert zero_layouts  # oracle: some bijection needs no insertions
@@ -216,7 +222,7 @@ def test_recurring_far_pair_full_router_never_worse_than_swap_only():
 
     for perm in permutations([0, 1, 2]):
         full = route_single(model, circuit, perm).additional_cnots()
-        swap_only = route_single(model, circuit, perm, swap_only=True).additional_cnots()
+        swap_only = route_single(model, circuit, perm, RunConfig(swap_only=True)).additional_cnots()
         assert full <= swap_only, (perm, full, swap_only)
 
 
@@ -251,7 +257,7 @@ def test_accounting_identity_on_random_circuits(circuit_factory, guadalupe):
         part = qhsp_partition(guadalupe, circuit, set())[0]
         dag = build_dag(circuit)
         l2p, _ = initial_mapping(guadalupe, D, part, circuit, dag, np.random.default_rng(trial))
-        sched = mapping_transition(guadalupe, D, [(circuit, dag, part, l2p)])
+        sched = mapping_transition(guadalupe, D, circuit, dag, part, l2p, RunConfig())
         emitted_cx = sum(1 for e in sched.entries if e.gate.kind == CX)
         assert emitted_cx == circuit.cnot_count + sched.additional_cnots()
         assert sched.additional_cnots() == 3 * (sched.swap_counts["c%d" % trial] + sched.bridge_counts["c%d" % trial])
@@ -288,7 +294,8 @@ def test_extended_layer_matches_a_naive_scan_at_every_routing_step(monkeypatch, 
         circuit = circuit_factory(rng, f"c{trial}", n_qubits=6, max_gates=60)
         part = qhsp_partition(guadalupe, circuit, set())[0]
         for size in (1, 3, 20):
-            initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(trial), attempts=3, ext_size=size)
+            config = RunConfig(attempts=3, ext_layer=size)
+            initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(trial), config)
     assert len(checked) > 100
 
 
@@ -314,7 +321,7 @@ def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory
     assert len(trials) == 10
     assert any(t.aborted for t in trials)
     assert not best.aborted and best in trials
-    alone = route(guadalupe, D, [(circuit, build_dag(circuit), part, l2p)])
+    alone = route(guadalupe, D, circuit, build_dag(circuit), part, l2p, RunConfig())
     assert alone.entries == best.entries and alone.additional_cnots() == best.additional_cnots()
 
 
@@ -341,7 +348,7 @@ def test_iteration_guard_surfaces_routing_bugs(monkeypatch):
     D = distance_matrices(model).combined
     with pytest.raises(RoutingError, match="terminate"):
         sched_mod.mapping_transition(
-            model, D, [(circuit, dag, make_part("c", [0, 1, 2]), [0, 1, 2])], swap_only=True
+            model, D, circuit, dag, make_part("c", [0, 1, 2]), [0, 1, 2], RunConfig(swap_only=True)
         )
 
 
@@ -355,7 +362,7 @@ def test_stall_fallback_recovers_from_adversarial_costs():
     np.fill_diagonal(hostile, 0.0)
     for a, b in ((0, 1), (4, 5)):
         hostile[a, b] = hostile[b, a] = -1000.0
-    sched = mapping_transition(model, hostile, [(circuit, dag, make_part("c", range(6)), list(range(6)))])
+    sched = mapping_transition(model, hostile, circuit, dag, make_part("c", range(6)), list(range(6)), RunConfig())
     emitted_cx = sum(1 for e in sched.entries if e.gate.kind == CX)
     assert emitted_cx == 1 + sched.additional_cnots()
 
@@ -368,7 +375,7 @@ def test_forced_route_counts_swaps_once():
     dag = build_dag(circuit)
     D = distance_matrices(model).combined
     sched = mapping_transition(
-        model, D, [(circuit, dag, make_part("c", range(5)), list(range(5)))], stall_limit=0
+        model, D, circuit, dag, make_part("c", range(5)), list(range(5)), RunConfig(), stall_limit=0
     )
     assert sched.swap_counts["c"] == 3
     emitted_cx = sum(1 for e in sched.entries if e.gate.kind == CX)
@@ -387,7 +394,7 @@ def test_immediate_swap_revert_is_banned():
     D = distance_matrices(model).combined
     circuit = QuantumCircuit("c", 4, 0, (Gate(CX, (1, 3)),))
     dag = build_dag(circuit)
-    sched = mapping_transition(model, D, [(circuit, dag, make_part("c", [0, 1, 2, 3]), [0, 1, 2, 3])])
+    sched = mapping_transition(model, D, circuit, dag, make_part("c", [0, 1, 2, 3]), [0, 1, 2, 3], RunConfig())
     emitted_cx = sum(1 for e in sched.entries if e.gate.kind == CX)
     assert emitted_cx == 1 + sched.additional_cnots()
 
@@ -399,9 +406,8 @@ def test_two_independent_circuits_match_solo_compilations():
     D = distance_matrices(model).combined
     p1, m1 = make_part("one", [0, 1, 2]), [0, 1, 2]
     p2, m2 = make_part("two", [4, 5, 6]), [5, 4, 6]
-    joint = mapping_transition(model, D, [(c1, build_dag(c1), p1, m1), (c2, build_dag(c2), p2, m2)])
-    solo1 = mapping_transition(model, D, [(c1, build_dag(c1), p1, m1)])
-    solo2 = mapping_transition(model, D, [(c2, build_dag(c2), p2, m2)])
+    solo1, solo2 = route_solo(model, D, [(c1, build_dag(c1), p1, m1), (c2, build_dag(c2), p2, m2)])
+    joint = interleave([solo1, solo2])
     joint_for = lambda cid: [e.gate for e in joint.entries if e.circuit_id == cid]
     assert joint_for("one") == [e.gate for e in solo1.entries]
     assert joint_for("two") == [e.gate for e in solo2.entries]
@@ -413,11 +419,11 @@ def test_partition_confinement():
     c2 = parse_qasm("qreg q[3]; creg c[3]; cx q[0],q[2]; cx q[2],q[1]; measure q -> c;", "two")
     D = distance_matrices(model).combined
     part1, part2 = {0, 1, 2}, {4, 5, 6}
-    sched = mapping_transition(
+    sched = interleave(route_solo(
         model, D,
         [(c1, build_dag(c1), make_part("one", sorted(part1)), [0, 2, 1]),
          (c2, build_dag(c2), make_part("two", sorted(part2)), [4, 6, 5])],
-    )
+    ))
     owner = {"one": part1, "two": part2}
     for entry in sched.entries:
         assert set(entry.gate.qubits) <= owner[entry.circuit_id]
@@ -445,11 +451,11 @@ def test_merged_two_circuits_have_two_cregs(bell):
     model = line_model(5)
     other = parse_qasm("qreg q[2]; creg c[2]; x q[0]; cx q[0],q[1]; measure q -> c;", "other")
     D = distance_matrices(model).combined
-    sched = mapping_transition(
+    sched = interleave(route_solo(
         model, D,
         [(bell, build_dag(bell), make_part("bell", [0, 1]), [0, 1]),
          (other, build_dag(other), make_part("other", [3, 4]), [3, 4])],
-    )
+    ))
     text, manifest = emit_merged_qasm(sched, model, [bell, other])
     assert text.count("creg") == 2
     merged, layout = parse_merged_qasm(text)
