@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import MultiRegisterError, QasmError, UnsupportedGateError
 
@@ -164,14 +165,14 @@ def build_dag(circuit: QuantumCircuit) -> DagCircuit:
 
 # --- parsing ---------------------------------------------------------------
 
+# one token and the whitespace before it; "//" starts a comment, not two tokens
 _TOKEN_RE = re.compile(
-    r"(?P<real>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
-    r"|(?P<int>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<string>\"[^\"]*\")|(?P<arrow>->)|(?P<sym>[;,()\[\]+\-*/])"
+    r"\s*(?:(?P<real>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+    r"|(?P<int>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<string>\"[^\"]*\")|(?P<arrow>->)|(?P<sym>[;,()\[\]+\-*]|/(?!/)))"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -181,18 +182,14 @@ class _Token:
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
     for lineno, line in enumerate(source.split("\n"), start=1):
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            if line.startswith("//", pos):
-                break
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise QasmError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-            tokens.append(_Token(m.lastgroup, m.group(m.lastgroup), lineno, pos + 1))
-            pos = m.end()
+        end = 0
+        for m in iter(_TOKEN_RE.scanner(line).match, None):
+            kind = m.lastgroup
+            tokens.append(_Token(kind, m[kind], lineno, m.start(kind) + 1))
+            end = m.end()
+        rest = line[end:].lstrip()
+        if rest and not rest.startswith("//"):
+            raise QasmError(f"unexpected character {rest[0]!r}", lineno, len(line) - len(rest) + 1)
     return tokens
 
 

@@ -23,34 +23,33 @@ from .pipeline import compile_workloads
 from .verify import check_equivalence
 
 
-def _add_common(parser: argparse.ArgumentParser, with_compile_flags: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", required=True, help="topology JSON file")
     parser.add_argument("--calibration", required=True, help="calibration JSON file")
     parser.add_argument("--crosstalk", help="conditional-error JSON file (optional)")
-    if with_compile_flags:
-        parser.add_argument("--method", choices=["gsp", "qhsp"], default=RunConfig.method)
-        parser.add_argument("--lambda", dest="lam", type=float, default=RunConfig.lam, help="fidelity-degree weight")
-        parser.add_argument(
-            "--delta", type=float, default=RunConfig.delta, help="max mean score degradation for a shared run"
-        )
-        parser.add_argument(
-            "--weight-w", dest="weight_w", type=float, default=RunConfig.weight_w, help="lookahead weight"
-        )
-        parser.add_argument("--alpha1", type=float, default=RunConfig.alpha1, help="hop-distance weight")
-        parser.add_argument("--alpha2", type=float, default=RunConfig.alpha2, help="swap-error weight")
-        parser.add_argument(
-            "--ext-layer", dest="ext_layer", type=int, default=RunConfig.ext_layer, help="lookahead window size"
-        )
-        parser.add_argument("--attempts", type=int, default=RunConfig.attempts, help="random initial placements to try")
-        parser.add_argument("--seed", type=int, default=None)
-        parser.add_argument(
-            "--swap-only", dest="swap_only", action="store_true", default=RunConfig.swap_only,
-            help="disable bridged CNOTs",
-        )
-        parser.add_argument(
-            "--no-self-cost", dest="self_cost", action="store_false", default=RunConfig.self_cost,
-            help="ignore a repair gate's own CNOT cost",
-        )
+    parser.add_argument("--method", choices=["gsp", "qhsp"], default=RunConfig.method)
+    parser.add_argument("--lambda", dest="lam", type=float, default=RunConfig.lam, help="fidelity-degree weight")
+    parser.add_argument(
+        "--delta", type=float, default=RunConfig.delta, help="max mean score degradation for a shared run"
+    )
+    parser.add_argument(
+        "--weight-w", dest="weight_w", type=float, default=RunConfig.weight_w, help="lookahead weight"
+    )
+    parser.add_argument("--alpha1", type=float, default=RunConfig.alpha1, help="hop-distance weight")
+    parser.add_argument("--alpha2", type=float, default=RunConfig.alpha2, help="swap-error weight")
+    parser.add_argument(
+        "--ext-layer", dest="ext_layer", type=int, default=RunConfig.ext_layer, help="lookahead window size"
+    )
+    parser.add_argument("--attempts", type=int, default=RunConfig.attempts, help="random initial placements to try")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument(
+        "--swap-only", dest="swap_only", action="store_true", default=RunConfig.swap_only,
+        help="disable bridged CNOTs",
+    )
+    parser.add_argument(
+        "--no-self-cost", dest="self_cost", action="store_false", default=RunConfig.self_cost,
+        help="ignore a repair gate's own CNOT cost",
+    )
 
 
 def _resolve_seed(args) -> int:
@@ -94,7 +93,8 @@ def _load_circuits(paths):
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # strict JSON: a non-finite float here is a bug, not an output
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _out_dir(path: str) -> Path:

@@ -51,7 +51,10 @@ class RunConfig:
             raise ConfigError(f"ext_layer must be non-negative, got {self.ext_layer}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
-        for name in ("delta", "weight_w", "alpha1", "alpha2"):
+        # an infinite sharing threshold is allowed: every batch then shares at capacity
+        if math.isnan(self.delta) or self.delta == -math.inf:
+            raise ConfigError(f"delta must be a number or inf, got {self.delta}")
+        for name in ("weight_w", "alpha1", "alpha2"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 

@@ -9,6 +9,7 @@ prefix that does fit; the rest is re-queued.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .circuits import QuantumCircuit, stats
@@ -40,12 +41,17 @@ class ExecutionPlan:
             return f"REDUCED({len(self.selected)})"
         return self.verdict.value
 
+    @property
+    def json_threshold(self) -> float | None:
+        """``threshold`` as JSON holds it: an infinite one is ``null``."""
+        return None if self.threshold == math.inf else self.threshold
+
     def to_json_dict(self) -> dict:
         return {
             "selected": list(self.selected),
             "partitions": [p.to_json_dict() for p in self.partitions],
             "delta_s": self.delta_s,
-            "threshold": self.threshold,
+            "threshold": self.json_threshold,
             "verdict": self.verdict_label(),
             "trf": self.trf,
         }

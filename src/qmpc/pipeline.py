@@ -45,7 +45,7 @@ def _plan_stats(model: HardwareModel, compiled: CompiledPlan, index: int) -> dic
         "plan_index": index,
         "verdict": compiled.plan.verdict_label(),
         "delta_s": compiled.plan.delta_s,
-        "threshold": compiled.plan.threshold,
+        "threshold": compiled.plan.json_threshold,
         "trf": compiled.plan.trf,
         "depth": sched.depth(),
         "total_additional_cnots": sched.additional_cnots(),

@@ -37,25 +37,25 @@ BRIDGE = "BRIDGE"
 BRIDGE_PATTERN = ((0, 1), (1, 2), (0, 1), (1, 2))
 
 
-@dataclass(frozen=True)
 class TentativeGate:
-    """A candidate repair: SWAP over an edge, or BRIDGE over a 2-hop path."""
+    """A candidate repair: SWAP over an edge, or BRIDGE over a 2-hop path.
 
-    kind: str
-    qubits: tuple[int, ...]  # physical: (a, b) for SWAP, (control, middle, target) for BRIDGE
-    node: int | None = None  # DAG node the bridge executes
+    ``cnot_pairs`` are the CNOTs the repair emits, in order, and ``n_tent``
+    their number.
+    """
 
-    @property
-    def n_tent(self) -> int:
-        return 3 if self.kind == SWAP else 4
+    __slots__ = ("kind", "qubits", "node", "cnot_pairs", "n_tent")
 
-    @cached_property
-    def cnot_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The CNOTs this repair emits, in order."""
-        if self.kind == SWAP:
-            a, b = self.qubits
-            return ((a, b), (b, a), (a, b))
-        return tuple((self.qubits[i], self.qubits[j]) for i, j in BRIDGE_PATTERN)
+    def __init__(self, kind: str, qubits: tuple[int, ...], node: int | None = None):
+        self.kind = kind
+        self.qubits = qubits  # physical: (a, b) for SWAP, (control, middle, target) for BRIDGE
+        self.node = node  # DAG node the bridge executes
+        if kind == SWAP:
+            a, b = qubits
+            self.cnot_pairs = ((a, b), (b, a), (a, b))
+        else:
+            self.cnot_pairs = tuple((qubits[i], qubits[j]) for i, j in BRIDGE_PATTERN)
+        self.n_tent = len(self.cnot_pairs)
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,54 @@ class ScheduledGate:
     gate: Gate  # physical qubits; measure clbits stay circuit-local
 
 
+# One record per emitted gate: (source node, *physical qubits), node -1 for
+# an inserted CNOT.  The source gate supplies kind, parameters and clbit.
+Record = tuple[int, ...]
+
+
+def _scheduled_gate(circuit: QuantumCircuit, record: Record) -> ScheduledGate:
+    node, qubits = record[0], record[1:]
+    if node < 0:
+        return ScheduledGate(circuit.id, Gate(CX, qubits))
+    gate = circuit.gates[node]
+    if gate.kind == CX:
+        emitted = Gate(CX, qubits)
+    elif gate.kind == MEASURE:
+        emitted = Gate(MEASURE, qubits, clbit=gate.clbit)
+    else:  # 1q gates and barriers
+        emitted = Gate(gate.kind, qubits, gate.params)
+    return ScheduledGate(circuit.id, emitted)
+
+
 @dataclass
 class Schedule:
     """Routing result: emitted sequence plus per-circuit accounting.
 
-    ``round_ends[r]`` is the length of ``entries`` after routing round ``r``.
-    An ``aborted`` schedule is a placement trial stopped once it could no
-    longer win; its entries and counts are incomplete.
+    ``routes`` holds, per circuit, ``(circuit, records, round ends)``: the
+    compact records its route emitted and, for each routing round, the
+    number of records after it.  ``entries`` joins them round by round (see
+    ``interleave``) into ``ScheduledGate``s on first read, so a placement
+    trial nobody reads never builds one.  ``round_ends[r]`` is the length of
+    ``entries`` after round ``r``.  An ``aborted`` schedule is a placement
+    trial stopped once it could no longer win; its entries and counts are
+    incomplete.
     """
 
-    entries: list[ScheduledGate]
+    routes: list[tuple[QuantumCircuit, list[Record], list[int]]]
     swap_counts: dict[str, int]
     bridge_counts: dict[str, int]
     final_mappings: dict[str, dict[int, int]]
     round_ends: list[int] = field(default_factory=list)
     aborted: bool = False
+
+    @cached_property
+    def entries(self) -> list[ScheduledGate]:
+        entries: list[ScheduledGate] = []
+        for r in range(self.iterations):
+            for circuit, records, ends in self.routes:
+                if r < len(ends):
+                    entries += [_scheduled_gate(circuit, rec) for rec in records[ends[r - 1] if r else 0 : ends[r]]]
+        return entries
 
     @property
     def iterations(self) -> int:
@@ -95,16 +128,46 @@ class Schedule:
         return depth(entry.gate for entry in self.entries)
 
 
+class _Tables:
+    """What every placement trial of one circuit in one partition reads.
+
+    ``initial_mapping`` builds these once per call and shares them with its
+    trials; nothing is kept on the model, so memory does not grow with the
+    number of partitions routed.
+    """
+
+    def __init__(self, model: HardwareModel, circuit: QuantumCircuit, partition: Partition):
+        if len(partition.qubits) != circuit.num_qubits:
+            raise ValueError(f"partition size {len(partition.qubits)} != circuit qubits {circuit.num_qubits}")
+        self.partition = tuple(partition.qubits)
+        part_set = set(self.partition)
+        edges = sorted(e for e in model.edges if e[0] in part_set and e[1] in part_set)
+        self.coupled = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}  # directed
+        neighbours = {q: set(model.neighbors(q)) & part_set for q in self.partition}
+        self.adjacency = {q: tuple(sorted(ns)) for q, ns in neighbours.items()}
+        self.swap_gates = [TentativeGate(SWAP, e) for e in edges]
+        # the middle qubits of a bridge from c to t, for every pair that has one
+        self.middles = {
+            (c, t): tuple(sorted(neighbours[c] & neighbours[t]))
+            for c in self.partition
+            for t in self.partition
+            if c != t and neighbours[c] & neighbours[t]
+        }
+        self.cx_nodes = [i for i, g in enumerate(circuit.gates) if g.kind == CX]
+        self.cx_pairs = [circuit.gates[i].qubits for i in self.cx_nodes]  # (control, target)
+
+
 class _Job:
     """Mutable routing state for one circuit."""
 
-    def __init__(self, model: HardwareModel, circuit: QuantumCircuit, dag: DagCircuit, partition: Partition, l2p):
-        if len(partition.qubits) != circuit.num_qubits:
-            raise ValueError(f"partition size {len(partition.qubits)} != circuit qubits {circuit.num_qubits}")
+    def __init__(
+        self, model: HardwareModel, circuit: QuantumCircuit, dag: DagCircuit, partition: Partition, l2p,
+        tables: _Tables | None = None,
+    ):
+        tables = tables or _Tables(model, circuit, partition)
         self.circuit = circuit
         self.dag = dag
-        self.partition = tuple(partition.qubits)
-        self.part_set = set(self.partition)
+        self.partition = tables.partition
         self.l2p = list(l2p)
         if sorted(self.l2p) != sorted(self.partition):
             raise ValueError("initial mapping is not a bijection onto the partition")
@@ -113,17 +176,21 @@ class _Job:
         self.front = {i for i, d in enumerate(self.in_deg) if d == 0}
         self.executed = [False] * dag.num_nodes
         self.remaining = dag.num_nodes
-        self.part_edges = sorted(e for e in model.edges if e[0] in self.part_set and e[1] in self.part_set)
-        self.adjacency = {q: set(model.neighbors(q)) & self.part_set for q in self.partition}
-        self.swap_gates = [TentativeGate(SWAP, e) for e in self.part_edges]
-        self.cx_nodes = [i for i, g in enumerate(circuit.gates) if g.kind == CX]
-        self.cx_pairs = [circuit.gates[i].qubits for i in self.cx_nodes]  # (control, target)
+        self.coupled = tables.coupled
+        self.adjacency = tables.adjacency
+        self.swap_gates = tables.swap_gates
+        self.middles = tables.middles
+        self.cx_nodes = tables.cx_nodes
+        self.cx_pairs = tables.cx_pairs
         self.cx_cursor = 0  # index into cx_nodes of the first CNOT not yet executed
         self.swaps = 0
         self.bridges = 0
         # anti-oscillation state, cleared whenever the circuit emits a gate
         self.banned_edges: set[tuple[int, int]] = set()
         self.stalled = 0
+        # blocked_front and extended_layer results, kept until a node executes
+        self._front_layer: list[tuple[int, int, int]] | None = None
+        self._extended: tuple[int, list[tuple[int, int]]] | None = None
 
     @property
     def done(self) -> bool:
@@ -134,6 +201,7 @@ class _Job:
         self.executed[node] = True
         self.front.discard(node)
         self.remaining -= 1
+        self._front_layer = self._extended = None
         ready = []
         for succ in self.dag.successors[node]:
             self.in_deg[succ] -= 1
@@ -149,19 +217,24 @@ class _Job:
         self.swaps += 1
 
     def blocked_front(self) -> list[tuple[int, int, int]]:
-        """(node, logical control, logical target) for every front gate."""
-        out = []
-        for node in sorted(self.front):
-            g = self.dag.gate(node)
-            out.append((node, g.qubits[0], g.qubits[1]))
-        return out
+        """(node, logical control, logical target) for every front gate.
+
+        The list is shared until a node executes; callers must not change it.
+        """
+        if self._front_layer is None:
+            gates = self.circuit.gates
+            self._front_layer = [(node, *gates[node].qubits) for node in sorted(self.front)]
+        return self._front_layer
 
     def extended_layer(self, size: int) -> list[tuple[int, int]]:
         """Next unexecuted CNOTs beyond the front layer, in program order.
 
         The scan starts at a cursor on the first unexecuted CNOT; the
-        cursor only moves forward.
+        cursor only moves forward.  The list is shared until a node
+        executes; callers must not change it.
         """
+        if self._extended is not None and self._extended[0] == size:
+            return self._extended[1]
         nodes, executed, front, pairs = self.cx_nodes, self.executed, self.front, self.cx_pairs
         start, n = self.cx_cursor, len(nodes)
         while start < n and executed[nodes[start]]:
@@ -175,6 +248,7 @@ class _Job:
                     out.append(pairs[i])
                     if len(out) == size:
                         break
+        self._extended = (size, out)
         return out
 
 
@@ -190,16 +264,18 @@ def find_swap_bridge_pairs(
     """
     if front is None:
         front = job.blocked_front()
+    l2p = job.l2p
     endpoints = set()
     for _, lq1, lq2 in front:
-        endpoints.add(job.l2p[lq1])
-        endpoints.add(job.l2p[lq2])
+        endpoints.add(l2p[lq1])
+        endpoints.add(l2p[lq2])
     candidates: list[TentativeGate] = [
         g for g in job.swap_gates if g.qubits[0] in endpoints or g.qubits[1] in endpoints
     ]
+    middles = job.middles
     for node, lq1, lq2 in front:
-        c, t = job.l2p[lq1], job.l2p[lq2]
-        for middle in sorted(job.adjacency[c] & job.adjacency[t]):
+        c, t = l2p[lq1], l2p[lq2]
+        for middle in middles.get((c, t), ()):
             candidates.append(TentativeGate(BRIDGE, (c, middle, t), node))
     if not candidates:
         raise RoutingError("no SWAP or BRIDGE candidate for a blocked front layer")
@@ -274,7 +350,7 @@ def cost_h(
     return h
 
 
-def _forced_path_route(job: _Job, entries: list[ScheduledGate]) -> None:
+def _forced_path_route(job: _Job, records: list[Record]) -> None:
     """Stall escape hatch: walk the oldest blocked gate's control along the
     shortest partition-internal path until the gate is executable.
 
@@ -293,7 +369,7 @@ def _forced_path_route(job: _Job, entries: list[ScheduledGate]) -> None:
     while queue:
         nxt = []
         for u in queue:
-            for v in sorted(job.adjacency[u]):
+            for v in job.adjacency[u]:
                 if v not in parent:
                     parent[v] = u
                     nxt.append(v)
@@ -307,19 +383,19 @@ def _forced_path_route(job: _Job, entries: list[ScheduledGate]) -> None:
     for step in path[1:-1]:  # move the control up to the target's neighbour
         edge = (min(src, step), max(src, step))
         for p, q in TentativeGate(SWAP, edge).cnot_pairs:
-            entries.append(ScheduledGate(job.circuit.id, Gate(CX, (p, q))))
+            records.append((-1, p, q))
         job.apply_swap(*edge)  # apply_swap also counts the swap
         src = step
 
 
-def _emit_ready(job: _Job, model: HardwareModel, entries: list[ScheduledGate]) -> None:
+def _emit_ready(job: _Job, records: list[Record]) -> None:
     """Emit every front gate that is executable as mapped, cascading.
 
     Each pass visits its nodes in index order.  The mapping does not change
     in here, so a CNOT blocked in one pass stays blocked, and every pass
     after the first visits only the nodes the pass before made ready.
     """
-    l2p, gates, cid = job.l2p, job.circuit.gates, job.circuit.id
+    l2p, gates, coupled = job.l2p, job.circuit.gates, job.coupled
     visit = sorted(job.front)
     emitted_any = False
     while visit:
@@ -328,14 +404,11 @@ def _emit_ready(job: _Job, model: HardwareModel, entries: list[ScheduledGate]) -
             gate = gates[node]
             if gate.kind == CX:
                 a, b = l2p[gate.qubits[0]], l2p[gate.qubits[1]]
-                if not model.has_edge(a, b):
+                if (a, b) not in coupled:
                     continue
-                emitted = Gate(CX, (a, b))
-            elif gate.kind == MEASURE:
-                emitted = Gate(MEASURE, (l2p[gate.qubits[0]],), clbit=gate.clbit)
-            else:  # 1q gates and barriers never block
-                emitted = Gate(gate.kind, tuple(l2p[q] for q in gate.qubits), gate.params)
-            entries.append(ScheduledGate(cid, emitted))
+                records.append((node, a, b))
+            else:  # 1q gates, measurements and barriers never block
+                records.append((node, *[l2p[q] for q in gate.qubits]))
             ready += job.mark_executed(node)
             emitted_any = True
         visit = sorted(ready)
@@ -344,7 +417,7 @@ def _emit_ready(job: _Job, model: HardwareModel, entries: list[ScheduledGate]) -
         job.stalled = 0
 
 
-def _repair(job: _Job, model: HardwareModel, dist, config: RunConfig, entries: list[ScheduledGate]) -> None:
+def _repair(job: _Job, model: HardwareModel, dist, config: RunConfig, records: list[Record]) -> None:
     """Insert the cheapest SWAP or BRIDGE for a blocked front layer."""
     front = job.blocked_front()
     candidates = find_swap_bridge_pairs(job, model, front)
@@ -370,7 +443,7 @@ def _repair(job: _Job, model: HardwareModel, dist, config: RunConfig, entries: l
         ),
     )
     for p, q in best.cnot_pairs:
-        entries.append(ScheduledGate(job.circuit.id, Gate(CX, (p, q))))
+        records.append((-1, p, q))
     if best.kind == SWAP:
         job.apply_swap(*best.qubits)
         job.banned_edges.add(best.qubits)
@@ -391,14 +464,12 @@ def interleave(schedules: list[Schedule]) -> Schedule:
     """
     if len(schedules) == 1:
         return schedules[0]
-    entries: list[ScheduledGate] = []
-    round_ends: list[int] = []
-    for r in range(max((s.iterations for s in schedules), default=0)):
-        for s in schedules:
-            if r < s.iterations:
-                entries += s.entries[s.round_ends[r - 1] if r else 0 : s.round_ends[r]]
-        round_ends.append(len(entries))
-    joint = Schedule(entries, {}, {}, {}, round_ends, any(s.aborted for s in schedules))
+    routes = [route for s in schedules for route in s.routes]
+    round_ends = [
+        sum(ends[min(r, len(ends) - 1)] for _, _, ends in routes if ends)
+        for r in range(max((s.iterations for s in schedules), default=0))
+    ]
+    joint = Schedule(routes, {}, {}, {}, round_ends, any(s.aborted for s in schedules))
     for s in schedules:
         joint.swap_counts.update(s.swap_counts)
         joint.bridge_counts.update(s.bridge_counts)
@@ -416,6 +487,7 @@ def mapping_transition(
     config: RunConfig,
     stall_limit: int | None = None,
     max_inserted: int | None = None,
+    tables: _Tables | None = None,
 ) -> Schedule:
     """Route one circuit inside its partition from the placement ``l2p``.
 
@@ -428,12 +500,13 @@ def mapping_transition(
     would be a bug rather than an input problem.  A circuit that has
     inserted more than ``max_inserted`` CNOTs stops early and the schedule
     comes back ``aborted``.  ``dist`` is the combined distance matrix or,
-    faster, its ``combined_rows``.  Routes of circuits in disjoint
-    partitions are joined by ``interleave``.
+    faster, its ``combined_rows``.  ``tables`` are the partition's routing
+    tables when the caller routes it more than once.  Routes of circuits in
+    disjoint partitions are joined by ``interleave``.
     """
-    job = _Job(model, circuit, dag, partition, l2p)
+    job = _Job(model, circuit, dag, partition, l2p, tables)
     cap = 10 * max(len(circuit.gates), 1)
-    entries: list[ScheduledGate] = []
+    records: list[Record] = []
     round_ends: list[int] = []
     limit = stall_limit if stall_limit is not None else 2 * len(job.partition) + 4
     aborted = False
@@ -443,15 +516,15 @@ def mapping_transition(
             break
         if len(round_ends) >= cap:
             raise RoutingError(f"routing did not terminate within {cap} iterations")
-        _emit_ready(job, model, entries)
+        _emit_ready(job, records)
         if job.front:
             if job.stalled >= limit:
-                _forced_path_route(job, entries)
+                _forced_path_route(job, records)
             else:
-                _repair(job, model, dist, config, entries)
-        round_ends.append(len(entries))
+                _repair(job, model, dist, config, records)
+        round_ends.append(len(records))
     return Schedule(
-        entries=entries,
+        routes=[(circuit, records, round_ends)],
         swap_counts={circuit.id: job.swaps},
         bridge_counts={circuit.id: job.bridges},
         final_mappings={circuit.id: dict(enumerate(job.l2p))},
@@ -483,18 +556,18 @@ def initial_mapping(
     permutation, so the choice is that of routing every trial to the end.
     """
     base = sorted(partition.qubits)
-    cx_pairs = [(g.qubits[0], g.qubits[1]) for g in circuit.gates if g.kind == CX]
+    tables = _Tables(model, circuit, partition)
     best_key = None
     best: tuple[list[int], Schedule] | None = None
     for attempt in range(config.attempts):
         l2p = [int(p) for p in rng.permutation(base)]
         # built-in sum over Python floats, as when this value was first
         # defined: it must stay the same float on every Python version
-        tie = sum(float(dist[l2p[a]][l2p[b]]) for a, b in cx_pairs)
+        tie = sum(float(dist[l2p[a]][l2p[b]]) for a, b in tables.cx_pairs)
         bound = None
         if best_key is not None:  # a later attempt wins a tie on inserted CNOTs only by a lower tie value
             bound = best_key[0] if tie < best_key[1] else best_key[0] - 1
-        trial = mapping_transition(model, dist, circuit, dag, partition, l2p, config, max_inserted=bound)
+        trial = mapping_transition(model, dist, circuit, dag, partition, l2p, config, max_inserted=bound, tables=tables)
         key = (trial.additional_cnots(circuit.id), tie, attempt)
         if not trial.aborted and (best_key is None or key < best_key):
             best_key = key

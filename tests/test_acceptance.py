@@ -4,7 +4,7 @@ Each test records a one-line PASS/FAIL verdict that pytest prints in a
 terminal summary section after the run.
 """
 import json
-import sys
+import math
 import time
 from itertools import permutations
 
@@ -268,8 +268,7 @@ def test_criterion_7_threshold_gate_behaviour(suite, request):
     zero = fidelity_gate(model, batch, RunConfig(method="gsp", delta=0.0))
     ok_zero = zero.verdict is Verdict.INDEPENDENT and zero.trf == 1
 
-    # the largest threshold a RunConfig accepts: every finite delta_s is below it
-    infinite = fidelity_gate(model, batch, RunConfig(method="gsp", delta=sys.float_info.max))
+    infinite = fidelity_gate(model, batch, RunConfig(method="gsp", delta=math.inf))
     ok_inf = infinite.verdict is Verdict.SIMULTANEOUS and infinite.trf == len(batch)
 
     trf_ok = True

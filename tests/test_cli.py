@@ -215,13 +215,29 @@ def test_bad_single_qubit_error_is_user_error(device_files, capsys):
 @pytest.mark.parametrize(
     "field, value",
     [("method", "sabre"), ("attempts", 0), ("ext_layer", -1), ("lam", 0.0), ("lam", math.inf),
-     ("delta", math.nan), ("weight_w", math.inf), ("alpha1", math.nan), ("alpha2", -math.inf),
+     ("delta", math.nan), ("delta", -math.inf), ("weight_w", math.inf), ("alpha1", math.nan), ("alpha2", -math.inf),
      ("attempts", 2.5), ("seed", 1.5), ("ext_layer", 1.5), ("attempts", True), ("lam", "2"),
      ("delta", True), ("swap_only", "no"), ("self_cost", 1)],
 )
 def test_run_config_rejects_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field.replace("lam", "lambda")):
         RunConfig(**{field: value})
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_infinite_delta_shares_and_writes_a_null_threshold(device_files, capsys):
+    assert RunConfig(delta=math.inf).delta == math.inf
+    assert main(_compile_args(device_files, extra=("--delta", "inf"))) == 0
+    out = device_files / "out"
+    plans = _strict_json(out / "plans.json")
+    assert [(p["selected"], p["threshold"]) for p in plans] == [(["ghz3", "bell"], None)]
+    assert _strict_json(out / "stats_0.json")["threshold"] is None
 
 
 def test_run_config_is_frozen():

@@ -1,4 +1,4 @@
-"""Golden outputs: every byte ``qmpc compile`` writes for three small seeded runs.
+"""Golden outputs: every byte ``qmpc compile`` writes for four small seeded runs.
 
 A refactor or speed-up of the compiler must leave these digests unchanged.
 A digest that moves means the emitted programs, manifests, statistics or
@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from qmpc.circuits import emit_qasm, parse_qasm
+from qmpc.circuits import BARRIER, CX, MEASURE, Gate, QuantumCircuit, emit_qasm, parse_qasm
 from qmpc.cli import main
 from qmpc.config import RunConfig
 from qmpc.hardware import build_crosstalk, build_hardware, extract_strong_crosstalk
@@ -24,6 +24,7 @@ GOLDEN = {
     "gsp-manhattan-crosstalk": "15ecb72083da536911510698dc1849d2fb47c4a70febd049c2e99ab1386a5097",
     "gsp-toronto-crosstalk": "deed4790bcb73a227cf2ab5d09f4f5bb71470a034e636e14d95e4546d4b33575",
     "qhsp-guadalupe": "023905dcdcec24e7ea3eb0b741111a2cef57f1a559463fa94f43fd3c0cbecbc1",
+    "qhsp-toronto-midmeasure": "53f4375e4926088d519059d7768335db640b4efe25621f957ac2101522c6370e",
 }
 
 
@@ -47,19 +48,51 @@ def _crosstalk_pairs(topo: dict, cal: dict, seed: int) -> list[dict]:
     return pairs
 
 
+def _mixed_circuit(rng: np.random.Generator, cid: str, n_qubits: int, max_gates: int) -> QuantumCircuit:
+    """Seeded workload with parametrised 1q gates, barriers and mid-circuit
+    measurements of qubits that are used again, all qubits measured at the end.
+
+    Mid-circuit outcomes land in their own bits after the final ones."""
+    n = n_qubits
+    gates: list[Gate] = []
+    mid = 0
+    param_counts = {"rx": 1, "ry": 1, "u1": 1, "u2": 2, "u3": 3, "h": 0, "t": 0}
+    kinds = sorted(param_counts)
+    for _ in range(int(rng.integers(max_gates - 8, max_gates + 1))):
+        r = rng.random()
+        if n > 1 and r < 0.45:
+            a, b = rng.choice(n, size=2, replace=False)
+            gates.append(Gate(CX, (int(a), int(b))))
+        elif r < 0.55:
+            span = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            gates.append(Gate(BARRIER, tuple(int(q) for q in span)))
+        elif r < 0.62:
+            gates.append(Gate(MEASURE, (int(rng.integers(n)),), clbit=n + mid))
+            mid += 1
+        else:
+            kind = kinds[int(rng.integers(len(kinds)))]
+            params = tuple(float(rng.uniform(-np.pi, np.pi)) for _ in range(param_counts[kind]))
+            gates.append(Gate(kind, (int(rng.integers(n)),), params))
+    gates += [Gate(MEASURE, (q,), clbit=q) for q in range(n)]
+    return QuantumCircuit(cid, n, n + mid, tuple(gates))
+
+
 CASES = {
-    # (device, calibration seed, method, delta, crosstalk, circuit seed, circuit sizes);
-    # each delta is low enough that the fidelity gate trims and re-queues;
-    # the manhattan case covers the largest exhaustive search (8 qubits) and
-    # regions without edges (1 qubit)
-    "gsp-manhattan-crosstalk": ("manhattan", 4, "gsp", "0.01", True, 13, (8, 8, 1, 6, 5, 1, 4)),
-    "gsp-toronto-crosstalk": ("toronto", 3, "gsp", "0.04", True, 11, (5, 4, 5, 4)),
-    "qhsp-guadalupe": ("guadalupe", 2, "qhsp", "0.04", False, 12, (6, 5, 4)),
+    # (device, calibration seed, method, delta, crosstalk, circuit generator,
+    # circuit seed, circuit sizes); each delta is low enough that the fidelity
+    # gate trims and re-queues; the manhattan case covers the largest
+    # exhaustive search (8 qubits) and regions without edges (1 qubit); the
+    # toronto qhsp case covers barriers, parametrised gates and mid-circuit
+    # measurements through routing and emission
+    "gsp-manhattan-crosstalk": ("manhattan", 4, "gsp", "0.01", True, random_circuit, 13, (8, 8, 1, 6, 5, 1, 4)),
+    "gsp-toronto-crosstalk": ("toronto", 3, "gsp", "0.04", True, random_circuit, 11, (5, 4, 5, 4)),
+    "qhsp-guadalupe": ("guadalupe", 2, "qhsp", "0.04", False, random_circuit, 12, (6, 5, 4)),
+    "qhsp-toronto-midmeasure": ("toronto", 6, "qhsp", "0.05", False, _mixed_circuit, 21, (6, 4, 5, 3, 5)),
 }
 
 
 def _write_inputs(tmp_path, name: str) -> list[str]:
-    device, cal_seed, method, delta, crosstalk, circuit_seed, sizes = CASES[name]
+    device, cal_seed, method, delta, crosstalk, generate, circuit_seed, sizes = CASES[name]
     topo = topology(device)
     cal = synthetic_calibration(topo, seed=cal_seed)
     (tmp_path / "topology.json").write_text(json.dumps(topo))
@@ -79,7 +112,7 @@ def _write_inputs(tmp_path, name: str) -> list[str]:
     rng = np.random.default_rng(circuit_seed)
     for i, n in enumerate(sizes):
         path = tmp_path / f"w{i}.qasm"
-        path.write_text(emit_qasm(random_circuit(rng, f"w{i}", n_qubits=n, max_gates=30)))
+        path.write_text(emit_qasm(generate(rng, f"w{i}", n_qubits=n, max_gates=30)))
         args.append(str(path))
     return args
 
@@ -101,7 +134,7 @@ def test_compile_output_is_byte_identical_to_golden(tmp_path, name):
 
 def test_golden_crosstalk_table_changes_the_plan():
     """The crosstalk case pins something only if its table moves a region."""
-    device, cal_seed, method, delta, _, circuit_seed, sizes = CASES["gsp-toronto-crosstalk"]
+    device, cal_seed, method, delta, _, _, circuit_seed, sizes = CASES["gsp-toronto-crosstalk"]
     topo = topology(device)
     cal = synthetic_calibration(topo, seed=cal_seed)
     model = build_hardware(topo, cal)

@@ -1,4 +1,4 @@
-import sys
+import math
 
 import numpy as np
 import pytest
@@ -101,8 +101,7 @@ def test_zero_threshold_forces_independent():
 
 def test_infinite_threshold_always_simultaneous():
     model = staircase_device()
-    # the largest threshold a RunConfig accepts: every finite delta_s is below it
-    plan = fidelity_gate(model, five_pairs(), RunConfig(method="gsp", delta=sys.float_info.max))
+    plan = fidelity_gate(model, five_pairs(), RunConfig(method="gsp", delta=math.inf))
     assert plan.verdict is Verdict.SIMULTANEOUS
     assert plan.trf == len(plan.selected) == 5
 

@@ -325,6 +325,65 @@ def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory
     assert alone.entries == best.entries and alone.additional_cnots() == best.additional_cnots()
 
 
+def test_placement_trials_build_no_scheduled_gates(monkeypatch, circuit_factory, guadalupe):
+    # trials keep compact records; ScheduledGates are built only when a
+    # schedule's entries are read, so no aborted or losing trial builds any
+    import qmpc.scheduler as sched_mod
+    from qmpc.partition import qhsp_partition
+
+    route, scheduled_gate = sched_mod.mapping_transition, sched_mod.ScheduledGate
+    trials, built = [], []
+
+    def recording(*args, **kwargs):
+        trials.append(route(*args, **kwargs))
+        return trials[-1]
+
+    def counting(*args):
+        built.append(args)
+        return scheduled_gate(*args)
+
+    monkeypatch.setattr(sched_mod, "mapping_transition", recording)
+    monkeypatch.setattr(sched_mod, "ScheduledGate", counting)
+    circuit = circuit_factory(np.random.default_rng(5), "c", n_qubits=6, max_gates=60)
+    part = qhsp_partition(guadalupe, circuit, set())[0]
+    D = distance_matrices(guadalupe).combined_rows
+    _, best = initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(0))
+    assert len(trials) == 10 and any(t.aborted for t in trials)
+    assert built == []
+    assert len(best.entries) == len(built) == len(best.routes[0][1])  # one record per entry
+    assert best.entries is best.entries  # built once
+
+
+def test_compile_builds_scheduled_gates_only_for_the_merged_schedules(monkeypatch, circuit_factory, guadalupe):
+    import qmpc.scheduler as sched_mod
+
+    scheduled_gate, built = sched_mod.ScheduledGate, []
+
+    def counting(*args):
+        built.append(args)
+        return scheduled_gate(*args)
+
+    monkeypatch.setattr(sched_mod, "ScheduledGate", counting)
+    rng = np.random.default_rng(8)
+    circuits = [circuit_factory(rng, f"c{i}", n_qubits=n, max_gates=40) for i, n in enumerate((5, 4, 3))]
+    result = compile_workloads(guadalupe, circuits, RunConfig(seed=2))
+    assert len(built) == sum(len(compiled.schedule.entries) for compiled in result.plans)
+
+
+def test_partition_tables_are_not_kept_on_the_model(circuit_factory, guadalupe):
+    from qmpc.partition import qhsp_partition
+
+    def snapshot(model):
+        return {name: (id(value), len(value) if isinstance(value, dict) else None) for name, value in vars(model).items()}
+
+    D = distance_matrices(guadalupe).combined_rows
+    circuit = circuit_factory(np.random.default_rng(3), "c", n_qubits=5, max_gates=40)
+    part = qhsp_partition(guadalupe, circuit, set())[0]
+    before = snapshot(guadalupe)
+    initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(0))
+    assert snapshot(guadalupe) == before
+
+
 def test_zero_lookahead_window_compiles_and_verifies(circuit_factory, guadalupe):
     rng = np.random.default_rng(4)
     circuits = [circuit_factory(rng, f"c{i}", n_qubits=4) for i in range(2)]
@@ -341,7 +400,7 @@ def test_iteration_guard_surfaces_routing_bugs(monkeypatch):
     # would-be infinite loop into an explicit error
     import qmpc.scheduler as sched_mod
 
-    monkeypatch.setattr(sched_mod, "_emit_ready", lambda job, model, entries: None)
+    monkeypatch.setattr(sched_mod, "_emit_ready", lambda job, records: None)
     model = line_model(3)
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 2)),))
     dag = build_dag(circuit)
