@@ -23,6 +23,13 @@ from .pipeline import compile_workloads
 from .verify import check_equivalence
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a user error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise QmpcError(f"{self.prog}: {message}")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", required=True, help="topology JSON file")
     parser.add_argument("--calibration", required=True, help="calibration JSON file")
@@ -165,7 +172,7 @@ def cmd_xtalk_filter(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qmpc", description=__doc__)
+    parser = _Parser(prog="qmpc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compile = sub.add_parser("compile", help="compile circuits into one merged program")
@@ -196,9 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except QmpcError as exc:
         print(f"error: {exc}", file=sys.stderr)

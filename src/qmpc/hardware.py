@@ -6,15 +6,16 @@ weighted sum so that equal weights compare like with like.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from pathlib import Path
 from types import MappingProxyType
 
-import networkx as nx
 import numpy as np
 
 from .errors import CalibrationError, CrosstalkError, DisconnectedGraphError, HardwareError, read_text
@@ -34,13 +35,6 @@ class HardwareModel:
     edges: tuple[Edge, ...]
     cnot_error: dict[Edge, float]
     readout_error: np.ndarray
-    single_qubit_error: np.ndarray
-
-    def graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_qubits))
-        g.add_edges_from(self.edges)
-        return g
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adjacency[q]
@@ -49,11 +43,7 @@ class HardwareModel:
     # model is frozen and its fields are treated as immutable.
     @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        tmp: dict[int, list[int]] = {q: [] for q in range(self.num_qubits)}
-        for a, b in self.edges:
-            tmp[a].append(b)
-            tmp[b].append(a)
-        return {q: tuple(sorted(ns)) for q, ns in tmp.items()}
+        return _sorted_adjacency(self.num_qubits, self.edges)
 
     @cached_property
     def _distance_matrices(self) -> dict[tuple[float, float], DistanceMatrices]:
@@ -76,6 +66,29 @@ class HardwareModel:
 
     def degree(self, q: int) -> int:
         return len(self.neighbors(q))
+
+
+def _sorted_adjacency(n: int, edges) -> dict[int, tuple[int, ...]]:
+    tmp: dict[int, list[int]] = {q: [] for q in range(n)}
+    for a, b in edges:
+        tmp[a].append(b)
+        tmp[b].append(a)
+    return {q: tuple(sorted(ns)) for q, ns in tmp.items()}
+
+
+def _hops_from(adjacency: dict[int, tuple[int, ...]], src: int) -> dict[int, int]:
+    """Breadth-first hop count from ``src`` to every qubit it reaches."""
+    hops = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if v not in hops:
+                    hops[v] = hops[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return hops
 
 
 def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
@@ -107,10 +120,12 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
         edges.append(e)
     edges.sort()
 
-    graph = nx.Graph(edges)
-    graph.add_nodes_from(range(n))
-    if n > 1 and not nx.is_connected(graph):
-        parts = [sorted(c) for c in nx.connected_components(graph)]
+    adjacency = _sorted_adjacency(n, edges)
+    parts: list[list[int]] = []  # by smallest qubit
+    for q in range(n):
+        if all(q not in part for part in parts):
+            parts.append(sorted(_hops_from(adjacency, q)))
+    if len(parts) > 1:
         raise DisconnectedGraphError(f"coupling graph is disconnected: components {parts}")
 
     cnot_error: dict[Edge, float] = {}
@@ -133,15 +148,13 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
         raise CalibrationError(f"readout_errors must list all {n} qubits")
     readout = _error_rates(readout, "readout")
 
-    single = calibration.get("single_qubit_errors")
-    if single is None:
-        single = np.zeros(n)
-    else:
+    single = calibration.get("single_qubit_errors")  # checked, not scored
+    if single is not None:
         if len(single) != n:
             raise CalibrationError(f"single_qubit_errors must list all {n} qubits")
-        single = _error_rates(single, "single-qubit")
+        _error_rates(single, "single-qubit")
 
-    return HardwareModel(n, tuple(edges), cnot_error, readout, single)
+    return HardwareModel(n, tuple(edges), cnot_error, readout)
 
 
 def _error_rates(values, what: str) -> np.ndarray:
@@ -167,8 +180,8 @@ def hop_count_matrix(model: HardwareModel) -> np.ndarray:
     """All-pairs shortest-path hop counts."""
     n = model.num_qubits
     out = np.zeros((n, n))
-    for src, lengths in nx.all_pairs_shortest_path_length(model.graph()):
-        for dst, d in lengths.items():
+    for src in range(n):
+        for dst, d in _hops_from(model._adjacency, src).items():
             out[src, dst] = d
     return out
 
@@ -187,24 +200,34 @@ def swap_error_matrix(model: HardwareModel, normalize: bool = True) -> np.ndarra
 
     Moving a state across one edge costs three CNOTs, so an edge succeeds
     with probability (1 - E)^3; the matrix holds 1 minus the best achievable
-    path success product, scaled so the largest entry is 1.
+    path success product, scaled so the largest entry is 1.  Among equally
+    reliable paths, the first pushed wins: ties pop in push order, and only a
+    strictly shorter path replaces one (the order ``networkx`` follows).
     """
     n = model.num_qubits
-    graph = model.graph()
-    for a, b in model.edges:
-        e = model.cnot_error[(a, b)]
-        # -log success keeps Dijkstra additive; the product below is exact
-        graph[a][b]["weight"] = -3.0 * math.log(1.0 - e) if e > 0 else 0.0
+    adjacency = model._adjacency
+    # -log success keeps Dijkstra additive; the product along the path is exact
+    weight = {e: -3.0 * math.log(1.0 - err) if err > 0 else 0.0 for e, err in model.cnot_error.items()}
     out = np.zeros((n, n))
     for src in range(n):
-        paths = nx.single_source_dijkstra_path(graph, src, weight="weight")
-        for dst, path in paths.items():
-            if dst == src:
-                continue
-            success = 1.0
-            for a, b in zip(path, path[1:]):
-                success *= (1.0 - model.cnot_error[_edge(a, b)]) ** 3
-            out[src, dst] = 1.0 - success
+        best = {src: 0.0}
+        success = {src: 1.0}  # product over the best path found so far
+        push = count()
+        heap = [(0.0, next(push), src)]
+        while heap:
+            d, _, u = heapq.heappop(heap)
+            if d > best[u]:
+                continue  # superseded by a shorter path
+            for v in adjacency[u]:
+                e = _edge(u, v)
+                dv = d + weight[e]
+                if v not in best or dv < best[v]:
+                    best[v] = dv
+                    success[v] = success[u] * (1.0 - model.cnot_error[e]) ** 3
+                    heapq.heappush(heap, (dv, next(push), v))
+        for dst, s in success.items():
+            if dst != src:
+                out[src, dst] = 1.0 - s
     out = np.maximum(out, out.T)  # symmetric by construction; guard float drift
     peak = out.max()
     if normalize and peak > 0:

@@ -252,9 +252,7 @@ class _Job:
         return out
 
 
-def find_swap_bridge_pairs(
-    job: _Job, model: HardwareModel, front: list[tuple[int, int, int]] | None = None
-) -> list[TentativeGate]:
+def find_swap_bridge_pairs(job: _Job, front: list[tuple[int, int, int]] | None = None) -> list[TentativeGate]:
     """Repair candidates for a job whose front layer is fully blocked.
 
     SWAPs: every partition-internal edge touching a front-gate operand.
@@ -417,10 +415,10 @@ def _emit_ready(job: _Job, records: list[Record]) -> None:
         job.stalled = 0
 
 
-def _repair(job: _Job, model: HardwareModel, dist, config: RunConfig, records: list[Record]) -> None:
+def _repair(job: _Job, dist, config: RunConfig, records: list[Record]) -> None:
     """Insert the cheapest SWAP or BRIDGE for a blocked front layer."""
     front = job.blocked_front()
-    candidates = find_swap_bridge_pairs(job, model, front)
+    candidates = find_swap_bridge_pairs(job, front)
     if config.swap_only:
         candidates = [c for c in candidates if c.kind == SWAP]
         if not candidates:
@@ -521,7 +519,7 @@ def mapping_transition(
             if job.stalled >= limit:
                 _forced_path_route(job, records)
             else:
-                _repair(job, model, dist, config, records)
+                _repair(job, dist, config, records)
         round_ends.append(len(records))
     return Schedule(
         routes=[(circuit, records, round_ends)],

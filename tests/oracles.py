@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own code paths: plain BFS,
 Floyd-Warshall, brute-force path and subset enumeration, ``networkx`` region
 diameters, linear scans of the edge list and the crosstalk table, and a
-dense unitary builder that works on integer basis indices.  Four
+dense unitary builder that works on integer basis indices.  Five
 exceptions keep a first design as the reference for its replacement: the
+``networkx`` hop counts and swap-error Dijkstra for the stdlib ones, the
 trim-and-reallocate fidelity gate (allocate every trimmed batch from
 scratch) for the one-pass gate, the per-search exhaustive partitioner
 (every connected subset of the free qubits enumerated and scored from
@@ -113,6 +114,47 @@ def best_swap_path_error(edges: list[tuple[int, int]], errors: dict, src: int, d
             success *= (1.0 - e) ** 3
         best = max(best, success)
     return 1.0 - best
+
+
+def _coupling_graph_nx(model) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(model.num_qubits))
+    g.add_edges_from(model.edges)
+    return g
+
+
+def hop_count_matrix_nx(model) -> np.ndarray:
+    """All-pairs hop counts by ``networkx`` breadth-first search."""
+    n = model.num_qubits
+    out = np.zeros((n, n))
+    for src, lengths in nx.all_pairs_shortest_path_length(_coupling_graph_nx(model)):
+        for dst, d in lengths.items():
+            out[src, dst] = d
+    return out
+
+
+def swap_error_matrix_nx(model, normalize: bool = True) -> np.ndarray:
+    """The swap-error matrix over the paths ``networkx``'s Dijkstra picks,
+    with edge weight ``-3 log(1 - E)`` (0 for an error-free edge)."""
+    n = model.num_qubits
+    graph = _coupling_graph_nx(model)
+    for a, b in model.edges:
+        e = model.cnot_error[(a, b)]
+        graph[a][b]["weight"] = -3.0 * math.log(1.0 - e) if e > 0 else 0.0
+    out = np.zeros((n, n))
+    for src in range(n):
+        for dst, path in nx.single_source_dijkstra_path(graph, src, weight="weight").items():
+            if dst == src:
+                continue
+            success = 1.0
+            for a, b in zip(path, path[1:]):
+                success *= (1.0 - model.cnot_error[(a, b) if a < b else (b, a)]) ** 3
+            out[src, dst] = 1.0 - success
+    out = np.maximum(out, out.T)
+    peak = out.max()
+    if normalize and peak > 0:
+        out = out / peak
+    return out
 
 
 def _wires(gate) -> set[tuple[str, int]]:

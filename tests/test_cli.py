@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qmpc
 from qmpc.cli import main
 from qmpc.errors import ConfigError
 from qmpc.pipeline import CompileResult, RunConfig
@@ -202,6 +207,30 @@ def test_out_of_range_setting_is_user_error(device_files, capsys, flag, value):
         flag, value, str(device_files / "bell.qasm"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--attempts", "abc"), ("--delta", "-inf")])
+def test_unparsable_command_line_is_user_error(device_files, capsys, flag, value):
+    assert main(_compile_args(device_files, extra=(flag, value))) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: qmpc compile: argument {flag}")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["compile", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qmpc compile")
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # networkx is a test-only dependency: importing it would be most of the
+    # command line's start-up time
+    src = str(Path(qmpc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, qmpc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_bad_single_qubit_error_is_user_error(device_files, capsys):

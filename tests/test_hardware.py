@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,13 @@ def test_isolated_qubit_rejected():
     topo = {"num_qubits": 3, "edges": [[0, 1]]}
     cal = {"cnot_errors": [[0, 1, 0.01]], "readout_errors": [0.01] * 3}
     with pytest.raises(DisconnectedGraphError):
+        build_hardware(topo, cal)
+
+
+def test_disconnected_components_listed_by_smallest_qubit():
+    topo = {"num_qubits": 4, "edges": [[3, 1]]}
+    cal = {"cnot_errors": [[1, 3, 0.01]], "readout_errors": [0.01] * 4}
+    with pytest.raises(DisconnectedGraphError, match=re.escape("components [[0], [1, 3], [2]]")):
         build_hardware(topo, cal)
 
 

@@ -3,13 +3,21 @@ import dataclasses
 import math
 import re
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qmpc import presets
 from qmpc.circuits import Gate, QuantumCircuit, build_dag, emit_qasm, parse_qasm, stats
-from qmpc.hardware import build_crosstalk, build_hardware, distance_matrices, subgraph_diameter
+from qmpc.hardware import (
+    build_crosstalk,
+    build_hardware,
+    distance_matrices,
+    hop_count_matrix,
+    subgraph_diameter,
+    swap_error_matrix,
+)
 from qmpc.errors import DisconnectedGraphError, HardwareError, PartitionError, SimulationError
 from qmpc.manager import Verdict, fidelity_gate, select_k, sort_by_density
 from qmpc.partition import (
@@ -28,12 +36,14 @@ from qmpc.verify import check_compliance, check_equivalence, estimate_success, m
 
 from oracles import (
     conditional_errors_scan,
+    hop_count_matrix_nx,
     induced_edges_scan,
     per_branch_simulate,
     reference_gsp_partition,
     reference_placement,
     reference_route,
     region_diameter_nx,
+    swap_error_matrix_nx,
     trim_and_reallocate_gate,
 )
 
@@ -139,6 +149,66 @@ def test_distance_matrices_symmetric_zero_diag_normalized(model):
 def test_every_edge_has_diameter_one(model):
     for e in model.edges:
         assert subgraph_diameter(model, set(e)) == 1
+
+
+@st.composite
+def tied_device(draw, max_qubits=9):
+    """A connected device whose CNOT errors come from a few repeated values,
+    0 among them, so that equally reliable swap paths are common; the edges
+    are listed in random order and orientation.  Among these values, paths
+    that visit the same errors in another order can tie on distance but
+    not on success product, so a different tie order changes the matrix."""
+    n = draw(st.integers(1, max_qubits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = [int(q) for q in rng.permutation(n)]
+    edges = {tuple(sorted((order[i], order[int(rng.integers(i))]))) for i in range(1, n)}  # a spanning tree
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        edges.add(tuple(sorted(int(q) for q in rng.choice(n, size=2, replace=False))))
+    listed = [list(e) if rng.random() < 0.5 else [e[1], e[0]] for e in edges]
+    rng.shuffle(listed)
+    levels = [0.0, 0.001, 0.01, 0.01, 0.03]
+    cal = {
+        "cnot_errors": [[a, b, levels[int(rng.integers(len(levels)))]] for a, b in listed],
+        "readout_errors": [0.01] * n,
+    }
+    return build_hardware({"num_qubits": n, "edges": listed}, cal)
+
+
+# An 8-qubit ring where two equally distant heap entries carry different
+# success products: the matrix changes if ties are broken by qubit number
+# instead of push order, or if an equally short path replaces the first.
+PUSH_ORDER_RING = build_hardware(
+    {"num_qubits": 8, "edges": [[0, 1], [0, 3], [1, 6], [2, 4], [2, 5], [3, 5], [4, 7], [6, 7]]},
+    {
+        "cnot_errors": [[0, 1, 0.01], [0, 3, 0.001], [1, 6, 0.01], [2, 4, 0.01], [2, 5, 0.01], [3, 5, 0.01],
+                        [4, 7, 0.01], [6, 7, 0.001]],
+        "readout_errors": [0.01] * 8,
+    },
+)
+
+
+@settings(max_examples=200, **COMMON)
+@given(tied_device())
+@example(PUSH_ORDER_RING)
+def test_routing_matrices_match_networkx_bit_for_bit(model):
+    assert hop_count_matrix(model).tobytes() == hop_count_matrix_nx(model).tobytes()
+    for normalize in (True, False):
+        assert swap_error_matrix(model, normalize).tobytes() == swap_error_matrix_nx(model, normalize).tobytes()
+
+
+@settings(max_examples=100, **COMMON)
+@given(st.integers(2, 9), st.integers(0, 2**32 - 1))
+def test_disconnected_device_lists_every_component(n, seed):
+    rng = np.random.default_rng(seed)
+    side = [0, 1] + [int(s) for s in rng.integers(0, 3, size=n - 2)]  # qubits 0 and 1 never meet
+    edges = [[a, b] for a in range(n) for b in range(a + 1, n) if side[a] == side[b] and rng.random() < 0.6]
+    cal = {"cnot_errors": [[a, b, 0.01] for a, b in edges], "readout_errors": [0.01] * n}
+    graph = nx.Graph(edges)
+    graph.add_nodes_from(range(n))
+    parts = sorted(sorted(c) for c in nx.connected_components(graph))  # by smallest qubit
+    with pytest.raises(DisconnectedGraphError) as info:
+        build_hardware({"num_qubits": n, "edges": edges}, cal)
+    assert str(info.value) == f"coupling graph is disconnected: components {parts}"
 
 
 PRESET_MODELS = {name: presets.model(name, seed=5) for name in ("valencia", "jakarta", "guadalupe", "toronto", "manhattan")}

@@ -101,7 +101,7 @@ def test_candidates_distance_two():
     model = line_model(3)
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 2)),))
     job = _job_for(model, circuit, [0, 1, 2], [0, 1, 2])
-    cands = find_swap_bridge_pairs(job, model)
+    cands = find_swap_bridge_pairs(job)
     swaps = [c for c in cands if c.kind == SWAP]
     bridges = [c for c in cands if c.kind == BRIDGE]
     assert {c.qubits for c in swaps} == {(0, 1), (1, 2)}
@@ -112,7 +112,7 @@ def test_candidates_distance_three_no_bridge():
     model = line_model(4)
     circuit = QuantumCircuit("c", 4, 0, (Gate(CX, (0, 3)),))
     job = _job_for(model, circuit, [0, 1, 2, 3], [0, 1, 2, 3])
-    cands = find_swap_bridge_pairs(job, model)
+    cands = find_swap_bridge_pairs(job)
     assert all(c.kind == SWAP for c in cands)
     assert {c.qubits for c in cands} == {(0, 1), (2, 3)}
 
