@@ -40,7 +40,7 @@ for compiled in result.plans:
     for cid in plan.selected:
         print(f"  {cid}: +{sched.additional_cnots(cid)} CNOTs "
               f"({sched.swap_counts[cid]} swaps, {sched.bridge_counts[cid]} bridges)")
-    print(f"  merged depth {sched.depth()}, estimated success {compiled.stats['esp']:.3f}")
+    print(f"  merged depth {compiled.stats['depth']}, estimated success {compiled.stats['esp']:.3f}")
 
     report = check_equivalence(compiled.circuits, compiled.merged, compiled.manifest)
     print(f"  equivalence check: {'PASS' if report.passed else 'FAIL'} "

@@ -376,10 +376,14 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
             params: list[float] = []
             if parser.peek() is not None and parser.peek().text == "(":
                 parser.next()
-                params.append(parser.parse_expr())
-                while parser.peek() is not None and parser.peek().text == ",":
-                    parser.next()
+                while True:
+                    start = parser.peek()
                     params.append(parser.parse_expr())
+                    if not math.isfinite(params[-1]):
+                        raise QasmError(f"parameter of {name!r} is not finite", start.line, start.col)
+                    if parser.peek() is None or parser.peek().text != ",":
+                        break
+                    parser.next()
                 parser.expect(")")
             want = PARAM_COUNTS[name]
             if len(params) != want:
@@ -447,24 +451,25 @@ def parse_merged_qasm(source: str, circuit_id: str = "merged"):
 # --- emission ---------------------------------------------------------------
 
 
-def _format_gate(g: Gate, qname: str = "q", clbit_ref=None) -> str:
-    if g.kind == MEASURE:
-        target = clbit_ref(g.clbit) if clbit_ref else f"c[{g.clbit}]"
-        return f"measure {qname}[{g.qubits[0]}] -> {target};"
-    if g.kind == BARRIER:
-        args = ",".join(f"{qname}[{q}]" for q in g.qubits)
-        return f"barrier {args};"
-    head = g.kind
-    if g.params:
-        head += "(" + ",".join(repr(p) for p in g.params) + ")"
-    args = ",".join(f"{qname}[{q}]" for q in g.qubits)
-    return f"{head} {args};"
+def emit_qasm(circuit: QuantumCircuit, cregs: dict[str, int] | None = None) -> str:
+    """Render a circuit in the subset the parser reads.
 
-
-def emit_qasm(circuit: QuantumCircuit) -> str:
-    """Render a circuit back to the same subset it was parsed from."""
+    ``cregs`` maps each classical register's name to its size, in
+    declaration order; the circuit's clbits run through them in that order,
+    and a register of size 0 is not declared.  The default is one register
+    ``c`` over every clbit.
+    """
+    if cregs is None:
+        cregs = {"c": circuit.num_clbits}
+    bits = [f"{name}[{i}]" for name, size in cregs.items() for i in range(size)]
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
-    if circuit.num_clbits:
-        lines.append(f"creg c[{circuit.num_clbits}];")
-    lines.extend(_format_gate(g) for g in circuit.gates)
+    lines += [f"creg {name}[{size}];" for name, size in cregs.items() if size]
+    for g in circuit.gates:
+        args = ",".join(f"q[{q}]" for q in g.qubits)
+        if g.kind == MEASURE:
+            lines.append(f"measure {args} -> {bits[g.clbit]};")
+        elif g.params:
+            lines.append(f"{g.kind}({','.join(repr(p) for p in g.params)}) {args};")
+        else:
+            lines.append(f"{g.kind} {args};")
     return "\n".join(lines) + "\n"

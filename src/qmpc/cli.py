@@ -20,7 +20,7 @@ from .errors import ConfigError, OutputDirError, QmpcError, read_text
 from .hardware import extract_strong_crosstalk, load_crosstalk, load_hardware
 from .manager import plan_all
 from .pipeline import compile_workloads
-from .verify import check_equivalence
+from .verify import SIMULATION_QUBIT_CAP, check_equivalence
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a merged program against its sources")
     p_verify.add_argument("--merged", required=True)
     p_verify.add_argument("--manifest", required=True)
-    p_verify.add_argument("--cap", type=int, default=12, help="active-qubit cap per independent component")
+    p_verify.add_argument(
+        "--cap", type=int, default=SIMULATION_QUBIT_CAP, help="active-qubit cap per independent component"
+    )
     p_verify.add_argument("sources", nargs="+")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -332,19 +332,19 @@ class CrosstalkTable:
 _NO_CONDITIONS: Mapping[Edge, float] = MappingProxyType({})
 
 
-def _validate_pair(gate: Edge, cond: Edge, model: HardwareModel, hops: np.ndarray) -> None:
+def _validate_pair(gate: Edge, cond: Edge, model: HardwareModel) -> None:
     for e in (gate, cond):
         if e not in model.cnot_error:
             raise CrosstalkError(f"crosstalk entry references non-edge {e}")
     if set(gate) & set(cond):
         raise CrosstalkError(f"crosstalk pair {gate}|{cond} shares a qubit")
-    gap = min(int(hops[a, b]) for a in gate for b in cond)
-    if gap != 1:
+    # two edges that share no qubit are one hop apart iff an edge joins them
+    if not any(model.has_edge(a, b) for a in gate for b in cond):
+        gap = min(_hops_from(model._adjacency, a)[b] for a in gate for b in cond)
         raise CrosstalkError(f"crosstalk pair {gate}|{cond} is {gap} hops apart, expected exactly 1")
 
 
 def build_crosstalk(pairs: list[dict], model: HardwareModel) -> CrosstalkTable:
-    hops = hop_count_matrix(model)
     entries: dict[tuple[Edge, Edge], float] = {}
     for item in pairs:
         try:
@@ -353,7 +353,7 @@ def build_crosstalk(pairs: list[dict], model: HardwareModel) -> CrosstalkTable:
             err = float(item["error"])
         except (KeyError, TypeError, IndexError):
             raise CrosstalkError(f"bad crosstalk entry {item!r}") from None
-        _validate_pair(gate, cond, model, hops)
+        _validate_pair(gate, cond, model)
         if not 0.0 <= err < 1.0:
             raise CrosstalkError(f"conditional error {err} for {gate}|{cond} outside [0,1)")
         entries[(gate, cond)] = err

@@ -34,7 +34,11 @@ class ExecutionPlan:
     delta_s: float
     threshold: float
     verdict: Verdict
-    trf: int
+
+    @property
+    def trf(self) -> int:
+        """Trial reduction factor: how many circuits run in one trial."""
+        return len(self.selected)
 
     def verdict_label(self) -> str:
         if self.verdict is Verdict.REDUCED:
@@ -104,7 +108,7 @@ def independent_plan(
     """Run ``circuit`` by itself on its best region.  ``alone`` caches alone
     regions by circuit id across calls with the same device and knobs."""
     best = _alone_region(model, circuit, config, strong_pairs, {} if alone is None else alone)
-    return ExecutionPlan((circuit.id,), (best,), 0.0, config.delta, Verdict.INDEPENDENT, 1)
+    return ExecutionPlan((circuit.id,), (best,), 0.0, config.delta, Verdict.INDEPENDENT)
 
 
 def fidelity_gate(
@@ -140,9 +144,7 @@ def fidelity_gate(
         delta_s = sum(p.score - scores[p.circuit_id] for p in joint[:n]) / n
         if delta_s < config.delta:
             verdict = Verdict.SIMULTANEOUS if n == len(circuits) else Verdict.REDUCED
-            return ExecutionPlan(
-                tuple(c.id for c in circuits[:n]), tuple(joint[:n]), delta_s, config.delta, verdict, n
-            )
+            return ExecutionPlan(tuple(c.id for c in circuits[:n]), tuple(joint[:n]), delta_s, config.delta, verdict)
     return independent_plan(model, circuits[0], config, strong_pairs, alone)
 
 

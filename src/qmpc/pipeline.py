@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import QuantumCircuit, build_dag
+from .circuits import QuantumCircuit, build_dag, depth
 from .config import DEFAULT_CONFIG, RunConfig
 from .hardware import CrosstalkTable, HardwareModel, distance_matrices
 from .manager import ExecutionPlan, plan_all
@@ -30,6 +30,8 @@ class CompileResult:
 
 
 def _plan_stats(model: HardwareModel, compiled: CompiledPlan, index: int) -> dict:
+    """Per-plan numbers for ``stats_<i>.json``; depth and ESP are read off
+    the merged circuit."""
     sched = compiled.schedule
     per_circuit = {}
     for circuit, part in zip(compiled.circuits, compiled.plan.partitions):
@@ -47,9 +49,9 @@ def _plan_stats(model: HardwareModel, compiled: CompiledPlan, index: int) -> dic
         "delta_s": compiled.plan.delta_s,
         "threshold": compiled.plan.json_threshold,
         "trf": compiled.plan.trf,
-        "depth": sched.depth(),
+        "depth": depth(compiled.merged.gates),
         "total_additional_cnots": sched.additional_cnots(),
-        "esp": estimate_success(sched, model),
+        "esp": estimate_success(compiled.merged, model),
         "circuits": per_circuit,
     }
 

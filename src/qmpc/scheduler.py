@@ -19,12 +19,11 @@ the circuit's route, and trials that can no longer win stop early.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CX, MEASURE, DagCircuit, Gate, QuantumCircuit, _format_gate, depth
+from .circuits import CX, DagCircuit, Gate, QuantumCircuit, emit_qasm
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import RoutingError
 from .hardware import HardwareModel
@@ -58,42 +57,20 @@ class TentativeGate:
         self.n_tent = len(self.cnot_pairs)
 
 
-@dataclass(frozen=True)
-class ScheduledGate:
-    circuit_id: str
-    gate: Gate  # physical qubits; measure clbits stay circuit-local
-
-
 # One record per emitted gate: (source node, *physical qubits), node -1 for
 # an inserted CNOT.  The source gate supplies kind, parameters and clbit.
 Record = tuple[int, ...]
 
 
-def _scheduled_gate(circuit: QuantumCircuit, record: Record) -> ScheduledGate:
-    node, qubits = record[0], record[1:]
-    if node < 0:
-        return ScheduledGate(circuit.id, Gate(CX, qubits))
-    gate = circuit.gates[node]
-    if gate.kind == CX:
-        emitted = Gate(CX, qubits)
-    elif gate.kind == MEASURE:
-        emitted = Gate(MEASURE, qubits, clbit=gate.clbit)
-    else:  # 1q gates and barriers
-        emitted = Gate(gate.kind, qubits, gate.params)
-    return ScheduledGate(circuit.id, emitted)
-
-
 @dataclass
 class Schedule:
-    """Routing result: emitted sequence plus per-circuit accounting.
+    """Routing result: compact records plus per-circuit accounting.
 
     ``routes`` holds, per circuit, ``(circuit, records, round ends)``: the
-    compact records its route emitted and, for each routing round, the
-    number of records after it.  ``entries`` joins them round by round (see
-    ``interleave``) into ``ScheduledGate``s on first read, so a placement
-    trial nobody reads never builds one.  ``round_ends[r]`` is the length of
-    ``entries`` after round ``r``.  An ``aborted`` schedule is a placement
-    trial stopped once it could no longer win; its entries and counts are
+    records its route emitted and, for each routing round, the number of
+    records after it.  Only ``merged_circuit`` turns records into gates, so
+    a placement trial builds none.  An ``aborted`` schedule is a placement
+    trial stopped once it could no longer win; its records and counts are
     incomplete.
     """
 
@@ -101,31 +78,18 @@ class Schedule:
     swap_counts: dict[str, int]
     bridge_counts: dict[str, int]
     final_mappings: dict[str, dict[int, int]]
-    round_ends: list[int] = field(default_factory=list)
     aborted: bool = False
-
-    @cached_property
-    def entries(self) -> list[ScheduledGate]:
-        entries: list[ScheduledGate] = []
-        for r in range(self.iterations):
-            for circuit, records, ends in self.routes:
-                if r < len(ends):
-                    entries += [_scheduled_gate(circuit, rec) for rec in records[ends[r - 1] if r else 0 : ends[r]]]
-        return entries
 
     @property
     def iterations(self) -> int:
-        """Routing rounds, each emitting what is ready and then at most one
-        repair per blocked circuit."""
-        return len(self.round_ends)
+        """Routing rounds of the longest route; a round emits what is ready
+        and then at most one repair per blocked circuit."""
+        return max((len(ends) for _, _, ends in self.routes), default=0)
 
     def additional_cnots(self, circuit_id: str | None = None) -> int:
         if circuit_id is not None:
             return 3 * (self.swap_counts[circuit_id] + self.bridge_counts[circuit_id])
         return 3 * (sum(self.swap_counts.values()) + sum(self.bridge_counts.values()))
-
-    def depth(self) -> int:
-        return depth(entry.gate for entry in self.entries)
 
 
 class _Tables:
@@ -460,14 +424,7 @@ def interleave(schedules: list[Schedule]) -> Schedule:
     has one, in list order: what routing the circuits together in one loop,
     visiting them in that order each round, would emit.
     """
-    if len(schedules) == 1:
-        return schedules[0]
-    routes = [route for s in schedules for route in s.routes]
-    round_ends = [
-        sum(ends[min(r, len(ends) - 1)] for _, _, ends in routes if ends)
-        for r in range(max((s.iterations for s in schedules), default=0))
-    ]
-    joint = Schedule(routes, {}, {}, {}, round_ends, any(s.aborted for s in schedules))
+    joint = Schedule([route for s in schedules for route in s.routes], {}, {}, {}, any(s.aborted for s in schedules))
     for s in schedules:
         joint.swap_counts.update(s.swap_counts)
         joint.bridge_counts.update(s.bridge_counts)
@@ -526,7 +483,6 @@ def mapping_transition(
         swap_counts={circuit.id: job.swaps},
         bridge_counts={circuit.id: job.bridges},
         final_mappings={circuit.id: dict(enumerate(job.l2p))},
-        round_ends=round_ends,
         aborted=aborted,
     )
 
@@ -580,22 +536,29 @@ def initial_mapping(
 def merged_circuit(schedule: Schedule, model: HardwareModel, circuits: list[QuantumCircuit]):
     """Flatten a schedule into one circuit over the whole device.
 
-    Classical bits are concatenated per circuit in plan order; the manifest
-    records, for every circuit, its final logical-to-physical map and the
-    global classical bits its measurements landed in.
+    Round ``r`` of the circuit is round ``r`` of every route that has one,
+    in route order (see ``interleave``).  Classical bits are concatenated
+    per circuit in plan order; the manifest records, for every circuit, its
+    final logical-to-physical map and the global classical bits its
+    measurements landed in.
     """
     offsets: dict[str, int] = {}
     total_clbits = 0
     for c in circuits:
         offsets[c.id] = total_clbits
         total_clbits += c.num_clbits
-    gates = []
-    for entry in schedule.entries:
-        g = entry.gate
-        if g.kind == MEASURE:
-            gates.append(Gate(MEASURE, g.qubits, clbit=offsets[entry.circuit_id] + g.clbit))
-        else:
-            gates.append(g)
+    gates: list[Gate] = []
+    for r in range(schedule.iterations):
+        for circuit, records, ends in schedule.routes:
+            if r < len(ends):
+                source, offset = circuit.gates, offsets[circuit.id]
+                for record in records[ends[r - 1] if r else 0 : ends[r]]:
+                    node, qubits = record[0], record[1:]
+                    if node < 0:  # a CNOT of a repair
+                        gates.append(Gate(CX, qubits))
+                    else:
+                        g = source[node]
+                        gates.append(Gate(g.kind, qubits, g.params, None if g.clbit is None else offset + g.clbit))
     merged = QuantumCircuit("merged", model.num_qubits, total_clbits, tuple(gates))
     manifest = {
         c.id: {
@@ -609,13 +572,5 @@ def merged_circuit(schedule: Schedule, model: HardwareModel, circuits: list[Quan
 
 def emit_merged_qasm(schedule: Schedule, model: HardwareModel, circuits: list[QuantumCircuit]):
     """Render the merged schedule as OpenQASM with one creg per circuit."""
-    creg_names = {c.id: f"c{i}" for i, c in enumerate(circuits)}
-    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{model.num_qubits}];"]
-    for c in circuits:
-        if c.num_clbits:
-            lines.append(f"creg {creg_names[c.id]}[{c.num_clbits}];")
-    for entry in schedule.entries:
-        creg = creg_names[entry.circuit_id]
-        lines.append(_format_gate(entry.gate, clbit_ref=lambda b: f"{creg}[{b}]"))
-    _, manifest = merged_circuit(schedule, model, circuits)
-    return "\n".join(lines) + "\n", manifest
+    merged, manifest = merged_circuit(schedule, model, circuits)
+    return emit_qasm(merged, {f"c{i}": c.num_clbits for i, c in enumerate(circuits)}), manifest

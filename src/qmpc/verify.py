@@ -372,19 +372,13 @@ def check_compliance(merged: QuantumCircuit, manifest: dict, plan: ExecutionPlan
             raise RoutingError(f"gate {i}: measurement writes bit {g.clbit}, which its circuit does not own")
 
 
-def estimate_success(gates, model: HardwareModel, adjusted_errors=None) -> float:
+def estimate_success(circuit: QuantumCircuit, model: HardwareModel) -> float:
     """Product of per-operation success probabilities: (1 - E) per executed
     CNOT and (1 - R) per measured qubit.  An analytic fidelity proxy."""
-    if hasattr(gates, "entries"):  # Schedule
-        gates = [entry.gate for entry in gates.entries]
-    elif isinstance(gates, QuantumCircuit):
-        gates = gates.gates
     p = 1.0
-    for g in gates:
+    for g in circuit.gates:
         if g.kind == CX:
-            edge = (min(g.qubits), max(g.qubits))
-            err = model.cnot_error[edge] if adjusted_errors is None else adjusted_errors.get(edge, model.cnot_error[edge])
-            p *= 1.0 - err
+            p *= 1.0 - model.cnot_error[(min(g.qubits), max(g.qubits))]
         elif g.kind == MEASURE:
             p *= 1.0 - float(model.readout_error[g.qubits[0]])
     return p

@@ -39,7 +39,7 @@ from qmpc.partition import (
     gsp_partition,
     qhsp_partition,
 )
-from qmpc.scheduler import BRIDGE, SWAP, ScheduledGate, TentativeGate
+from qmpc.scheduler import BRIDGE, SWAP, TentativeGate
 
 
 def bfs_hops(n: int, edges: list[tuple[int, int]], src: int) -> dict[int, int]:
@@ -318,11 +318,9 @@ def trim_and_reallocate_gate(model, circuits, method="qhsp", lam=2.0, threshold=
         delta_s = sum(p.score - alone[p.circuit_id] for p in joint) / len(current)
         if delta_s < threshold:
             verdict = Verdict.SIMULTANEOUS if len(current) == len(circuits) else Verdict.REDUCED
-            return ExecutionPlan(
-                tuple(c.id for c in current), tuple(joint), delta_s, threshold, verdict, len(current)
-            )
+            return ExecutionPlan(tuple(c.id for c in current), tuple(joint), delta_s, threshold, verdict)
         current = current[:-1]
-    return ExecutionPlan((current[0].id,), (best_alone(current[0]),), 0.0, threshold, Verdict.INDEPENDENT, 1)
+    return ExecutionPlan((current[0].id,), (best_alone(current[0]),), 0.0, threshold, Verdict.INDEPENDENT)
 
 
 def reference_gsp_partition(model, circuit, used_qubits, strong_pairs=None):
@@ -501,8 +499,9 @@ def per_branch_simulate(circuit: QuantumCircuit, cap: int = ORACLE_QUBIT_CAP) ->
 class _RefJob:
     """Routing state for one circuit, as the first router kept it."""
 
-    def __init__(self, model, circuit, dag, partition, l2p):
+    def __init__(self, model, circuit, dag, partition, l2p, clbit_offset):
         self.circuit = circuit
+        self.clbit_offset = clbit_offset  # where the circuit's bits start in the merged register
         self.dag = dag
         self.partition = tuple(partition.qubits)
         self.part_set = set(self.partition)
@@ -586,7 +585,7 @@ def _ref_cost(tentative, front, extended, dist, l2p, p2l, weight_w, self_cost):
     return h
 
 
-def _ref_forced_path(job, entries):
+def _ref_forced_path(job, gates):
     node = min(job.front)
     gate = job.dag.gate(node)
     src, dst = job.l2p[gate.qubits[0]], job.l2p[gate.qubits[1]]
@@ -607,12 +606,12 @@ def _ref_forced_path(job, entries):
     for step in path[1:-1]:
         edge = (min(src, step), max(src, step))
         for p, q in TentativeGate(SWAP, edge).cnot_pairs:
-            entries.append(ScheduledGate(job.circuit.id, Gate(CX, (p, q))))
+            gates.append(Gate(CX, (p, q)))
         job.apply_swap(*edge)
         src = step
 
 
-def _ref_emit_ready(job, model, entries):
+def _ref_emit_ready(job, model, gates):
     progress = True
     while progress:
         progress = False
@@ -624,10 +623,10 @@ def _ref_emit_ready(job, model, entries):
                     continue
                 emitted = Gate(CX, (a, b))
             elif gate.kind == MEASURE:
-                emitted = Gate(MEASURE, (job.l2p[gate.qubits[0]],), clbit=gate.clbit)
+                emitted = Gate(MEASURE, (job.l2p[gate.qubits[0]],), clbit=job.clbit_offset + gate.clbit)
             else:
                 emitted = Gate(gate.kind, tuple(job.l2p[q] for q in gate.qubits), gate.params)
-            entries.append(ScheduledGate(job.circuit.id, emitted))
+            gates.append(emitted)
             job.mark_executed(node)
             job.banned_edges.clear()
             job.stalled = 0
@@ -636,7 +635,7 @@ def _ref_emit_ready(job, model, entries):
 
 @dataclass
 class RefSchedule:
-    entries: list
+    gates: list  # the merged program's gates
     swap_counts: dict
     bridge_counts: dict
     final_mappings: dict
@@ -645,9 +644,13 @@ class RefSchedule:
 
 def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only=False, self_cost=True):
     """All of a plan's circuits routed in one joint loop, densest-first each
-    round, with the numpy matrix ``dist``."""
-    jobs = [_RefJob(model, c, dag, part, l2p) for c, dag, part, l2p in jobs_spec]
-    entries: list = []
+    round, with the numpy matrix ``dist``.  Each circuit's classical bits
+    follow those of the circuits before it."""
+    jobs, offset = [], 0
+    for c, dag, part, l2p in jobs_spec:
+        jobs.append(_RefJob(model, c, dag, part, l2p, offset))
+        offset += c.num_clbits
+    gates: list = []
     cap = 10 * max(sum(len(j.circuit.gates) for j in jobs), 1)
     iterations = 0
     while any(j.remaining for j in jobs):
@@ -657,11 +660,11 @@ def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only
         for job in jobs:
             if not job.remaining:
                 continue
-            _ref_emit_ready(job, model, entries)
+            _ref_emit_ready(job, model, gates)
             if not job.front:
                 continue
             if job.stalled >= 2 * len(job.partition) + 4:
-                _ref_forced_path(job, entries)
+                _ref_forced_path(job, gates)
                 continue
             candidates = _ref_candidates(job)
             if swap_only:
@@ -681,7 +684,7 @@ def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only
                 ),
             )
             for p, q in best.cnot_pairs:
-                entries.append(ScheduledGate(job.circuit.id, Gate(CX, (p, q))))
+                gates.append(Gate(CX, (p, q)))
             if best.kind == SWAP:
                 job.apply_swap(*best.qubits)
                 job.banned_edges.add(best.qubits)
@@ -692,7 +695,7 @@ def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only
                 job.banned_edges.clear()
                 job.stalled = 0
     return RefSchedule(
-        entries,
+        gates,
         {j.circuit.id: j.swaps for j in jobs},
         {j.circuit.id: j.bridges for j in jobs},
         {j.circuit.id: dict(enumerate(j.l2p)) for j in jobs},

@@ -72,6 +72,15 @@ def test_syntax_error_carries_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "statement, col", [("rz(1e999) q[0];", 4), ("rz(1e308*10) q[0];", 4), ("u3(0,1e999-1e999,0) q[0];", 6)]
+)
+def test_non_finite_parameter_rejected_with_position(statement, col):
+    with pytest.raises(QasmError, match="not finite") as err:
+        parse_qasm(f"qreg q[1];\n{statement}")
+    assert (err.value.line, err.value.col) == (2, col)
+
+
 def test_index_out_of_range():
     with pytest.raises(QasmError, match="out of range"):
         parse_qasm("qreg q[2]; h q[2];")

@@ -197,6 +197,15 @@ def test_missing_file_is_user_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_non_finite_gate_angle_is_user_error(device_files, capsys):
+    # an infinite angle used to compile and write "rz(inf)", which no parser reads
+    (device_files / "ghz3.qasm").write_text("qreg q[3]; creg c[3]; rz(1e308*10) q[0]; measure q -> c;\n")
+    assert main(_compile_args(device_files)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0]
+    assert not (device_files / "out" / "merged_0.qasm").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--attempts", "0"), ("--lambda", "0"), ("--delta", "nan")])
 def test_out_of_range_setting_is_user_error(device_files, capsys, flag, value):
     assert main(_compile_args(device_files, extra=(flag, value))) == 1

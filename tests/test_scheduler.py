@@ -44,6 +44,12 @@ def route_solo(model, D, specs):
     return [mapping_transition(model, D, c, dag, part, l2p, RunConfig()) for c, dag, part, l2p in specs]
 
 
+def emitted(sched, model):
+    """The gates of a schedule's merged circuit, clbits in route order."""
+    merged, _ = merged_circuit(sched, model, [circuit for circuit, _, _ in sched.routes])
+    return merged.gates
+
+
 # --- initial mapping -----------------------------------------------------------
 
 
@@ -233,7 +239,7 @@ def test_compliant_circuit_passes_through(bell):
     model = line_model(2)
     sched = route_single(model, bell, [0, 1])
     assert sched.additional_cnots() == 0
-    assert len(sched.entries) == len(bell.gates)
+    assert len(emitted(sched, model)) == len(bell.gates)
 
 
 def test_isolated_distance_two_uses_bridge():
@@ -258,7 +264,7 @@ def test_accounting_identity_on_random_circuits(circuit_factory, guadalupe):
         dag = build_dag(circuit)
         l2p, _ = initial_mapping(guadalupe, D, part, circuit, dag, np.random.default_rng(trial))
         sched = mapping_transition(guadalupe, D, circuit, dag, part, l2p, RunConfig())
-        emitted_cx = sum(1 for e in sched.entries if e.gate.kind == CX)
+        emitted_cx = sum(1 for g in emitted(sched, guadalupe) if g.kind == CX)
         assert emitted_cx == circuit.cnot_count + sched.additional_cnots()
         assert sched.additional_cnots() == 3 * (sched.swap_counts["c%d" % trial] + sched.bridge_counts["c%d" % trial])
 
@@ -322,52 +328,56 @@ def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory
     assert any(t.aborted for t in trials)
     assert not best.aborted and best in trials
     alone = route(guadalupe, D, circuit, build_dag(circuit), part, l2p, RunConfig())
-    assert alone.entries == best.entries and alone.additional_cnots() == best.additional_cnots()
+    assert alone.routes == best.routes and alone.additional_cnots() == best.additional_cnots()
 
 
-def test_placement_trials_build_no_scheduled_gates(monkeypatch, circuit_factory, guadalupe):
-    # trials keep compact records; ScheduledGates are built only when a
-    # schedule's entries are read, so no aborted or losing trial builds any
+def counting_gates(monkeypatch):
+    """Count every ``Gate`` the scheduler builds from here on."""
+    import qmpc.scheduler as sched_mod
+
+    gate, built = sched_mod.Gate, []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return gate(*args, **kwargs)
+
+    monkeypatch.setattr(sched_mod, "Gate", counting)
+    return built
+
+
+def test_placement_trials_build_no_gates(monkeypatch, circuit_factory, guadalupe):
+    # trials keep compact records; only merged_circuit turns records into
+    # gates, so no aborted or losing trial builds any
     import qmpc.scheduler as sched_mod
     from qmpc.partition import qhsp_partition
 
-    route, scheduled_gate = sched_mod.mapping_transition, sched_mod.ScheduledGate
-    trials, built = [], []
+    route = sched_mod.mapping_transition
+    trials = []
 
     def recording(*args, **kwargs):
         trials.append(route(*args, **kwargs))
         return trials[-1]
 
-    def counting(*args):
-        built.append(args)
-        return scheduled_gate(*args)
-
     monkeypatch.setattr(sched_mod, "mapping_transition", recording)
-    monkeypatch.setattr(sched_mod, "ScheduledGate", counting)
+    built = counting_gates(monkeypatch)
     circuit = circuit_factory(np.random.default_rng(5), "c", n_qubits=6, max_gates=60)
     part = qhsp_partition(guadalupe, circuit, set())[0]
     D = distance_matrices(guadalupe).combined_rows
     _, best = initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(0))
     assert len(trials) == 10 and any(t.aborted for t in trials)
     assert built == []
-    assert len(best.entries) == len(built) == len(best.routes[0][1])  # one record per entry
-    assert best.entries is best.entries  # built once
+    gates = emitted(best, guadalupe)
+    assert len(gates) == len(built) == len(best.routes[0][1])  # one gate per record
 
 
-def test_compile_builds_scheduled_gates_only_for_the_merged_schedules(monkeypatch, circuit_factory, guadalupe):
-    import qmpc.scheduler as sched_mod
-
-    scheduled_gate, built = sched_mod.ScheduledGate, []
-
-    def counting(*args):
-        built.append(args)
-        return scheduled_gate(*args)
-
-    monkeypatch.setattr(sched_mod, "ScheduledGate", counting)
+def test_compile_builds_gates_only_for_the_merged_circuits(monkeypatch, circuit_factory, guadalupe):
+    built = counting_gates(monkeypatch)
     rng = np.random.default_rng(8)
     circuits = [circuit_factory(rng, f"c{i}", n_qubits=n, max_gates=40) for i, n in enumerate((5, 4, 3))]
     result = compile_workloads(guadalupe, circuits, RunConfig(seed=2))
-    assert len(built) == sum(len(compiled.schedule.entries) for compiled in result.plans)
+    # each plan's merged circuit is built twice: once for the checks and
+    # the stats, once more by emit_merged_qasm
+    assert len(built) == 2 * sum(len(compiled.merged.gates) for compiled in result.plans)
 
 
 def test_partition_tables_are_not_kept_on_the_model(circuit_factory, guadalupe):
@@ -422,7 +432,7 @@ def test_stall_fallback_recovers_from_adversarial_costs():
     for a, b in ((0, 1), (4, 5)):
         hostile[a, b] = hostile[b, a] = -1000.0
     sched = mapping_transition(model, hostile, circuit, dag, make_part("c", range(6)), list(range(6)), RunConfig())
-    emitted_cx = sum(1 for e in sched.entries if e.gate.kind == CX)
+    emitted_cx = sum(1 for g in emitted(sched, model) if g.kind == CX)
     assert emitted_cx == 1 + sched.additional_cnots()
 
 
@@ -437,7 +447,7 @@ def test_forced_route_counts_swaps_once():
         model, D, circuit, dag, make_part("c", range(5)), list(range(5)), RunConfig(), stall_limit=0
     )
     assert sched.swap_counts["c"] == 3
-    emitted_cx = sum(1 for e in sched.entries if e.gate.kind == CX)
+    emitted_cx = sum(1 for g in emitted(sched, model) if g.kind == CX)
     assert emitted_cx == 1 + sched.additional_cnots() == 10
 
 
@@ -454,7 +464,7 @@ def test_immediate_swap_revert_is_banned():
     circuit = QuantumCircuit("c", 4, 0, (Gate(CX, (1, 3)),))
     dag = build_dag(circuit)
     sched = mapping_transition(model, D, circuit, dag, make_part("c", [0, 1, 2, 3]), [0, 1, 2, 3], RunConfig())
-    emitted_cx = sum(1 for e in sched.entries if e.gate.kind == CX)
+    emitted_cx = sum(1 for g in emitted(sched, model) if g.kind == CX)
     assert emitted_cx == 1 + sched.additional_cnots()
 
 
@@ -466,10 +476,13 @@ def test_two_independent_circuits_match_solo_compilations():
     p1, m1 = make_part("one", [0, 1, 2]), [0, 1, 2]
     p2, m2 = make_part("two", [4, 5, 6]), [5, 4, 6]
     solo1, solo2 = route_solo(model, D, [(c1, build_dag(c1), p1, m1), (c2, build_dag(c2), p2, m2)])
-    joint = interleave([solo1, solo2])
-    joint_for = lambda cid: [e.gate for e in joint.entries if e.circuit_id == cid]
-    assert joint_for("one") == [e.gate for e in solo1.entries]
-    assert joint_for("two") == [e.gate for e in solo2.entries]
+    joint = emitted(interleave([solo1, solo2]), model)
+    in_region = lambda region: [g for g in joint if set(g.qubits) <= set(region.qubits)]
+    assert in_region(p1) == list(emitted(solo1, model))
+    # the second circuit's bits follow the first's three
+    shifted = [g if g.clbit is None else Gate(g.kind, g.qubits, g.params, g.clbit + 3) for g in emitted(solo2, model)]
+    assert in_region(p2) == shifted
+    assert len(joint) == len(shifted) + len(in_region(p1))
 
 
 def test_partition_confinement():
@@ -484,10 +497,14 @@ def test_partition_confinement():
          (c2, build_dag(c2), make_part("two", sorted(part2)), [4, 6, 5])],
     ))
     owner = {"one": part1, "two": part2}
-    for entry in sched.entries:
-        assert set(entry.gate.qubits) <= owner[entry.circuit_id]
-        if entry.gate.kind == CX:
-            assert model.has_edge(*entry.gate.qubits)
+    merged, manifest = merged_circuit(sched, model, [c1, c2])
+    bits = {cid: set(manifest[cid]["clbits"]) for cid in owner}
+    for g in merged.gates:
+        (cid,) = [cid for cid, part in owner.items() if set(g.qubits) <= part]
+        if g.kind == CX:
+            assert model.has_edge(*g.qubits)
+        if g.clbit is not None:
+            assert g.clbit in bits[cid]
     for cid, part in owner.items():
         assert set(sched.final_mappings[cid].values()) == part
 

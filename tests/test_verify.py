@@ -254,10 +254,3 @@ def test_esp_monotone_in_added_swap():
         "qreg q[2]; creg c[2]; cx q[0],q[1]; cx q[0],q[1]; cx q[1],q[0]; cx q[0],q[1]; measure q -> c;"
     )
     assert estimate_success(swapped, model) < estimate_success(base, model)
-
-
-def test_esp_uses_adjusted_errors():
-    topo = line_topology(2)
-    model = build_hardware(topo, uniform_calibration(topo, cnot=0.01, readout=0.0))
-    c = parse_qasm("qreg q[2]; cx q[0],q[1];")
-    assert estimate_success(c, model, {(0, 1): 0.5}) == pytest.approx(0.5)
