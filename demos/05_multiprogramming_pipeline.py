@@ -36,10 +36,9 @@ for compiled in result.plans:
     print(f"  trial reduction factor: {plan.trf}")
     for part in plan.partitions:
         print(f"  {part.circuit_id}: region {part.qubits} score {part.score:.4f}")
-    sched = compiled.schedule
-    for cid in plan.selected:
-        print(f"  {cid}: +{sched.additional_cnots(cid)} CNOTs "
-              f"({sched.swap_counts[cid]} swaps, {sched.bridge_counts[cid]} bridges)")
+    for cid, counts in compiled.stats["circuits"].items():
+        print(f"  {cid}: +{counts['additional_cnots']} CNOTs "
+              f"({counts['swaps']} swaps, {counts['bridges']} bridges)")
     print(f"  merged depth {compiled.stats['depth']}, estimated success {compiled.stats['esp']:.3f}")
 
     report = check_equivalence(compiled.circuits, compiled.merged, compiled.manifest)

@@ -130,7 +130,7 @@ def cmd_compile(args) -> int:
         summary.append(compiled.plan.to_json_dict())
         print(
             f"plan {i}: {compiled.plan.verdict_label()} circuits={list(compiled.plan.selected)} "
-            f"delta_s={compiled.plan.delta_s:.6f} additional_cnots={compiled.schedule.additional_cnots()}"
+            f"delta_s={compiled.plan.delta_s:.6f} additional_cnots={compiled.stats['total_additional_cnots']}"
         )
     (out_dir / "plans.json").write_text(_dump(summary))
     print(f"wrote {len(result.plans)} plan(s) to {out_dir}")

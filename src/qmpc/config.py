@@ -57,6 +57,9 @@ class RunConfig:
         for name in ("weight_w", "alpha1", "alpha2"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        # both routing matrices lie in [0, 1], so this bounds every combined distance
+        if not math.isfinite(abs(self.alpha1) + abs(self.alpha2)):
+            raise ConfigError(f"|alpha1| + |alpha2| must be finite, got alpha1={self.alpha1}, alpha2={self.alpha2}")
 
 
 DEFAULT_CONFIG = RunConfig()

@@ -9,19 +9,22 @@ from .circuits import QuantumCircuit, build_dag, depth
 from .config import DEFAULT_CONFIG, RunConfig
 from .hardware import CrosstalkTable, HardwareModel, distance_matrices
 from .manager import ExecutionPlan, plan_all
-from .scheduler import Schedule, emit_merged_qasm, initial_mapping, interleave, merged_circuit
+from .scheduler import Route, emit_merged_qasm, initial_mapping, merged_circuit
 from .verify import check_compliance, estimate_success
 
 
 @dataclass
 class CompiledPlan:
     plan: ExecutionPlan
-    circuits: list[QuantumCircuit]
-    schedule: Schedule
+    routes: list[Route]  # one per circuit, in plan order
     merged: QuantumCircuit
     qasm: str
     manifest: dict
     stats: dict
+
+    @property
+    def circuits(self) -> list[QuantumCircuit]:
+        return [route.circuit for route in self.routes]
 
 
 @dataclass
@@ -29,29 +32,31 @@ class CompileResult:
     plans: list[CompiledPlan] = field(default_factory=list)
 
 
-def _plan_stats(model: HardwareModel, compiled: CompiledPlan, index: int) -> dict:
+def _plan_stats(
+    model: HardwareModel, plan: ExecutionPlan, routes: list[Route], merged: QuantumCircuit, index: int
+) -> dict:
     """Per-plan numbers for ``stats_<i>.json``; depth and ESP are read off
     the merged circuit."""
-    sched = compiled.schedule
-    per_circuit = {}
-    for circuit, part in zip(compiled.circuits, compiled.plan.partitions):
-        per_circuit[circuit.id] = {
-            "qubits": circuit.num_qubits,
+    per_circuit = {
+        route.circuit.id: {
+            "qubits": route.circuit.num_qubits,
             "partition": list(part.qubits),
             "partition_score": part.score,
-            "additional_cnots": sched.additional_cnots(circuit.id),
-            "swaps": sched.swap_counts[circuit.id],
-            "bridges": sched.bridge_counts[circuit.id],
+            "additional_cnots": route.additional_cnots,
+            "swaps": route.swaps,
+            "bridges": route.bridges,
         }
+        for route, part in zip(routes, plan.partitions)
+    }
     return {
         "plan_index": index,
-        "verdict": compiled.plan.verdict_label(),
-        "delta_s": compiled.plan.delta_s,
-        "threshold": compiled.plan.json_threshold,
-        "trf": compiled.plan.trf,
-        "depth": depth(compiled.merged.gates),
-        "total_additional_cnots": sched.additional_cnots(),
-        "esp": estimate_success(compiled.merged, model),
+        "verdict": plan.verdict_label(),
+        "delta_s": plan.delta_s,
+        "threshold": plan.json_threshold,
+        "trf": plan.trf,
+        "depth": depth(merged.gates),
+        "total_additional_cnots": sum(route.additional_cnots for route in routes),
+        "esp": estimate_success(merged, model),
         "circuits": per_circuit,
     }
 
@@ -67,26 +72,22 @@ def compile_plan(
 ) -> CompiledPlan:
     """Place and route one plan's circuits simultaneously.
 
-    Each circuit's route is the winning trial of its placement search;
-    the plan's schedule interleaves them in plan order.  ``dist`` is the
-    combined distance matrix or its ``combined_rows``.  The merged program
-    is checked against the device and the plan before it is returned
+    Each circuit's route is the winning trial of its placement search, and
+    the merged circuit joins the routes round by round in plan order.
+    ``dist`` is ``DistanceMatrices.combined_rows``.  The merged program is
+    checked against the device and the plan before it is returned
     (``check_compliance``); a violation is a ``RoutingError``.
     """
     circuits = [circuits_by_id[cid] for cid in plan.selected]
-    dags = [build_dag(c) for c in circuits]
     children = seed_seq.spawn(len(circuits))
     routes = []
-    for circuit, dag, part, child in zip(circuits, dags, plan.partitions, children):
-        _, route = initial_mapping(model, dist, part, circuit, dag, np.random.default_rng(child), config)
+    for circuit, part, child in zip(circuits, plan.partitions, children):
+        _, route = initial_mapping(model, dist, part, circuit, build_dag(circuit), np.random.default_rng(child), config)
         routes.append(route)
-    schedule = interleave(routes)
-    merged, manifest = merged_circuit(schedule, model, circuits)
+    merged, manifest = merged_circuit(routes, model)
     check_compliance(merged, manifest, plan, model)
-    qasm, _ = emit_merged_qasm(schedule, model, circuits)
-    compiled = CompiledPlan(plan, circuits, schedule, merged, qasm, manifest, {})
-    compiled.stats = _plan_stats(model, compiled, index)
-    return compiled
+    qasm, _ = emit_merged_qasm(routes, model)
+    return CompiledPlan(plan, routes, merged, qasm, manifest, _plan_stats(model, plan, routes, merged, index))
 
 
 def compile_workloads(

@@ -12,14 +12,16 @@ part of the self-cost term, so the ``self_cost=False`` and ``swap_only``
 ablations score exactly as without it.  All movement stays inside the owning
 circuit's partition.
 
-Partitions are disjoint, so every circuit is routed alone and a plan's joint
-schedule interleaves the solo routes round by round (``interleave``).  The
-placement search reuses this: the winning trial of ``initial_mapping`` is
-the circuit's route, and trials that can no longer win stop early.
+Partitions are disjoint, so every circuit is routed alone into one ``Route``,
+and a plan is the list of its circuits' routes; ``merged_circuit`` joins them
+round by round.  The placement search reuses this: the winning trial of
+``initial_mapping`` is the circuit's route, and trials that can no longer win
+stop early.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,33 +65,32 @@ Record = tuple[int, ...]
 
 
 @dataclass
-class Schedule:
-    """Routing result: compact records plus per-circuit accounting.
+class Route:
+    """One circuit routed inside its partition.
 
-    ``routes`` holds, per circuit, ``(circuit, records, round ends)``: the
-    records its route emitted and, for each routing round, the number of
-    records after it.  Only ``merged_circuit`` turns records into gates, so
-    a placement trial builds none.  An ``aborted`` schedule is a placement
-    trial stopped once it could no longer win; its records and counts are
-    incomplete.
+    ``records`` are what the route emitted and ``round_ends``, for each
+    routing round, the number of records after it; a round emits what is
+    ready and then at most one repair.  Only ``merged_circuit`` turns records
+    into gates, so a placement trial builds none.  An ``aborted`` route is a
+    placement trial stopped once it could no longer win; its records and
+    counts are incomplete.
     """
 
-    routes: list[tuple[QuantumCircuit, list[Record], list[int]]]
-    swap_counts: dict[str, int]
-    bridge_counts: dict[str, int]
-    final_mappings: dict[str, dict[int, int]]
+    circuit: QuantumCircuit
+    records: list[Record]
+    round_ends: list[int]
+    swaps: int
+    bridges: int
+    final_l2p: list[int]
     aborted: bool = False
 
     @property
     def iterations(self) -> int:
-        """Routing rounds of the longest route; a round emits what is ready
-        and then at most one repair per blocked circuit."""
-        return max((len(ends) for _, _, ends in self.routes), default=0)
+        return len(self.round_ends)
 
-    def additional_cnots(self, circuit_id: str | None = None) -> int:
-        if circuit_id is not None:
-            return 3 * (self.swap_counts[circuit_id] + self.bridge_counts[circuit_id])
-        return 3 * (sum(self.swap_counts.values()) + sum(self.bridge_counts.values()))
+    @property
+    def additional_cnots(self) -> int:
+        return 3 * (self.swaps + self.bridges)
 
 
 class _Tables:
@@ -103,6 +104,7 @@ class _Tables:
     def __init__(self, model: HardwareModel, circuit: QuantumCircuit, partition: Partition):
         if len(partition.qubits) != circuit.num_qubits:
             raise ValueError(f"partition size {len(partition.qubits)} != circuit qubits {circuit.num_qubits}")
+        self.circuit = circuit
         self.partition = tuple(partition.qubits)
         part_set = set(self.partition)
         edges = sorted(e for e in model.edges if e[0] in part_set and e[1] in part_set)
@@ -124,12 +126,8 @@ class _Tables:
 class _Job:
     """Mutable routing state for one circuit."""
 
-    def __init__(
-        self, model: HardwareModel, circuit: QuantumCircuit, dag: DagCircuit, partition: Partition, l2p,
-        tables: _Tables | None = None,
-    ):
-        tables = tables or _Tables(model, circuit, partition)
-        self.circuit = circuit
+    def __init__(self, tables: _Tables, dag: DagCircuit, l2p):
+        self.circuit = tables.circuit
         self.dag = dag
         self.partition = tables.partition
         self.l2p = list(l2p)
@@ -216,16 +214,14 @@ class _Job:
         return out
 
 
-def find_swap_bridge_pairs(job: _Job, front: list[tuple[int, int, int]] | None = None) -> list[TentativeGate]:
-    """Repair candidates for a job whose front layer is fully blocked.
+def find_swap_bridge_pairs(job: _Job, front: list[tuple[int, int, int]]) -> list[TentativeGate]:
+    """Repair candidates for a job whose front layer ``front``
+    (``job.blocked_front()``) is fully blocked.
 
     SWAPs: every partition-internal edge touching a front-gate operand.
     BRIDGEs: every front CNOT whose operands are exactly two apart inside the
-    partition, one candidate per valid middle qubit.  ``front`` is
-    ``job.blocked_front()`` when the caller already has it.
+    partition, one candidate per valid middle qubit.
     """
-    if front is None:
-        front = job.blocked_front()
     l2p = job.l2p
     endpoints = set()
     for _, lq1, lq2 in front:
@@ -270,10 +266,8 @@ def cost_h(
     unchanged.  The charge is part of the self-cost term, so it vanishes
     with ``self_cost=False``, and SWAP candidates never carry it.
 
-    ``dist`` is read as ``dist[p][q]``: the compiler passes nested rows of
-    Python floats (``DistanceMatrices.combined_rows``), and a numpy matrix
-    works too.  Every
-    sum adds its terms one by one from the left, as ``sum`` over numpy
+    ``dist`` is ``DistanceMatrices.combined_rows``, read as ``dist[p][q]``.
+    Every sum adds its terms one by one from the left, as ``sum`` over numpy
     scalars does; ``sum`` over Python floats is compensated from Python
     3.12 on and would move the last bits, which can flip a choice.
     """
@@ -417,34 +411,17 @@ def _repair(job: _Job, dist, config: RunConfig, records: list[Record]) -> None:
         job.stalled = 0
 
 
-def interleave(schedules: list[Schedule]) -> Schedule:
-    """Join solo routes of circuits in disjoint partitions into one schedule.
-
-    Round ``r`` of the joint schedule is round ``r`` of every route that
-    has one, in list order: what routing the circuits together in one loop,
-    visiting them in that order each round, would emit.
-    """
-    joint = Schedule([route for s in schedules for route in s.routes], {}, {}, {}, any(s.aborted for s in schedules))
-    for s in schedules:
-        joint.swap_counts.update(s.swap_counts)
-        joint.bridge_counts.update(s.bridge_counts)
-        joint.final_mappings.update(s.final_mappings)
-    return joint
-
-
 def mapping_transition(
-    model: HardwareModel,
+    tables: _Tables,
     dist,
-    circuit: QuantumCircuit,
     dag: DagCircuit,
-    partition: Partition,
     l2p: list[int],
     config: RunConfig,
     stall_limit: int | None = None,
     max_inserted: int | None = None,
-    tables: _Tables | None = None,
-) -> Schedule:
-    """Route one circuit inside its partition from the placement ``l2p``.
+) -> Route:
+    """Route the circuit of ``tables`` inside its partition from the
+    placement ``l2p``.
 
     Each round emits whatever is executable, then inserts at most one repair
     gate if the circuit is still blocked.  A circuit that keeps inserting
@@ -453,14 +430,11 @@ def mapping_transition(
     with its partition size).  An iteration cap of ten times the gate count
     remains as the guard against a non-terminating selection loop, which
     would be a bug rather than an input problem.  A circuit that has
-    inserted more than ``max_inserted`` CNOTs stops early and the schedule
-    comes back ``aborted``.  ``dist`` is the combined distance matrix or,
-    faster, its ``combined_rows``.  ``tables`` are the partition's routing
-    tables when the caller routes it more than once.  Routes of circuits in
-    disjoint partitions are joined by ``interleave``.
+    inserted more than ``max_inserted`` CNOTs stops early and the route
+    comes back ``aborted``.  ``dist`` is ``DistanceMatrices.combined_rows``.
     """
-    job = _Job(model, circuit, dag, partition, l2p, tables)
-    cap = 10 * max(len(circuit.gates), 1)
+    job = _Job(tables, dag, l2p)
+    cap = 10 * max(len(job.circuit.gates), 1)
     records: list[Record] = []
     round_ends: list[int] = []
     limit = stall_limit if stall_limit is not None else 2 * len(job.partition) + 4
@@ -478,13 +452,7 @@ def mapping_transition(
             else:
                 _repair(job, dist, config, records)
         round_ends.append(len(records))
-    return Schedule(
-        routes=[(circuit, records, round_ends)],
-        swap_counts={circuit.id: job.swaps},
-        bridge_counts={circuit.id: job.bridges},
-        final_mappings={circuit.id: dict(enumerate(job.l2p))},
-        aborted=aborted,
-    )
+    return Route(job.circuit, records, round_ends, job.swaps, job.bridges, job.l2p, aborted)
 
 
 def initial_mapping(
@@ -495,9 +463,9 @@ def initial_mapping(
     dag: DagCircuit,
     rng: np.random.Generator,
     config: RunConfig = DEFAULT_CONFIG,
-) -> tuple[list[int], Schedule]:
+) -> tuple[list[int], Route]:
     """Pick the best of ``config.attempts`` random placements; return it and
-    its route.
+    its route.  ``dist`` is ``DistanceMatrices.combined_rows``.
 
     Each candidate bijection is evaluated by routing the circuit and
     counting inserted CNOTs; ties fall back to the summed routing distance
@@ -512,17 +480,17 @@ def initial_mapping(
     base = sorted(partition.qubits)
     tables = _Tables(model, circuit, partition)
     best_key = None
-    best: tuple[list[int], Schedule] | None = None
+    best: tuple[list[int], Route] | None = None
     for attempt in range(config.attempts):
         l2p = [int(p) for p in rng.permutation(base)]
         # built-in sum over Python floats, as when this value was first
         # defined: it must stay the same float on every Python version
-        tie = sum(float(dist[l2p[a]][l2p[b]]) for a, b in tables.cx_pairs)
+        tie = sum(dist[l2p[a]][l2p[b]] for a, b in tables.cx_pairs)
         bound = None
         if best_key is not None:  # a later attempt wins a tie on inserted CNOTs only by a lower tie value
             bound = best_key[0] if tie < best_key[1] else best_key[0] - 1
-        trial = mapping_transition(model, dist, circuit, dag, partition, l2p, config, max_inserted=bound, tables=tables)
-        key = (trial.additional_cnots(circuit.id), tie, attempt)
+        trial = mapping_transition(tables, dist, dag, l2p, config, max_inserted=bound)
+        key = (trial.additional_cnots, tie, attempt)
         if not trial.aborted and (best_key is None or key < best_key):
             best_key = key
             best = (l2p, trial)
@@ -533,44 +501,41 @@ def initial_mapping(
 # --- merged output -----------------------------------------------------------
 
 
-def merged_circuit(schedule: Schedule, model: HardwareModel, circuits: list[QuantumCircuit]):
-    """Flatten a schedule into one circuit over the whole device.
+def merged_circuit(routes: list[Route], model: HardwareModel):
+    """Flatten a plan's routes into one circuit over the whole device.
 
     Round ``r`` of the circuit is round ``r`` of every route that has one,
-    in route order (see ``interleave``).  Classical bits are concatenated
-    per circuit in plan order; the manifest records, for every circuit, its
-    final logical-to-physical map and the global classical bits its
-    measurements landed in.
+    in plan order: what routing the circuits together in one loop would
+    emit.  Classical bits are concatenated per circuit in plan order; the
+    manifest records, for every circuit, its final logical-to-physical map
+    and the global classical bits its measurements landed in.
     """
-    offsets: dict[str, int] = {}
-    total_clbits = 0
-    for c in circuits:
-        offsets[c.id] = total_clbits
-        total_clbits += c.num_clbits
+    offsets = list(accumulate((route.circuit.num_clbits for route in routes), initial=0))  # the last is the total
     gates: list[Gate] = []
-    for r in range(schedule.iterations):
-        for circuit, records, ends in schedule.routes:
+    for r in range(max((route.iterations for route in routes), default=0)):
+        for route, offset in zip(routes, offsets):
+            ends = route.round_ends
             if r < len(ends):
-                source, offset = circuit.gates, offsets[circuit.id]
-                for record in records[ends[r - 1] if r else 0 : ends[r]]:
+                source = route.circuit.gates
+                for record in route.records[ends[r - 1] if r else 0 : ends[r]]:
                     node, qubits = record[0], record[1:]
                     if node < 0:  # a CNOT of a repair
                         gates.append(Gate(CX, qubits))
                     else:
                         g = source[node]
                         gates.append(Gate(g.kind, qubits, g.params, None if g.clbit is None else offset + g.clbit))
-    merged = QuantumCircuit("merged", model.num_qubits, total_clbits, tuple(gates))
+    merged = QuantumCircuit("merged", model.num_qubits, offsets[-1], tuple(gates))
     manifest = {
-        c.id: {
-            "logical_to_physical": {str(l): p for l, p in sorted(schedule.final_mappings[c.id].items())},
-            "clbits": [offsets[c.id] + i for i in range(c.num_clbits)],
+        route.circuit.id: {
+            "logical_to_physical": {str(l): p for l, p in enumerate(route.final_l2p)},
+            "clbits": list(range(offset, offset + route.circuit.num_clbits)),
         }
-        for c in circuits
+        for route, offset in zip(routes, offsets)
     }
     return merged, manifest
 
 
-def emit_merged_qasm(schedule: Schedule, model: HardwareModel, circuits: list[QuantumCircuit]):
-    """Render the merged schedule as OpenQASM with one creg per circuit."""
-    merged, manifest = merged_circuit(schedule, model, circuits)
-    return emit_qasm(merged, {f"c{i}": c.num_clbits for i, c in enumerate(circuits)}), manifest
+def emit_merged_qasm(routes: list[Route], model: HardwareModel):
+    """Render a plan's routes as OpenQASM with one creg per circuit."""
+    merged, manifest = merged_circuit(routes, model)
+    return emit_qasm(merged, {f"c{i}": route.circuit.num_clbits for i, route in enumerate(routes)}), manifest

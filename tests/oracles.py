@@ -634,11 +634,11 @@ def _ref_emit_ready(job, model, gates):
 
 
 @dataclass
-class RefSchedule:
+class RefRouting:
     gates: list  # the merged program's gates
-    swap_counts: dict
-    bridge_counts: dict
-    final_mappings: dict
+    swaps: list  # per circuit, in plan order, as are the next two
+    bridges: list
+    final_l2p: list
     iterations: int
 
 
@@ -694,11 +694,11 @@ def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only
                 job.mark_executed(best.node)
                 job.banned_edges.clear()
                 job.stalled = 0
-    return RefSchedule(
+    return RefRouting(
         gates,
-        {j.circuit.id: j.swaps for j in jobs},
-        {j.circuit.id: j.bridges for j in jobs},
-        {j.circuit.id: dict(enumerate(j.l2p)) for j in jobs},
+        [j.swaps for j in jobs],
+        [j.bridges for j in jobs],
+        [j.l2p for j in jobs],
         iterations,
     )
 
@@ -712,7 +712,7 @@ def reference_placement(model, dist, partition, circuit, dag, rng, attempts=10, 
     for attempt in range(attempts):
         l2p = [int(p) for p in rng.permutation(base)]
         trial = reference_route(model, dist, [(circuit, dag, partition, l2p)], **route_kw)
-        inserted = 3 * (trial.swap_counts[circuit.id] + trial.bridge_counts[circuit.id])
+        inserted = 3 * (trial.swaps[0] + trial.bridges[0])
         key = (inserted, sum(float(dist[l2p[a], l2p[b]]) for a, b in cx_pairs), attempt)
         if best_key is None or key < best_key:
             best_key, best_l2p = key, l2p

@@ -189,10 +189,10 @@ def test_criterion_5_swap_only_ablation(suite, request):
     violations = []
     strictly_fewer = 0
     for label, model, members, config, result in _instances(suite):
-        full = sum(p.schedule.additional_cnots() for p in result.plans)
+        full = sum(p.stats["total_additional_cnots"] for p in result.plans)
         ablated_cfg = RunConfig(**{**config.__dict__, "swap_only": True})
         ablated = compile_workloads(model, members, ablated_cfg)
-        swap_only = sum(p.schedule.additional_cnots() for p in ablated.plans)
+        swap_only = sum(p.stats["total_additional_cnots"] for p in ablated.plans)
         if full > swap_only:
             violations.append((label, full, swap_only))
         if full < swap_only:

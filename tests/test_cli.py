@@ -262,6 +262,18 @@ def test_run_config_rejects_out_of_range(field, value):
         RunConfig(**{field: value})
 
 
+def test_alphas_whose_sum_overflows_are_rejected(device_files, capsys):
+    # both routing matrices lie in [0, 1]: a finite |alpha1| + |alpha2| bounds every combined distance
+    RunConfig(alpha1=1e308, alpha2=0.0)
+    for alpha1, alpha2 in ((1e308, 1e308), (1e308, -1e308), (-1.7e308, -1e308)):
+        with pytest.raises(ConfigError, match=r"\|alpha1\| \+ \|alpha2\| must be finite"):
+            RunConfig(alpha1=alpha1, alpha2=alpha2)
+    assert main(_compile_args(device_files, extra=("--alpha1", "1e308", "--alpha2", "1e308"))) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: |alpha1| + |alpha2| must be finite")
+    assert not (device_files / "out").exists()
+
+
 def _strict_json(path):
     def refuse(constant):
         raise ValueError(f"{path.name} holds {constant}, which is not JSON")

@@ -1,14 +1,20 @@
 """Invariant checks driven by generated instances."""
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qmpc import presets
+from qmpc import cli, presets
 from qmpc.circuits import Gate, QuantumCircuit, build_dag, emit_qasm, parse_qasm, stats
 from qmpc.hardware import (
     build_crosstalk,
@@ -31,7 +37,7 @@ from qmpc.partition import (
 )
 from qmpc.partition import Partition
 from qmpc.pipeline import RunConfig, compile_workloads
-from qmpc.scheduler import initial_mapping, interleave, merged_circuit
+from qmpc.scheduler import initial_mapping, merged_circuit
 from qmpc.verify import check_compliance, check_equivalence, estimate_success, marginalize, marginals, simulate
 
 from oracles import (
@@ -645,11 +651,126 @@ def test_bounded_placement_and_interleaved_routes_match_reference_router(case):
         routes.append(route)
         specs.append((circuit, dag, part, l2p))
     ref = reference_route(model, matrices.combined, specs, **route_kw)
-    got = interleave(routes)
-    assert not got.aborted
-    merged, _ = merged_circuit(got, model, [circuit for circuit, _ in jobs])
+    assert not any(route.aborted for route in routes)
+    merged, _ = merged_circuit(routes, model)
     assert list(merged.gates) == ref.gates
-    assert list(got.swap_counts.items()) == list(ref.swap_counts.items())
-    assert list(got.bridge_counts.items()) == list(ref.bridge_counts.items())
-    assert list(got.final_mappings.items()) == list(ref.final_mappings.items())
-    assert got.iterations == ref.iterations
+    assert [route.swaps for route in routes] == ref.swaps
+    assert [route.bridges for route in routes] == ref.bridges
+    assert [route.final_l2p for route in routes] == ref.final_l2p
+    assert max(route.iterations for route in routes) == ref.iterations
+
+
+# --- command line --------------------------------------------------------------
+
+CLI_PROGRAMS = [
+    "qreg q[1]; creg c[1]; h q[0]; measure q[0] -> c[0];",
+    "qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q -> c;",
+    'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3]; creg c[3];\nh q[0]; cx q[0],q[2]; rz(0.3) q[1]; cx q[2],q[1];\nmeasure q -> c;',
+    "qreg q[4]; creg c[2]; x q[3]; cx q[3],q[0]; barrier q; cx q[1],q[2]; u3(0.1,0.2,0.3) q[2]; measure q[2] -> c[1];",
+]
+ODD_RATES = [math.nan, math.inf, -0.1, 1.0, 1.5]
+ODD_FLAGS = {
+    "--method": ["gsp", "qhsp", "sabre"],
+    "--lambda": ["1", "0", "-2", "nan", "inf", "x"],
+    "--delta": ["0", "0.1", "inf", "-inf", "nan", "1e9"],
+    "--weight-w": ["0", "0.5", "-1", "inf", "1e308"],
+    "--alpha1": ["0", "0.5", "-1", "1e308", "nan"],
+    "--alpha2": ["0", "0.5", "1e308", "-1e308"],
+    "--ext-layer": ["0", "3", "-1", "1.5"],
+    "--attempts": ["1", "2", "0", "abc"],
+    "--seed": ["0", "5", "-1"],
+}
+
+
+def _mutate(draw, text: str) -> str:
+    """``text`` with one span deleted, duplicated or replaced by QASM-like
+    noise."""
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 8)))
+    noise = draw(st.text(alphabet="qc[];,->0123456789.e hxrzu()", max_size=6))
+    return draw(st.sampled_from([text[:i] + text[j:], text[:j] + text[i:j] + text[j:], text[:i] + noise + text[j:]]))
+
+
+@st.composite
+def cli_case(draw):
+    """A small device (sometimes disconnected, some rates out of range or
+    NaN), a few valid or mutated programs and a vector of flags."""
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    if draw(st.integers(0, 3)):  # a spine keeps it connected
+        edges |= {(i - 1, i) for i in range(1, n)}
+    edges = sorted(edges)
+    rate = st.floats(0.0, 0.2)
+    if draw(st.integers(0, 3)) == 0:
+        rate |= st.sampled_from(ODD_RATES)
+    files = {
+        "topology.json": {"num_qubits": n, "edges": [list(e) for e in edges]},
+        "calibration.json": {
+            "cnot_errors": [[a, b, draw(rate)] for a, b in edges],
+            "readout_errors": [draw(rate) for _ in range(n)],
+        },
+    }
+    programs = []
+    for _ in range(draw(st.integers(1, 3))):
+        text = draw(st.sampled_from(CLI_PROGRAMS))
+        programs.append(_mutate(draw, text) if draw(st.integers(0, 3)) == 0 else text)
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(sorted(ODD_FLAGS)), max_size=4, unique=True)):
+        flags += [flag, draw(st.sampled_from(ODD_FLAGS[flag]))]
+    flags += draw(st.lists(st.sampled_from(["--swap-only", "--no-self-cost"]), max_size=2, unique=True))
+    if "--seed" not in flags:
+        flags += ["--seed", "1"]
+    return draw(st.sampled_from(["compile", "partition"])), files, programs, flags
+
+
+# found by this property: the combined distance overflowed to inf, with a
+# RuntimeWarning, and the run went on to route on it
+ALPHA_OVERFLOW = (
+    "compile",
+    {
+        "topology.json": {"num_qubits": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+        "calibration.json": {
+            "cnot_errors": [[0, 1, 0.0], [1, 2, 0.0], [2, 3, 0.0], [3, 4, 0.125]],
+            "readout_errors": [0.0] * 5,
+        },
+    },
+    [CLI_PROGRAMS[0]] * 3,
+    ["--attempts", "1", "--alpha2", "1e308", "--alpha1", "1e308", "--seed", "1"],
+)
+
+
+@settings(max_examples=150, **COMMON)
+@given(cli_case())
+@example(ALPHA_OVERFLOW)
+def test_cli_exits_0_or_1_with_one_error_line(case):
+    command, files, programs, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, content in files.items():
+            (tmp / name).write_text(json.dumps(content))
+        for i, text in enumerate(programs):
+            (tmp / f"p{i}.qasm").write_text(text)
+        argv = [command, "--topology", str(tmp / "topology.json"), "--calibration", str(tmp / "calibration.json")]
+        if command == "compile":
+            argv += ["--out-dir", str(tmp / "out")]
+        code, err = _run_cli([*argv, *flags, *(str(tmp / f"p{i}.qasm") for i in range(len(programs)))])
+        assert code in (0, 1), err
+        if code == 1:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        elif command == "compile":  # every program is within the simulator's caps
+            out = tmp / "out"
+            for i, plan in enumerate(json.loads((out / "plans.json").read_text())):
+                sources = [str(tmp / f"{cid}.qasm") for cid in plan["selected"]]
+                merged, manifest = str(out / f"merged_{i}.qasm"), str(out / f"manifest_{i}.json")
+                assert _run_cli(["verify", "--merged", merged, "--manifest", manifest, *sources]) == (0, "")
+
+
+def _run_cli(argv):
+    """``cli.main``'s exit code and standard error; a numeric warning is a
+    fault, as an exception would be."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        return cli.main(argv), err.getvalue()

@@ -11,11 +11,11 @@ from qmpc.scheduler import (
     SWAP,
     TentativeGate,
     _Job,
+    _Tables,
     cost_h,
     emit_merged_qasm,
     find_swap_bridge_pairs,
     initial_mapping,
-    interleave,
     mapping_transition,
     merged_circuit,
 )
@@ -32,21 +32,23 @@ def make_part(cid, qubits):
     return Partition(cid, tuple(qubits), 0.0, "QHSP")
 
 
+def tables(model, circuit, qubits):
+    return _Tables(model, circuit, make_part(circuit.id, qubits))
+
+
 def route_single(model, circuit, l2p, config=RunConfig(), **kw):
-    dag = build_dag(circuit)
-    part = make_part(circuit.id, sorted(l2p))
-    D = distance_matrices(model).combined
-    return mapping_transition(model, D, circuit, dag, part, list(l2p), config, **kw)
+    D = distance_matrices(model).combined_rows
+    return mapping_transition(tables(model, circuit, sorted(l2p)), D, build_dag(circuit), list(l2p), config, **kw)
 
 
 def route_solo(model, D, specs):
     """Each circuit routed alone from its placement, with default settings."""
-    return [mapping_transition(model, D, c, dag, part, l2p, RunConfig()) for c, dag, part, l2p in specs]
+    return [mapping_transition(_Tables(model, c, part), D, dag, l2p, RunConfig()) for c, dag, part, l2p in specs]
 
 
-def emitted(sched, model):
-    """The gates of a schedule's merged circuit, clbits in route order."""
-    merged, _ = merged_circuit(sched, model, [circuit for circuit, _, _ in sched.routes])
+def emitted(routes, model):
+    """The gates of the routes' merged circuit, clbits in route order."""
+    merged, _ = merged_circuit(routes, model)
     return merged.gates
 
 
@@ -56,10 +58,10 @@ def emitted(sched, model):
 def test_initial_mapping_trivial_two_qubits():
     model = line_model(2)
     circuit = QuantumCircuit("c", 2, 0, (Gate(CX, (0, 1)),))
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     l2p, _ = initial_mapping(model, D, make_part("c", [0, 1]), circuit, build_dag(circuit), np.random.default_rng(0))
-    sched = route_single(model, circuit, l2p)
-    assert sched.additional_cnots() == 0
+    route = route_single(model, circuit, l2p)
+    assert route.additional_cnots == 0
 
 
 def test_initial_mapping_finds_zero_insertion_layout():
@@ -68,13 +70,13 @@ def test_initial_mapping_finds_zero_insertion_layout():
     model = line_model(3)
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 1)), Gate(CX, (1, 2))))
     dag = build_dag(circuit)
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     from itertools import permutations
 
     zero_layouts = []
     for perm in permutations([0, 1, 2]):
-        sched = mapping_transition(model, D, circuit, dag, make_part("c", [0, 1, 2]), list(perm), RunConfig())
-        if sched.additional_cnots() == 0:
+        route = mapping_transition(tables(model, circuit, [0, 1, 2]), D, dag, list(perm), RunConfig())
+        if route.additional_cnots == 0:
             zero_layouts.append(perm)
     assert zero_layouts  # oracle: some bijection needs no insertions
     l2p, _ = initial_mapping(model, D, make_part("c", [0, 1, 2]), circuit, dag, np.random.default_rng(1))
@@ -85,7 +87,7 @@ def test_initial_mapping_finds_zero_insertion_layout():
 def test_initial_mapping_deterministic_under_seed():
     model = line_model(4)
     circuit = QuantumCircuit("c", 4, 0, tuple(Gate(CX, ((i * 2) % 4, (i * 2 + 3) % 4)) for i in range(5)))
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     part = make_part("c", [0, 1, 2, 3])
     runs = [
         initial_mapping(model, D, part, circuit, build_dag(circuit), np.random.default_rng(42))[0]
@@ -98,16 +100,14 @@ def test_initial_mapping_deterministic_under_seed():
 
 
 def _job_for(model, circuit, l2p, partition):
-    from qmpc.scheduler import _Job
-
-    return _Job(model, circuit, build_dag(circuit), make_part(circuit.id, partition), l2p)
+    return _Job(tables(model, circuit, partition), build_dag(circuit), l2p)
 
 
 def test_candidates_distance_two():
     model = line_model(3)
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 2)),))
     job = _job_for(model, circuit, [0, 1, 2], [0, 1, 2])
-    cands = find_swap_bridge_pairs(job)
+    cands = find_swap_bridge_pairs(job, job.blocked_front())
     swaps = [c for c in cands if c.kind == SWAP]
     bridges = [c for c in cands if c.kind == BRIDGE]
     assert {c.qubits for c in swaps} == {(0, 1), (1, 2)}
@@ -118,7 +118,7 @@ def test_candidates_distance_three_no_bridge():
     model = line_model(4)
     circuit = QuantumCircuit("c", 4, 0, (Gate(CX, (0, 3)),))
     job = _job_for(model, circuit, [0, 1, 2, 3], [0, 1, 2, 3])
-    cands = find_swap_bridge_pairs(job)
+    cands = find_swap_bridge_pairs(job, job.blocked_front())
     assert all(c.kind == SWAP for c in cands)
     assert {c.qubits for c in cands} == {(0, 1), (2, 3)}
 
@@ -128,22 +128,22 @@ def test_candidates_distance_three_no_bridge():
 
 def test_cost_formula_single_gate_empty_lookahead():
     model = line_model(3)
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     l2p = [0, 1, 2]
     p2l = {0: 0, 1: 1, 2: 2}
     front = [(0, 0, 2)]  # node 0: CX(l0, l2) at physical (0, 2)
     swap = TentativeGate(SWAP, (1, 2))
     # post-swap the gate sits on (0, 1); the swap itself burns 3 CNOTs on (1, 2)
-    expected = (D[0, 1] + 3 * D[1, 2]) / 4
+    expected = (D[0][1] + 3 * D[1][2]) / 4
     assert cost_h(swap, front, [], D, l2p, p2l) == pytest.approx(expected, abs=1e-15)
     bridge = TentativeGate(BRIDGE, (0, 1, 2), node=0)
-    expected_b = (2 * D[0, 1] + 2 * D[1, 2]) / 5
+    expected_b = (2 * D[0][1] + 2 * D[1][2]) / 5
     assert cost_h(bridge, front, [], D, l2p, p2l) == pytest.approx(expected_b, abs=1e-15)
 
 
 def test_cost_ignores_lookahead_when_weight_zero():
     model = line_model(4)
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     l2p = [0, 1, 2, 3]
     p2l = {i: i for i in range(4)}
     front = [(0, 0, 1)]
@@ -158,7 +158,7 @@ def test_swap_wins_exactly_when_it_helps_lookahead():
     # distance 3, SWAP(0,1) shortens it and beats the bridge; with no
     # lookahead the bridge's cheaper self-cost wins.
     model = line_model(5)
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     l2p = [0, 2, 3, 4, 1]  # l0->0, l1->2, l2->3, l3->4, l4->1
     p2l = {p: l for l, p in enumerate(l2p)}
     front = [(0, 0, 1)]
@@ -167,8 +167,8 @@ def test_swap_wins_exactly_when_it_helps_lookahead():
     ext = [(0, 2)]  # CX(l0, l2) at (0,3) now, (1,3) after the swap
     h_swap = cost_h(swap01, front, ext, D, l2p, p2l)
     h_bridge = cost_h(bridge, front, ext, D, l2p, p2l)
-    assert h_swap == pytest.approx(D[0, 1] + 0.5 * D[1, 3], abs=1e-15)
-    assert h_bridge == pytest.approx(4 * D[0, 1] / 5 + 0.5 * D[0, 3], abs=1e-15)
+    assert h_swap == pytest.approx(D[0][1] + 0.5 * D[1][3], abs=1e-15)
+    assert h_bridge == pytest.approx(4 * D[0][1] / 5 + 0.5 * D[0][3], abs=1e-15)
     assert h_swap < h_bridge
     # remove the lookahead benefit: bridge preferred
     assert cost_h(bridge, front, [], D, l2p, p2l) < cost_h(swap01, front, [], D, l2p, p2l)
@@ -176,7 +176,7 @@ def test_swap_wins_exactly_when_it_helps_lookahead():
 
 def test_self_cost_ablation_changes_choice():
     model = line_model(5)
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     l2p = [0, 2, 3, 4, 1]
     p2l = {p: l for l, p in enumerate(l2p)}
     front = [(0, 0, 1)]
@@ -200,19 +200,19 @@ def test_recurring_bridged_pair_makes_swap_win():
     # (reversed) next to CX(l0,l1), so it sums to d1 + d2 under either
     # choice; only the recurrence charge on the bridge separates them
     model = line_model(3)
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     l2p = [0, 1, 2]
     p2l = {0: 0, 1: 1, 2: 2}
     front = [(0, 0, 2)]
     swap = TentativeGate(SWAP, (1, 2))
     bridge = TentativeGate(BRIDGE, (0, 1, 2), node=0)
     ext = [(2, 0), (0, 1)]
-    lookahead = 0.5 * (D[0, 1] + D[0, 2]) / 2
+    lookahead = 0.5 * (D[0][1] + D[0][2]) / 2
     h_swap = cost_h(swap, front, ext, D, l2p, p2l)
     h_bridge = cost_h(bridge, front, ext, D, l2p, p2l)
-    assert h_swap == pytest.approx((D[0, 1] + 3 * D[1, 2]) / 4 + lookahead, abs=1e-15)
+    assert h_swap == pytest.approx((D[0][1] + 3 * D[1][2]) / 4 + lookahead, abs=1e-15)
     # the bridge's four CNOTs are charged once more for the one repeat
-    assert h_bridge == pytest.approx(2 * (2 * D[0, 1] + 2 * D[1, 2]) / 5 + lookahead, abs=1e-15)
+    assert h_bridge == pytest.approx(2 * (2 * D[0][1] + 2 * D[1][2]) / 5 + lookahead, abs=1e-15)
     assert h_swap < h_bridge
     # the charge belongs to the self-cost term: the ablation scores as before
     assert cost_h(bridge, front, ext, D, l2p, p2l, self_cost=False) == pytest.approx(lookahead, abs=1e-15)
@@ -227,8 +227,8 @@ def test_recurring_far_pair_full_router_never_worse_than_swap_only():
     from itertools import permutations
 
     for perm in permutations([0, 1, 2]):
-        full = route_single(model, circuit, perm).additional_cnots()
-        swap_only = route_single(model, circuit, perm, RunConfig(swap_only=True)).additional_cnots()
+        full = route_single(model, circuit, perm).additional_cnots
+        swap_only = route_single(model, circuit, perm, RunConfig(swap_only=True)).additional_cnots
         assert full <= swap_only, (perm, full, swap_only)
 
 
@@ -237,24 +237,24 @@ def test_recurring_far_pair_full_router_never_worse_than_swap_only():
 
 def test_compliant_circuit_passes_through(bell):
     model = line_model(2)
-    sched = route_single(model, bell, [0, 1])
-    assert sched.additional_cnots() == 0
-    assert len(emitted(sched, model)) == len(bell.gates)
+    route = route_single(model, bell, [0, 1])
+    assert route.additional_cnots == 0
+    assert len(emitted([route], model)) == len(bell.gates)
 
 
 def test_isolated_distance_two_uses_bridge():
     model = line_model(3)
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 1)),))
-    sched = route_single(model, circuit, [0, 2, 1])  # l0->0, l1->2: blocked at distance 2
-    assert sched.bridge_counts["c"] == 1
-    assert sched.swap_counts["c"] == 0
-    assert sched.additional_cnots() == 3
+    route = route_single(model, circuit, [0, 2, 1])  # l0->0, l1->2: blocked at distance 2
+    assert route.bridges == 1
+    assert route.swaps == 0
+    assert route.additional_cnots == 3
     # mapping unchanged by a bridge
-    assert sched.final_mappings["c"] == {0: 0, 1: 2, 2: 1}
+    assert route.final_l2p == [0, 2, 1]
 
 
 def test_accounting_identity_on_random_circuits(circuit_factory, guadalupe):
-    D = distance_matrices(guadalupe).combined
+    D = distance_matrices(guadalupe).combined_rows
     rng = np.random.default_rng(9)
     for trial in range(5):
         circuit = circuit_factory(rng, f"c{trial}", n_qubits=4)
@@ -263,16 +263,16 @@ def test_accounting_identity_on_random_circuits(circuit_factory, guadalupe):
         part = qhsp_partition(guadalupe, circuit, set())[0]
         dag = build_dag(circuit)
         l2p, _ = initial_mapping(guadalupe, D, part, circuit, dag, np.random.default_rng(trial))
-        sched = mapping_transition(guadalupe, D, circuit, dag, part, l2p, RunConfig())
-        emitted_cx = sum(1 for g in emitted(sched, guadalupe) if g.kind == CX)
-        assert emitted_cx == circuit.cnot_count + sched.additional_cnots()
-        assert sched.additional_cnots() == 3 * (sched.swap_counts["c%d" % trial] + sched.bridge_counts["c%d" % trial])
+        route = mapping_transition(_Tables(guadalupe, circuit, part), D, dag, l2p, RunConfig())
+        emitted_cx = sum(1 for g in emitted([route], guadalupe) if g.kind == CX)
+        assert emitted_cx == circuit.cnot_count + route.additional_cnots
+        assert route.additional_cnots == 3 * (route.swaps + route.bridges)
 
 
 def test_extended_layer_returns_at_most_size_lookahead_cnots(circuit_factory):
     model = line_model(4)
     circuit = circuit_factory(np.random.default_rng(3), "c", n_qubits=4)
-    job = _Job(model, circuit, build_dag(circuit), make_part("c", [0, 1, 2, 3]), [0, 1, 2, 3])
+    job = _job_for(model, circuit, [0, 1, 2, 3], [0, 1, 2, 3])
     full = job.extended_layer(len(circuit.gates))
     assert len(full) >= 2
     assert job.extended_layer(0) == []
@@ -322,13 +322,14 @@ def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory
     monkeypatch.setattr(sched_mod, "mapping_transition", recording)
     circuit = circuit_factory(np.random.default_rng(5), "c", n_qubits=6, max_gates=60)
     part = qhsp_partition(guadalupe, circuit, set())[0]
-    D = distance_matrices(guadalupe).combined
+    D = distance_matrices(guadalupe).combined_rows
     l2p, best = initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(0))
     assert len(trials) == 10
     assert any(t.aborted for t in trials)
     assert not best.aborted and best in trials
-    alone = route(guadalupe, D, circuit, build_dag(circuit), part, l2p, RunConfig())
-    assert alone.routes == best.routes and alone.additional_cnots() == best.additional_cnots()
+    alone = route(_Tables(guadalupe, circuit, part), D, build_dag(circuit), l2p, RunConfig())
+    assert (alone.records, alone.round_ends) == (best.records, best.round_ends)
+    assert alone.additional_cnots == best.additional_cnots
 
 
 def counting_gates(monkeypatch):
@@ -366,8 +367,8 @@ def test_placement_trials_build_no_gates(monkeypatch, circuit_factory, guadalupe
     _, best = initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(0))
     assert len(trials) == 10 and any(t.aborted for t in trials)
     assert built == []
-    gates = emitted(best, guadalupe)
-    assert len(gates) == len(built) == len(best.routes[0][1])  # one gate per record
+    gates = emitted([best], guadalupe)
+    assert len(gates) == len(built) == len(best.records)  # one gate per record
 
 
 def test_compile_builds_gates_only_for_the_merged_circuits(monkeypatch, circuit_factory, guadalupe):
@@ -414,11 +415,9 @@ def test_iteration_guard_surfaces_routing_bugs(monkeypatch):
     model = line_model(3)
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 2)),))
     dag = build_dag(circuit)
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     with pytest.raises(RoutingError, match="terminate"):
-        sched_mod.mapping_transition(
-            model, D, circuit, dag, make_part("c", [0, 1, 2]), [0, 1, 2], RunConfig(swap_only=True)
-        )
+        sched_mod.mapping_transition(tables(model, circuit, [0, 1, 2]), D, dag, [0, 1, 2], RunConfig(swap_only=True))
 
 
 def test_stall_fallback_recovers_from_adversarial_costs():
@@ -431,9 +430,9 @@ def test_stall_fallback_recovers_from_adversarial_costs():
     np.fill_diagonal(hostile, 0.0)
     for a, b in ((0, 1), (4, 5)):
         hostile[a, b] = hostile[b, a] = -1000.0
-    sched = mapping_transition(model, hostile, circuit, dag, make_part("c", range(6)), list(range(6)), RunConfig())
-    emitted_cx = sum(1 for g in emitted(sched, model) if g.kind == CX)
-    assert emitted_cx == 1 + sched.additional_cnots()
+    route = mapping_transition(tables(model, circuit, range(6)), hostile.tolist(), dag, list(range(6)), RunConfig())
+    emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
+    assert emitted_cx == 1 + route.additional_cnots
 
 
 def test_forced_route_counts_swaps_once():
@@ -442,13 +441,11 @@ def test_forced_route_counts_swaps_once():
     model = line_model(5)
     circuit = QuantumCircuit("c", 5, 0, (Gate(CX, (0, 4)),))
     dag = build_dag(circuit)
-    D = distance_matrices(model).combined
-    sched = mapping_transition(
-        model, D, circuit, dag, make_part("c", range(5)), list(range(5)), RunConfig(), stall_limit=0
-    )
-    assert sched.swap_counts["c"] == 3
-    emitted_cx = sum(1 for g in emitted(sched, model) if g.kind == CX)
-    assert emitted_cx == 1 + sched.additional_cnots() == 10
+    D = distance_matrices(model).combined_rows
+    route = mapping_transition(tables(model, circuit, range(5)), D, dag, list(range(5)), RunConfig(), stall_limit=0)
+    assert route.swaps == 3
+    emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
+    assert emitted_cx == 1 + route.additional_cnots == 10
 
 
 def test_immediate_swap_revert_is_banned():
@@ -460,27 +457,27 @@ def test_immediate_swap_revert_is_banned():
         "readout_errors": [0.01] * 4,
     }
     model = build_hardware(topo, cal)
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     circuit = QuantumCircuit("c", 4, 0, (Gate(CX, (1, 3)),))
     dag = build_dag(circuit)
-    sched = mapping_transition(model, D, circuit, dag, make_part("c", [0, 1, 2, 3]), [0, 1, 2, 3], RunConfig())
-    emitted_cx = sum(1 for g in emitted(sched, model) if g.kind == CX)
-    assert emitted_cx == 1 + sched.additional_cnots()
+    route = mapping_transition(tables(model, circuit, [0, 1, 2, 3]), D, dag, [0, 1, 2, 3], RunConfig())
+    emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
+    assert emitted_cx == 1 + route.additional_cnots
 
 
 def test_two_independent_circuits_match_solo_compilations():
     model = line_model(7)
     c1 = parse_qasm("qreg q[3]; creg c[3]; h q[0]; cx q[0],q[2]; cx q[1],q[2]; measure q -> c;", "one")
     c2 = parse_qasm("qreg q[3]; creg c[3]; cx q[0],q[1]; cx q[0],q[2]; t q[1]; measure q -> c;", "two")
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     p1, m1 = make_part("one", [0, 1, 2]), [0, 1, 2]
     p2, m2 = make_part("two", [4, 5, 6]), [5, 4, 6]
     solo1, solo2 = route_solo(model, D, [(c1, build_dag(c1), p1, m1), (c2, build_dag(c2), p2, m2)])
-    joint = emitted(interleave([solo1, solo2]), model)
+    joint = emitted([solo1, solo2], model)
     in_region = lambda region: [g for g in joint if set(g.qubits) <= set(region.qubits)]
-    assert in_region(p1) == list(emitted(solo1, model))
+    assert in_region(p1) == list(emitted([solo1], model))
     # the second circuit's bits follow the first's three
-    shifted = [g if g.clbit is None else Gate(g.kind, g.qubits, g.params, g.clbit + 3) for g in emitted(solo2, model)]
+    shifted = [g if g.clbit is None else Gate(g.kind, g.qubits, g.params, g.clbit + 3) for g in emitted([solo2], model)]
     assert in_region(p2) == shifted
     assert len(joint) == len(shifted) + len(in_region(p1))
 
@@ -489,15 +486,15 @@ def test_partition_confinement():
     model = line_model(7)
     c1 = parse_qasm("qreg q[3]; creg c[3]; cx q[0],q[2]; cx q[1],q[0]; measure q -> c;", "one")
     c2 = parse_qasm("qreg q[3]; creg c[3]; cx q[0],q[2]; cx q[2],q[1]; measure q -> c;", "two")
-    D = distance_matrices(model).combined
+    D = distance_matrices(model).combined_rows
     part1, part2 = {0, 1, 2}, {4, 5, 6}
-    sched = interleave(route_solo(
+    routes = route_solo(
         model, D,
         [(c1, build_dag(c1), make_part("one", sorted(part1)), [0, 2, 1]),
          (c2, build_dag(c2), make_part("two", sorted(part2)), [4, 6, 5])],
-    ))
+    )
     owner = {"one": part1, "two": part2}
-    merged, manifest = merged_circuit(sched, model, [c1, c2])
+    merged, manifest = merged_circuit(routes, model)
     bits = {cid: set(manifest[cid]["clbits"]) for cid in owner}
     for g in merged.gates:
         (cid,) = [cid for cid, part in owner.items() if set(g.qubits) <= part]
@@ -505,8 +502,8 @@ def test_partition_confinement():
             assert model.has_edge(*g.qubits)
         if g.clbit is not None:
             assert g.clbit in bits[cid]
-    for cid, part in owner.items():
-        assert set(sched.final_mappings[cid].values()) == part
+    for route in routes:
+        assert set(route.final_l2p) == owner[route.circuit.id]
 
 
 # --- merged output ----------------------------------------------------------------
@@ -515,8 +512,8 @@ def test_partition_confinement():
 def test_merged_single_gate_circuit_reparses():
     model = line_model(2)
     circuit = parse_qasm("qreg q[1]; h q[0];", "solo")
-    sched = route_single(model, circuit, [0])
-    text, manifest = emit_merged_qasm(sched, model, [circuit])
+    route = route_single(model, circuit, [0])
+    text, manifest = emit_merged_qasm([route], model)
     parsed, layout = parse_merged_qasm(text)
     assert len(parsed.gates) == 1
     assert parsed.gates[0].kind == "h"
@@ -526,13 +523,13 @@ def test_merged_single_gate_circuit_reparses():
 def test_merged_two_circuits_have_two_cregs(bell):
     model = line_model(5)
     other = parse_qasm("qreg q[2]; creg c[2]; x q[0]; cx q[0],q[1]; measure q -> c;", "other")
-    D = distance_matrices(model).combined
-    sched = interleave(route_solo(
+    D = distance_matrices(model).combined_rows
+    routes = route_solo(
         model, D,
         [(bell, build_dag(bell), make_part("bell", [0, 1]), [0, 1]),
          (other, build_dag(other), make_part("other", [3, 4]), [3, 4])],
-    ))
-    text, manifest = emit_merged_qasm(sched, model, [bell, other])
+    )
+    text, manifest = emit_merged_qasm(routes, model)
     assert text.count("creg") == 2
     merged, layout = parse_merged_qasm(text)
     assert merged.num_clbits == 4
@@ -543,8 +540,8 @@ def test_merged_two_circuits_have_two_cregs(bell):
 
 def test_merged_circuit_matches_emitted_qasm(bell):
     model = line_model(3)
-    sched = route_single(model, bell, [0, 1])
-    direct, manifest = merged_circuit(sched, model, [bell])
-    text, _ = emit_merged_qasm(sched, model, [bell])
+    route = route_single(model, bell, [0, 1])
+    direct, manifest = merged_circuit([route], model)
+    text, _ = emit_merged_qasm([route], model)
     reparsed, _ = parse_merged_qasm(text)
     assert direct.gates == reparsed.gates
