@@ -3,7 +3,7 @@ dependency DAG.
 
 Run with:  python3 demos/01_circuits_and_dags.py
 """
-from qmpc import build_dag, emit_qasm, parse_qasm, stats
+from qmpc import build_dag, emit_qasm, parse_qasm
 
 SOURCE = """
 OPENQASM 2.0;
@@ -22,10 +22,9 @@ measure q -> c;
 circuit = parse_qasm(SOURCE, "demo")
 print(f"parsed {len(circuit.gates)} gates over {circuit.num_qubits} qubits")
 
-s = stats(circuit)
-print(f"CNOTs: {s.cnot_count}")
-print(f"density (CNOTs per qubit): {s.density} = {float(s.density):.3f}")
-print(f"largest logical degree: {s.largest_logical_degree}  (qubit 0 talks to 1 and 2)")
+print(f"CNOTs: {circuit.cnot_count}")
+print(f"density (CNOTs per qubit): {circuit.density} = {float(circuit.density):.3f}")
+print(f"largest logical degree: {circuit.largest_logical_degree}  (qubit 0 talks to 1 and 2)")
 
 dag = build_dag(circuit)
 front = dag.front_layer()

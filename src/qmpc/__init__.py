@@ -8,7 +8,7 @@ The package root exports the pipeline and the building blocks the demos use;
 everything else lives in its submodule.
 """
 
-from .circuits import build_dag, emit_qasm, parse_qasm, stats
+from .circuits import build_dag, emit_qasm, parse_qasm
 from .hardware import (
     build_crosstalk,
     build_hardware,

@@ -63,39 +63,25 @@ class QuantumCircuit:
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == CX)
 
+    @cached_property
+    def density(self) -> Fraction:
+        """CNOTs per qubit, kept exact so that sorting and the identity
+        density * num_qubits == cnot_count never suffer float rounding."""
+        if self.num_qubits < 1:
+            raise ValueError("circuit must have at least one qubit")
+        return Fraction(self.cnot_count, self.num_qubits)
 
-@dataclass(frozen=True)
-class CircuitStats:
-    qubit_count: int
-    cnot_count: int
-    density: Fraction
-    largest_logical_degree: int
-
-
-def stats(circuit: QuantumCircuit) -> CircuitStats:
-    """Per-circuit numbers used for ordering and partition sizing.
-
-    ``density`` is CNOTs per qubit, kept exact as a fraction so that sorting
-    and the identity density * qubit_count == cnot_count never suffer float
-    rounding.  ``largest_logical_degree`` counts distinct CX partners.
-    """
-    if circuit.num_qubits < 1:
-        raise ValueError("circuit must have at least one qubit")
-    partners: dict[int, set[int]] = {}
-    cnots = 0
-    for g in circuit.gates:
-        if g.kind == CX:
-            cnots += 1
-            a, b = g.qubits
-            partners.setdefault(a, set()).add(b)
-            partners.setdefault(b, set()).add(a)
-    largest = max((len(s) for s in partners.values()), default=0)
-    return CircuitStats(
-        qubit_count=circuit.num_qubits,
-        cnot_count=cnots,
-        density=Fraction(cnots, circuit.num_qubits),
-        largest_logical_degree=largest,
-    )
+    @cached_property
+    def largest_logical_degree(self) -> int:
+        """The most distinct CX partners of any one qubit."""
+        if self.num_qubits < 1:
+            raise ValueError("circuit must have at least one qubit")
+        partners = [set() for _ in range(self.num_qubits)]
+        for g in self.gates:
+            if g.kind == CX:
+                partners[g.qubits[0]].add(g.qubits[1])
+                partners[g.qubits[1]].add(g.qubits[0])
+        return max(len(s) for s in partners)
 
 
 def depth(gates) -> int:
@@ -273,9 +259,6 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
     creg_offsets: dict[str, int] = {}
     gates: list[Gate] = []
 
-    def creg_total() -> int:
-        return sum(cregs.values())
-
     def parse_ref(expect_reg: str | None):
         name_tok = parser.expect_kind("id", "register name")
         reg = name_tok.text
@@ -331,7 +314,7 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
                 raise MultiRegisterError("multiple classical registers are not supported", tok.line, tok.col)
             if name in cregs:
                 raise QasmError(f"classical register {name!r} redeclared", tok.line, tok.col)
-            creg_offsets[name] = creg_total()
+            creg_offsets[name] = sum(cregs.values())
             cregs[name] = size
         elif tok.text == "measure":
             parser.next()

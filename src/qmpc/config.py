@@ -3,9 +3,15 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
+
+# Both routing matrices lie in [0, 1], so |alpha1| + |alpha2| bounds every combined
+# distance; this bound keeps a sum of 2**20 of them finite, which covers a placement's
+# tie-break over up to 2**20 CNOTs and cost_h's sums for any window up to 2**17 gates.
+_ALPHA_SUM_MAX = sys.float_info.max / 2**20
 
 
 @dataclass(frozen=True)
@@ -57,9 +63,9 @@ class RunConfig:
         for name in ("weight_w", "alpha1", "alpha2"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        # both routing matrices lie in [0, 1], so this bounds every combined distance
-        if not math.isfinite(abs(self.alpha1) + abs(self.alpha2)):
-            raise ConfigError(f"|alpha1| + |alpha2| must be finite, got alpha1={self.alpha1}, alpha2={self.alpha2}")
+        if not abs(self.alpha1) + abs(self.alpha2) <= _ALPHA_SUM_MAX:
+            bound = f"|alpha1| + |alpha2| must be at most {_ALPHA_SUM_MAX:.4g}"
+            raise ConfigError(f"{bound}, got alpha1={self.alpha1}, alpha2={self.alpha2}")
 
 
 DEFAULT_CONFIG = RunConfig()

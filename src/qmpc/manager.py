@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .circuits import QuantumCircuit, stats
+from .circuits import QuantumCircuit
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import CircuitTooLargeError, PartitionError
 from .hardware import CrosstalkTable, HardwareModel
@@ -63,7 +63,7 @@ class ExecutionPlan:
 
 def sort_by_density(circuits: list[QuantumCircuit]) -> list[QuantumCircuit]:
     """Densest circuit (CNOTs per qubit) first; stable for ties."""
-    return sorted(circuits, key=lambda c: stats(c).density, reverse=True)
+    return sorted(circuits, key=lambda c: c.density, reverse=True)
 
 
 def select_k(circuits: list[QuantumCircuit], num_qubits: int) -> list[QuantumCircuit]:

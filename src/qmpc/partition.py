@@ -4,17 +4,18 @@ device for each circuit.
 Two searches produce candidates.  The exhaustive one scores every connected
 k-subset of free qubits and is the quality baseline; the heuristic one grows
 regions from well-connected starting points by fidelity degree and stays
-polynomial.  Both score candidates the same way, except that the exhaustive
-score adds the region diameter as a connectivity penalty, and both raise the
-CNOT error of region edges that sit under strong crosstalk from
-already-allocated neighbours.
+polynomial.  Both rank their candidates, ``Region`` rows, through one
+``score``: mean CNOT error x CNOT count plus readout sum, plus the diameter
+as a connectivity penalty for the exhaustive rows (the heuristic's carry
+none).  The score raises the CNOT error of region edges that sit under
+strong crosstalk from already-allocated neighbours.
 
 The exhaustive search reads a region table, built once per device and region
 size: every connected k-subset of the device with its qubit bitmask, internal
 edges, mean solo CNOT error, readout sum and diameter.  A search skips the
-rows that meet the used qubits and recomputes the mean CNOT error only for
-rows holding a "hot" edge, one with a strong conditioner wholly inside the
-used qubits; every other row's mean is its solo mean.
+rows that meet the used qubits.  Only a row holding a "hot" edge, one with a
+strong conditioner wholly inside the used qubits, has its mean CNOT error
+recomputed; every other row's mean is its solo mean.
 
 Allocation is greedy: circuits take the best region left in density order,
 as in Das et al., "A Case for Multi-Programming Quantum Computers" (MICRO
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import QuantumCircuit, stats
+from .circuits import QuantumCircuit
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import PartitionError, PartitionSizeError
 from .hardware import CrosstalkTable, Edge, HardwareModel, subgraph_diameter
@@ -85,7 +86,7 @@ def starting_points(model: HardwareModel, circuit: QuantumCircuit) -> list[int]:
     Falls back to the best-connected qubits when nothing on the device reaches
     the circuit's largest logical degree.
     """
-    largest_logical = stats(circuit).largest_logical_degree
+    largest_logical = circuit.largest_logical_degree
     degrees = [model.degree(q) for q in range(model.num_qubits)]
     max_degree = max(degrees)
     if max_degree < largest_logical:
@@ -128,32 +129,6 @@ def _mean(errors) -> float:
     return sum(errors) / len(errors) if errors else 0.0
 
 
-def _readout_sum(model: HardwareModel, qubits) -> float:
-    return sum(float(model.readout_error[q]) for q in qubits)
-
-
-def _total(avg: float, readout: float, cnot_count: int, diameter: int | None) -> float:
-    """A region's score from its parts; both searches add them in this order."""
-    total = avg * cnot_count + readout
-    if diameter is not None:
-        total += diameter
-    return total
-
-
-def score(
-    model: HardwareModel, qubits, circuit: QuantumCircuit, adjusted: dict[Edge, float], with_diameter: bool
-) -> float:
-    """Mean internal CNOT error x CNOT count + readout sum, plus the region
-    diameter when ``with_diameter`` (the exhaustive search's score).
-
-    ``adjusted`` is ``crosstalk_adjust``'s map for this region: one entry per
-    internal edge, in ``model.edges`` order, so the sum runs in that order."""
-    avg = _mean(adjusted.values())
-    readout = _readout_sum(model, qubits)
-    diameter = subgraph_diameter(model, qubits) if with_diameter else None
-    return _total(avg, readout, circuit.cnot_count, diameter)
-
-
 def connected_k_subsets(model: HardwareModel, free: set[int], k: int) -> list[tuple[int, ...]]:
     """All connected k-subsets of ``free``, sorted for determinism."""
     if k < 1:
@@ -175,15 +150,24 @@ def connected_k_subsets(model: HardwareModel, free: set[int], k: int) -> list[tu
 
 
 class Region(NamedTuple):
-    """One row of a region table: the parts of a region's exhaustive score
-    that depend on neither the circuit nor the qubits already used."""
+    """One candidate region: the parts of its score that depend on neither
+    the circuit nor the qubits already used."""
 
-    qubits: tuple[int, ...]  # sorted
+    qubits: tuple[int, ...]  # sorted in a region table, merge order from the heuristic
     mask: int  # bit q set for each member qubit q
     edges: tuple[Edge, ...]  # internal edges, in ``model.edges`` order
     solo_mean: float  # mean solo CNOT error over ``edges``, 0.0 without edges
-    readout: float
-    diameter: int
+    readout: float  # summed in ``qubits`` order
+    diameter: int | None  # None for the heuristic's rows, which score without it
+
+
+def region_row(model: HardwareModel, qubits, diameter: int | None) -> Region:
+    """The row of ``qubits``, kept in the order given."""
+    qubits = tuple(qubits)
+    edges = tuple(_induced_edges(model, qubits))
+    solo_mean = _mean([model.cnot_error[e] for e in edges])
+    readout = sum(float(model.readout_error[q]) for q in qubits)
+    return Region(qubits, sum(1 << q for q in qubits), edges, solo_mean, readout, diameter)
 
 
 def region_table(model: HardwareModel, k: int) -> tuple[Region, ...]:
@@ -191,29 +175,40 @@ def region_table(model: HardwareModel, k: int) -> tuple[Region, ...]:
     once per ``k`` and kept on the model."""
     tables = model._region_tables
     if k not in tables:
-        rows = []
-        for qubits in connected_k_subsets(model, set(range(model.num_qubits)), k):
-            edges = tuple(_induced_edges(model, qubits))
-            rows.append(
-                Region(
-                    qubits,
-                    sum(1 << q for q in qubits),
-                    edges,
-                    _mean([model.cnot_error[e] for e in edges]),
-                    _readout_sum(model, qubits),
-                    subgraph_diameter(model, qubits),
-                )
-            )
-        tables[k] = tuple(rows)
+        tables[k] = tuple(
+            region_row(model, qubits, subgraph_diameter(model, qubits))
+            for qubits in connected_k_subsets(model, set(range(model.num_qubits)), k)
+        )
     return tables[k]
 
 
-def _hot_edges(used: set[int], strong_pairs: CrosstalkTable | None) -> set[Edge]:
-    """Edges with a strong conditioner wholly inside ``used``: the only edges
-    whose error ``crosstalk_adjust`` can raise."""
-    if strong_pairs is None or not used:
-        return set()
-    return {gate for gate, (a, b) in strong_pairs.entries if a in used and b in used}
+def score(
+    model: HardwareModel, row: Region, circuit: QuantumCircuit, used: set[int], hot: set[Edge], strong_pairs
+) -> float:
+    """Mean internal CNOT error x CNOT count + readout sum, plus the diameter
+    when the row has one; lower is better.  ``hot`` holds the edges with a
+    strong conditioner wholly inside ``used``, the only edges whose error
+    ``crosstalk_adjust`` can raise: a row holding none keeps its solo mean."""
+    qubits, _, edges, avg, readout, diameter = row
+    if hot and not hot.isdisjoint(edges):
+        avg = _mean(crosstalk_adjust(model, qubits, used, strong_pairs).values())
+    total = avg * circuit.cnot_count + readout
+    if diameter is not None:
+        total += diameter
+    return total
+
+
+def _ranked(
+    model: HardwareModel, circuit: QuantumCircuit, rows, used: set[int], strong_pairs, method: str
+) -> list[Partition]:
+    """``rows`` scored and bound to ``circuit``, best first.  Equal scores
+    keep the order of ``rows``, which both searches give in sorted-qubit
+    order."""
+    hot = set()
+    if strong_pairs is not None and used:
+        hot = {gate for gate, (a, b) in strong_pairs.entries if a in used and b in used}
+    scored = sorted((score(model, row, circuit, used, hot, strong_pairs), i, row.qubits) for i, row in enumerate(rows))
+    return [Partition(circuit.id, qubits, total, method) for total, _, qubits in scored]
 
 
 def gsp_partition(
@@ -237,19 +232,11 @@ def gsp_partition(
     if len(free) < k:
         raise PartitionError(f"only {len(free)} free qubits for a {k}-qubit circuit")
     blocked = ~sum(1 << q for q in free)  # every qubit that is not free
-    hot = _hot_edges(used, strong_pairs)
-    cnots = circuit.cnot_count
-    scored = []
-    for qubits, mask, edges, avg, readout, diameter in region_table(model, k):
-        if mask & blocked:
-            continue
-        if hot and not hot.isdisjoint(edges):
-            avg = _mean(crosstalk_adjust(model, qubits, used, strong_pairs).values())
-        scored.append((_total(avg, readout, cnots, diameter), qubits))
-    if not scored:
+    rows = (row for row in region_table(model, k) if not row.mask & blocked)
+    ranked = _ranked(model, circuit, rows, used, strong_pairs, METHOD_GSP)
+    if not ranked:
         raise PartitionError(f"no connected {k}-qubit region among free qubits")
-    scored.sort()
-    return [Partition(circuit.id, qubits, total, METHOD_GSP) for total, qubits in scored]
+    return ranked
 
 
 def _grow_region(model: HardwareModel, start: int, k: int, values: np.ndarray, used: set[int]) -> list[int] | None:
@@ -284,7 +271,7 @@ def qhsp_partition(
     if len(free) < k:
         raise PartitionError(f"only {len(free)} free qubits for a {k}-qubit circuit")
     values = fidelity_degree(model, lam)
-    candidates: list[Partition] = []
+    rows: list[Region] = []
     seen: set[frozenset[int]] = set()
     for start in sorted(starting_points(model, circuit)):
         region = _grow_region(model, start, k, values, used)
@@ -296,14 +283,11 @@ def qhsp_partition(
         if key in seen:
             continue
         seen.add(key)
-        adjusted = crosstalk_adjust(model, region, used, strong_pairs)
-        candidates.append(
-            Partition(circuit.id, tuple(region), score(model, region, circuit, adjusted, False), METHOD_QHSP)
-        )
-    if not candidates:
+        rows.append(region_row(model, region, None))
+    if not rows:
         raise PartitionError(f"no feasible {k}-qubit region from any starting point")
-    candidates.sort(key=lambda p: (p.score, tuple(sorted(p.qubits))))
-    return candidates
+    rows.sort(key=lambda row: sorted(row.qubits))
+    return _ranked(model, circuit, rows, used, strong_pairs, METHOD_QHSP)
 
 
 def allocate_prefix(
@@ -323,7 +307,7 @@ def allocate_prefix(
     ``PartitionSizeError`` is a refused request, not a full device, and
     propagates.
     """
-    dens = [stats(c).density for c in circuits]
+    dens = [c.density for c in circuits]
     if any(dens[i] < dens[i + 1] for i in range(len(dens) - 1)):
         raise PartitionError("circuits must be ordered by density, descending")
     used: set[int] = set()

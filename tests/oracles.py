@@ -32,10 +32,12 @@ from qmpc.manager import ExecutionPlan, Verdict
 from qmpc.partition import (
     GSP_MAX_QUBITS,
     METHOD_GSP,
+    METHOD_QHSP,
     Partition,
     allocate_all,
     connected_k_subsets,
     crosstalk_adjust,
+    fidelity_degree,
     gsp_partition,
     qhsp_partition,
 )
@@ -347,6 +349,49 @@ def reference_gsp_partition(model, circuit, used_qubits, strong_pairs=None):
         total = avg * circuit.cnot_count + readout
         total += subgraph_diameter(model, subset)
         candidates.append(Partition(circuit.id, subset, total, METHOD_GSP))
+    candidates.sort(key=lambda p: (p.score, tuple(sorted(p.qubits))))
+    return candidates
+
+
+def reference_qhsp_partition(model, circuit, used_qubits, strong_pairs=None, lam=RunConfig.lam):
+    """The heuristic search as first written: each grown region gets
+    ``crosstalk_adjust`` and is scored from scratch, readouts summed in merge
+    order."""
+    k = circuit.num_qubits
+    used = set(used_qubits)
+    free = set(range(model.num_qubits)) - used
+    if len(free) < k:
+        raise PartitionError(f"only {len(free)} free qubits for a {k}-qubit circuit")
+    partners = {q: set() for q in range(k)}
+    for g in circuit.gates:
+        if g.kind == CX:
+            partners[g.qubits[0]].add(g.qubits[1])
+            partners[g.qubits[1]].add(g.qubits[0])
+    largest = max(len(s) for s in partners.values())
+    degrees = [model.degree(q) for q in range(model.num_qubits)]
+    reach = largest if max(degrees) >= largest else max(degrees)
+    values = fidelity_degree(model, lam)
+
+    candidates = []
+    seen = set()
+    for start in (q for q in range(model.num_qubits) if degrees[q] >= reach):
+        region = [start]
+        while len(region) < k:
+            members = sorted(region, key=lambda q: (-values[q], q))
+            grow = [[v for v in model.neighbors(q) if v not in used and v not in region] for q in members]
+            grow = [vs for vs in grow if vs]
+            if not grow:
+                break
+            region.append(min(grow[0], key=lambda v: (-values[v], v)))
+        if len(region) < k or used & set(region) or frozenset(region) in seen:
+            continue
+        seen.add(frozenset(region))
+        adjusted = crosstalk_adjust(model, region, used, strong_pairs)
+        avg = sum(adjusted.values()) / len(adjusted) if adjusted else 0.0
+        readout = sum(float(model.readout_error[q]) for q in region)
+        candidates.append(Partition(circuit.id, tuple(region), avg * circuit.cnot_count + readout, METHOD_QHSP))
+    if not candidates:
+        raise PartitionError(f"no feasible {k}-qubit region from any starting point")
     candidates.sort(key=lambda p: (p.score, tuple(sorted(p.qubits))))
     return candidates
 

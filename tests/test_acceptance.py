@@ -13,14 +13,14 @@ import pytest
 
 from qmpc.circuits import Gate, QuantumCircuit, build_dag, depth
 from qmpc.errors import PartitionSizeError
-from qmpc.hardware import build_crosstalk, build_hardware, extract_strong_crosstalk
+from qmpc.hardware import build_crosstalk, build_hardware, extract_strong_crosstalk, subgraph_diameter
 from qmpc.manager import Verdict, fidelity_gate
 from qmpc.partition import (
     allocate_all,
     connected_k_subsets,
-    crosstalk_adjust,
     gsp_partition,
     qhsp_partition,
+    region_row,
     score,
 )
 from qmpc.pipeline import RunConfig, compile_workloads
@@ -126,11 +126,11 @@ def test_criterion_2_oracle_dominance_and_near_optimality(request):
         k = circuit.num_qubits
         best = gsp_partition(model, circuit, set())[0]
         choice = qhsp_partition(model, circuit, set())[0]
-        adjusted = crosstalk_adjust(model, choice.qubits, set(), None)
-        if best.score <= score(model, choice.qubits, circuit, adjusted, with_diameter=True) + 1e-12:
+        row = region_row(model, choice.qubits, subgraph_diameter(model, choice.qubits))
+        if best.score <= score(model, row, circuit, set(), set(), None) + 1e-12:
             dominance += 1
         optimum = min(
-            score(model, s, circuit, crosstalk_adjust(model, s, set(), None), with_diameter=False)
+            score(model, region_row(model, s, None), circuit, set(), set(), None)
             for s in connected_k_subsets(model, set(range(model.num_qubits)), k)
         )
         if abs(choice.score - optimum) <= 1e-12:

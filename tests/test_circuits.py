@@ -9,7 +9,6 @@ from qmpc.circuits import (
     emit_qasm,
     parse_merged_qasm,
     parse_qasm,
-    stats,
 )
 from qmpc.errors import MultiRegisterError, QasmError, UnsupportedGateError
 
@@ -177,16 +176,22 @@ def test_barrier_fences_all_touched_qubits():
 def test_density_definition():
     gates = tuple(Gate("cx", (i % 4, (i + 1) % 4)) for i in range(10))
     c = QuantumCircuit("t", 5, 0, gates)
-    s = stats(c)
-    assert s.density == Fraction(2, 1)
-    assert s.density * s.qubit_count == s.cnot_count
+    assert c.density == Fraction(2, 1)
+    assert c.density * c.num_qubits == c.cnot_count
 
 
 def test_largest_logical_degree_distinct_partners():
     c = QuantumCircuit("t", 4, 0, (Gate("cx", (0, 1)), Gate("cx", (0, 2)), Gate("cx", (0, 3))))
-    assert stats(c).largest_logical_degree == 3
+    assert c.largest_logical_degree == 3
     repeated = QuantumCircuit("t", 2, 0, tuple(Gate("cx", (0, 1)) for _ in range(4)))
-    assert stats(repeated).largest_logical_degree == 1
+    assert repeated.largest_logical_degree == 1
+
+
+def test_circuit_without_qubits_has_no_density():
+    empty = QuantumCircuit("t", 0, 0, ())
+    for name in ("density", "largest_logical_degree"):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            getattr(empty, name)
 
 
 def test_round_trip_is_gate_identical(bell):

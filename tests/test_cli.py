@@ -7,13 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qmpc
 from qmpc.cli import main
 from qmpc.errors import ConfigError
-from qmpc.pipeline import CompileResult, RunConfig
+from qmpc.pipeline import CompileResult, RunConfig, compile_workloads
 from qmpc.presets import line_topology, synthetic_calibration, topology, uniform_calibration
+
+from helpers import random_circuit
 
 BELL = "qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q -> c;\n"
 GHZ3 = "qreg q[3]; creg c[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2]; measure q -> c;\n"
@@ -263,15 +266,27 @@ def test_run_config_rejects_out_of_range(field, value):
 
 
 def test_alphas_whose_sum_overflows_are_rejected(device_files, capsys):
-    # both routing matrices lie in [0, 1]: a finite |alpha1| + |alpha2| bounds every combined distance
-    RunConfig(alpha1=1e308, alpha2=0.0)
-    for alpha1, alpha2 in ((1e308, 1e308), (1e308, -1e308), (-1.7e308, -1e308)):
-        with pytest.raises(ConfigError, match=r"\|alpha1\| \+ \|alpha2\| must be finite"):
+    # both routing matrices lie in [0, 1]: |alpha1| + |alpha2| bounds every combined distance, and a
+    # sum near the float maximum would overflow the router's cost sums to inf
+    RunConfig(alpha1=1e300, alpha2=1e300)
+    RunConfig(alpha1=1e300, alpha2=-1e300)
+    for alpha1, alpha2 in ((1e308, 0.0), (8e307, 8e307), (1e308, 1e308), (1e308, -1e308), (-1.7e308, -1e308)):
+        with pytest.raises(ConfigError, match=r"\|alpha1\| \+ \|alpha2\| must be at most"):
             RunConfig(alpha1=alpha1, alpha2=alpha2)
-    assert main(_compile_args(device_files, extra=("--alpha1", "1e308", "--alpha2", "1e308"))) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: |alpha1| + |alpha2| must be finite")
-    assert not (device_files / "out").exists()
+    for alpha in ("1e308", "8e307"):
+        assert main(_compile_args(device_files, extra=("--alpha1", alpha, "--alpha2", alpha))) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: |alpha1| + |alpha2| must be at most")
+        assert not (device_files / "out").exists()
+
+
+def test_huge_alphas_route_as_the_defaults(guadalupe):
+    # both weights scaled alike rank every candidate alike, as long as no cost sum overflows
+    rng = np.random.default_rng(3)
+    circuits = [random_circuit(rng, f"c{i}", 6, max_gates=80) for i in range(3)]
+    huge = RunConfig(alpha1=1e300, alpha2=1e300)
+    want = [p.qasm for p in compile_workloads(guadalupe, circuits).plans]
+    assert [p.qasm for p in compile_workloads(guadalupe, circuits, huge).plans] == want
 
 
 def _strict_json(path):

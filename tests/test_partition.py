@@ -5,7 +5,7 @@ from qmpc import partition
 from qmpc.circuits import Gate, QuantumCircuit
 from qmpc.config import RunConfig
 from qmpc.errors import PartitionError, PartitionSizeError
-from qmpc.hardware import build_crosstalk, build_hardware, extract_strong_crosstalk
+from qmpc.hardware import build_crosstalk, build_hardware, extract_strong_crosstalk, subgraph_diameter
 from qmpc.partition import (
     allocate_all,
     connected_k_subsets,
@@ -13,6 +13,7 @@ from qmpc.partition import (
     fidelity_degree,
     gsp_partition,
     qhsp_partition,
+    region_row,
     region_table,
     score,
     starting_points,
@@ -35,24 +36,22 @@ def chain(n):
 
 
 def test_score_substitution():
+    # on a line 0-1-2-3, the one crosstalk entry raises (0, 1) to 0.03 while (2, 3) is in use
     model = build_hardware(
-        {"num_qubits": 2, "edges": [[0, 1]]},
-        {"cnot_errors": [[0, 1, 0.01]], "readout_errors": [0.02, 0.03]},
+        {"num_qubits": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+        {"cnot_errors": [[0, 1, 0.01], [1, 2, 0.01], [2, 3, 0.01]], "readout_errors": [0.02, 0.03, 0.0, 0.0]},
     )
     circuit = cx_circuit("c", 2, [(0, 1)] * 5)
-    adjusted = {(0, 1): 0.01}
-    assert score(model, (0, 1), circuit, adjusted, with_diameter=True) == pytest.approx(1 + 0.01 * 5 + 0.05)
-    adjusted_up = {(0, 1): 0.03}
-    assert score(model, (0, 1), circuit, adjusted_up, with_diameter=True) == pytest.approx(1 + 0.15 + 0.05)
+    row = region_row(model, (0, 1), 1)
+    assert score(model, row, circuit, set(), set(), None) == pytest.approx(1 + 0.01 * 5 + 0.05)
+    strong = build_crosstalk([{"gate": [0, 1], "conditioned_on": [2, 3], "error": 0.03}], model)
+    assert score(model, row, circuit, {2, 3}, {(0, 1)}, strong) == pytest.approx(1 + 0.15 + 0.05)
 
 
 def test_score_qhsp_is_gsp_minus_diameter(jakarta):
     circuit = cx_circuit("c", 3, [(0, 1), (1, 2)])
-    from qmpc.hardware import subgraph_diameter
-
     for cand in gsp_partition(jakarta, circuit, set()):
-        adjusted = crosstalk_adjust(jakarta, cand.qubits, set(), None)
-        s_h = score(jakarta, cand.qubits, circuit, adjusted, with_diameter=False)
+        s_h = score(jakarta, region_row(jakarta, cand.qubits, None), circuit, set(), set(), None)
         assert cand.score == pytest.approx(s_h + subgraph_diameter(jakarta, cand.qubits))
 
 
@@ -294,8 +293,6 @@ def test_allocate_rejects_unsorted_input(line5):
 
 
 def test_allocations_disjoint_and_connected(guadalupe):
-    from qmpc.hardware import subgraph_diameter
-
     circuits = [
         cx_circuit("a", 4, [(0, 1), (1, 2), (2, 3)] * 3),
         cx_circuit("b", 3, [(0, 1), (1, 2)] * 2),
@@ -314,6 +311,6 @@ def test_gsp_dominates_qhsp_rescored(guadalupe):
     circuit = cx_circuit("c", 4, [(0, 1), (1, 2), (2, 3), (0, 2)] * 2)
     best_gsp = gsp_partition(guadalupe, circuit, set())[0]
     choice = qhsp_partition(guadalupe, circuit, set())[0]
-    adjusted = crosstalk_adjust(guadalupe, choice.qubits, set(), None)
-    rescored = score(guadalupe, choice.qubits, circuit, adjusted, with_diameter=True)
+    row = region_row(guadalupe, choice.qubits, subgraph_diameter(guadalupe, choice.qubits))
+    rescored = score(guadalupe, row, circuit, set(), set(), None)
     assert best_gsp.score <= rescored + 1e-12

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qmpc import cli, presets
-from qmpc.circuits import Gate, QuantumCircuit, build_dag, emit_qasm, parse_qasm, stats
+from qmpc.circuits import Gate, QuantumCircuit, build_dag, emit_qasm, parse_qasm
 from qmpc.hardware import (
     build_crosstalk,
     build_hardware,
@@ -33,6 +33,7 @@ from qmpc.partition import (
     crosstalk_adjust,
     gsp_partition,
     qhsp_partition,
+    region_row,
     score,
 )
 from qmpc.partition import Partition
@@ -46,6 +47,7 @@ from oracles import (
     induced_edges_scan,
     per_branch_simulate,
     reference_gsp_partition,
+    reference_qhsp_partition,
     reference_placement,
     reference_route,
     region_diameter_nx,
@@ -129,9 +131,8 @@ def test_topological_orders_preserve_per_qubit_sequence(circuit, seed):
 @settings(max_examples=60, **COMMON)
 @given(small_circuit())
 def test_density_identity(circuit):
-    s = stats(circuit)
-    assert s.density * s.qubit_count == s.cnot_count
-    assert s.largest_logical_degree < max(s.qubit_count, 1) or s.qubit_count == 1
+    assert circuit.density * circuit.num_qubits == circuit.cnot_count
+    assert circuit.largest_logical_degree < max(circuit.num_qubits, 1) or circuit.num_qubits == 1
 
 
 # --- matrices ---------------------------------------------------------------------
@@ -307,8 +308,8 @@ def test_partitions_disjoint_connected_and_gsp_dominates(model, k):
     # the exhaustive search never loses to the heuristic's choice, re-scored
     best = gsp_partition(model, c1, set())[0]
     choice = qhsp_partition(model, c1, set())[0]
-    adjusted = crosstalk_adjust(model, choice.qubits, set(), None)
-    assert best.score <= score(model, choice.qubits, c1, adjusted, with_diameter=True) + 1e-12
+    row = region_row(model, choice.qubits, subgraph_diameter(model, choice.qubits))
+    assert best.score <= score(model, row, c1, set(), set(), None) + 1e-12
 
 
 @st.composite
@@ -353,6 +354,21 @@ def test_table_driven_gsp_matches_reference_search(case):
         return
     got = gsp_partition(model, circuit, used, strong)
     assert got == want  # ids, qubits, methods, order, and every score exactly
+
+
+@settings(max_examples=300, **COMMON)
+@given(exhaustive_search())
+def test_qhsp_matches_reference_search(case):
+    model, circuit, used, strong = case
+    try:
+        want = reference_qhsp_partition(model, circuit, used, strong)
+    except PartitionError as exc:
+        with pytest.raises(PartitionError) as info:
+            qhsp_partition(model, circuit, used, strong)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    got = qhsp_partition(model, circuit, used, strong)
+    assert got == want  # ids, qubits in merge order, order, and every score exactly
 
 
 @settings(max_examples=25, **COMMON)
@@ -740,9 +756,15 @@ ALPHA_OVERFLOW = (
 )
 
 
+# alphas whose sum is finite but near the float maximum: the router's cost
+# sums went to inf and its choices degraded
+ALPHA_COST_OVERFLOW = (*ALPHA_OVERFLOW[:3], ["--attempts", "1", "--alpha2", "8e307", "--alpha1", "8e307", "--seed", "1"])
+
+
 @settings(max_examples=150, **COMMON)
 @given(cli_case())
 @example(ALPHA_OVERFLOW)
+@example(ALPHA_COST_OVERFLOW)
 def test_cli_exits_0_or_1_with_one_error_line(case):
     command, files, programs, flags = case
     with tempfile.TemporaryDirectory() as tmp:
