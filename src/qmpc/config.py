@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 # Both routing matrices lie in [0, 1], so |alpha1| + |alpha2| bounds every combined
-# distance; this bound keeps a sum of 2**20 of them finite, which covers a placement's
-# tie-break over up to 2**20 CNOTs and cost_h's sums for any window up to 2**17 gates.
+# distance, and |weight_w| times that bounds a lookahead distance; this bound keeps a
+# sum of 2**20 of either finite, which covers a placement's tie-break over up to 2**20
+# CNOTs and cost_h's sums for any window up to 2**17 gates.
 _ALPHA_SUM_MAX = sys.float_info.max / 2**20
 
 
@@ -63,9 +64,12 @@ class RunConfig:
         for name in ("weight_w", "alpha1", "alpha2"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if not abs(self.alpha1) + abs(self.alpha2) <= _ALPHA_SUM_MAX:
-            bound = f"|alpha1| + |alpha2| must be at most {_ALPHA_SUM_MAX:.4g}"
-            raise ConfigError(f"{bound}, got alpha1={self.alpha1}, alpha2={self.alpha2}")
+        alphas = abs(self.alpha1) + abs(self.alpha2)
+        scaled = abs(self.weight_w) * alphas
+        for what, value in (("|alpha1| + |alpha2|", alphas), ("|weight_w| * (|alpha1| + |alpha2|)", scaled)):
+            if not value <= _ALPHA_SUM_MAX:
+                got = f"weight_w={self.weight_w}, alpha1={self.alpha1}, alpha2={self.alpha2}"
+                raise ConfigError(f"{what} must be at most {_ALPHA_SUM_MAX:.4g}, got {got}")
 
 
 DEFAULT_CONFIG = RunConfig()

@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,24 +92,45 @@ def _hops_from(adjacency: dict[int, tuple[int, ...]], src: int) -> dict[int, int
     return hops
 
 
+def _number(value, error: type[HardwareError], what: str, *args, integer: bool = False) -> float:
+    """``value`` as a float, or as an int for ``integer``; a boolean, a
+    non-number or a non-integral ``integer`` raises ``error`` naming
+    ``what.format(*args)``, which is formatted only then."""
+    real = type(value) in (int, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or integer and value % 1 != 0:
+        raise error(f"{what.format(*args)} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _entry(value, fields: tuple[str, ...], error: type[HardwareError], what: str) -> list:
+    """A list with one item per field: a field named "qubit" holds an integer
+    (a qubit index), any other a number."""
+    if not isinstance(value, (list, tuple)) or len(value) != len(fields):
+        raise error(f"bad {what} {value!r}")
+    return [_number(v, error, "{} in {} {!r}", f, what, value, integer=f == "qubit") for f, v in zip(fields, value)]
+
+
+_QUBIT_PAIR = ("qubit", "qubit")
+
+
 def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
     """Assemble and validate a model from already-decoded JSON objects."""
     try:
-        n = int(topology["num_qubits"])
+        n = _number(topology["num_qubits"], HardwareError, "num_qubits", integer=True)
         raw_edges = topology["edges"]
     except (KeyError, TypeError) as exc:
         raise HardwareError(f"topology is missing field: {exc}") from None
     if n < 1:
         raise HardwareError("device must have at least one qubit")
+    if not isinstance(raw_edges, (list, tuple)):
+        raise HardwareError(f"edges must be a list of qubit pairs, got {raw_edges!r}")
     if not isinstance(calibration, dict):
         raise CalibrationError(f"calibration must be a JSON object, got {type(calibration).__name__}")
 
     edges: list[Edge] = []
     seen = set()
     for pair in raw_edges:
-        if len(pair) != 2:
-            raise HardwareError(f"bad edge entry {pair!r}")
-        i, j = int(pair[0]), int(pair[1])
+        i, j = _entry(pair, _QUBIT_PAIR, HardwareError, "edge entry")
         if i == j:
             raise HardwareError(f"self-loop edge ({i},{j})")
         if not (0 <= i < n and 0 <= j < n):
@@ -129,10 +151,11 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
         raise DisconnectedGraphError(f"coupling graph is disconnected: components {parts}")
 
     cnot_error: dict[Edge, float] = {}
-    for entry in calibration.get("cnot_errors", []):
-        if len(entry) != 3:
-            raise CalibrationError(f"bad cnot_errors entry {entry!r}")
-        i, j, err = int(entry[0]), int(entry[1]), float(entry[2])
+    raw_cnot = calibration.get("cnot_errors", [])
+    if not isinstance(raw_cnot, (list, tuple)):
+        raise CalibrationError(f"cnot_errors must be a list, got {raw_cnot!r}")
+    for entry in raw_cnot:
+        i, j, err = _entry(entry, (*_QUBIT_PAIR, "CNOT error"), CalibrationError, "cnot_errors entry")
         e = _edge(i, j)
         if e not in seen:
             raise CalibrationError(f"cnot_errors entry ({i},{j}) is not a coupling edge")
@@ -143,23 +166,18 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
         if e not in cnot_error:
             raise CalibrationError(f"missing CNOT error for edge {e}")
 
-    readout = calibration.get("readout_errors")
-    if readout is None or len(readout) != n:
-        raise CalibrationError(f"readout_errors must list all {n} qubits")
-    readout = _error_rates(readout, "readout")
-
-    single = calibration.get("single_qubit_errors")  # checked, not scored
-    if single is not None:
-        if len(single) != n:
-            raise CalibrationError(f"single_qubit_errors must list all {n} qubits")
-        _error_rates(single, "single-qubit")
+    readout = _error_rates(calibration.get("readout_errors"), n, "readout_errors", "readout")
+    if calibration.get("single_qubit_errors") is not None:  # checked, not scored
+        _error_rates(calibration["single_qubit_errors"], n, "single_qubit_errors", "single-qubit")
 
     return HardwareModel(n, tuple(edges), cnot_error, readout)
 
 
-def _error_rates(values, what: str) -> np.ndarray:
-    """Per-qubit error rates as an array, each checked to lie in [0, 1)."""
-    rates = np.asarray([float(v) for v in values])
+def _error_rates(values, n: int, field: str, what: str) -> np.ndarray:
+    """Per-qubit error rates as an array: one number per qubit, each in [0, 1)."""
+    if not isinstance(values, (list, tuple)) or len(values) != n:
+        raise CalibrationError(f"{field} must list all {n} qubits")
+    rates = np.asarray([_number(v, CalibrationError, "{} error for qubit {}", what, q) for q, v in enumerate(values)])
     outside = ~((rates >= 0.0) & (rates < 1.0))  # NaN is outside too
     if np.any(outside):
         raise CalibrationError(f"{what} error for qubit {int(np.argmax(outside))} outside [0,1)")
@@ -348,10 +366,10 @@ def build_crosstalk(pairs: list[dict], model: HardwareModel) -> CrosstalkTable:
     entries: dict[tuple[Edge, Edge], float] = {}
     for item in pairs:
         try:
-            gate = _edge(int(item["gate"][0]), int(item["gate"][1]))
-            cond = _edge(int(item["conditioned_on"][0]), int(item["conditioned_on"][1]))
-            err = float(item["error"])
-        except (KeyError, TypeError, IndexError):
+            gate = _edge(*_entry(item["gate"], _QUBIT_PAIR, CrosstalkError, "crosstalk gate"))
+            cond = _edge(*_entry(item["conditioned_on"], _QUBIT_PAIR, CrosstalkError, "crosstalk conditioned_on"))
+            err = _number(item["error"], CrosstalkError, "conditional error for {}|{}", gate, cond)
+        except (KeyError, TypeError):
             raise CrosstalkError(f"bad crosstalk entry {item!r}") from None
         _validate_pair(gate, cond, model)
         if not 0.0 <= err < 1.0:

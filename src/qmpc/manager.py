@@ -84,33 +84,6 @@ def select_k(circuits: list[QuantumCircuit], num_qubits: int) -> list[QuantumCir
     return prefix
 
 
-def _alone_region(
-    model: HardwareModel,
-    circuit: QuantumCircuit,
-    config: RunConfig,
-    strong_pairs: CrosstalkTable | None,
-    alone: dict[str, Partition],
-) -> Partition:
-    """The circuit's best region on an empty device, searched once per
-    ``alone`` cache (keyed by circuit id)."""
-    if circuit.id not in alone:
-        alone[circuit.id] = allocate_all(model, [circuit], config, strong_pairs)[0]
-    return alone[circuit.id]
-
-
-def independent_plan(
-    model: HardwareModel,
-    circuit: QuantumCircuit,
-    config: RunConfig = DEFAULT_CONFIG,
-    strong_pairs: CrosstalkTable | None = None,
-    alone: dict[str, Partition] | None = None,
-) -> ExecutionPlan:
-    """Run ``circuit`` by itself on its best region.  ``alone`` caches alone
-    regions by circuit id across calls with the same device and knobs."""
-    best = _alone_region(model, circuit, config, strong_pairs, {} if alone is None else alone)
-    return ExecutionPlan((circuit.id,), (best,), 0.0, config.delta, Verdict.INDEPENDENT)
-
-
 def fidelity_gate(
     model: HardwareModel,
     circuits: list[QuantumCircuit],
@@ -118,34 +91,43 @@ def fidelity_gate(
     strong_pairs: CrosstalkTable | None = None,
     alone: dict[str, Partition] | None = None,
 ) -> ExecutionPlan:
-    """Gate a density-ordered batch on the joint-vs-alone score difference.
+    """Plan a non-empty, density-ordered batch by its joint-vs-alone scores.
 
     delta_s is the mean over the batch of (score allocated together - score of
     the circuit partitioned alone).  While it does not stay under the
     threshold ``config.delta``, the lowest-density circuit is dropped and the
-    check repeats; a single survivor is declared independent.
+    check repeats; a single survivor, like a batch of one, runs alone
+    (INDEPENDENT, delta_s 0).
 
-    The batch is allocated once: allocation is greedy in batch order, so the
-    regions of every shorter prefix are the first entries of that one
-    allocation.  When the device runs out of room before the last circuit,
-    the batch shrinks to the prefix that fits.  The first circuit is
-    allocated on an empty device, so its joint region is its alone region;
-    the others are looked up in ``alone`` (alone regions by circuit id, as
-    for ``independent_plan``) and searched only when missing.
+    A longer batch is allocated once, greedily in batch order, so the regions
+    of every shorter prefix are the first entries of that one allocation.
+    When the device runs out of room, the batch shrinks to the prefix that
+    fits; when not even the first circuit fits, that allocation's error
+    propagates.  ``alone`` caches alone regions by circuit id across calls
+    with the same device and knobs; the first circuit's joint region is its
+    alone region, and a circuit is searched alone only when it is missing.
     """
-    if len(circuits) < 2:
-        raise ValueError("fidelity_gate needs at least two circuits; use independent_plan")
+    if not circuits:
+        raise ValueError("fidelity_gate needs at least one circuit")
     alone = {} if alone is None else alone
-    joint, _ = allocate_prefix(model, circuits, config, strong_pairs)
-    if joint:
+
+    def alone_region(circuit: QuantumCircuit) -> Partition:
+        if circuit.id not in alone:
+            alone[circuit.id] = allocate_all(model, [circuit], config, strong_pairs)[0]
+        return alone[circuit.id]
+
+    if len(circuits) > 1:
+        joint, error = allocate_prefix(model, circuits, config, strong_pairs)
+        if not joint:
+            raise error
         alone.setdefault(joint[0].circuit_id, joint[0])
-    scores = {c.id: _alone_region(model, c, config, strong_pairs, alone).score for c in circuits[:len(joint)]}
-    for n in range(len(joint), 1, -1):
-        delta_s = sum(p.score - scores[p.circuit_id] for p in joint[:n]) / n
-        if delta_s < config.delta:
-            verdict = Verdict.SIMULTANEOUS if n == len(circuits) else Verdict.REDUCED
-            return ExecutionPlan(tuple(c.id for c in circuits[:n]), tuple(joint[:n]), delta_s, config.delta, verdict)
-    return independent_plan(model, circuits[0], config, strong_pairs, alone)
+        scores = {c.id: alone_region(c).score for c in circuits[:len(joint)]}
+        for n in range(len(joint), 1, -1):
+            delta_s = sum(p.score - scores[p.circuit_id] for p in joint[:n]) / n
+            if delta_s < config.delta:
+                verdict = Verdict.SIMULTANEOUS if n == len(circuits) else Verdict.REDUCED
+                return ExecutionPlan(tuple(c.id for c in circuits[:n]), tuple(joint[:n]), delta_s, config.delta, verdict)
+    return ExecutionPlan((circuits[0].id,), (alone_region(circuits[0]),), 0.0, config.delta, Verdict.INDEPENDENT)
 
 
 def plan_all(
@@ -164,12 +146,7 @@ def plan_all(
     plans: list[ExecutionPlan] = []
     alone: dict[str, Partition] = {}
     while remaining:
-        prefix = select_k(remaining, model.num_qubits)
-        if len(prefix) <= 1:
-            plan = independent_plan(model, prefix[0], config, strong_pairs, alone)
-        else:
-            plan = fidelity_gate(model, prefix, config, strong_pairs, alone)
-        plans.append(plan)
-        taken = set(plan.selected)
+        plans.append(fidelity_gate(model, select_k(remaining, model.num_qubits), config, strong_pairs, alone))
+        taken = set(plans[-1].selected)
         remaining = [c for c in remaining if c.id not in taken]
     return plans

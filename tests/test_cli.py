@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -287,6 +289,60 @@ def test_huge_alphas_route_as_the_defaults(guadalupe):
     huge = RunConfig(alpha1=1e300, alpha2=1e300)
     want = [p.qasm for p in compile_workloads(guadalupe, circuits).plans]
     assert [p.qasm for p in compile_workloads(guadalupe, circuits, huge).plans] == want
+
+
+def test_weight_w_whose_lookahead_overflows_is_rejected(device_files, capsys):
+    # |weight_w| times the alphas' sum bounds one lookahead distance; near the float
+    # maximum cost_h's lookahead term went to inf and the router's choices degraded
+    for weight_w in (1e308, -1e308, 1.8e302):
+        with pytest.raises(ConfigError, match=r"\|weight_w\| \* \(\|alpha1\| \+ \|alpha2\|\) must be at most"):
+            RunConfig(weight_w=weight_w)
+    RunConfig(weight_w=1e308, alpha1=1e-10, alpha2=0.0)
+    assert main(_compile_args(device_files, extra=("--weight-w", "1e308"))) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: |weight_w| * (|alpha1| + |alpha2|) must be at most")
+    assert not (device_files / "out").exists()
+
+
+def test_huge_weight_w_routes_as_a_large_one(guadalupe):
+    # at these weights the lookahead term decides every choice, and no cost sum overflows
+    rng = np.random.default_rng(3)
+    circuits = [random_circuit(rng, f"c{i}", 6, max_gates=80) for i in range(3)]
+    large, huge = (compile_workloads(guadalupe, circuits, RunConfig(weight_w=w)).plans for w in (1e300, 1.7e302))
+    assert [p.qasm for p in huge] == [p.qasm for p in large]
+
+
+# id: (file, path to the field, mistyped value, part of the one error line)
+MISTYPED_DEVICE = {
+    "num_qubits-string": ("topology.json", ["num_qubits"], "abc", "num_qubits must be an integer, got 'abc'"),
+    "num_qubits-fraction": ("topology.json", ["num_qubits"], 3.7, "num_qubits must be an integer, got 3.7"),
+    "num_qubits-boolean": ("topology.json", ["num_qubits"], True, "num_qubits must be an integer, got True"),
+    "edge-string-qubit": ("topology.json", ["edges", 0], ["a", 1], "qubit in edge entry ['a', 1] must be an integer"),
+    "edge-number": ("topology.json", ["edges", 0], 5, "bad edge entry 5"),
+    "edge-fraction": ("topology.json", ["edges", 0], [0, 1.9], "qubit in edge entry [0, 1.9] must be an integer"),
+    "edge-boolean": ("topology.json", ["edges", 0], [0, True], "qubit in edge entry [0, True] must be an integer"),
+    "edges-null": ("topology.json", ["edges"], None, "edges must be a list of qubit pairs, got None"),
+    "cnot-error-string": ("calibration.json", ["cnot_errors", 0, 2], "x", "CNOT error in cnot_errors entry [0, 1, 'x']"),
+    "cnot-entry-number": ("calibration.json", ["cnot_errors", 0], 7, "bad cnot_errors entry 7"),
+    "readout-number": ("calibration.json", ["readout_errors"], 5, "readout_errors must list all 5 qubits"),
+    "readout-string": ("calibration.json", ["readout_errors", 0], "a", "readout error for qubit 0 must be a number"),
+    "crosstalk-error-string": ("crosstalk.json", ["pairs", 0, "error"], "x", "conditional error for (0, 1)|(2, 3) must be"),
+    "crosstalk-gate-string": ("crosstalk.json", ["pairs", 0, "gate"], ["a", 1], "qubit in crosstalk gate ['a', 1] must be"),
+}
+
+
+@pytest.mark.parametrize("name, path, value, message", MISTYPED_DEVICE.values(), ids=MISTYPED_DEVICE.keys())
+def test_mistyped_device_json_is_user_error(device_files, capsys, name, path, value, message):
+    # these used to exit 2 as internal errors, or (the fractions) were silently truncated
+    xtalk = {"pairs": [{"gate": [0, 1], "conditioned_on": [2, 3], "error": 0.05}]}
+    (device_files / "crosstalk.json").write_text(json.dumps(xtalk))
+    data = json.loads((device_files / name).read_text())
+    *parents, last = path
+    functools.reduce(operator.getitem, parents, data)[last] = value
+    (device_files / name).write_text(json.dumps(data))
+    assert main(_compile_args(device_files, extra=("--crosstalk", str(device_files / "crosstalk.json")))) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
 
 
 def _strict_json(path):

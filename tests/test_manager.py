@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qmpc.circuits import Gate, QuantumCircuit
-from qmpc.errors import CircuitTooLargeError
+from qmpc.errors import CircuitTooLargeError, PartitionError
 from qmpc import manager
 from qmpc.hardware import build_hardware
-from qmpc.manager import Verdict, fidelity_gate, independent_plan, plan_all, select_k, sort_by_density
+from qmpc.manager import Verdict, fidelity_gate, plan_all, select_k, sort_by_density
 from qmpc.pipeline import RunConfig, compile_workloads
 from qmpc.presets import line_topology, uniform_calibration
 from qmpc.verify import check_equivalence
@@ -155,14 +155,18 @@ def test_plan_all_searches_each_alone_region_once(toronto, monkeypatch, method):
     reference = []  # the same loop without a shared cache: every call searches again
     remaining = sort_by_density(circuits)
     while remaining:
-        prefix = select_k(remaining, toronto.num_qubits)
-        if len(prefix) == 1:
-            plan = independent_plan(toronto, prefix[0], config)
-        else:
-            plan = fidelity_gate(toronto, prefix, config)
+        plan = fidelity_gate(toronto, select_k(remaining, toronto.num_qubits), config)
         reference.append(plan)
         remaining = [c for c in remaining if c.id not in plan.selected]
 
+    searched = _count_alone_searches(monkeypatch)
+    assert plan_all(toronto, circuits, config) == reference
+    assert len(reference) == len(circuits)
+    assert sorted(searched) == sorted(set(searched))
+
+
+def _count_alone_searches(monkeypatch):
+    """Ids of the circuits that ``manager.allocate_all`` is asked to place alone."""
     searched = []
     allocate_all = manager.allocate_all
 
@@ -172,9 +176,32 @@ def test_plan_all_searches_each_alone_region_once(toronto, monkeypatch, method):
         return allocate_all(model, batch, *args, **kwargs)
 
     monkeypatch.setattr(manager, "allocate_all", counting)
-    assert plan_all(toronto, circuits, config) == reference
-    assert len(reference) == len(circuits)
-    assert sorted(searched) == sorted(set(searched))
+    return searched
+
+
+def test_batch_of_one_runs_alone_and_fills_the_cache(toronto, monkeypatch):
+    circuit = random_circuit(np.random.default_rng(3), "c0")
+    config = RunConfig(method="gsp")
+    alone = {}
+    plan = fidelity_gate(toronto, [circuit], config, alone=alone)
+    assert plan.verdict is Verdict.INDEPENDENT and plan.delta_s == 0.0 and plan.threshold == config.delta
+    assert plan.selected == ("c0",)
+    assert plan.partitions == (manager.allocate_all(toronto, [circuit], config)[0],)
+    assert alone == {"c0": plan.partitions[0]}
+
+    searched = _count_alone_searches(monkeypatch)
+    assert fidelity_gate(toronto, [circuit], config, alone=alone) == plan
+    assert searched == []
+
+
+@pytest.mark.parametrize(
+    "batch, message",
+    [(["big"], "combined circuit size exceeds the device"), (["big", "small"], "only 10 free qubits for a 11-qubit")],
+)
+def test_batch_whose_first_circuit_cannot_be_placed_raises(batch, message):
+    circuits = {"big": cx_circuit("big", 11, 22), "small": cx_circuit("small", 2, 1)}
+    with pytest.raises(PartitionError, match=message):
+        fidelity_gate(staircase_device(), [circuits[cid] for cid in batch])
 
 
 # --- packed device ------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Invariant checks driven by generated instances."""
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
+import operator
 import re
 import tempfile
 import warnings
@@ -685,6 +687,7 @@ CLI_PROGRAMS = [
     "qreg q[4]; creg c[2]; x q[3]; cx q[3],q[0]; barrier q; cx q[1],q[2]; u3(0.1,0.2,0.3) q[2]; measure q[2] -> c[1];",
 ]
 ODD_RATES = [math.nan, math.inf, -0.1, 1.0, 1.5]
+MISTYPED = ["x", None, 2.5, [[0, 1]]]
 ODD_FLAGS = {
     "--method": ["gsp", "qhsp", "sabre"],
     "--lambda": ["1", "0", "-2", "nan", "inf", "x"],
@@ -707,10 +710,21 @@ def _mutate(draw, text: str) -> str:
     return draw(st.sampled_from([text[:i] + text[j:], text[:j] + text[i:j] + text[j:], text[:i] + noise + text[j:]]))
 
 
+def _mistype(draw, files: dict) -> None:
+    """Replace one topology or calibration field, or one item inside it, by a
+    value of the wrong type."""
+    target = files[draw(st.sampled_from(sorted(files)))]
+    key = draw(st.sampled_from(sorted(target)))
+    while isinstance(target[key], list) and target[key] and draw(st.booleans()):
+        target, key = target[key], draw(st.integers(0, len(target[key]) - 1))
+    target[key] = draw(st.sampled_from(MISTYPED))
+
+
 @st.composite
 def cli_case(draw):
     """A small device (sometimes disconnected, some rates out of range or
-    NaN), a few valid or mutated programs and a vector of flags."""
+    NaN, sometimes one field of the wrong type), a few valid or mutated
+    programs and a vector of flags."""
     n = draw(st.integers(1, 6))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
     edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
@@ -727,6 +741,8 @@ def cli_case(draw):
             "readout_errors": [draw(rate) for _ in range(n)],
         },
     }
+    if draw(st.integers(0, 3)) == 0:
+        _mistype(draw, files)
     programs = []
     for _ in range(draw(st.integers(1, 3))):
         text = draw(st.sampled_from(CLI_PROGRAMS))
@@ -761,10 +777,34 @@ ALPHA_OVERFLOW = (
 ALPHA_COST_OVERFLOW = (*ALPHA_OVERFLOW[:3], ["--attempts", "1", "--alpha2", "8e307", "--alpha1", "8e307", "--seed", "1"])
 
 
+# a weight whose lookahead term overflowed cost_h in the same way
+WEIGHT_COST_OVERFLOW = (*ALPHA_OVERFLOW[:3], ["--attempts", "1", "--weight-w", "1e308", "--seed", "1"])
+
+
+def _mistyped(path, value):
+    """ALPHA_OVERFLOW's device and programs at default flags, with the field
+    at ``path`` (file name first) replaced by ``value``."""
+    files = json.loads(json.dumps(ALPHA_OVERFLOW[1]))
+    *parents, last = path
+    functools.reduce(operator.getitem, parents, files)[last] = value
+    return "compile", files, ALPHA_OVERFLOW[2], ["--seed", "1"]
+
+
 @settings(max_examples=150, **COMMON)
 @given(cli_case())
 @example(ALPHA_OVERFLOW)
 @example(ALPHA_COST_OVERFLOW)
+@example(WEIGHT_COST_OVERFLOW)
+# mistyped device fields that used to exit 2 as internal errors, or were truncated
+@example(_mistyped(["topology.json", "num_qubits"], "x"))
+@example(_mistyped(["topology.json", "num_qubits"], 3.7))
+@example(_mistyped(["topology.json", "edges"], None))
+@example(_mistyped(["topology.json", "edges", 0], ["x", 1]))
+@example(_mistyped(["topology.json", "edges", 0], [0, 1.9]))
+@example(_mistyped(["calibration.json", "cnot_errors", 0], 7))
+@example(_mistyped(["calibration.json", "cnot_errors", 0, 2], "x"))
+@example(_mistyped(["calibration.json", "readout_errors"], 5))
+@example(_mistyped(["calibration.json", "readout_errors", 0], "x"))
 def test_cli_exits_0_or_1_with_one_error_line(case):
     command, files, programs, flags = case
     with tempfile.TemporaryDirectory() as tmp:
