@@ -7,12 +7,12 @@ emitted text stays inside the same subset it parses.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import MultiRegisterError, QasmError, UnsupportedGateError
 
@@ -28,22 +28,49 @@ MEASURE = "measure"
 BARRIER = "barrier"
 
 
-@dataclass(frozen=True)
-class Gate:
+class _GateFields:
+    __slots__ = ("kind", "qubits", "params", "clbit")
+
+
+class Gate(_GateFields):
     """One operation: a supported 1q gate, ``cx``, ``measure`` or ``barrier``.
 
     ``clbit`` is set only for measurements.  Barriers may span any number of
-    qubits; every other kind touches one or two.
+    qubits; every other kind touches one or two.  A gate is an immutable
+    value: equal and hashed by its fields, and no field can be assigned.
     """
 
-    kind: str
-    qubits: tuple[int, ...]
-    params: tuple[float, ...] = ()
-    clbit: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == CX and (len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]):
-            raise ValueError(f"cx needs two distinct qubits, got {self.qubits}")
+    def __new__(cls, kind: str, qubits: tuple[int, ...], params: tuple[float, ...] = (), clbit: int | None = None):
+        if kind == CX and (len(qubits) != 2 or qubits[0] == qubits[1]):
+            raise ValueError(f"cx needs two distinct qubits, got {qubits}")
+        # fill the slots of a plain instance, then make it a Gate, whose
+        # __setattr__ refuses: cheaper than four object.__setattr__ calls
+        gate = object.__new__(_GateFields)
+        gate.kind, gate.qubits, gate.params, gate.clbit = kind, qubits, params, clbit
+        gate.__class__ = cls
+        return gate
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return self.kind, self.qubits, self.params, self.clbit
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return Gate, self._fields()
+
+    def __repr__(self):
+        return f"Gate(kind={self.kind!r}, qubits={self.qubits!r}, params={self.params!r}, clbit={self.clbit!r})"
 
 
 @dataclass(frozen=True)
@@ -151,99 +178,21 @@ def build_dag(circuit: QuantumCircuit) -> DagCircuit:
 
 # --- parsing ---------------------------------------------------------------
 
-# one token and the whitespace before it; "//" starts a comment, not two tokens
+# One token after any whitespace and "//" comments: "->" before "-", and a
+# number takes its dot and exponent when it has them.  The empty alternative
+# matches at a character that starts no token, so findall lists "" there.
+# Sources are scanned with "\n;" appended: the line break ends a last
+# comment, and the ";" is always the last token, in the place of the end.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<real>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
-    r"|(?P<int>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<string>\"[^\"]*\")|(?P<arrow>->)|(?P<sym>[;,()\[\]+\-*]|/(?!/)))"
+    r"\s*(?://[^\n]*\s*)*(->|[;,()\[\]+\-*]|[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
+    r"|\.\d+(?:[eE][+-]?\d+)?|\"[^\"\n]*\"|/(?!/)|(?=\S))"
 )
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    for lineno, line in enumerate(source.split("\n"), start=1):
-        end = 0
-        for m in iter(_TOKEN_RE.scanner(line).match, None):
-            kind = m.lastgroup
-            tokens.append(_Token(kind, m[kind], lineno, m.start(kind) + 1))
-            end = m.end()
-        rest = line[end:].lstrip()
-        if rest and not rest.startswith("//"):
-            raise QasmError(f"unexpected character {rest[0]!r}", lineno, len(line) - len(rest) + 1)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise QasmError("unexpected end of input", last.line if last else 1, last.col if last else 1)
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise QasmError(f"expected {text!r}, got {tok.text!r}", tok.line, tok.col)
-        return tok
-
-    def expect_kind(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise QasmError(f"expected {what}, got {tok.text!r}", tok.line, tok.col)
-        return tok
-
-    # parameter expressions: + - * / with parentheses, numbers and pi
-    def parse_expr(self) -> float:
-        value = self.parse_term()
-        while (tok := self.peek()) is not None and tok.text in "+-":
-            self.next()
-            rhs = self.parse_term()
-            value = value + rhs if tok.text == "+" else value - rhs
-        return value
-
-    def parse_term(self) -> float:
-        value = self.parse_factor()
-        while (tok := self.peek()) is not None and tok.text in "*/":
-            self.next()
-            rhs = self.parse_factor()
-            if tok.text == "*":
-                value *= rhs
-            else:
-                if rhs == 0:
-                    raise QasmError("division by zero in parameter", tok.line, tok.col)
-                value /= rhs
-        return value
-
-    def parse_factor(self) -> float:
-        tok = self.next()
-        if tok.text == "-":
-            return -self.parse_factor()
-        if tok.text == "+":
-            return self.parse_factor()
-        if tok.text == "(":
-            value = self.parse_expr()
-            self.expect(")")
-            return value
-        if tok.kind in ("real", "int"):
-            return float(tok.text)
-        if tok.text == "pi":
-            return math.pi
-        raise QasmError(f"bad parameter expression near {tok.text!r}", tok.line, tok.col)
+def _position(source: str, k: int) -> tuple[int, int, int]:
+    """Offset, line and column of token ``k``: scanned again, for errors only."""
+    offset = next(itertools.islice(_TOKEN_RE.finditer(source + "\n;"), k, None)).start(1)
+    return offset, source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 def _parse_program(source: str, allow_multiple_cregs: bool):
@@ -251,151 +200,202 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
 
     Returns (num_qubits, creg_sizes, gates).  ``creg_sizes`` is an ordered
     dict creg name -> size; clbit indices in gates are global across cregs in
-    declaration order.
+    declaration order.  A character that starts no token is reported before
+    any syntax error.  A token's kind is read from its text: an id starts
+    with a letter or ``_`` (``isidentifier``), a number with a digit or
+    ``.``, a string with ``"``, and an int is all digits.
     """
-    parser = _Parser(_tokenize(source))
+    toks = _TOKEN_RE.findall(source + "\n;")
+    end = len(toks) - 1
+    toks[end] = ""  # equal to no expected token, so no check reads past it
+    if (stray := toks.index("")) < end:
+        offset, line, col = _position(source, stray)
+        raise QasmError(f"unexpected character {source[offset]!r}", line, col)
+
+    def fail(k: int, message: str, cls=QasmError):
+        """Raise ``message`` at token ``k``; at the end of the input, say so."""
+        if k == end:
+            cls, message, k = QasmError, "unexpected end of input", k - 1
+        raise cls(message, *(_position(source, k)[1:] if k >= 0 else (1, 1)))
+
+    def expected(k: int, what: str):
+        fail(k, f"expected {what}, got {toks[k]!r}")
+
+    # parameter expressions: + - * / with parentheses, numbers and pi,
+    # evaluated left to right; each returns its value and the next index
+    def expr(i: int) -> tuple[float, int]:
+        value, i = term(i)
+        while (op := toks[i]) == "+" or op == "-":
+            rhs, i = term(i + 1)
+            value = value + rhs if op == "+" else value - rhs
+        return value, i
+
+    def term(i: int) -> tuple[float, int]:
+        value, i = factor(i)
+        while (op := toks[i]) == "*" or op == "/":
+            rhs, j = factor(i + 1)
+            if op == "/" and rhs == 0:
+                fail(i, "division by zero in parameter")
+            value, i = (value * rhs if op == "*" else value / rhs), j
+        return value, i
+
+    def factor(i: int) -> tuple[float, int]:
+        tok = toks[i]
+        if tok == "-":
+            value, i = factor(i + 1)
+            return -value, i
+        if tok == "+":
+            return factor(i + 1)
+        if tok == "(":
+            value, i = expr(i + 1)
+            if toks[i] != ")":
+                expected(i, "')'")
+            return value, i + 1
+        if tok[:1].isdecimal() or tok[:1] == ".":
+            return float(tok), i + 1
+        if tok == "pi":
+            return math.pi, i + 1
+        fail(i, f"bad parameter expression near {tok!r}")
+
     qreg: tuple[str, int] | None = None
     cregs: dict[str, int] = {}
     creg_offsets: dict[str, int] = {}
     gates: list[Gate] = []
 
-    def parse_ref(expect_reg: str | None):
-        name_tok = parser.expect_kind("id", "register name")
-        reg = name_tok.text
-        idx = None
-        if parser.peek() is not None and parser.peek().text == "[":
-            parser.next()
-            idx_tok = parser.expect_kind("int", "index")
-            idx = int(idx_tok.text)
-            parser.expect("]")
-        if expect_reg == "q":
+    def ref(i: int, quantum: bool) -> tuple[int | None, int]:
+        """``name`` or ``name[index]`` at token ``i``: the index (None for
+        the whole register) and the index of the token after it."""
+        reg, j, idx = toks[i], i + 1, None
+        if not reg[:1].isidentifier():
+            expected(i, "register name")
+        if toks[j] == "[":
+            if not toks[j + 1].isdecimal():
+                expected(j + 1, "index")
+            idx = int(toks[j + 1])
+            if toks[j + 2] != "]":
+                expected(j + 2, "']'")
+            j += 3
+        if quantum:
             if qreg is None or reg != qreg[0]:
-                raise QasmError(f"unknown quantum register {reg!r}", name_tok.line, name_tok.col)
+                fail(i, f"unknown quantum register {reg!r}")
             size = qreg[1]
         else:
             if reg not in cregs:
-                raise QasmError(f"unknown classical register {reg!r}", name_tok.line, name_tok.col)
+                fail(i, f"unknown classical register {reg!r}")
             size = cregs[reg]
         if idx is not None and not 0 <= idx < size:
-            raise QasmError(f"index {idx} out of range for {reg}[{size}]", name_tok.line, name_tok.col)
-        return reg, idx, name_tok
+            fail(i, f"index {idx} out of range for {reg}[{size}]")
+        return idx, j
 
-    while (tok := parser.peek()) is not None:
-        if tok.text == "OPENQASM":
-            parser.next()
-            ver = parser.next()
-            if ver.text != "2.0":
-                raise QasmError(f"unsupported OpenQASM version {ver.text}", ver.line, ver.col)
-            parser.expect(";")
-        elif tok.text == "include":
-            parser.next()
-            parser.expect_kind("string", "include path")
-            parser.expect(";")
-        elif tok.text == "qreg":
-            parser.next()
-            name = parser.expect_kind("id", "register name").text
-            parser.expect("[")
-            size = int(parser.expect_kind("int", "register size").text)
-            parser.expect("]")
-            parser.expect(";")
-            if qreg is not None:
-                raise MultiRegisterError("multiple quantum registers are not supported", tok.line, tok.col)
-            if size < 1:
-                raise QasmError("quantum register must have at least one qubit", tok.line, tok.col)
-            qreg = (name, size)
-        elif tok.text == "creg":
-            parser.next()
-            name = parser.expect_kind("id", "register name").text
-            parser.expect("[")
-            size = int(parser.expect_kind("int", "register size").text)
-            parser.expect("]")
-            parser.expect(";")
-            if cregs and not allow_multiple_cregs:
-                raise MultiRegisterError("multiple classical registers are not supported", tok.line, tok.col)
-            if name in cregs:
-                raise QasmError(f"classical register {name!r} redeclared", tok.line, tok.col)
-            creg_offsets[name] = sum(cregs.values())
-            cregs[name] = size
-        elif tok.text == "measure":
-            parser.next()
-            qreg_name, qidx, _ = parse_ref("q")
-            parser.expect("->")
-            creg_name, cidx, ctok = parse_ref("c")
-            parser.expect(";")
-            offset = creg_offsets[creg_name]
+    i = 0
+    while i < end:
+        tok = toks[i]
+        if (want := PARAM_COUNTS.get(tok)) is not None:  # a supported gate
+            at, i = i, i + 1
+            params: list[float] = []
+            if toks[i] == "(":
+                while not params or toks[i] == ",":  # i is at the "(" or a ","
+                    value, j = expr(i + 1)
+                    if not math.isfinite(value):
+                        fail(i + 1, f"parameter of {tok!r} is not finite")
+                    params.append(value)
+                    i = j
+                if toks[i] != ")":
+                    expected(i, "')'")
+                i += 1
+            if len(params) != want:
+                fail(at, f"gate {tok!r} takes {want} parameter(s), got {len(params)}")
+            idx, i = ref(i, True)
+            refs = [idx]
+            while toks[i] == ",":
+                idx, i = ref(i + 1, True)
+                refs.append(idx)
+            if toks[i] != ";":
+                expected(i, "';'")
+            i += 1
+            if tok == CX:
+                if len(refs) != 2 or refs[0] is None or refs[1] is None:
+                    fail(at, "cx needs two indexed qubit arguments")
+                if refs[0] == refs[1]:
+                    fail(at, "cx control and target must differ")
+                gates.append(Gate(CX, (refs[0], refs[1])))
+            elif len(refs) != 1:
+                fail(at, f"gate {tok!r} takes one qubit argument")
+            elif idx is None:  # broadcast over the register
+                gates += [Gate(tok, (q,), tuple(params)) for q in range(qreg[1])]
+            else:
+                gates.append(Gate(tok, (idx,), tuple(params)))
+        elif tok == "measure":
+            qidx, i = ref(i + 1, True)
+            if toks[i] != "->":
+                expected(i, "'->'")
+            c = i + 1
+            cidx, i = ref(c, False)
+            if toks[i] != ";":
+                expected(i, "';'")
+            i += 1
+            offset = creg_offsets[toks[c]]
             if qidx is None and cidx is None:
-                if qreg[1] != cregs[creg_name]:
-                    raise QasmError(
-                        f"register sizes differ in measure {qreg_name} -> {creg_name}", ctok.line, ctok.col
-                    )
-                for i in range(qreg[1]):
-                    gates.append(Gate(MEASURE, (i,), clbit=offset + i))
+                if qreg[1] != cregs[toks[c]]:
+                    fail(c, f"register sizes differ in measure {qreg[0]} -> {toks[c]}")
+                gates += [Gate(MEASURE, (q,), clbit=offset + q) for q in range(qreg[1])]
             elif qidx is not None and cidx is not None:
                 gates.append(Gate(MEASURE, (qidx,), clbit=offset + cidx))
             else:
-                raise QasmError("measure must index both registers or neither", ctok.line, ctok.col)
-        elif tok.text == "barrier":
-            parser.next()
+                fail(c, "measure must index both registers or neither")
+        elif tok == "barrier":
             touched: list[int] = []
-            while True:
-                _, idx, _ = parse_ref("q")
+            while not touched or toks[i] == ",":  # i is at "barrier" or a ","
+                idx, i = ref(i + 1, True)
                 if idx is None:
-                    touched.extend(i for i in range(qreg[1]) if i not in touched)
+                    touched.extend(q for q in range(qreg[1]) if q not in touched)
                 elif idx not in touched:
                     touched.append(idx)
-                if parser.peek() is not None and parser.peek().text == ",":
-                    parser.next()
-                    continue
-                break
-            parser.expect(";")
+            if toks[i] != ";":
+                expected(i, "';'")
+            i += 1
             gates.append(Gate(BARRIER, tuple(touched)))
-        elif tok.kind == "id":
-            parser.next()
-            name = tok.text
-            if name in ("gate", "opaque", "if", "reset"):
-                raise QasmError(f"unsupported statement {name!r}", tok.line, tok.col)
-            if name not in ONE_QUBIT_GATES and name != CX:
-                raise UnsupportedGateError(f"unsupported gate {name!r}", tok.line, tok.col)
-            params: list[float] = []
-            if parser.peek() is not None and parser.peek().text == "(":
-                parser.next()
-                while True:
-                    start = parser.peek()
-                    params.append(parser.parse_expr())
-                    if not math.isfinite(params[-1]):
-                        raise QasmError(f"parameter of {name!r} is not finite", start.line, start.col)
-                    if parser.peek() is None or parser.peek().text != ",":
-                        break
-                    parser.next()
-                parser.expect(")")
-            want = PARAM_COUNTS[name]
-            if len(params) != want:
-                raise QasmError(f"gate {name!r} takes {want} parameter(s), got {len(params)}", tok.line, tok.col)
-            refs = []
-            while True:
-                refs.append(parse_ref("q"))
-                if parser.peek() is not None and parser.peek().text == ",":
-                    parser.next()
-                    continue
-                break
-            parser.expect(";")
-            if name == CX:
-                if len(refs) != 2 or refs[0][1] is None or refs[1][1] is None:
-                    raise QasmError("cx needs two indexed qubit arguments", tok.line, tok.col)
-                if refs[0][1] == refs[1][1]:
-                    raise QasmError("cx control and target must differ", tok.line, tok.col)
-                gates.append(Gate(CX, (refs[0][1], refs[1][1]), tuple(params)))
+        elif tok == "qreg" or tok == "creg":
+            name = toks[i + 1]
+            if not name[:1].isidentifier():
+                expected(i + 1, "register name")
+            if toks[i + 2] != "[":
+                expected(i + 2, "'['")
+            if not toks[i + 3].isdecimal():
+                expected(i + 3, "register size")
+            size = int(toks[i + 3])
+            if toks[i + 4] != "]":
+                expected(i + 4, "']'")
+            if toks[i + 5] != ";":
+                expected(i + 5, "';'")
+            if tok == "qreg":
+                if qreg is not None:
+                    fail(i, "multiple quantum registers are not supported", MultiRegisterError)
+                if size < 1:
+                    fail(i, "quantum register must have at least one qubit")
+                qreg = (name, size)
             else:
-                if len(refs) != 1:
-                    raise QasmError(f"gate {name!r} takes one qubit argument", tok.line, tok.col)
-                idx = refs[0][1]
-                if idx is None:  # broadcast over the register
-                    for i in range(qreg[1]):
-                        gates.append(Gate(name, (i,), tuple(params)))
-                else:
-                    gates.append(Gate(name, (idx,), tuple(params)))
+                if cregs and not allow_multiple_cregs:
+                    fail(i, "multiple classical registers are not supported", MultiRegisterError)
+                if name in cregs:
+                    fail(i, f"classical register {name!r} redeclared")
+                creg_offsets[name] = sum(cregs.values())
+                cregs[name] = size
+            i += 6
+        elif tok == "OPENQASM" or tok == "include":
+            if tok == "OPENQASM" and toks[i + 1] != "2.0":
+                fail(i + 1, f"unsupported OpenQASM version {toks[i + 1]}")
+            if tok == "include" and toks[i + 1][:1] != '"':
+                expected(i + 1, "include path")
+            if toks[i + 2] != ";":
+                expected(i + 2, "';'")
+            i += 3
+        elif tok in ("gate", "opaque", "if", "reset"):
+            fail(i, f"unsupported statement {tok!r}")
+        elif tok[:1].isidentifier():
+            fail(i, f"unsupported gate {tok!r}", UnsupportedGateError)
         else:
-            raise QasmError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+            fail(i, f"unexpected token {tok!r}")
 
     if qreg is None:
         raise QasmError("no quantum register declared", 1, 1)

@@ -20,7 +20,7 @@ from .errors import ConfigError, OutputDirError, QmpcError, read_text
 from .hardware import extract_strong_crosstalk, load_crosstalk, load_hardware
 from .manager import plan_all
 from .pipeline import compile_workloads
-from .verify import SIMULATION_QUBIT_CAP, check_equivalence
+from .verify import SIMULATION_QUBIT_CAP, SIMULATION_QUBIT_CAP_MAX, check_equivalence
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,6 +148,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 1 <= args.cap <= SIMULATION_QUBIT_CAP_MAX:
+        raise ConfigError(f"--cap must be in 1..{SIMULATION_QUBIT_CAP_MAX}, got {args.cap}")
     merged, _ = parse_merged_qasm(read_text(args.merged))
     manifest = json.loads(read_text(args.manifest))
     sources = _load_circuits(args.sources)
@@ -190,7 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--merged", required=True)
     p_verify.add_argument("--manifest", required=True)
     p_verify.add_argument(
-        "--cap", type=int, default=SIMULATION_QUBIT_CAP, help="active-qubit cap per independent component"
+        "--cap",
+        type=int,
+        default=SIMULATION_QUBIT_CAP,
+        help=f"active-qubit cap per independent component, 1..{SIMULATION_QUBIT_CAP_MAX} (default %(default)s)",
     )
     p_verify.add_argument("sources", nargs="+")
     p_verify.set_defaults(func=cmd_verify)

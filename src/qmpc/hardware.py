@@ -10,6 +10,7 @@ import heapq
 import json
 import math
 import numbers
+import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,6 +113,10 @@ def _entry(value, fields: tuple[str, ...], error: type[HardwareError], what: str
 
 _QUBIT_PAIR = ("qubit", "qubit")
 
+# lists in error messages show at most ten items each, then "..."
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlist = 10
+
 
 def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
     """Assemble and validate a model from already-decoded JSON objects."""
@@ -144,11 +149,14 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
 
     adjacency = _sorted_adjacency(n, edges)
     parts: list[list[int]] = []  # by smallest qubit
+    reached: set[int] = set()
     for q in range(n):
-        if all(q not in part for part in parts):
-            parts.append(sorted(_hops_from(adjacency, q)))
+        if q not in reached:
+            part = _hops_from(adjacency, q)
+            reached.update(part)
+            parts.append(sorted(part))
     if len(parts) > 1:
-        raise DisconnectedGraphError(f"coupling graph is disconnected: components {parts}")
+        raise DisconnectedGraphError(f"coupling graph is disconnected: {len(parts)} components {_BRIEF.repr(parts)}")
 
     cnot_error: dict[Edge, float] = {}
     raw_cnot = calibration.get("cnot_errors", [])

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .circuits import QuantumCircuit
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import CircuitTooLargeError, PartitionError
+from .floats import left_sum
 from .hardware import CrosstalkTable, HardwareModel
 from .partition import Partition, allocate_all, allocate_prefix
 
@@ -123,7 +124,7 @@ def fidelity_gate(
         alone.setdefault(joint[0].circuit_id, joint[0])
         scores = {c.id: alone_region(c).score for c in circuits[:len(joint)]}
         for n in range(len(joint), 1, -1):
-            delta_s = sum(p.score - scores[p.circuit_id] for p in joint[:n]) / n
+            delta_s = left_sum(p.score - scores[p.circuit_id] for p in joint[:n]) / n
             if delta_s < config.delta:
                 verdict = Verdict.SIMULTANEOUS if n == len(circuits) else Verdict.REDUCED
                 return ExecutionPlan(tuple(c.id for c in circuits[:n]), tuple(joint[:n]), delta_s, config.delta, verdict)

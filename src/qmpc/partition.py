@@ -31,6 +31,7 @@ import numpy as np
 from .circuits import QuantumCircuit
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import PartitionError, PartitionSizeError
+from .floats import left_sum
 from .hardware import CrosstalkTable, Edge, HardwareModel, subgraph_diameter
 
 GSP_MAX_QUBITS = 8
@@ -75,7 +76,7 @@ def fidelity_degree(model: HardwareModel, lam: float = RunConfig.lam) -> np.ndar
         raise ValueError("lam must be positive")
     values = np.zeros(model.num_qubits)
     for q in range(model.num_qubits):
-        total = sum(lam * (1.0 - model.edge_error(q, v)) for v in model.neighbors(q))
+        total = left_sum(lam * (1.0 - model.edge_error(q, v)) for v in model.neighbors(q))
         values[q] = total + (1.0 - float(model.readout_error[q]))
     return values
 
@@ -126,7 +127,7 @@ def crosstalk_adjust(
 
 
 def _mean(errors) -> float:
-    return sum(errors) / len(errors) if errors else 0.0
+    return left_sum(errors) / len(errors) if errors else 0.0
 
 
 def connected_k_subsets(model: HardwareModel, free: set[int], k: int) -> list[tuple[int, ...]]:
@@ -166,7 +167,7 @@ def region_row(model: HardwareModel, qubits, diameter: int | None) -> Region:
     qubits = tuple(qubits)
     edges = tuple(_induced_edges(model, qubits))
     solo_mean = _mean([model.cnot_error[e] for e in edges])
-    readout = sum(float(model.readout_error[q]) for q in qubits)
+    readout = left_sum(float(model.readout_error[q]) for q in qubits)
     return Region(qubits, sum(1 << q for q in qubits), edges, solo_mean, readout, diameter)
 
 

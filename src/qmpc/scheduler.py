@@ -28,6 +28,7 @@ import numpy as np
 from .circuits import CX, DagCircuit, Gate, QuantumCircuit, emit_qasm
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import RoutingError
+from .floats import left_sum
 from .hardware import HardwareModel
 from .partition import Partition
 
@@ -483,9 +484,10 @@ def initial_mapping(
     best: tuple[list[int], Route] | None = None
     for attempt in range(config.attempts):
         l2p = [int(p) for p in rng.permutation(base)]
-        # built-in sum over Python floats, as when this value was first
-        # defined: it must stay the same float on every Python version
-        tie = sum(dist[l2p[a]][l2p[b]] for a, b in tables.cx_pairs)
+        # added left to right, as the built-in sum did on 3.10 and 3.11
+        # when this value was first defined, so that ties break alike on
+        # every Python version
+        tie = left_sum(dist[l2p[a]][l2p[b]] for a, b in tables.cx_pairs)
         bound = None
         if best_key is not None:  # a later attempt wins a tie on inserted CNOTs only by a lower tie value
             bound = best_key[0] if tie < best_key[1] else best_key[0] - 1

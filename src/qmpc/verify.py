@@ -29,10 +29,13 @@ import numpy as np
 
 from .circuits import BARRIER, CX, MEASURE, Gate, QuantumCircuit
 from .errors import RoutingError, SimulationError, VerificationError
+from .floats import left_sum
 from .hardware import HardwareModel
 from .manager import ExecutionPlan
 
 SIMULATION_QUBIT_CAP = 12
+# the largest cap `qmpc verify --cap` takes: 2**20 amplitudes (16 MB) per branch
+SIMULATION_QUBIT_CAP_MAX = 20
 _BRANCH_CAP = 4096
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -222,8 +225,8 @@ def statevector(circuit: QuantumCircuit, cap: int = SIMULATION_QUBIT_CAP) -> np.
 
 
 def total_variation(p: dict[str, float], q: dict[str, float]) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    keys = sorted(set(p) | set(q))  # a set's order changes with the string hash seed
+    return 0.5 * left_sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 def marginalize(dist: dict[str, float], positions: list[int]) -> dict[str, float]:

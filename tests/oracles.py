@@ -3,13 +3,14 @@
 Everything here deliberately avoids the package's own code paths: plain BFS,
 Floyd-Warshall, brute-force path and subset enumeration, ``networkx`` region
 diameters, linear scans of the edge list and the crosstalk table, and a
-dense unitary builder that works on integer basis indices.  Five
+dense unitary builder that works on integer basis indices.  Six
 exceptions keep a first design as the reference for its replacement: the
-``networkx`` hop counts and swap-error Dijkstra for the stdlib ones, the
-trim-and-reallocate fidelity gate (allocate every trimmed batch from
-scratch) for the one-pass gate, the per-search exhaustive partitioner
-(every connected subset of the free qubits enumerated and scored from
-scratch) for the table-driven one, the per-branch simulator (one state per
+line-by-line tokenizer and method-per-token parser for the one-pass scanner
+and index-loop parser, the ``networkx`` hop counts and swap-error Dijkstra
+for the stdlib ones, the trim-and-reallocate fidelity gate (allocate every
+trimmed batch from scratch) for the one-pass gate, the per-search
+exhaustive partitioner (every connected subset of the free qubits
+enumerated and scored from scratch) for the table-driven one, the per-branch simulator (one state per
 measurement branch, the whole program at once) for the branch-batched one,
 and the first router (every circuit of a plan routed in one joint loop,
 every placement trial routed to completion, lookahead rescanned from the
@@ -18,15 +19,25 @@ first CNOT, numpy-scalar distance sums) for the bounded, interleaved one.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
 
-from qmpc.circuits import BARRIER, CX, MEASURE, Gate, QuantumCircuit
+from qmpc.circuits import BARRIER, CX, MEASURE, ONE_QUBIT_GATES, PARAM_COUNTS, Gate, QuantumCircuit
 from qmpc.config import RunConfig
-from qmpc.errors import PartitionError, PartitionSizeError, RoutingError, SimulationError
+from qmpc.errors import (
+    MultiRegisterError,
+    PartitionError,
+    PartitionSizeError,
+    QasmError,
+    RoutingError,
+    SimulationError,
+    UnsupportedGateError,
+)
 from qmpc.hardware import subgraph_diameter
 from qmpc.manager import ExecutionPlan, Verdict
 from qmpc.partition import (
@@ -762,3 +773,256 @@ def reference_placement(model, dist, partition, circuit, dag, rng, attempts=10, 
         if best_key is None or key < best_key:
             best_key, best_l2p = key, l2p
     return best_l2p
+
+
+# --- the first OpenQASM parser -------------------------------------------------
+
+# one token and the whitespace before it; "//" starts a comment, not two tokens
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<real>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+    r"|(?P<int>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<string>\"[^\"]*\")|(?P<arrow>->)|(?P<sym>[;,()\[\]+\-*]|/(?!/)))"
+)
+
+
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens = []
+    for lineno, line in enumerate(source.split("\n"), start=1):
+        end = 0
+        for m in iter(_TOKEN_RE.scanner(line).match, None):
+            kind = m.lastgroup
+            tokens.append(_Token(kind, m[kind], lineno, m.start(kind) + 1))
+            end = m.end()
+        rest = line[end:].lstrip()
+        if rest and not rest.startswith("//"):
+            raise QasmError(f"unexpected character {rest[0]!r}", lineno, len(line) - len(rest) + 1)
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> _Token:
+        tok = self.peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else None
+            raise QasmError("unexpected end of input", last.line if last else 1, last.col if last else 1)
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> _Token:
+        tok = self.next()
+        if tok.text != text:
+            raise QasmError(f"expected {text!r}, got {tok.text!r}", tok.line, tok.col)
+        return tok
+
+    def expect_kind(self, kind: str, what: str) -> _Token:
+        tok = self.next()
+        if tok.kind != kind:
+            raise QasmError(f"expected {what}, got {tok.text!r}", tok.line, tok.col)
+        return tok
+
+    # parameter expressions: + - * / with parentheses, numbers and pi
+    def parse_expr(self) -> float:
+        value = self.parse_term()
+        while (tok := self.peek()) is not None and tok.text in "+-":
+            self.next()
+            rhs = self.parse_term()
+            value = value + rhs if tok.text == "+" else value - rhs
+        return value
+
+    def parse_term(self) -> float:
+        value = self.parse_factor()
+        while (tok := self.peek()) is not None and tok.text in "*/":
+            self.next()
+            rhs = self.parse_factor()
+            if tok.text == "*":
+                value *= rhs
+            else:
+                if rhs == 0:
+                    raise QasmError("division by zero in parameter", tok.line, tok.col)
+                value /= rhs
+        return value
+
+    def parse_factor(self) -> float:
+        tok = self.next()
+        if tok.text == "-":
+            return -self.parse_factor()
+        if tok.text == "+":
+            return self.parse_factor()
+        if tok.text == "(":
+            value = self.parse_expr()
+            self.expect(")")
+            return value
+        if tok.kind in ("real", "int"):
+            return float(tok.text)
+        if tok.text == "pi":
+            return math.pi
+        raise QasmError(f"bad parameter expression near {tok.text!r}", tok.line, tok.col)
+
+
+def reference_parse_program(source: str, allow_multiple_cregs: bool):
+    """The first parser's core: ``_tokenize`` then ``_Parser``.
+
+    Returns (num_qubits, creg_sizes, gates).  ``creg_sizes`` is an ordered
+    dict creg name -> size; clbit indices in gates are global across cregs in
+    declaration order.
+    """
+    parser = _Parser(_tokenize(source))
+    qreg: tuple[str, int] | None = None
+    cregs: dict[str, int] = {}
+    creg_offsets: dict[str, int] = {}
+    gates: list[Gate] = []
+
+    def parse_ref(expect_reg: str | None):
+        name_tok = parser.expect_kind("id", "register name")
+        reg = name_tok.text
+        idx = None
+        if parser.peek() is not None and parser.peek().text == "[":
+            parser.next()
+            idx_tok = parser.expect_kind("int", "index")
+            idx = int(idx_tok.text)
+            parser.expect("]")
+        if expect_reg == "q":
+            if qreg is None or reg != qreg[0]:
+                raise QasmError(f"unknown quantum register {reg!r}", name_tok.line, name_tok.col)
+            size = qreg[1]
+        else:
+            if reg not in cregs:
+                raise QasmError(f"unknown classical register {reg!r}", name_tok.line, name_tok.col)
+            size = cregs[reg]
+        if idx is not None and not 0 <= idx < size:
+            raise QasmError(f"index {idx} out of range for {reg}[{size}]", name_tok.line, name_tok.col)
+        return reg, idx, name_tok
+
+    while (tok := parser.peek()) is not None:
+        if tok.text == "OPENQASM":
+            parser.next()
+            ver = parser.next()
+            if ver.text != "2.0":
+                raise QasmError(f"unsupported OpenQASM version {ver.text}", ver.line, ver.col)
+            parser.expect(";")
+        elif tok.text == "include":
+            parser.next()
+            parser.expect_kind("string", "include path")
+            parser.expect(";")
+        elif tok.text == "qreg":
+            parser.next()
+            name = parser.expect_kind("id", "register name").text
+            parser.expect("[")
+            size = int(parser.expect_kind("int", "register size").text)
+            parser.expect("]")
+            parser.expect(";")
+            if qreg is not None:
+                raise MultiRegisterError("multiple quantum registers are not supported", tok.line, tok.col)
+            if size < 1:
+                raise QasmError("quantum register must have at least one qubit", tok.line, tok.col)
+            qreg = (name, size)
+        elif tok.text == "creg":
+            parser.next()
+            name = parser.expect_kind("id", "register name").text
+            parser.expect("[")
+            size = int(parser.expect_kind("int", "register size").text)
+            parser.expect("]")
+            parser.expect(";")
+            if cregs and not allow_multiple_cregs:
+                raise MultiRegisterError("multiple classical registers are not supported", tok.line, tok.col)
+            if name in cregs:
+                raise QasmError(f"classical register {name!r} redeclared", tok.line, tok.col)
+            creg_offsets[name] = sum(cregs.values())
+            cregs[name] = size
+        elif tok.text == "measure":
+            parser.next()
+            qreg_name, qidx, _ = parse_ref("q")
+            parser.expect("->")
+            creg_name, cidx, ctok = parse_ref("c")
+            parser.expect(";")
+            offset = creg_offsets[creg_name]
+            if qidx is None and cidx is None:
+                if qreg[1] != cregs[creg_name]:
+                    raise QasmError(
+                        f"register sizes differ in measure {qreg_name} -> {creg_name}", ctok.line, ctok.col
+                    )
+                for i in range(qreg[1]):
+                    gates.append(Gate(MEASURE, (i,), clbit=offset + i))
+            elif qidx is not None and cidx is not None:
+                gates.append(Gate(MEASURE, (qidx,), clbit=offset + cidx))
+            else:
+                raise QasmError("measure must index both registers or neither", ctok.line, ctok.col)
+        elif tok.text == "barrier":
+            parser.next()
+            touched: list[int] = []
+            while True:
+                _, idx, _ = parse_ref("q")
+                if idx is None:
+                    touched.extend(i for i in range(qreg[1]) if i not in touched)
+                elif idx not in touched:
+                    touched.append(idx)
+                if parser.peek() is not None and parser.peek().text == ",":
+                    parser.next()
+                    continue
+                break
+            parser.expect(";")
+            gates.append(Gate(BARRIER, tuple(touched)))
+        elif tok.kind == "id":
+            parser.next()
+            name = tok.text
+            if name in ("gate", "opaque", "if", "reset"):
+                raise QasmError(f"unsupported statement {name!r}", tok.line, tok.col)
+            if name not in ONE_QUBIT_GATES and name != CX:
+                raise UnsupportedGateError(f"unsupported gate {name!r}", tok.line, tok.col)
+            params: list[float] = []
+            if parser.peek() is not None and parser.peek().text == "(":
+                parser.next()
+                while True:
+                    start = parser.peek()
+                    params.append(parser.parse_expr())
+                    if not math.isfinite(params[-1]):
+                        raise QasmError(f"parameter of {name!r} is not finite", start.line, start.col)
+                    if parser.peek() is None or parser.peek().text != ",":
+                        break
+                    parser.next()
+                parser.expect(")")
+            want = PARAM_COUNTS[name]
+            if len(params) != want:
+                raise QasmError(f"gate {name!r} takes {want} parameter(s), got {len(params)}", tok.line, tok.col)
+            refs = []
+            while True:
+                refs.append(parse_ref("q"))
+                if parser.peek() is not None and parser.peek().text == ",":
+                    parser.next()
+                    continue
+                break
+            parser.expect(";")
+            if name == CX:
+                if len(refs) != 2 or refs[0][1] is None or refs[1][1] is None:
+                    raise QasmError("cx needs two indexed qubit arguments", tok.line, tok.col)
+                if refs[0][1] == refs[1][1]:
+                    raise QasmError("cx control and target must differ", tok.line, tok.col)
+                gates.append(Gate(CX, (refs[0][1], refs[1][1]), tuple(params)))
+            else:
+                if len(refs) != 1:
+                    raise QasmError(f"gate {name!r} takes one qubit argument", tok.line, tok.col)
+                idx = refs[0][1]
+                if idx is None:  # broadcast over the register
+                    for i in range(qreg[1]):
+                        gates.append(Gate(name, (i,), tuple(params)))
+                else:
+                    gates.append(Gate(name, (idx,), tuple(params)))
+        else:
+            raise QasmError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+
+    if qreg is None:
+        raise QasmError("no quantum register declared", 1, 1)
+    return qreg[1], cregs, gates

@@ -148,6 +148,33 @@ def test_verify_round_trip(device_files, capsys):
     assert "PASS" in captured
 
 
+def _verify_args(device_files, *extra):
+    out = device_files / "out"
+    return [
+        "verify", "--merged", str(out / "merged_0.qasm"), "--manifest", str(out / "manifest_0.json"), *extra,
+        str(device_files / "ghz3.qasm"), str(device_files / "bell.qasm"),
+    ]
+
+
+@pytest.mark.parametrize("cap", [-1, 0, 21])
+def test_verify_cap_outside_its_range_is_user_error(device_files, capsys, cap):
+    assert main(_compile_args(device_files)) == 0
+    capsys.readouterr()
+    assert main(_verify_args(device_files, "--cap", str(cap))) == 1
+    assert capsys.readouterr().err == f"error: --cap must be in 1..20, got {cap}\n"
+
+
+@pytest.mark.parametrize("cap, code, said", [(1, 1, "exceed the simulation cap of 1"), (20, 0, "PASS")])
+def test_verify_cap_bounds_are_accepted(device_files, capsys, cap, code, said):
+    # 1 is a valid cap that the 3-qubit source exceeds; 20 verifies
+    assert main(_compile_args(device_files)) == 0
+    capsys.readouterr()
+    assert main(_verify_args(device_files, "--cap", str(cap))) == code
+    captured = capsys.readouterr()
+    assert said in captured.out + captured.err
+    assert "--cap must be" not in captured.err
+
+
 def test_partition_methods_agree_on_valencia(tmp_path, capsys):
     topo = topology("valencia")
     (tmp_path / "topology.json").write_text(json.dumps(topo))

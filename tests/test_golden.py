@@ -7,16 +7,21 @@ recorded.
 """
 import hashlib
 import json
+import sys
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from qmpc.circuits import BARRIER, CX, MEASURE, Gate, QuantumCircuit, emit_qasm, parse_qasm
+from qmpc import cli
+from qmpc.circuits import BARRIER, CX, MEASURE, Gate, QuantumCircuit, emit_qasm, parse_merged_qasm, parse_qasm
 from qmpc.cli import main
 from qmpc.config import RunConfig
 from qmpc.hardware import build_crosstalk, build_hardware, extract_strong_crosstalk
 from qmpc.manager import plan_all
+from qmpc.pipeline import compile_workloads
 from qmpc.presets import synthetic_calibration, topology
+from qmpc.verify import total_variation
 
 from helpers import random_circuit
 
@@ -130,6 +135,53 @@ def test_compile_output_is_byte_identical_to_golden(tmp_path, name):
     plans = json.loads((tmp_path / "out" / "plans.json").read_text())
     assert any(len(p["selected"]) >= 2 for p in plans)  # some regions are allocated jointly
     assert _digest(tmp_path / "out") == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_emitted_programs_parse_back_to_their_merged_circuits(tmp_path, monkeypatch, name):
+    """The emitter writes only what the parser reads: every golden program
+    parses back to its merged circuit, with one register per source circuit."""
+    results = []
+
+    def recording(*args):
+        results.append(compile_workloads(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "compile_workloads", recording)
+    assert main(_write_inputs(tmp_path, name)) == 0
+    for compiled in results[0].plans:
+        circuit, layout = parse_merged_qasm(compiled.qasm)
+        assert circuit.num_qubits == compiled.merged.num_qubits
+        assert circuit.gates == compiled.merged.gates
+        sizes = [c.num_clbits for c in compiled.circuits]
+        assert layout == {f"c{i}": (offset, size) for i, (offset, size) in enumerate(zip(accumulate([0, *sizes]), sizes))}
+
+
+class FloatSum(Exception):
+    """A float reached the built-in ``sum``."""
+
+
+def _sum_refusing_floats(items, start=0):
+    total = start
+    for item in items:
+        if isinstance(item, float):
+            raise FloatSum(item)
+        total += item
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_no_float_sum_is_left_to_the_interpreter(tmp_path, monkeypatch, capsys, name):
+    """From Python 3.12 on the built-in ``sum`` adds floats with compensation,
+    so a float sum on the output path must go through ``left_sum``.  With a
+    ``sum`` that refuses floats in every ``qmpc`` module, the golden outputs
+    must still come out byte for byte."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "qmpc" or module_name.startswith("qmpc."):
+            monkeypatch.setattr(module, "sum", _sum_refusing_floats, raising=False)
+    assert main(_write_inputs(tmp_path, name)) == 0, capsys.readouterr().err
+    assert _digest(tmp_path / "out") == GOLDEN[name]
+    assert total_variation({"0": 0.25, "1": 0.75}, {"0": 1.0}) == 0.75
 
 
 def test_golden_crosstalk_table_changes_the_plan():

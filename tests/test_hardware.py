@@ -41,6 +41,22 @@ def test_isolated_qubit_rejected():
         build_hardware(topo, cal)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([], "4000 components [[0], [1], [2], [3], [4], [5], [6], [7], [8], [9], ...]"),
+        ([[q, q + 1] for q in range(3998)], "2 components [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...], [3999]]"),
+    ],
+)
+def test_large_disconnected_device_gets_a_short_message(edges, message):
+    # the components are labelled in one pass, and the message gives their
+    # count and lists the first ten, with at most ten qubits each
+    n = 4000
+    with pytest.raises(DisconnectedGraphError) as info:
+        build_hardware({"num_qubits": n, "edges": edges}, {"readout_errors": [0.01] * n})
+    assert str(info.value) == f"coupling graph is disconnected: {message}"
+
+
 def test_disconnected_components_listed_by_smallest_qubit():
     topo = {"num_qubits": 4, "edges": [[3, 1]]}
     cal = {"cnot_errors": [[1, 3, 0.01]], "readout_errors": [0.01] * 4}

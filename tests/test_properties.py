@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qmpc import cli, presets
-from qmpc.circuits import Gate, QuantumCircuit, build_dag, emit_qasm, parse_qasm
+from qmpc.circuits import PARAM_COUNTS, Gate, QuantumCircuit, build_dag, emit_qasm, parse_merged_qasm, parse_qasm
 from qmpc.hardware import (
     build_crosstalk,
     build_hardware,
@@ -49,6 +49,7 @@ from oracles import (
     induced_edges_scan,
     per_branch_simulate,
     reference_gsp_partition,
+    reference_parse_program,
     reference_qhsp_partition,
     reference_placement,
     reference_route,
@@ -106,6 +107,121 @@ def test_qasm_round_trip(circuit):
     again = parse_qasm(emit_qasm(circuit), circuit.id)
     assert again.gates == circuit.gates
     assert again.num_qubits == circuit.num_qubits
+
+
+# programs near the parser's grammar, as token lists: valid statements, then
+# dropped, duplicated, swapped or inserted tokens and stray characters
+NUMBERS = ["0", "1", "3", "2.5", ".5", "1.", "1e3", "2E-2", "1e999", "0.0", "pi", "٣", "1e"]
+STRAYS = ["!", "@", "#", "$", "?", ".", ">", '"', "'", "{", "é", "\\", "&", "=", "<", "/", "\x85", " "]
+SEPARATORS = [" ", " ", " ", "", "\n", "\t", "  ", " // note\n", "//x\n", "\r\n", "\n\n"]
+
+
+EXPRESSION = st.recursive(
+    st.sampled_from(NUMBERS).map(lambda t: [t]),
+    lambda inner: st.one_of(
+        inner.map(lambda e: ["-", *e]),
+        inner.map(lambda e: ["+", *e]),
+        inner.map(lambda e: ["(", *e, ")"]),
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: [*t[0], t[1], *t[2]]),
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def qasm_tokens(draw):
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n + 1).map(str)
+    toks = []
+    if draw(st.booleans()):
+        toks += ["OPENQASM", draw(st.sampled_from(["2.0", "2.0", "2.0", "3.0"])), ";"]
+    if draw(st.booleans()):
+        toks += ["include", '"qelib1.inc"', ";"]
+    toks += ["qreg", "q", "[", str(n), "]", ";"]
+    cregs = draw(st.lists(st.tuples(st.sampled_from(["c", "d", "c1"]), st.integers(0, n)), max_size=3))
+    for name, size in cregs:
+        toks += ["creg", name, "[", str(size), "]", ";"]
+    creg_names = [name for name, _ in cregs] or ["c"]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["h", "rz", "u3", "u2", "cx", "cx", "measure", "barrier", "ccx", "reset", "r"]))
+        if kind == "measure":
+            c = draw(st.sampled_from(creg_names))
+            if draw(st.booleans()):
+                toks += ["measure", "q", "[", draw(index), "]", "->", c, "[", draw(index), "]", ";"]
+            else:
+                toks += ["measure", "q", "->", c, ";"]
+        elif kind == "barrier":
+            toks.append("barrier")
+            for k in range(draw(st.integers(1, 3))):
+                toks += ([","] if k else []) + (["q"] if draw(st.booleans()) else ["q", "[", draw(index), "]"])
+            toks.append(";")
+        else:
+            toks.append(kind)
+            count = PARAM_COUNTS.get(kind, 0) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+            if count > 0 or draw(st.integers(0, 4)) == 0:
+                toks.append("(")
+                for k in range(max(count, 0)):
+                    toks += ([","] if k else []) + draw(EXPRESSION)
+                toks.append(")")
+            args = 2 if kind in ("cx", "ccx") else 1
+            for k in range(args):
+                toks += ([","] if k else []) + (["q"] if draw(st.integers(0, 5)) == 0 else ["q", "[", draw(index), "]"])
+            toks.append(";")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(toks)))
+        mutation = draw(st.sampled_from(["drop", "duplicate", "swap", "stray", "token"]))
+        if mutation == "stray":
+            toks.insert(at, draw(st.sampled_from(STRAYS)))
+        elif mutation == "token":
+            toks.insert(at, draw(st.sampled_from(["q", "[", "]", ";", ",", "->", "(", "9", "x", "gate", "creg"])))
+        elif toks and at < len(toks):
+            if mutation == "drop":
+                del toks[at]
+            elif mutation == "duplicate":
+                toks.insert(at, toks[at])
+            elif at + 1 < len(toks):
+                toks[at], toks[at + 1] = toks[at + 1], toks[at]
+    rng = draw(st.randoms(use_true_random=False))
+    seps = [rng.choice(SEPARATORS) for _ in range(len(toks) + 1)]
+    return "".join(sep + tok for sep, tok in zip(seps, toks)) + seps[-1] + rng.choice(["", "// end"])
+
+
+def _outcome(parse):
+    """What a parse returns or raises, in comparable form; repr keeps -0.0 apart from 0.0."""
+    try:
+        return repr(parse())
+    except Exception as exc:  # the contract covers every exception, built-in ones included
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+@settings(max_examples=400, **COMMON)
+@given(qasm_tokens())
+@example("qreg q[1];\nh q[0] !\n")  # a stray character after the last token of a line
+@example("qreg q[2];\ncx q[0] q[1]; $")  # a stray character after a syntax error
+@example('include "qelib1.inc\nqreg q[1];')  # a string does not run past its line
+@example("qreg q[1]; h q[0]; // end")  # a comment that ends the input
+@example("qreg q[1];\n\x85 h q[0];")  # whitespace that is not a line break
+@example("qreg q[٣]; rz(٣.5) q[2];")  # digits outside ASCII
+@example("OPENQASM")
+@example("")
+def test_parser_matches_first_parser_on_results_and_errors(text):
+    def reference(multi):
+        n, cregs, gates = reference_parse_program(text, allow_multiple_cregs=multi)
+        layout, offset = {}, 0
+        for name, size in cregs.items():
+            layout[name], offset = (offset, size), offset + size
+        return n, offset, tuple(gates), layout
+
+    def parsed():
+        c = parse_qasm(text)
+        return c.num_qubits, c.num_clbits, c.gates
+
+    def merged():
+        c, layout = parse_merged_qasm(text)
+        return c.num_qubits, c.num_clbits, c.gates, layout
+
+    assert _outcome(parsed) == _outcome(lambda: reference(False)[:3])
+    assert _outcome(merged) == _outcome(lambda: reference(True))
 
 
 @settings(max_examples=60, **COMMON)
@@ -217,7 +333,7 @@ def test_disconnected_device_lists_every_component(n, seed):
     parts = sorted(sorted(c) for c in nx.connected_components(graph))  # by smallest qubit
     with pytest.raises(DisconnectedGraphError) as info:
         build_hardware({"num_qubits": n, "edges": edges}, cal)
-    assert str(info.value) == f"coupling graph is disconnected: components {parts}"
+    assert str(info.value) == f"coupling graph is disconnected: {len(parts)} components {parts}"
 
 
 PRESET_MODELS = {name: presets.model(name, seed=5) for name in ("valencia", "jakarta", "guadalupe", "toronto", "manhattan")}
