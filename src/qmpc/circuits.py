@@ -178,6 +178,10 @@ def build_dag(circuit: QuantumCircuit) -> DagCircuit:
 
 # --- parsing ---------------------------------------------------------------
 
+# Signs and parentheses a gate parameter may nest; the expression parser
+# recurses once per level, and this keeps it far from the interpreter's limit.
+MAX_PARAM_NESTING = 100
+
 # One token after any whitespace and "//" comments: "->" before "-", and a
 # number takes its dot and exponent when it has them.  The empty alternative
 # matches at a character that starts no token, so findall lists "" there.
@@ -222,32 +226,35 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
         fail(k, f"expected {what}, got {toks[k]!r}")
 
     # parameter expressions: + - * / with parentheses, numbers and pi,
-    # evaluated left to right; each returns its value and the next index
-    def expr(i: int) -> tuple[float, int]:
-        value, i = term(i)
+    # evaluated left to right; each returns its value and the next index, and
+    # ``depth`` counts the signs and parentheses around the current factor
+    def expr(i: int, depth: int = 0) -> tuple[float, int]:
+        value, i = term(i, depth)
         while (op := toks[i]) == "+" or op == "-":
-            rhs, i = term(i + 1)
+            rhs, i = term(i + 1, depth)
             value = value + rhs if op == "+" else value - rhs
         return value, i
 
-    def term(i: int) -> tuple[float, int]:
-        value, i = factor(i)
+    def term(i: int, depth: int) -> tuple[float, int]:
+        value, i = factor(i, depth)
         while (op := toks[i]) == "*" or op == "/":
-            rhs, j = factor(i + 1)
+            rhs, j = factor(i + 1, depth)
             if op == "/" and rhs == 0:
                 fail(i, "division by zero in parameter")
             value, i = (value * rhs if op == "*" else value / rhs), j
         return value, i
 
-    def factor(i: int) -> tuple[float, int]:
+    def factor(i: int, depth: int) -> tuple[float, int]:
+        if depth > MAX_PARAM_NESTING:
+            fail(i, "parameter nested too deeply")
         tok = toks[i]
         if tok == "-":
-            value, i = factor(i + 1)
+            value, i = factor(i + 1, depth + 1)
             return -value, i
         if tok == "+":
-            return factor(i + 1)
+            return factor(i + 1, depth + 1)
         if tok == "(":
-            value, i = expr(i + 1)
+            value, i = expr(i + 1, depth + 1)
             if toks[i] != ")":
                 expected(i, "')'")
             return value, i + 1

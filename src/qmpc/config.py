@@ -11,7 +11,9 @@ from .errors import ConfigError
 # Both routing matrices lie in [0, 1], so |alpha1| + |alpha2| bounds every combined
 # distance, and |weight_w| times that bounds a lookahead distance; this bound keeps a
 # sum of 2**20 of either finite, which covers a placement's tie-break over up to 2**20
-# CNOTs and cost_h's sums for any window up to 2**17 gates.
+# CNOTs and cost_h's sums for any window up to 2**17 gates.  lambda times a CNOT
+# fidelity in [0, 1] is one term of a qubit's fidelity degree, so the same bound keeps
+# the degree of a qubit with up to 2**20 neighbours finite.
 _ALPHA_SUM_MAX = sys.float_info.max / 2**20
 
 
@@ -56,8 +58,8 @@ class RunConfig:
             raise ConfigError(f"attempts must be at least 1, got {self.attempts}")
         if self.ext_layer < 0:
             raise ConfigError(f"ext_layer must be non-negative, got {self.ext_layer}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
+        if not 0 < self.lam <= _ALPHA_SUM_MAX:  # NaN fails too
+            raise ConfigError(f"lambda must be positive and at most {_ALPHA_SUM_MAX:.4g}, got {self.lam}")
         # an infinite sharing threshold is allowed: every batch then shares at capacity
         if math.isnan(self.delta) or self.delta == -math.inf:
             raise ConfigError(f"delta must be a number or inf, got {self.delta}")

@@ -2,7 +2,8 @@
 
 The routing matrices combine hop distance with the error cost of moving a
 state along the graph.  Both are normalized by their own maximum before the
-weighted sum so that equal weights compare like with like.
+weighted sum so that equal weights compare like with like.  A matrix is a
+tuple of rows of Python floats, read one entry at a time as ``m[a][b]``.
 """
 from __future__ import annotations
 
@@ -11,18 +12,17 @@ import json
 import math
 import numbers
 import reprlib
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from pathlib import Path
 from types import MappingProxyType
 
-import numpy as np
-
 from .errors import CalibrationError, CrosstalkError, DisconnectedGraphError, HardwareError, read_text
 
 Edge = tuple[int, int]
+Matrix = tuple[tuple[float, ...], ...]
 
 
 def _edge(i: int, j: int) -> Edge:
@@ -36,7 +36,7 @@ class HardwareModel:
     num_qubits: int
     edges: tuple[Edge, ...]
     cnot_error: dict[Edge, float]
-    readout_error: np.ndarray
+    readout_error: tuple[float, ...]
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adjacency[q]
@@ -48,7 +48,7 @@ class HardwareModel:
         return _sorted_adjacency(self.num_qubits, self.edges)
 
     @cached_property
-    def _distance_matrices(self) -> dict[tuple[float, float], DistanceMatrices]:
+    def _distance_matrices(self) -> dict[tuple[float, float], Matrix]:
         """``distance_matrices`` results by ``(alpha1, alpha2)``."""
         return {}
 
@@ -78,7 +78,7 @@ def _sorted_adjacency(n: int, edges) -> dict[int, tuple[int, ...]]:
     return {q: tuple(sorted(ns)) for q, ns in tmp.items()}
 
 
-def _hops_from(adjacency: dict[int, tuple[int, ...]], src: int) -> dict[int, int]:
+def _hops_from(adjacency: Mapping[int, Sequence[int]], src: int) -> dict[int, int]:
     """Breadth-first hop count from ``src`` to every qubit it reaches."""
     hops = {src: 0}
     frontier = [src]
@@ -181,14 +181,15 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
     return HardwareModel(n, tuple(edges), cnot_error, readout)
 
 
-def _error_rates(values, n: int, field: str, what: str) -> np.ndarray:
-    """Per-qubit error rates as an array: one number per qubit, each in [0, 1)."""
+def _error_rates(values, n: int, field: str, what: str) -> tuple[float, ...]:
+    """Per-qubit error rates: one number per qubit, each in [0, 1).  Every
+    entry is checked to be a number before any is checked for range."""
     if not isinstance(values, (list, tuple)) or len(values) != n:
         raise CalibrationError(f"{field} must list all {n} qubits")
-    rates = np.asarray([_number(v, CalibrationError, "{} error for qubit {}", what, q) for q, v in enumerate(values)])
-    outside = ~((rates >= 0.0) & (rates < 1.0))  # NaN is outside too
-    if np.any(outside):
-        raise CalibrationError(f"{what} error for qubit {int(np.argmax(outside))} outside [0,1)")
+    rates = tuple(_number(v, CalibrationError, "{} error for qubit {}", what, q) for q, v in enumerate(values))
+    for q, rate in enumerate(rates):
+        if not 0.0 <= rate < 1.0:  # NaN is outside too
+            raise CalibrationError(f"{what} error for qubit {q} outside [0,1)")
     return rates
 
 
@@ -202,26 +203,25 @@ def load_hardware(topology_path: str | Path, calibration_path: str | Path) -> Ha
 # --- derived matrices --------------------------------------------------------
 
 
-def hop_count_matrix(model: HardwareModel) -> np.ndarray:
+def _normalized(matrix: Matrix) -> Matrix:
+    """``matrix`` divided by its largest entry, when that is positive."""
+    peak = max(map(max, matrix))
+    return tuple(tuple(x / peak for x in row) for row in matrix) if peak > 0 else matrix
+
+
+def hop_count_matrix(model: HardwareModel) -> Matrix:
     """All-pairs shortest-path hop counts."""
     n = model.num_qubits
-    out = np.zeros((n, n))
-    for src in range(n):
-        for dst, d in _hops_from(model._adjacency, src).items():
-            out[src, dst] = d
-    return out
+    hops = [_hops_from(model._adjacency, src) for src in range(n)]
+    return tuple(tuple(float(h.get(dst, 0)) for dst in range(n)) for h in hops)
 
 
-def swap_distance_matrix(model: HardwareModel, normalize: bool = True) -> np.ndarray:
+def swap_distance_matrix(model: HardwareModel) -> Matrix:
     """Hop-count matrix, scaled so the largest entry is 1."""
-    out = hop_count_matrix(model)
-    peak = out.max()
-    if normalize and peak > 0:
-        out = out / peak
-    return out
+    return _normalized(hop_count_matrix(model))
 
 
-def swap_error_matrix(model: HardwareModel, normalize: bool = True) -> np.ndarray:
+def swap_error_matrix(model: HardwareModel, normalize: bool = True) -> Matrix:
     """Failure probability of the most reliable swap path between each pair.
 
     Moving a state across one edge costs three CNOTs, so an edge succeeds
@@ -234,7 +234,7 @@ def swap_error_matrix(model: HardwareModel, normalize: bool = True) -> np.ndarra
     adjacency = model._adjacency
     # -log success keeps Dijkstra additive; the product along the path is exact
     weight = {e: -3.0 * math.log(1.0 - err) if err > 0 else 0.0 for e, err in model.cnot_error.items()}
-    out = np.zeros((n, n))
+    out = [[0.0] * n for _ in range(n)]
     for src in range(n):
         best = {src: 0.0}
         success = {src: 1.0}  # product over the best path found so far
@@ -253,52 +253,38 @@ def swap_error_matrix(model: HardwareModel, normalize: bool = True) -> np.ndarra
                     heapq.heappush(heap, (dv, next(push), v))
         for dst, s in success.items():
             if dst != src:
-                out[src, dst] = 1.0 - s
-    out = np.maximum(out, out.T)  # symmetric by construction; guard float drift
-    peak = out.max()
-    if normalize and peak > 0:
-        out = out / peak
-    return out
+                out[src][dst] = 1.0 - s
+    # symmetric by construction; guard float drift
+    table = tuple(tuple(max(out[a][b], out[b][a]) for b in range(n)) for a in range(n))
+    return _normalized(table) if normalize else table
 
 
-def combined_distance(swap_dist: np.ndarray, swap_err: np.ndarray, alpha1: float = 0.5, alpha2: float = 0.5) -> np.ndarray:
-    """Elementwise weighted sum of the two routing matrices."""
-    if swap_dist.shape != swap_err.shape:
-        raise ValueError(f"shape mismatch: {swap_dist.shape} vs {swap_err.shape}")
-    return alpha1 * swap_dist + alpha2 * swap_err
-
-
-@dataclass(frozen=True)
-class DistanceMatrices:
-    swap_distance: np.ndarray
-    swap_error: np.ndarray
-    combined: np.ndarray
-    alpha1: float
-    alpha2: float
-    # ``combined`` as nested tuples of Python floats: the router reads one
-    # entry at a time, and a numpy lookup would build a scalar object each time
-    combined_rows: tuple[tuple[float, ...], ...]
-
-
-def distance_matrices(model: HardwareModel, alpha1: float = 0.5, alpha2: float = 0.5) -> DistanceMatrices:
-    """The routing matrices of ``model``, built once per ``(alpha1, alpha2)``
-    and kept on the model; the arrays are read-only because they are shared."""
+def distance_matrices(model: HardwareModel, alpha1: float = 0.5, alpha2: float = 0.5) -> Matrix:
+    """The router's distance matrix, ``alpha1 * swap distance + alpha2 *
+    swap error`` entry by entry, built once per ``(alpha1, alpha2)`` and kept
+    on the model."""
     cache = model._distance_matrices
     if (alpha1, alpha2) not in cache:
-        s = swap_distance_matrix(model)
-        e = swap_error_matrix(model)
-        c = combined_distance(s, e, alpha1, alpha2)
-        for arr in (s, e, c):
-            arr.setflags(write=False)
-        cache[(alpha1, alpha2)] = DistanceMatrices(s, e, c, alpha1, alpha2, tuple(map(tuple, c.tolist())))
+        a1, a2 = float(alpha1), float(alpha2)  # float64 products, whatever real type the weights have
+        s, e = swap_distance_matrix(model), swap_error_matrix(model)
+        cache[(alpha1, alpha2)] = tuple(
+            tuple(a1 * x + a2 * y for x, y in zip(s_row, e_row)) for s_row, e_row in zip(s, e)
+        )
     return cache[(alpha1, alpha2)]
+
+
+def induced_edges(model: HardwareModel, qubits) -> list[Edge]:
+    """Coupling edges inside ``qubits`` in sorted order, the order of
+    ``model.edges``; region scores add their errors in this order."""
+    qs = set(qubits)
+    return [(q, v) for q in sorted(qs) for v in model.neighbors(q) if v > q and v in qs]
 
 
 def subgraph_diameter(model: HardwareModel, qubits) -> int:
     """Longest shortest path within the induced subgraph on ``qubits``.
 
-    A breadth-first search from every member that never leaves the set, so
-    its cost depends on the region's size, not on the device's.
+    A breadth-first search from every member over the members' adjacency,
+    so its cost depends on the region's size, not on the device's.
     """
     qubits = set(qubits)
     for q in qubits:
@@ -306,24 +292,13 @@ def subgraph_diameter(model: HardwareModel, qubits) -> int:
             raise HardwareError(f"qubit {q} outside device")
     if len(qubits) <= 1:
         return 0
-    adj = model._adjacency
+    adjacency = {q: [v for v in model.neighbors(q) if v in qubits] for q in qubits}
     diameter = 0
     for src in qubits:
-        seen = {src}
-        frontier = [src]
-        depth = -1
-        while frontier:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v in qubits and v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        if len(seen) != len(qubits):
+        hops = _hops_from(adjacency, src)
+        if len(hops) != len(qubits):
             raise DisconnectedGraphError(f"qubit set {sorted(qubits)} induces a disconnected subgraph")
-        diameter = max(diameter, depth)
+        diameter = max(diameter, max(hops.values()))
     return diameter
 
 

@@ -26,13 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .circuits import QuantumCircuit
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import PartitionError, PartitionSizeError
 from .floats import left_sum
-from .hardware import CrosstalkTable, Edge, HardwareModel, subgraph_diameter
+from .hardware import CrosstalkTable, Edge, HardwareModel, induced_edges, subgraph_diameter
 
 GSP_MAX_QUBITS = 8
 
@@ -66,7 +64,7 @@ class Partition:
         }
 
 
-def fidelity_degree(model: HardwareModel, lam: float = RunConfig.lam) -> np.ndarray:
+def fidelity_degree(model: HardwareModel, lam: float = RunConfig.lam) -> list[float]:
     """Score each qubit by weighted neighbour CNOT fidelity plus readout fidelity.
 
     degree(q) = sum over neighbours v of lam * (1 - E[q][v]), plus (1 - R[q]).
@@ -74,11 +72,10 @@ def fidelity_degree(model: HardwareModel, lam: float = RunConfig.lam) -> np.ndar
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    values = np.zeros(model.num_qubits)
-    for q in range(model.num_qubits):
-        total = left_sum(lam * (1.0 - model.edge_error(q, v)) for v in model.neighbors(q))
-        values[q] = total + (1.0 - float(model.readout_error[q]))
-    return values
+    return [
+        left_sum(lam * (1.0 - model.edge_error(q, v)) for v in model.neighbors(q)) + (1.0 - model.readout_error[q])
+        for q in range(model.num_qubits)
+    ]
 
 
 def starting_points(model: HardwareModel, circuit: QuantumCircuit) -> list[int]:
@@ -95,13 +92,6 @@ def starting_points(model: HardwareModel, circuit: QuantumCircuit) -> list[int]:
     return [q for q in range(model.num_qubits) if degrees[q] >= largest_logical]
 
 
-def _induced_edges(model: HardwareModel, qubits) -> list[Edge]:
-    """Coupling edges inside ``qubits`` in sorted order, the order of
-    ``model.edges``; the score's float sums run in this order."""
-    qs = set(qubits)
-    return [(q, v) for q in sorted(qs) for v in model.neighbors(q) if v > q and v in qs]
-
-
 def crosstalk_adjust(
     model: HardwareModel,
     candidate_qubits,
@@ -116,7 +106,7 @@ def crosstalk_adjust(
     """
     used = set(used_qubits)
     adjusted: dict[Edge, float] = {}
-    for edge in _induced_edges(model, candidate_qubits):
+    for edge in induced_edges(model, candidate_qubits):
         err = model.cnot_error[edge]
         if strong_pairs is not None:
             for cond, cond_err in strong_pairs.conditional_errors(edge).items():
@@ -165,9 +155,9 @@ class Region(NamedTuple):
 def region_row(model: HardwareModel, qubits, diameter: int | None) -> Region:
     """The row of ``qubits``, kept in the order given."""
     qubits = tuple(qubits)
-    edges = tuple(_induced_edges(model, qubits))
+    edges = tuple(induced_edges(model, qubits))
     solo_mean = _mean([model.cnot_error[e] for e in edges])
-    readout = left_sum(float(model.readout_error[q]) for q in qubits)
+    readout = left_sum(model.readout_error[q] for q in qubits)
     return Region(qubits, sum(1 << q for q in qubits), edges, solo_mean, readout, diameter)
 
 
@@ -240,7 +230,7 @@ def gsp_partition(
     return ranked
 
 
-def _grow_region(model: HardwareModel, start: int, k: int, values: np.ndarray, used: set[int]) -> list[int] | None:
+def _grow_region(model: HardwareModel, start: int, k: int, values: list[float], used: set[int]) -> list[int] | None:
     """Grow a region from ``start`` by repeatedly letting the highest-degree
     member adopt its best free neighbour.  Returns None when growth stalls."""
     region = [start]

@@ -74,7 +74,7 @@ def compile_plan(
 
     Each circuit's route is the winning trial of its placement search, and
     the merged circuit joins the routes round by round in plan order.
-    ``dist`` is ``DistanceMatrices.combined_rows``.  The merged program is
+    ``dist`` is the ``hardware.distance_matrices`` table.  The merged program is
     checked against the device and the plan before it is returned
     (``check_compliance``); a violation is a ``RoutingError``.
     """
@@ -98,12 +98,12 @@ def compile_workloads(
 ) -> CompileResult:
     """Full pipeline: order by density, gate batch sizes, partition, route."""
     config = config or DEFAULT_CONFIG
-    matrices = distance_matrices(model, config.alpha1, config.alpha2)
+    dist = distance_matrices(model, config.alpha1, config.alpha2)
     plans = plan_all(model, circuits, config, strong_pairs)
     by_id = {c.id: c for c in circuits}
     root = np.random.SeedSequence(config.seed)
     plan_seeds = root.spawn(len(plans))
     result = CompileResult()
     for i, (plan, seq) in enumerate(zip(plans, plan_seeds)):
-        result.plans.append(compile_plan(model, plan, by_id, config, matrices.combined_rows, seq, index=i))
+        result.plans.append(compile_plan(model, plan, by_id, config, dist, seq, index=i))
     return result

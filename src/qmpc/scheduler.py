@@ -29,7 +29,7 @@ from .circuits import CX, DagCircuit, Gate, QuantumCircuit, emit_qasm
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import RoutingError
 from .floats import left_sum
-from .hardware import HardwareModel
+from .hardware import HardwareModel, induced_edges
 from .partition import Partition
 
 SWAP = "SWAP"
@@ -108,7 +108,7 @@ class _Tables:
         self.circuit = circuit
         self.partition = tuple(partition.qubits)
         part_set = set(self.partition)
-        edges = sorted(e for e in model.edges if e[0] in part_set and e[1] in part_set)
+        edges = induced_edges(model, self.partition)
         self.coupled = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}  # directed
         neighbours = {q: set(model.neighbors(q)) & part_set for q in self.partition}
         self.adjacency = {q: tuple(sorted(ns)) for q, ns in neighbours.items()}
@@ -267,10 +267,10 @@ def cost_h(
     unchanged.  The charge is part of the self-cost term, so it vanishes
     with ``self_cost=False``, and SWAP candidates never carry it.
 
-    ``dist`` is ``DistanceMatrices.combined_rows``, read as ``dist[p][q]``.
-    Every sum adds its terms one by one from the left, as ``sum`` over numpy
-    scalars does; ``sum`` over Python floats is compensated from Python
-    3.12 on and would move the last bits, which can flip a choice.
+    ``dist`` is the ``hardware.distance_matrices`` table, read as ``dist[p][q]``.
+    Every sum adds its terms one by one from the left, as ``left_sum`` does;
+    ``sum`` over Python floats is compensated from Python 3.12 on and would
+    move the last bits, which can flip a choice.
     """
     if tentative.kind == SWAP:
         a, b = tentative.qubits
@@ -432,7 +432,8 @@ def mapping_transition(
     remains as the guard against a non-terminating selection loop, which
     would be a bug rather than an input problem.  A circuit that has
     inserted more than ``max_inserted`` CNOTs stops early and the route
-    comes back ``aborted``.  ``dist`` is ``DistanceMatrices.combined_rows``.
+    comes back ``aborted``.  ``dist`` is the ``hardware.distance_matrices``
+    table.
     """
     job = _Job(tables, dag, l2p)
     cap = 10 * max(len(job.circuit.gates), 1)
@@ -466,7 +467,7 @@ def initial_mapping(
     config: RunConfig = DEFAULT_CONFIG,
 ) -> tuple[list[int], Route]:
     """Pick the best of ``config.attempts`` random placements; return it and
-    its route.  ``dist`` is ``DistanceMatrices.combined_rows``.
+    its route.  ``dist`` is the ``hardware.distance_matrices`` table.
 
     Each candidate bijection is evaluated by routing the circuit and
     counting inserted CNOTs; ties fall back to the summed routing distance

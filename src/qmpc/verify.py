@@ -383,5 +383,5 @@ def estimate_success(circuit: QuantumCircuit, model: HardwareModel) -> float:
         if g.kind == CX:
             p *= 1.0 - model.cnot_error[(min(g.qubits), max(g.qubits))]
         elif g.kind == MEASURE:
-            p *= 1.0 - float(model.readout_error[g.qubits[0]])
+            p *= 1.0 - model.readout_error[g.qubits[0]]
     return p

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qmpc.circuits import (
+    MAX_PARAM_NESTING,
     Gate,
     QuantumCircuit,
     build_dag,
@@ -12,7 +13,7 @@ from qmpc.circuits import (
 )
 from qmpc.errors import MultiRegisterError, QasmError, UnsupportedGateError
 
-from oracles import dependency_edges
+from oracles import dependency_edges, reference_parse_program
 
 
 def test_parse_single_cx():
@@ -78,6 +79,30 @@ def test_non_finite_parameter_rejected_with_position(statement, col):
     with pytest.raises(QasmError, match="not finite") as err:
         parse_qasm(f"qreg q[1];\n{statement}")
     assert (err.value.line, err.value.col) == (2, col)
+
+
+@pytest.mark.parametrize(
+    "param",
+    ["(" * 400 + "1" + ")" * 400, "-" * 1200 + "1", "(" * 101 + "1" + ")" * 101, "-" * 101 + "1",
+     "-(" * 51 + "1" + ")" * 51],
+    ids=["400-parentheses", "1200-signs", "101-parentheses", "101-signs", "51-signed-parentheses"],
+)
+def test_parameter_nested_too_deeply_rejected_with_position(param):
+    # each level is a recursive call of the expression parser: 400 parentheses or
+    # 1,200 signs used to raise RecursionError
+    with pytest.raises(QasmError, match="parameter nested too deeply") as err:
+        parse_qasm(f"qreg q[1];\nrz({param}) q[0];")
+    assert (err.value.line, err.value.col) == (2, 5 + MAX_PARAM_NESTING)  # the first token past the limit
+
+
+@pytest.mark.parametrize(
+    "param",
+    ["(" * 100 + "1" + ")" * 100, "-" * 100 + "1", "-" * 99 + "2.5", "-(" * 50 + "3" + ")" * 50, "+-" * 50 + "pi"],
+    ids=["100-parentheses", "100-signs", "99-signs", "50-signed-parentheses", "100-mixed-signs"],
+)
+def test_parameter_nested_to_the_limit_parses_as_before(param):
+    text = f"qreg q[1];\nrz({param}) q[0];"
+    assert parse_qasm(text).gates == tuple(reference_parse_program(text, allow_multiple_cregs=False)[2])
 
 
 def test_index_out_of_range():

@@ -14,7 +14,10 @@ import pytest
 
 import qmpc
 from qmpc.cli import main
+from qmpc.config import _ALPHA_SUM_MAX
 from qmpc.errors import ConfigError
+from qmpc.hardware import build_hardware
+from qmpc.manager import plan_all
 from qmpc.pipeline import CompileResult, RunConfig, compile_workloads
 from qmpc.presets import line_topology, synthetic_calibration, topology, uniform_calibration
 
@@ -307,6 +310,48 @@ def test_alphas_whose_sum_overflows_are_rejected(device_files, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: |alpha1| + |alpha2| must be at most")
         assert not (device_files / "out").exists()
+
+
+def test_lambda_beyond_the_alpha_bound_is_rejected(device_files, capsys):
+    # lambda times a CNOT fidelity is one term of a qubit's fidelity degree; at 1e308
+    # most degrees overflowed to inf and the heuristic search lost their order
+    RunConfig(lam=_ALPHA_SUM_MAX)
+    for lam in (1e308, 1.8e302):
+        with pytest.raises(ConfigError, match="lambda must be positive and at most"):
+            RunConfig(lam=lam)
+    assert main(_compile_args(device_files, extra=("--lambda", "1e308"))) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: lambda must be positive and at most")
+    assert not (device_files / "out").exists()
+
+
+@pytest.mark.parametrize("device", ["guadalupe", "manhattan"])
+def test_lambda_at_its_bound_plans_as_at_1e300(device):
+    # a lambda this large makes the CNOT term rank the qubits alone, as it does at 1e300
+    topo = topology(device)
+    model = build_hardware(topo, synthetic_calibration(topo, seed=1))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        circuits = [random_circuit(rng, f"c{i}") for i in range(4)]
+        regions = [
+            [[p.qubits for p in plan.partitions] for plan in plan_all(model, circuits, RunConfig(lam=lam))]
+            for lam in (1e300, _ALPHA_SUM_MAX)
+        ]
+        assert regions[0] == regions[1]
+
+
+@pytest.mark.parametrize(
+    "param", ["(" * 400 + "1" + ")" * 400, "-" * 1200 + "1"], ids=["400-parentheses", "1200-signs"]
+)
+def test_deeply_nested_parameter_is_user_error(device_files, capsys, param):
+    # these used to exit 2 with "internal error: RecursionError"
+    assert main(_compile_args(device_files)) == 0
+    capsys.readouterr()
+    (device_files / "ghz3.qasm").write_text(f"qreg q[3]; creg c[3]; rz({param}) q[0]; measure q -> c;\n")
+    for argv in (_verify_args(device_files), _compile_args(device_files, out="again")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "parameter nested too deeply" in err[0], err
 
 
 def test_huge_alphas_route_as_the_defaults(guadalupe):

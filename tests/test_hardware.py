@@ -7,7 +7,6 @@ from qmpc.errors import CalibrationError, CrosstalkError, DisconnectedGraphError
 from qmpc.hardware import (
     build_crosstalk,
     build_hardware,
-    combined_distance,
     distance_matrices,
     extract_strong_crosstalk,
     hop_count_matrix,
@@ -26,7 +25,7 @@ def test_load_two_qubit_line():
         {"cnot_errors": [[0, 1, 0.01]], "readout_errors": [0.02, 0.03]},
     )
     assert model.edge_error(1, 0) == 0.01
-    assert list(model.readout_error) == [0.02, 0.03]
+    assert model.readout_error == (0.02, 0.03)
 
 
 def test_edge_index_out_of_range():
@@ -110,13 +109,13 @@ def test_load_from_json_files(tmp_path):
 
 def test_hops_on_path(line5):
     hops = hop_count_matrix(line5)
-    assert hops[0, 2] == 2 and hops[0, 1] == 1 and hops[0, 4] == 4
+    assert hops[0][2] == 2 and hops[0][1] == 1 and hops[0][4] == 4
 
 
 def test_hops_complete_graph():
     topo = {"num_qubits": 4, "edges": [[i, j] for i in range(4) for j in range(i + 1, 4)]}
     model = build_hardware(topo, uniform_calibration(topo))
-    hops = hop_count_matrix(model)
+    hops = np.array(hop_count_matrix(model))
     off = hops[~np.eye(4, dtype=bool)]
     assert np.all(off == 1)
 
@@ -124,16 +123,17 @@ def test_hops_complete_graph():
 def test_toronto_hops_match_bfs_oracle(toronto):
     topo = topology("toronto")
     oracle = all_pairs_hops(27, [tuple(e) for e in topo["edges"]])
-    assert np.array_equal(hop_count_matrix(toronto), oracle)
+    hops = np.array(hop_count_matrix(toronto))
+    assert np.array_equal(hops, oracle)
     # the most distant pair, per the oracle
     far = np.unravel_index(np.argmax(oracle), oracle.shape)
-    assert hop_count_matrix(toronto)[far] == oracle.max()
+    assert hops[far] == oracle.max()
 
 
 def test_swap_distance_normalized(line5):
     s = swap_distance_matrix(line5)
-    assert s.max() == 1.0
-    assert s[0, 4] == 1.0 and s[0, 1] == 0.25
+    assert max(map(max, s)) == 1.0
+    assert s[0][4] == 1.0 and s[0][1] == 0.25
 
 
 # --- swap error -----------------------------------------------------------------
@@ -145,7 +145,7 @@ def test_swap_error_single_edge():
         {"cnot_errors": [[0, 1, 0.01]], "readout_errors": [0.0, 0.0]},
     )
     raw = swap_error_matrix(model, normalize=False)
-    assert raw[0, 1] == pytest.approx(1 - 0.99**3, abs=1e-12)
+    assert raw[0][1] == pytest.approx(1 - 0.99**3, abs=1e-12)
 
 
 def test_swap_error_zero_on_error_free_path():
@@ -153,7 +153,7 @@ def test_swap_error_zero_on_error_free_path():
     cal = {"cnot_errors": [[0, 1, 0.0], [1, 2, 0.0]], "readout_errors": [0.0] * 3}
     model = build_hardware(topo, cal)
     raw = swap_error_matrix(model, normalize=False)
-    assert raw[0, 2] == 0.0
+    assert raw[0][2] == 0.0
 
 
 def test_swap_error_diamond_matches_path_enumeration():
@@ -166,7 +166,7 @@ def test_swap_error_diamond_matches_path_enumeration():
     for i in range(4):
         for j in range(4):
             if i != j:
-                assert raw[i, j] == pytest.approx(best_swap_path_error(edges, errors, i, j), abs=1e-12)
+                assert raw[i][j] == pytest.approx(best_swap_path_error(edges, errors, i, j), abs=1e-12)
 
 
 def test_swap_error_beats_or_ties_hop_shortest_path(jakarta):
@@ -179,32 +179,28 @@ def test_swap_error_beats_or_ties_hop_shortest_path(jakarta):
     hops = hop_count_matrix(jakarta)
     for i in range(jakarta.num_qubits):
         for j in range(i + 1, jakarta.num_qubits):
-            shortest = [p for p in all_simple_paths(edges, i, j) if len(p) - 1 == hops[i, j]]
+            shortest = [p for p in all_simple_paths(edges, i, j) if len(p) - 1 == hops[i][j]]
             best_short = min(
                 1 - np.prod([(1 - errors[tuple(sorted((a, b)))]) ** 3 for a, b in zip(p, p[1:])])
                 for p in shortest
             )
-            assert raw[i, j] <= best_short + 1e-12
+            assert raw[i][j] <= best_short + 1e-12
 
 
 # --- combined ------------------------------------------------------------------
 
 
-def test_combined_weighted_sum():
-    s = np.array([[0.0, 1.0], [1.0, 0.0]])
-    e = np.array([[0.0, 0.5], [0.5, 0.0]])
-    d = combined_distance(s, e)
-    assert d[0, 1] == 0.75
-    assert np.array_equal(combined_distance(s, e, 1.0, 0.0), s)
-
-
-def test_combined_shape_mismatch():
-    with pytest.raises(ValueError):
-        combined_distance(np.zeros((2, 2)), np.zeros((3, 3)))
+def test_combined_weighted_sum(line5):
+    e = swap_error_matrix(line5)
+    d = distance_matrices(line5, 0.5, 0.5)
+    assert d[0][4] == 1.0  # both matrices peak at the two ends of the line
+    assert d[0][1] == 0.5 * 0.25 + 0.5 * e[0][1]
+    assert distance_matrices(line5, 1.0, 0.0) == swap_distance_matrix(line5)
 
 
 def test_matrices_symmetric_zero_diagonal(guadalupe):
     for mat in (swap_distance_matrix(guadalupe), swap_error_matrix(guadalupe)):
+        mat = np.array(mat)
         assert np.allclose(mat, mat.T)
         assert np.all(np.diag(mat) == 0)
         assert mat.max() == 1.0
@@ -216,25 +212,33 @@ def test_distance_matrices_built_once_per_model_and_weights(guadalupe):
     assert distance_matrices(guadalupe) is first  # the defaults are the same key
     rebuilt = build_hardware(topology("guadalupe"), synthetic_calibration(topology("guadalupe"), seed=2))
     assert distance_matrices(rebuilt) is not first
-    assert np.array_equal(distance_matrices(rebuilt).combined, first.combined)
+    assert distance_matrices(rebuilt) == first
 
 
 def test_distance_matrices_are_read_only(guadalupe):
-    mats = distance_matrices(guadalupe)
-    for mat in (mats.swap_distance, mats.swap_error, mats.combined):
-        assert not mat.flags.writeable
-        with pytest.raises(ValueError):
-            mat[0, 1] = 0.0
+    # the cached table is shared by every caller, so it is a tuple of tuples of floats
+    table = distance_matrices(guadalupe)
+    assert type(table) is tuple and len(table) == guadalupe.num_qubits
+    for row in table:
+        assert type(row) is tuple and len(row) == guadalupe.num_qubits
+        assert all(type(x) is float for x in row)
+    with pytest.raises(TypeError):
+        table[0][1] = 0.0
 
 
 def test_distance_matrices_depend_on_weights(guadalupe):
-    hops_only = distance_matrices(guadalupe, 1.0, 0.0)
-    errors_only = distance_matrices(guadalupe, 0.0, 1.0)
-    assert np.array_equal(hops_only.combined, swap_distance_matrix(guadalupe))
-    assert np.array_equal(errors_only.combined, swap_error_matrix(guadalupe))
-    assert not np.array_equal(hops_only.combined, errors_only.combined)
-    assert (hops_only.alpha1, hops_only.alpha2) == (1.0, 0.0)
-    assert (errors_only.alpha1, errors_only.alpha2) == (0.0, 1.0)
+    s, e = swap_distance_matrix(guadalupe), swap_error_matrix(guadalupe)
+    n = guadalupe.num_qubits
+    for alpha1, alpha2 in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.3, 0.7), (2, -1.5)):
+        table = distance_matrices(guadalupe, alpha1, alpha2)
+        for a in range(n):
+            for b in range(n):
+                assert table[a][b] == alpha1 * s[a][b] + alpha2 * e[a][b]
+        # the same bits as the float64 arrays this table replaced
+        assert np.array(table).tobytes() == (alpha1 * np.array(s) + alpha2 * np.array(e)).tobytes()
+    assert distance_matrices(guadalupe, 1.0, 0.0) == s
+    assert distance_matrices(guadalupe, 0.0, 1.0) == e
+    assert s != e
 
 
 # --- diameter ------------------------------------------------------------------

@@ -23,14 +23,15 @@ from qmpc.hardware import (
     build_hardware,
     distance_matrices,
     hop_count_matrix,
+    induced_edges,
     subgraph_diameter,
+    swap_distance_matrix,
     swap_error_matrix,
 )
 from qmpc.errors import DisconnectedGraphError, HardwareError, PartitionError, SimulationError
 from qmpc.manager import Verdict, fidelity_gate, select_k, sort_by_density
 from qmpc.partition import (
     GSP_MAX_QUBITS,
-    _induced_edges,
     allocate_all,
     crosstalk_adjust,
     gsp_partition,
@@ -259,14 +260,15 @@ def test_density_identity(circuit):
 @settings(max_examples=25, **COMMON)
 @given(connected_device())
 def test_distance_matrices_symmetric_zero_diag_normalized(model):
-    mats = distance_matrices(model)
-    for m in (mats.swap_distance, mats.swap_error, mats.combined):
+    s, e = np.array(swap_distance_matrix(model)), np.array(swap_error_matrix(model))
+    combined = np.array(distance_matrices(model))
+    for m in (s, e, combined):
         assert np.allclose(m, m.T, atol=1e-12)
         assert np.all(np.diag(m) == 0)
-    assert mats.swap_distance.max() == 1.0
-    if mats.swap_error.max() > 0:
-        assert mats.swap_error.max() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(mats.combined, 0.5 * mats.swap_distance + 0.5 * mats.swap_error, atol=1e-15)
+    assert s.max() == 1.0
+    if e.max() > 0:
+        assert e.max() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(combined, 0.5 * s + 0.5 * e, atol=1e-15)
 
 
 @settings(max_examples=25, **COMMON)
@@ -316,9 +318,10 @@ PUSH_ORDER_RING = build_hardware(
 @given(tied_device())
 @example(PUSH_ORDER_RING)
 def test_routing_matrices_match_networkx_bit_for_bit(model):
-    assert hop_count_matrix(model).tobytes() == hop_count_matrix_nx(model).tobytes()
+    assert np.array(hop_count_matrix(model)).tobytes() == hop_count_matrix_nx(model).tobytes()
     for normalize in (True, False):
-        assert swap_error_matrix(model, normalize).tobytes() == swap_error_matrix_nx(model, normalize).tobytes()
+        table = swap_error_matrix(model, normalize)
+        assert np.array(table).tobytes() == swap_error_matrix_nx(model, normalize).tobytes()
 
 
 @settings(max_examples=100, **COMMON)
@@ -386,7 +389,7 @@ def test_induced_edges_match_edge_list_scan_in_order(case):
     model, kind, region = case
     if kind == "out_of_range":
         region = [q for q in region if 0 <= q < model.num_qubits]
-    assert _induced_edges(model, region) == induced_edges_scan(model.edges, region)
+    assert induced_edges(model, region) == induced_edges_scan(model.edges, region)
 
 
 @settings(max_examples=50, **COMMON)
@@ -502,7 +505,7 @@ def test_score_monotone_in_errors(model, seed):
     edge = tuple(sorted(model.edges[int(rng.integers(len(model.edges)))]))
     bumped_cnot = {e: (min(err + 0.2, 0.9) if e == edge else err) for e, err in model.cnot_error.items()}
     qubit = int(rng.integers(model.num_qubits))
-    readout = model.readout_error.copy()
+    readout = list(model.readout_error)
     readout[qubit] = min(readout[qubit] + 0.2, 0.9)
     worse = build_hardware(
         {"num_qubits": model.num_qubits, "edges": [list(e) for e in model.edges]},
@@ -773,18 +776,19 @@ def routing_case(draw):
 def test_bounded_placement_and_interleaved_routes_match_reference_router(case):
     model, jobs, config, seed = case
     route_kw = dict(ext_size=config.ext_layer, swap_only=config.swap_only, self_cost=config.self_cost)
-    matrices = distance_matrices(model)
+    dist = distance_matrices(model)
+    combined = np.array(dist)  # the reference router indexes a numpy matrix
     routes, specs = [], []
     for circuit, part in jobs:
         dag = build_dag(circuit)
-        l2p, route = initial_mapping(model, matrices.combined_rows, part, circuit, dag, np.random.default_rng(seed), config)
+        l2p, route = initial_mapping(model, dist, part, circuit, dag, np.random.default_rng(seed), config)
         want = reference_placement(
-            model, matrices.combined, part, circuit, dag, np.random.default_rng(seed), attempts=config.attempts, **route_kw
+            model, combined, part, circuit, dag, np.random.default_rng(seed), attempts=config.attempts, **route_kw
         )
         assert l2p == want
         routes.append(route)
         specs.append((circuit, dag, part, l2p))
-    ref = reference_route(model, matrices.combined, specs, **route_kw)
+    ref = reference_route(model, combined, specs, **route_kw)
     assert not any(route.aborted for route in routes)
     merged, _ = merged_circuit(routes, model)
     assert list(merged.gates) == ref.gates
@@ -897,6 +901,10 @@ ALPHA_COST_OVERFLOW = (*ALPHA_OVERFLOW[:3], ["--attempts", "1", "--alpha2", "8e3
 WEIGHT_COST_OVERFLOW = (*ALPHA_OVERFLOW[:3], ["--attempts", "1", "--weight-w", "1e308", "--seed", "1"])
 
 
+# a lambda that overflowed the fidelity degrees to inf
+LAMBDA_OVERFLOW = (*ALPHA_OVERFLOW[:3], ["--attempts", "1", "--lambda", "1e308", "--seed", "1"])
+
+
 def _mistyped(path, value):
     """ALPHA_OVERFLOW's device and programs at default flags, with the field
     at ``path`` (file name first) replaced by ``value``."""
@@ -911,6 +919,7 @@ def _mistyped(path, value):
 @example(ALPHA_OVERFLOW)
 @example(ALPHA_COST_OVERFLOW)
 @example(WEIGHT_COST_OVERFLOW)
+@example(LAMBDA_OVERFLOW)
 # mistyped device fields that used to exit 2 as internal errors, or were truncated
 @example(_mistyped(["topology.json", "num_qubits"], "x"))
 @example(_mistyped(["topology.json", "num_qubits"], 3.7))

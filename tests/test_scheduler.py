@@ -37,7 +37,7 @@ def tables(model, circuit, qubits):
 
 
 def route_single(model, circuit, l2p, config=RunConfig(), **kw):
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     return mapping_transition(tables(model, circuit, sorted(l2p)), D, build_dag(circuit), list(l2p), config, **kw)
 
 
@@ -58,7 +58,7 @@ def emitted(routes, model):
 def test_initial_mapping_trivial_two_qubits():
     model = line_model(2)
     circuit = QuantumCircuit("c", 2, 0, (Gate(CX, (0, 1)),))
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     l2p, _ = initial_mapping(model, D, make_part("c", [0, 1]), circuit, build_dag(circuit), np.random.default_rng(0))
     route = route_single(model, circuit, l2p)
     assert route.additional_cnots == 0
@@ -70,7 +70,7 @@ def test_initial_mapping_finds_zero_insertion_layout():
     model = line_model(3)
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 1)), Gate(CX, (1, 2))))
     dag = build_dag(circuit)
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     from itertools import permutations
 
     zero_layouts = []
@@ -87,7 +87,7 @@ def test_initial_mapping_finds_zero_insertion_layout():
 def test_initial_mapping_deterministic_under_seed():
     model = line_model(4)
     circuit = QuantumCircuit("c", 4, 0, tuple(Gate(CX, ((i * 2) % 4, (i * 2 + 3) % 4)) for i in range(5)))
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     part = make_part("c", [0, 1, 2, 3])
     runs = [
         initial_mapping(model, D, part, circuit, build_dag(circuit), np.random.default_rng(42))[0]
@@ -128,7 +128,7 @@ def test_candidates_distance_three_no_bridge():
 
 def test_cost_formula_single_gate_empty_lookahead():
     model = line_model(3)
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     l2p = [0, 1, 2]
     p2l = {0: 0, 1: 1, 2: 2}
     front = [(0, 0, 2)]  # node 0: CX(l0, l2) at physical (0, 2)
@@ -143,7 +143,7 @@ def test_cost_formula_single_gate_empty_lookahead():
 
 def test_cost_ignores_lookahead_when_weight_zero():
     model = line_model(4)
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     l2p = [0, 1, 2, 3]
     p2l = {i: i for i in range(4)}
     front = [(0, 0, 1)]
@@ -158,7 +158,7 @@ def test_swap_wins_exactly_when_it_helps_lookahead():
     # distance 3, SWAP(0,1) shortens it and beats the bridge; with no
     # lookahead the bridge's cheaper self-cost wins.
     model = line_model(5)
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     l2p = [0, 2, 3, 4, 1]  # l0->0, l1->2, l2->3, l3->4, l4->1
     p2l = {p: l for l, p in enumerate(l2p)}
     front = [(0, 0, 1)]
@@ -176,7 +176,7 @@ def test_swap_wins_exactly_when_it_helps_lookahead():
 
 def test_self_cost_ablation_changes_choice():
     model = line_model(5)
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     l2p = [0, 2, 3, 4, 1]
     p2l = {p: l for l, p in enumerate(l2p)}
     front = [(0, 0, 1)]
@@ -200,7 +200,7 @@ def test_recurring_bridged_pair_makes_swap_win():
     # (reversed) next to CX(l0,l1), so it sums to d1 + d2 under either
     # choice; only the recurrence charge on the bridge separates them
     model = line_model(3)
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     l2p = [0, 1, 2]
     p2l = {0: 0, 1: 1, 2: 2}
     front = [(0, 0, 2)]
@@ -254,7 +254,7 @@ def test_isolated_distance_two_uses_bridge():
 
 
 def test_accounting_identity_on_random_circuits(circuit_factory, guadalupe):
-    D = distance_matrices(guadalupe).combined_rows
+    D = distance_matrices(guadalupe)
     rng = np.random.default_rng(9)
     for trial in range(5):
         circuit = circuit_factory(rng, f"c{trial}", n_qubits=4)
@@ -294,7 +294,7 @@ def test_extended_layer_matches_a_naive_scan_at_every_routing_step(monkeypatch, 
         return got
 
     monkeypatch.setattr(_Job, "extended_layer", checking)
-    D = distance_matrices(guadalupe).combined_rows
+    D = distance_matrices(guadalupe)
     rng = np.random.default_rng(11)
     for trial in range(3):
         circuit = circuit_factory(rng, f"c{trial}", n_qubits=6, max_gates=60)
@@ -322,7 +322,7 @@ def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory
     monkeypatch.setattr(sched_mod, "mapping_transition", recording)
     circuit = circuit_factory(np.random.default_rng(5), "c", n_qubits=6, max_gates=60)
     part = qhsp_partition(guadalupe, circuit, set())[0]
-    D = distance_matrices(guadalupe).combined_rows
+    D = distance_matrices(guadalupe)
     l2p, best = initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(0))
     assert len(trials) == 10
     assert any(t.aborted for t in trials)
@@ -363,7 +363,7 @@ def test_placement_trials_build_no_gates(monkeypatch, circuit_factory, guadalupe
     built = counting_gates(monkeypatch)
     circuit = circuit_factory(np.random.default_rng(5), "c", n_qubits=6, max_gates=60)
     part = qhsp_partition(guadalupe, circuit, set())[0]
-    D = distance_matrices(guadalupe).combined_rows
+    D = distance_matrices(guadalupe)
     _, best = initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(0))
     assert len(trials) == 10 and any(t.aborted for t in trials)
     assert built == []
@@ -387,7 +387,7 @@ def test_partition_tables_are_not_kept_on_the_model(circuit_factory, guadalupe):
     def snapshot(model):
         return {name: (id(value), len(value) if isinstance(value, dict) else None) for name, value in vars(model).items()}
 
-    D = distance_matrices(guadalupe).combined_rows
+    D = distance_matrices(guadalupe)
     circuit = circuit_factory(np.random.default_rng(3), "c", n_qubits=5, max_gates=40)
     part = qhsp_partition(guadalupe, circuit, set())[0]
     before = snapshot(guadalupe)
@@ -415,7 +415,7 @@ def test_iteration_guard_surfaces_routing_bugs(monkeypatch):
     model = line_model(3)
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 2)),))
     dag = build_dag(circuit)
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     with pytest.raises(RoutingError, match="terminate"):
         sched_mod.mapping_transition(tables(model, circuit, [0, 1, 2]), D, dag, [0, 1, 2], RunConfig(swap_only=True))
 
@@ -441,7 +441,7 @@ def test_forced_route_counts_swaps_once():
     model = line_model(5)
     circuit = QuantumCircuit("c", 5, 0, (Gate(CX, (0, 4)),))
     dag = build_dag(circuit)
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     route = mapping_transition(tables(model, circuit, range(5)), D, dag, list(range(5)), RunConfig(), stall_limit=0)
     assert route.swaps == 3
     emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
@@ -457,7 +457,7 @@ def test_immediate_swap_revert_is_banned():
         "readout_errors": [0.01] * 4,
     }
     model = build_hardware(topo, cal)
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     circuit = QuantumCircuit("c", 4, 0, (Gate(CX, (1, 3)),))
     dag = build_dag(circuit)
     route = mapping_transition(tables(model, circuit, [0, 1, 2, 3]), D, dag, [0, 1, 2, 3], RunConfig())
@@ -469,7 +469,7 @@ def test_two_independent_circuits_match_solo_compilations():
     model = line_model(7)
     c1 = parse_qasm("qreg q[3]; creg c[3]; h q[0]; cx q[0],q[2]; cx q[1],q[2]; measure q -> c;", "one")
     c2 = parse_qasm("qreg q[3]; creg c[3]; cx q[0],q[1]; cx q[0],q[2]; t q[1]; measure q -> c;", "two")
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     p1, m1 = make_part("one", [0, 1, 2]), [0, 1, 2]
     p2, m2 = make_part("two", [4, 5, 6]), [5, 4, 6]
     solo1, solo2 = route_solo(model, D, [(c1, build_dag(c1), p1, m1), (c2, build_dag(c2), p2, m2)])
@@ -486,7 +486,7 @@ def test_partition_confinement():
     model = line_model(7)
     c1 = parse_qasm("qreg q[3]; creg c[3]; cx q[0],q[2]; cx q[1],q[0]; measure q -> c;", "one")
     c2 = parse_qasm("qreg q[3]; creg c[3]; cx q[0],q[2]; cx q[2],q[1]; measure q -> c;", "two")
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     part1, part2 = {0, 1, 2}, {4, 5, 6}
     routes = route_solo(
         model, D,
@@ -523,7 +523,7 @@ def test_merged_single_gate_circuit_reparses():
 def test_merged_two_circuits_have_two_cregs(bell):
     model = line_model(5)
     other = parse_qasm("qreg q[2]; creg c[2]; x q[0]; cx q[0],q[1]; measure q -> c;", "other")
-    D = distance_matrices(model).combined_rows
+    D = distance_matrices(model)
     routes = route_solo(
         model, D,
         [(bell, build_dag(bell), make_part("bell", [0, 1]), [0, 1]),
