@@ -27,6 +27,12 @@ CX = "cx"
 MEASURE = "measure"
 BARRIER = "barrier"
 
+# The most qubits a device or a quantum register may have, and the most bits
+# a classical register may have (IBM Condor has 1,121 qubits).  A device's
+# distance table grows as the square of its size, and a register's size sets
+# how many gates a broadcast builds and how many bits a manifest lists.
+MAX_REGISTER_SIZE = 2048
+
 
 class _GateFields:
     __slots__ = ("kind", "qubits", "params", "clbit")
@@ -144,18 +150,18 @@ class DagCircuit:
         self.circuit = circuit
         n = len(circuit.gates)
         succ: list[set[int]] = [set() for _ in range(n)]
-        pred: list[set[int]] = [set() for _ in range(n)]
+        in_degree = [0] * n
         last_on: dict[int, int] = {}
         for i, g in enumerate(circuit.gates):
             # classical bit b is wire ~b: negative, so apart from every qubit
             wires = g.qubits if g.clbit is None else (*g.qubits, ~g.clbit)
             for w in wires:
-                if w in last_on:
+                if w in last_on and i not in succ[last_on[w]]:
                     succ[last_on[w]].add(i)
-                    pred[i].add(last_on[w])
+                    in_degree[i] += 1
                 last_on[w] = i
         self.successors = [tuple(sorted(s)) for s in succ]
-        self.predecessors = [tuple(sorted(p)) for p in pred]
+        self._in_degree = tuple(in_degree)  # distinct predecessors of each node
 
     @property
     def num_nodes(self) -> int:
@@ -166,10 +172,10 @@ class DagCircuit:
 
     def front_layer(self) -> list[int]:
         """Nodes with no predecessors."""
-        return [i for i in range(self.num_nodes) if not self.predecessors[i]]
+        return [i for i, d in enumerate(self._in_degree) if d == 0]
 
     def in_degrees(self) -> list[int]:
-        return [len(p) for p in self.predecessors]
+        return list(self._in_degree)
 
 
 def build_dag(circuit: QuantumCircuit) -> DagCircuit:
@@ -370,11 +376,14 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
                 expected(i + 2, "'['")
             if not toks[i + 3].isdecimal():
                 expected(i + 3, "register size")
-            size = int(toks[i + 3])
             if toks[i + 4] != "]":
                 expected(i + 4, "']'")
             if toks[i + 5] != ";":
                 expected(i + 5, "';'")
+            size = float(toks[i + 3])  # int() refuses more than 4,300 digits
+            if size > MAX_REGISTER_SIZE:
+                fail(i + 3, f"register size {toks[i + 3]} exceeds the limit of {MAX_REGISTER_SIZE}")
+            size = int(size)
             if tok == "qreg":
                 if qreg is not None:
                     fail(i, "multiple quantum registers are not supported", MultiRegisterError)

@@ -19,6 +19,7 @@ from itertools import count
 from pathlib import Path
 from types import MappingProxyType
 
+from .circuits import MAX_REGISTER_SIZE
 from .errors import CalibrationError, CrosstalkError, DisconnectedGraphError, HardwareError, read_text
 
 Edge = tuple[int, int]
@@ -125,8 +126,8 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
         raw_edges = topology["edges"]
     except (KeyError, TypeError) as exc:
         raise HardwareError(f"topology is missing field: {exc}") from None
-    if n < 1:
-        raise HardwareError("device must have at least one qubit")
+    if not 1 <= n <= MAX_REGISTER_SIZE:
+        raise HardwareError(f"device must have 1 to {MAX_REGISTER_SIZE} qubits, got {n}")
     if not isinstance(raw_edges, (list, tuple)):
         raise HardwareError(f"edges must be a list of qubit pairs, got {raw_edges!r}")
     if not isinstance(calibration, dict):

@@ -34,6 +34,10 @@ from .hardware import CrosstalkTable, Edge, HardwareModel, induced_edges, subgra
 
 GSP_MAX_QUBITS = 8
 
+# The most connected subsets of any size the exhaustive search grows: 65-qubit
+# ``manhattan`` grows 2,257 up to 8 qubits, a 65-qubit star C(64, 7) of 8 alone.
+REGION_BUDGET = 50_000
+
 METHOD_GSP = "GSP"
 METHOD_QHSP = "QHSP"
 
@@ -121,7 +125,8 @@ def _mean(errors) -> float:
 
 
 def connected_k_subsets(model: HardwareModel, free: set[int], k: int) -> list[tuple[int, ...]]:
-    """All connected k-subsets of ``free``, sorted for determinism."""
+    """All connected k-subsets of ``free``, sorted for determinism; growing
+    more than ``REGION_BUDGET`` subsets of any size raises ``PartitionSizeError``."""
     if k < 1:
         return []
     level = {frozenset([q]) for q in free}
@@ -136,6 +141,11 @@ def connected_k_subsets(model: HardwareModel, free: set[int], k: int) -> list[tu
                         if grown not in seen:
                             seen.add(grown)
                             nxt.add(grown)
+                            if len(seen) > REGION_BUDGET:
+                                raise PartitionSizeError(
+                                    f"exhaustive search on the {model.num_qubits}-qubit device grows more than "
+                                    f"{REGION_BUDGET} connected regions of up to {k} qubits; use the qhsp method"
+                                )
         level = nxt
     return sorted(tuple(sorted(s)) for s in level)
 

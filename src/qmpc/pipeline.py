@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import QuantumCircuit, build_dag, depth
+from .circuits import QuantumCircuit, depth
 from .config import DEFAULT_CONFIG, RunConfig
 from .hardware import CrosstalkTable, HardwareModel, distance_matrices
 from .manager import ExecutionPlan, plan_all
@@ -67,22 +67,23 @@ def compile_plan(
     circuits_by_id: dict[str, QuantumCircuit],
     config: RunConfig,
     dist,
-    seed_seq: np.random.SeedSequence,
-    index: int = 0,
+    index: int,
 ) -> CompiledPlan:
     """Place and route one plan's circuits simultaneously.
 
     Each circuit's route is the winning trial of its placement search, and
     the merged circuit joins the routes round by round in plan order.
-    ``dist`` is the ``hardware.distance_matrices`` table.  The merged program is
-    checked against the device and the plan before it is returned
+    ``dist`` is the ``hardware.distance_matrices`` table.  Circuit ``j``
+    draws its placements from ``SeedSequence(config.seed, spawn_key=(index,
+    j))``, the child of a spawn per plan and then per circuit.  The merged
+    program is checked against the device and the plan before it is returned
     (``check_compliance``); a violation is a ``RoutingError``.
     """
     circuits = [circuits_by_id[cid] for cid in plan.selected]
-    children = seed_seq.spawn(len(circuits))
     routes = []
-    for circuit, part, child in zip(circuits, plan.partitions, children):
-        _, route = initial_mapping(model, dist, part, circuit, build_dag(circuit), np.random.default_rng(child), config)
+    for j, (circuit, part) in enumerate(zip(circuits, plan.partitions)):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index, j)))
+        _, route = initial_mapping(model, dist, part, circuit, rng, config)
         routes.append(route)
     merged, manifest = merged_circuit(routes, model)
     check_compliance(merged, manifest, plan, model)
@@ -101,9 +102,4 @@ def compile_workloads(
     dist = distance_matrices(model, config.alpha1, config.alpha2)
     plans = plan_all(model, circuits, config, strong_pairs)
     by_id = {c.id: c for c in circuits}
-    root = np.random.SeedSequence(config.seed)
-    plan_seeds = root.spawn(len(plans))
-    result = CompileResult()
-    for i, (plan, seq) in enumerate(zip(plans, plan_seeds)):
-        result.plans.append(compile_plan(model, plan, by_id, config, dist, seq, index=i))
-    return result
+    return CompileResult([compile_plan(model, plan, by_id, config, dist, i) for i, plan in enumerate(plans)])

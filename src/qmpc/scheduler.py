@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .circuits import CX, DagCircuit, Gate, QuantumCircuit, emit_qasm
+from .circuits import CX, Gate, QuantumCircuit, build_dag, emit_qasm
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import RoutingError
 from .floats import left_sum
@@ -95,7 +95,8 @@ class Route:
 
 
 class _Tables:
-    """What every placement trial of one circuit in one partition reads.
+    """What every placement trial of one circuit in one partition reads,
+    the circuit's dependency DAG included.
 
     ``initial_mapping`` builds these once per call and shares them with its
     trials; nothing is kept on the model, so memory does not grow with the
@@ -106,6 +107,7 @@ class _Tables:
         if len(partition.qubits) != circuit.num_qubits:
             raise ValueError(f"partition size {len(partition.qubits)} != circuit qubits {circuit.num_qubits}")
         self.circuit = circuit
+        self.dag = build_dag(circuit)
         self.partition = tuple(partition.qubits)
         part_set = set(self.partition)
         edges = induced_edges(model, self.partition)
@@ -127,9 +129,9 @@ class _Tables:
 class _Job:
     """Mutable routing state for one circuit."""
 
-    def __init__(self, tables: _Tables, dag: DagCircuit, l2p):
+    def __init__(self, tables: _Tables, l2p):
         self.circuit = tables.circuit
-        self.dag = dag
+        self.dag = dag = tables.dag
         self.partition = tables.partition
         self.l2p = list(l2p)
         if sorted(self.l2p) != sorted(self.partition):
@@ -415,7 +417,6 @@ def _repair(job: _Job, dist, config: RunConfig, records: list[Record]) -> None:
 def mapping_transition(
     tables: _Tables,
     dist,
-    dag: DagCircuit,
     l2p: list[int],
     config: RunConfig,
     stall_limit: int | None = None,
@@ -435,7 +436,7 @@ def mapping_transition(
     comes back ``aborted``.  ``dist`` is the ``hardware.distance_matrices``
     table.
     """
-    job = _Job(tables, dag, l2p)
+    job = _Job(tables, l2p)
     cap = 10 * max(len(job.circuit.gates), 1)
     records: list[Record] = []
     round_ends: list[int] = []
@@ -462,7 +463,6 @@ def initial_mapping(
     dist,
     partition: Partition,
     circuit: QuantumCircuit,
-    dag: DagCircuit,
     rng: np.random.Generator,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> tuple[list[int], Route]:
@@ -492,7 +492,7 @@ def initial_mapping(
         bound = None
         if best_key is not None:  # a later attempt wins a tie on inserted CNOTs only by a lower tie value
             bound = best_key[0] if tie < best_key[1] else best_key[0] - 1
-        trial = mapping_transition(tables, dist, dag, l2p, config, max_inserted=bound)
+        trial = mapping_transition(tables, dist, l2p, config, max_inserted=bound)
         key = (trial.additional_cnots, tie, attempt)
         if not trial.aborted and (best_key is None or key < best_key):
             best_key = key

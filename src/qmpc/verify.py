@@ -18,7 +18,7 @@ cap and the branch cap therefore apply per component.
 
 Bit-order conventions (also documented in the README): in a distribution key,
 string position i holds classical bit i (or qubit i when the circuit never
-measures); in a statevector, bit b of the amplitude index belongs to qubit b.
+measures).
 """
 from __future__ import annotations
 
@@ -202,26 +202,6 @@ def simulate(circuit: QuantumCircuit, cap: int = SIMULATION_QUBIT_CAP) -> dict[s
     for b, axis in read.items():  # outcome index is C order over read_axes
         rows[:, b] = (outcome >> (len(read_axes) - 1 - read_axes.index(axis))) & 1
     return _tally(rows, weights[branch] * joint[branch, outcome])
-
-
-def statevector(circuit: QuantumCircuit, cap: int = SIMULATION_QUBIT_CAP) -> np.ndarray:
-    """Final amplitudes over all declared qubits; bit b of an index is qubit b.
-
-    Only defined for measurement-free circuits.
-    """
-    if any(g.kind == MEASURE for g in circuit.gates):
-        raise SimulationError("statevector is only defined for measurement-free circuits")
-    if circuit.num_qubits > cap:
-        raise SimulationError(f"{circuit.num_qubits} qubits exceed the simulation cap of {cap}")
-    n = circuit.num_qubits
-    axis_of = {q: q + 1 for q in range(n)}
-    state = np.zeros((1,) + (2,) * n, dtype=complex)
-    state.flat[0] = 1.0
-    for g in circuit.gates:
-        if g.kind != BARRIER:
-            state = _apply(state, g, axis_of)
-    # axis q + 1 carries qubit q; little-endian flat order wants qubit 0 last
-    return np.transpose(state[0], axes=tuple(reversed(range(n)))).reshape(-1)
 
 
 def total_variation(p: dict[str, float], q: dict[str, float]) -> float:

@@ -4,6 +4,7 @@ import pytest
 
 from qmpc.circuits import (
     MAX_PARAM_NESTING,
+    MAX_REGISTER_SIZE,
     Gate,
     QuantumCircuit,
     build_dag,
@@ -103,6 +104,30 @@ def test_parameter_nested_too_deeply_rejected_with_position(param):
 def test_parameter_nested_to_the_limit_parses_as_before(param):
     text = f"qreg q[1];\nrz({param}) q[0];"
     assert parse_qasm(text).gates == tuple(reference_parse_program(text, allow_multiple_cregs=False)[2])
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        (f"qreg q[{MAX_REGISTER_SIZE + 1}]; h q;", 8),
+        ("qreg q[2];\ncreg c[3000000];", 8),
+        ("qreg  q[400000]; h q;", 9),
+        ("qreg q[" + "1" * 5000 + "];", 8),  # more digits than int() converts
+        ("qreg q[" + "0" * 5000 + "1];\ncreg c[" + "9" * 5000 + "];", 8),
+    ],
+    ids=["qreg-one-over", "creg-3000000", "qreg-400000-broadcast", "qreg-5000-digits", "creg-5000-digits"],
+)
+def test_register_over_the_size_cap_rejected_at_its_size(text, col):
+    # checked at the declaration, before a broadcast builds a gate per qubit
+    # or a manifest lists a bit per clbit
+    with pytest.raises(QasmError, match=f"exceeds the limit of {MAX_REGISTER_SIZE}") as err:
+        parse_merged_qasm(text)
+    assert (err.value.line, err.value.col) == (text.count("\n") + 1, col)
+
+
+def test_registers_at_the_size_cap_parse():
+    c = parse_qasm(f"qreg q[{MAX_REGISTER_SIZE}]; creg c[{MAX_REGISTER_SIZE}]; h q; measure q -> c;")
+    assert (c.num_qubits, c.num_clbits, len(c.gates)) == (MAX_REGISTER_SIZE, MAX_REGISTER_SIZE, 2 * MAX_REGISTER_SIZE)
 
 
 def test_index_out_of_range():

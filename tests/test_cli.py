@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 import qmpc
+from qmpc.circuits import MAX_REGISTER_SIZE
 from qmpc.cli import main
 from qmpc.config import _ALPHA_SUM_MAX
 from qmpc.errors import ConfigError
 from qmpc.hardware import build_hardware
 from qmpc.manager import plan_all
 from qmpc.pipeline import CompileResult, RunConfig, compile_workloads
-from qmpc.presets import line_topology, synthetic_calibration, topology, uniform_calibration
+from qmpc.presets import line_topology, star_topology, synthetic_calibration, topology, uniform_calibration
 
 from helpers import random_circuit
 
@@ -352,6 +353,46 @@ def test_deeply_nested_parameter_is_user_error(device_files, capsys, param):
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "parameter nested too deeply" in err[0], err
+
+
+def _one_error_line(capsys, *words):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and all(w in err[0] for w in words), err
+
+
+SIX_QUBITS = "qreg q[6]; creg c[6]; h q[0]; cx q[0],q[1]; cx q[0],q[2]; cx q[3],q[4]; cx q[4],q[5]; measure q -> c;\n"
+
+
+def test_dense_device_under_gsp_is_user_error(tmp_path, capsys):
+    # the exhaustive search would grow every connected 6-qubit region of a
+    # 65-qubit star, C(64, 5) of them; it stops at its budget, and qhsp compiles
+    topo = star_topology(65)
+    (tmp_path / "topology.json").write_text(json.dumps(topo))
+    (tmp_path / "calibration.json").write_text(json.dumps(uniform_calibration(topo)))
+    (tmp_path / "six.qasm").write_text(SIX_QUBITS)
+    argv = [
+        "compile", "--topology", str(tmp_path / "topology.json"), "--calibration", str(tmp_path / "calibration.json"),
+        "--seed", "1", "--out-dir", str(tmp_path / "out"), str(tmp_path / "six.qasm"),
+    ]
+    assert main([*argv, "--method", "gsp"]) == 1
+    _one_error_line(capsys, "65-qubit device", "qhsp")
+    assert main(argv) == 0
+
+
+def test_device_over_the_size_cap_is_user_error(device_files, capsys):
+    topo = line_topology(MAX_REGISTER_SIZE + 1)
+    (device_files / "topology.json").write_text(json.dumps(topo))
+    (device_files / "calibration.json").write_text(json.dumps(uniform_calibration(topo)))
+    assert main(_compile_args(device_files)) == 1
+    _one_error_line(capsys, f"1 to {MAX_REGISTER_SIZE} qubits, got {MAX_REGISTER_SIZE + 1}")
+
+
+@pytest.mark.parametrize("declaration", ["qreg q[400000]; h q;", "qreg q[2]; creg c[3000000]; measure q[0] -> c[0];"])
+def test_register_over_the_size_cap_is_user_error(device_files, capsys, declaration):
+    # a 3,000,000-bit creg used to compile and write a 44 MB manifest
+    (device_files / "bell.qasm").write_text(declaration)
+    assert main(_compile_args(device_files)) == 1
+    _one_error_line(capsys, "line 1", "exceeds the limit of 2048")
 
 
 def test_huge_alphas_route_as_the_defaults(guadalupe):

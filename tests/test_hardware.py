@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from qmpc.errors import CalibrationError, CrosstalkError, DisconnectedGraphError
+from qmpc.circuits import MAX_REGISTER_SIZE
+from qmpc.errors import CalibrationError, CrosstalkError, DisconnectedGraphError, HardwareError
 from qmpc.hardware import (
     build_crosstalk,
     build_hardware,
@@ -43,17 +44,30 @@ def test_isolated_qubit_rejected():
 @pytest.mark.parametrize(
     "edges, message",
     [
-        ([], "4000 components [[0], [1], [2], [3], [4], [5], [6], [7], [8], [9], ...]"),
-        ([[q, q + 1] for q in range(3998)], "2 components [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...], [3999]]"),
+        ([], "2000 components [[0], [1], [2], [3], [4], [5], [6], [7], [8], [9], ...]"),
+        ([[q, q + 1] for q in range(1998)], "2 components [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...], [1999]]"),
     ],
 )
 def test_large_disconnected_device_gets_a_short_message(edges, message):
     # the components are labelled in one pass, and the message gives their
     # count and lists the first ten, with at most ten qubits each
-    n = 4000
+    n = 2000
     with pytest.raises(DisconnectedGraphError) as info:
         build_hardware({"num_qubits": n, "edges": edges}, {"readout_errors": [0.01] * n})
     assert str(info.value) == f"coupling graph is disconnected: {message}"
+
+
+@pytest.mark.parametrize("n", [0, MAX_REGISTER_SIZE + 1, 10**12])
+def test_device_size_outside_the_cap_is_rejected(n):
+    # checked before anything per qubit is built, so 10**12 qubits fail at
+    # once instead of laying out an adjacency entry per qubit
+    with pytest.raises(HardwareError, match=f"1 to {MAX_REGISTER_SIZE} qubits, got {n}"):
+        build_hardware({"num_qubits": n, "edges": []}, {"readout_errors": []})
+
+
+def test_device_at_the_size_cap_builds():
+    topo = line_topology(MAX_REGISTER_SIZE)
+    assert build_hardware(topo, uniform_calibration(topo)).num_qubits == MAX_REGISTER_SIZE
 
 
 def test_disconnected_components_listed_by_smallest_qubit():

@@ -135,6 +135,30 @@ def test_connected_subsets_match_brute_force(guadalupe):
     assert got == connected_subsets_brute(guadalupe.num_qubits, edges, free, 3)
 
 
+# toronto grows 27 + 28 + 37 + 48 + 68 + 96 + 143 + 214 connected subsets of 1 to 8 qubits
+TORONTO_GROWN_TO_8 = 661
+
+
+def test_region_budget_boundary(toronto, monkeypatch):
+    free = set(range(toronto.num_qubits))
+    monkeypatch.setattr(partition, "REGION_BUDGET", TORONTO_GROWN_TO_8)
+    assert len(connected_k_subsets(toronto, free, 8)) == 214
+    monkeypatch.setattr(partition, "REGION_BUDGET", TORONTO_GROWN_TO_8 - 1)
+    with pytest.raises(PartitionSizeError, match="27-qubit device .* 660 connected regions of up to 8 qubits; .* qhsp"):
+        connected_k_subsets(toronto, free, 8)
+
+
+def test_dense_device_exhausts_the_region_budget():
+    # a 65-qubit star holds C(64, 5) connected 6-qubit regions; growing them
+    # stops at the budget instead of running for seconds, and 8 qubits,
+    # C(64, 7) of them, would never end
+    topo = star_topology(65)
+    model = build_hardware(topo, uniform_calibration(topo))
+    with pytest.raises(PartitionSizeError, match="65-qubit device .* qhsp"):
+        gsp_partition(model, cx_circuit("c", 6, chain(6)), set())
+    assert 6 not in model._region_tables
+
+
 # --- fidelity degree and starting points ------------------------------------------
 
 

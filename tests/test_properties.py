@@ -781,7 +781,7 @@ def test_bounded_placement_and_interleaved_routes_match_reference_router(case):
     routes, specs = [], []
     for circuit, part in jobs:
         dag = build_dag(circuit)
-        l2p, route = initial_mapping(model, dist, part, circuit, dag, np.random.default_rng(seed), config)
+        l2p, route = initial_mapping(model, dist, part, circuit, np.random.default_rng(seed), config)
         want = reference_placement(
             model, combined, part, circuit, dag, np.random.default_rng(seed), attempts=config.attempts, **route_kw
         )
@@ -905,6 +905,17 @@ WEIGHT_COST_OVERFLOW = (*ALPHA_OVERFLOW[:3], ["--attempts", "1", "--weight-w", "
 LAMBDA_OVERFLOW = (*ALPHA_OVERFLOW[:3], ["--attempts", "1", "--lambda", "1e308", "--seed", "1"])
 
 
+# a dense device under the exhaustive search: a 6-qubit circuit on a 65-qubit
+# star would grow C(64, 5) connected regions, and exits 1 at the region budget
+STAR = presets.star_topology(65)
+DENSE_GSP = (
+    "compile",
+    {"topology.json": STAR, "calibration.json": presets.uniform_calibration(STAR)},
+    ["qreg q[6]; creg c[6]; h q[0]; cx q[0],q[1]; cx q[0],q[2]; cx q[3],q[4]; cx q[4],q[5]; measure q -> c;"],
+    ["--method", "gsp", "--seed", "1"],
+)
+
+
 def _mistyped(path, value):
     """ALPHA_OVERFLOW's device and programs at default flags, with the field
     at ``path`` (file name first) replaced by ``value``."""
@@ -920,6 +931,7 @@ def _mistyped(path, value):
 @example(ALPHA_COST_OVERFLOW)
 @example(WEIGHT_COST_OVERFLOW)
 @example(LAMBDA_OVERFLOW)
+@example(DENSE_GSP)
 # mistyped device fields that used to exit 2 as internal errors, or were truncated
 @example(_mistyped(["topology.json", "num_qubits"], "x"))
 @example(_mistyped(["topology.json", "num_qubits"], 3.7))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmpc.circuits import CX, Gate, QuantumCircuit, build_dag, parse_merged_qasm, parse_qasm
+from qmpc.circuits import CX, Gate, QuantumCircuit, parse_merged_qasm, parse_qasm
 from qmpc.errors import RoutingError
 from qmpc.hardware import build_hardware, distance_matrices
 from qmpc.partition import Partition
@@ -38,12 +38,12 @@ def tables(model, circuit, qubits):
 
 def route_single(model, circuit, l2p, config=RunConfig(), **kw):
     D = distance_matrices(model)
-    return mapping_transition(tables(model, circuit, sorted(l2p)), D, build_dag(circuit), list(l2p), config, **kw)
+    return mapping_transition(tables(model, circuit, sorted(l2p)), D, list(l2p), config, **kw)
 
 
 def route_solo(model, D, specs):
     """Each circuit routed alone from its placement, with default settings."""
-    return [mapping_transition(_Tables(model, c, part), D, dag, l2p, RunConfig()) for c, dag, part, l2p in specs]
+    return [mapping_transition(_Tables(model, c, part), D, l2p, RunConfig()) for c, part, l2p in specs]
 
 
 def emitted(routes, model):
@@ -59,7 +59,7 @@ def test_initial_mapping_trivial_two_qubits():
     model = line_model(2)
     circuit = QuantumCircuit("c", 2, 0, (Gate(CX, (0, 1)),))
     D = distance_matrices(model)
-    l2p, _ = initial_mapping(model, D, make_part("c", [0, 1]), circuit, build_dag(circuit), np.random.default_rng(0))
+    l2p, _ = initial_mapping(model, D, make_part("c", [0, 1]), circuit, np.random.default_rng(0))
     route = route_single(model, circuit, l2p)
     assert route.additional_cnots == 0
 
@@ -69,17 +69,16 @@ def test_initial_mapping_finds_zero_insertion_layout():
     # exhaustive check over all 6 bijections confirms such layouts exist
     model = line_model(3)
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 1)), Gate(CX, (1, 2))))
-    dag = build_dag(circuit)
     D = distance_matrices(model)
     from itertools import permutations
 
     zero_layouts = []
     for perm in permutations([0, 1, 2]):
-        route = mapping_transition(tables(model, circuit, [0, 1, 2]), D, dag, list(perm), RunConfig())
+        route = mapping_transition(tables(model, circuit, [0, 1, 2]), D, list(perm), RunConfig())
         if route.additional_cnots == 0:
             zero_layouts.append(perm)
     assert zero_layouts  # oracle: some bijection needs no insertions
-    l2p, _ = initial_mapping(model, D, make_part("c", [0, 1, 2]), circuit, dag, np.random.default_rng(1))
+    l2p, _ = initial_mapping(model, D, make_part("c", [0, 1, 2]), circuit, np.random.default_rng(1))
     assert l2p[1] == 1
     assert tuple(l2p) in zero_layouts
 
@@ -90,7 +89,7 @@ def test_initial_mapping_deterministic_under_seed():
     D = distance_matrices(model)
     part = make_part("c", [0, 1, 2, 3])
     runs = [
-        initial_mapping(model, D, part, circuit, build_dag(circuit), np.random.default_rng(42))[0]
+        initial_mapping(model, D, part, circuit, np.random.default_rng(42))[0]
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -100,7 +99,7 @@ def test_initial_mapping_deterministic_under_seed():
 
 
 def _job_for(model, circuit, l2p, partition):
-    return _Job(tables(model, circuit, partition), build_dag(circuit), l2p)
+    return _Job(tables(model, circuit, partition), l2p)
 
 
 def test_candidates_distance_two():
@@ -261,9 +260,8 @@ def test_accounting_identity_on_random_circuits(circuit_factory, guadalupe):
         from qmpc.partition import qhsp_partition
 
         part = qhsp_partition(guadalupe, circuit, set())[0]
-        dag = build_dag(circuit)
-        l2p, _ = initial_mapping(guadalupe, D, part, circuit, dag, np.random.default_rng(trial))
-        route = mapping_transition(_Tables(guadalupe, circuit, part), D, dag, l2p, RunConfig())
+        l2p, _ = initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(trial))
+        route = mapping_transition(_Tables(guadalupe, circuit, part), D, l2p, RunConfig())
         emitted_cx = sum(1 for g in emitted([route], guadalupe) if g.kind == CX)
         assert emitted_cx == circuit.cnot_count + route.additional_cnots
         assert route.additional_cnots == 3 * (route.swaps + route.bridges)
@@ -301,7 +299,7 @@ def test_extended_layer_matches_a_naive_scan_at_every_routing_step(monkeypatch, 
         part = qhsp_partition(guadalupe, circuit, set())[0]
         for size in (1, 3, 20):
             config = RunConfig(attempts=3, ext_layer=size)
-            initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(trial), config)
+            initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(trial), config)
     assert len(checked) > 100
 
 
@@ -323,11 +321,11 @@ def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory
     circuit = circuit_factory(np.random.default_rng(5), "c", n_qubits=6, max_gates=60)
     part = qhsp_partition(guadalupe, circuit, set())[0]
     D = distance_matrices(guadalupe)
-    l2p, best = initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(0))
+    l2p, best = initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(0))
     assert len(trials) == 10
     assert any(t.aborted for t in trials)
     assert not best.aborted and best in trials
-    alone = route(_Tables(guadalupe, circuit, part), D, build_dag(circuit), l2p, RunConfig())
+    alone = route(_Tables(guadalupe, circuit, part), D, l2p, RunConfig())
     assert (alone.records, alone.round_ends) == (best.records, best.round_ends)
     assert alone.additional_cnots == best.additional_cnots
 
@@ -364,7 +362,7 @@ def test_placement_trials_build_no_gates(monkeypatch, circuit_factory, guadalupe
     circuit = circuit_factory(np.random.default_rng(5), "c", n_qubits=6, max_gates=60)
     part = qhsp_partition(guadalupe, circuit, set())[0]
     D = distance_matrices(guadalupe)
-    _, best = initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(0))
+    _, best = initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(0))
     assert len(trials) == 10 and any(t.aborted for t in trials)
     assert built == []
     gates = emitted([best], guadalupe)
@@ -381,6 +379,37 @@ def test_compile_builds_gates_only_for_the_merged_circuits(monkeypatch, circuit_
     assert len(built) == 2 * sum(len(compiled.merged.gates) for compiled in result.plans)
 
 
+def test_compile_builds_one_dag_per_compiled_circuit(monkeypatch, circuit_factory, guadalupe):
+    # the router builds each circuit's DAG once and shares it with every
+    # placement trial
+    import qmpc.scheduler as sched_mod
+
+    built = []
+    build = sched_mod.build_dag
+
+    def counted(circuit):
+        built.append(circuit.id)
+        return build(circuit)
+
+    monkeypatch.setattr(sched_mod, "build_dag", counted)
+    rng = np.random.default_rng(8)
+    circuits = [circuit_factory(rng, f"c{i}", n_qubits=n, max_gates=40) for i, n in enumerate((5, 4, 3, 2))]
+    result = compile_workloads(guadalupe, circuits, RunConfig(seed=2))
+    assert sorted(built) == sorted(c.id for compiled in result.plans for c in compiled.circuits)
+    assert len(built) == len(circuits)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 + 5])
+def test_derived_placement_seed_is_the_spawned_child(seed):
+    # compile_plan seeds circuit j of plan i with SeedSequence(seed,
+    # spawn_key=(i, j)), which is the child spawning per plan, then per
+    # circuit, gives
+    for i, plan in enumerate(np.random.SeedSequence(seed).spawn(4)):
+        for j, child in enumerate(plan.spawn(3)):
+            derived = np.random.SeedSequence(seed, spawn_key=(i, j))
+            assert derived.generate_state(4).tolist() == child.generate_state(4).tolist()
+
+
 def test_partition_tables_are_not_kept_on_the_model(circuit_factory, guadalupe):
     from qmpc.partition import qhsp_partition
 
@@ -391,7 +420,7 @@ def test_partition_tables_are_not_kept_on_the_model(circuit_factory, guadalupe):
     circuit = circuit_factory(np.random.default_rng(3), "c", n_qubits=5, max_gates=40)
     part = qhsp_partition(guadalupe, circuit, set())[0]
     before = snapshot(guadalupe)
-    initial_mapping(guadalupe, D, part, circuit, build_dag(circuit), np.random.default_rng(0))
+    initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(0))
     assert snapshot(guadalupe) == before
 
 
@@ -414,10 +443,9 @@ def test_iteration_guard_surfaces_routing_bugs(monkeypatch):
     monkeypatch.setattr(sched_mod, "_emit_ready", lambda job, records: None)
     model = line_model(3)
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 2)),))
-    dag = build_dag(circuit)
     D = distance_matrices(model)
     with pytest.raises(RoutingError, match="terminate"):
-        sched_mod.mapping_transition(tables(model, circuit, [0, 1, 2]), D, dag, [0, 1, 2], RunConfig(swap_only=True))
+        sched_mod.mapping_transition(tables(model, circuit, [0, 1, 2]), D, [0, 1, 2], RunConfig(swap_only=True))
 
 
 def test_stall_fallback_recovers_from_adversarial_costs():
@@ -425,12 +453,11 @@ def test_stall_fallback_recovers_from_adversarial_costs():
     # must finish the route and keep the accounting identity intact
     model = line_model(6)
     circuit = QuantumCircuit("c", 6, 0, (Gate(CX, (0, 5)),))
-    dag = build_dag(circuit)
     hostile = np.full((6, 6), 500.0)
     np.fill_diagonal(hostile, 0.0)
     for a, b in ((0, 1), (4, 5)):
         hostile[a, b] = hostile[b, a] = -1000.0
-    route = mapping_transition(tables(model, circuit, range(6)), hostile.tolist(), dag, list(range(6)), RunConfig())
+    route = mapping_transition(tables(model, circuit, range(6)), hostile.tolist(), list(range(6)), RunConfig())
     emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
     assert emitted_cx == 1 + route.additional_cnots
 
@@ -440,9 +467,8 @@ def test_forced_route_counts_swaps_once():
     # three shortest-path swaps, each counted exactly once
     model = line_model(5)
     circuit = QuantumCircuit("c", 5, 0, (Gate(CX, (0, 4)),))
-    dag = build_dag(circuit)
     D = distance_matrices(model)
-    route = mapping_transition(tables(model, circuit, range(5)), D, dag, list(range(5)), RunConfig(), stall_limit=0)
+    route = mapping_transition(tables(model, circuit, range(5)), D, list(range(5)), RunConfig(), stall_limit=0)
     assert route.swaps == 3
     emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
     assert emitted_cx == 1 + route.additional_cnots == 10
@@ -459,8 +485,7 @@ def test_immediate_swap_revert_is_banned():
     model = build_hardware(topo, cal)
     D = distance_matrices(model)
     circuit = QuantumCircuit("c", 4, 0, (Gate(CX, (1, 3)),))
-    dag = build_dag(circuit)
-    route = mapping_transition(tables(model, circuit, [0, 1, 2, 3]), D, dag, [0, 1, 2, 3], RunConfig())
+    route = mapping_transition(tables(model, circuit, [0, 1, 2, 3]), D, [0, 1, 2, 3], RunConfig())
     emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
     assert emitted_cx == 1 + route.additional_cnots
 
@@ -472,7 +497,7 @@ def test_two_independent_circuits_match_solo_compilations():
     D = distance_matrices(model)
     p1, m1 = make_part("one", [0, 1, 2]), [0, 1, 2]
     p2, m2 = make_part("two", [4, 5, 6]), [5, 4, 6]
-    solo1, solo2 = route_solo(model, D, [(c1, build_dag(c1), p1, m1), (c2, build_dag(c2), p2, m2)])
+    solo1, solo2 = route_solo(model, D, [(c1, p1, m1), (c2, p2, m2)])
     joint = emitted([solo1, solo2], model)
     in_region = lambda region: [g for g in joint if set(g.qubits) <= set(region.qubits)]
     assert in_region(p1) == list(emitted([solo1], model))
@@ -490,8 +515,8 @@ def test_partition_confinement():
     part1, part2 = {0, 1, 2}, {4, 5, 6}
     routes = route_solo(
         model, D,
-        [(c1, build_dag(c1), make_part("one", sorted(part1)), [0, 2, 1]),
-         (c2, build_dag(c2), make_part("two", sorted(part2)), [4, 6, 5])],
+        [(c1, make_part("one", sorted(part1)), [0, 2, 1]),
+         (c2, make_part("two", sorted(part2)), [4, 6, 5])],
     )
     owner = {"one": part1, "two": part2}
     merged, manifest = merged_circuit(routes, model)
@@ -526,8 +551,8 @@ def test_merged_two_circuits_have_two_cregs(bell):
     D = distance_matrices(model)
     routes = route_solo(
         model, D,
-        [(bell, build_dag(bell), make_part("bell", [0, 1]), [0, 1]),
-         (other, build_dag(other), make_part("other", [3, 4]), [3, 4])],
+        [(bell, make_part("bell", [0, 1]), [0, 1]),
+         (other, make_part("other", [3, 4]), [3, 4])],
     )
     text, manifest = emit_merged_qasm(routes, model)
     assert text.count("creg") == 2
