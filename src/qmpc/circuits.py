@@ -233,7 +233,7 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
 
     # parameter expressions: + - * / with parentheses, numbers and pi,
     # evaluated left to right; each returns its value and the next index, and
-    # ``depth`` counts the signs and parentheses around the current factor
+    # ``depth`` counts the signs and parentheses around the current operand
     def expr(i: int, depth: int = 0) -> tuple[float, int]:
         value, i = term(i, depth)
         while (op := toks[i]) == "+" or op == "-":
@@ -242,23 +242,23 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
         return value, i
 
     def term(i: int, depth: int) -> tuple[float, int]:
-        value, i = factor(i, depth)
+        value, i = operand(i, depth)
         while (op := toks[i]) == "*" or op == "/":
-            rhs, j = factor(i + 1, depth)
+            rhs, j = operand(i + 1, depth)
             if op == "/" and rhs == 0:
                 fail(i, "division by zero in parameter")
             value, i = (value * rhs if op == "*" else value / rhs), j
         return value, i
 
-    def factor(i: int, depth: int) -> tuple[float, int]:
+    def operand(i: int, depth: int) -> tuple[float, int]:
         if depth > MAX_PARAM_NESTING:
             fail(i, "parameter nested too deeply")
         tok = toks[i]
         if tok == "-":
-            value, i = factor(i + 1, depth + 1)
+            value, i = operand(i + 1, depth + 1)
             return -value, i
         if tok == "+":
-            return factor(i + 1, depth + 1)
+            return operand(i + 1, depth + 1)
         if tok == "(":
             value, i = expr(i + 1, depth + 1)
             if toks[i] != ")":
@@ -275,6 +275,13 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
     creg_offsets: dict[str, int] = {}
     gates: list[Gate] = []
 
+    def bounded(k: int, what: str) -> int:
+        """The decimal literal at token ``k``, at most ``MAX_REGISTER_SIZE``."""
+        value = float(toks[k])  # int() refuses more than 4,300 digits
+        if value > MAX_REGISTER_SIZE:
+            fail(k, f"{what} {toks[k]} exceeds the limit of {MAX_REGISTER_SIZE}")
+        return int(value)
+
     def ref(i: int, quantum: bool) -> tuple[int | None, int]:
         """``name`` or ``name[index]`` at token ``i``: the index (None for
         the whole register) and the index of the token after it."""
@@ -284,7 +291,7 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
         if toks[j] == "[":
             if not toks[j + 1].isdecimal():
                 expected(j + 1, "index")
-            idx = int(toks[j + 1])
+            idx = bounded(j + 1, "index")
             if toks[j + 2] != "]":
                 expected(j + 2, "']'")
             j += 3
@@ -380,10 +387,7 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
                 expected(i + 4, "']'")
             if toks[i + 5] != ";":
                 expected(i + 5, "';'")
-            size = float(toks[i + 3])  # int() refuses more than 4,300 digits
-            if size > MAX_REGISTER_SIZE:
-                fail(i + 3, f"register size {toks[i + 3]} exceeds the limit of {MAX_REGISTER_SIZE}")
-            size = int(size)
+            size = bounded(i + 3, "register size")
             if tok == "qreg":
                 if qreg is not None:
                     fail(i, "multiple quantum registers are not supported", MultiRegisterError)

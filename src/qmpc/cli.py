@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .circuits import parse_merged_qasm, parse_qasm
 from .config import RunConfig
-from .errors import ConfigError, OutputDirError, QmpcError, read_text
+from .errors import ConfigError, OutputDirError, QmpcError, read_json, read_text
 from .hardware import extract_strong_crosstalk, load_crosstalk, load_hardware
 from .manager import plan_all
 from .pipeline import compile_workloads
@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     if not 1 <= args.cap <= SIMULATION_QUBIT_CAP_MAX:
         raise ConfigError(f"--cap must be in 1..{SIMULATION_QUBIT_CAP_MAX}, got {args.cap}")
     merged, _ = parse_merged_qasm(read_text(args.merged))
-    manifest = json.loads(read_text(args.manifest))
+    manifest = read_json(args.manifest)
     sources = _load_circuits(args.sources)
     report = check_equivalence(sources, merged, manifest, cap=args.cap)
     status = "PASS" if report.passed else "FAIL"
@@ -215,9 +215,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except QmpcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure, including routing bugs
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the reader every input file goes through.
+"""Exception hierarchy, and the readers every input file goes through.
 
 ``QmpcError`` covers everything a user can trigger with bad input; the CLI
 maps it to exit code 1.  ``RoutingError`` signals an internal scheduler bug
@@ -6,6 +6,7 @@ maps it to exit code 1.  ``RoutingError`` signals an internal scheduler bug
 """
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 
@@ -18,7 +19,7 @@ class ConfigError(QmpcError):
 
 
 class InputFileError(QmpcError):
-    """An input file that cannot be opened or is not UTF-8 text."""
+    """An input file that cannot be opened, is not UTF-8 text or is not decodable JSON."""
 
 
 def read_text(path: str | Path) -> str:
@@ -30,6 +31,15 @@ def read_text(path: str | Path) -> str:
         raise InputFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror or exc}") from None
+
+
+def read_json(path: str | Path):
+    """The JSON value in ``path``; ``InputFileError`` names the file when it
+    cannot be read, is not JSON or is too deep or long for ``json`` to decode."""
+    try:
+        return json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+        raise InputFileError(f"{path}: invalid JSON: {exc}") from None
 
 
 class OutputDirError(QmpcError):

@@ -1,14 +1,12 @@
 """Device model: coupling graph, calibration, conditional-error table, routing matrices.
 
-The routing matrices combine hop distance with the error cost of moving a
-state along the graph.  Both are normalized by their own maximum before the
-weighted sum so that equal weights compare like with like.  A matrix is a
-tuple of rows of Python floats, read one entry at a time as ``m[a][b]``.
+The router's distance matrix weighs hops against swap failure probability,
+each raw table divided by its maximum so that equal weights compare like
+with like.  A matrix is a tuple of rows of Python floats, read as ``m[a][b]``.
 """
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import numbers
 import reprlib
@@ -20,7 +18,8 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .circuits import MAX_REGISTER_SIZE
-from .errors import CalibrationError, CrosstalkError, DisconnectedGraphError, HardwareError, read_text
+from .config import RunConfig
+from .errors import CalibrationError, CrosstalkError, DisconnectedGraphError, HardwareError, read_json
 
 Edge = tuple[int, int]
 Matrix = tuple[tuple[float, ...], ...]
@@ -196,9 +195,7 @@ def _error_rates(values, n: int, field: str, what: str) -> tuple[float, ...]:
 
 def load_hardware(topology_path: str | Path, calibration_path: str | Path) -> HardwareModel:
     """Load topology and calibration JSON files into a validated model."""
-    topology = json.loads(read_text(topology_path))
-    calibration = json.loads(read_text(calibration_path))
-    return build_hardware(topology, calibration)
+    return build_hardware(read_json(topology_path), read_json(calibration_path))
 
 
 # --- derived matrices --------------------------------------------------------
@@ -217,19 +214,14 @@ def hop_count_matrix(model: HardwareModel) -> Matrix:
     return tuple(tuple(float(h.get(dst, 0)) for dst in range(n)) for h in hops)
 
 
-def swap_distance_matrix(model: HardwareModel) -> Matrix:
-    """Hop-count matrix, scaled so the largest entry is 1."""
-    return _normalized(hop_count_matrix(model))
-
-
-def swap_error_matrix(model: HardwareModel, normalize: bool = True) -> Matrix:
+def swap_error_matrix(model: HardwareModel) -> Matrix:
     """Failure probability of the most reliable swap path between each pair.
 
     Moving a state across one edge costs three CNOTs, so an edge succeeds
     with probability (1 - E)^3; the matrix holds 1 minus the best achievable
-    path success product, scaled so the largest entry is 1.  Among equally
-    reliable paths, the first pushed wins: ties pop in push order, and only a
-    strictly shorter path replaces one (the order ``networkx`` follows).
+    path success product, unscaled.  Among equally reliable paths, the first
+    pushed wins: ties pop in push order, and only a strictly shorter path
+    replaces one (the order ``networkx`` follows).
     """
     n = model.num_qubits
     adjacency = model._adjacency
@@ -256,18 +248,17 @@ def swap_error_matrix(model: HardwareModel, normalize: bool = True) -> Matrix:
             if dst != src:
                 out[src][dst] = 1.0 - s
     # symmetric by construction; guard float drift
-    table = tuple(tuple(max(out[a][b], out[b][a]) for b in range(n)) for a in range(n))
-    return _normalized(table) if normalize else table
+    return tuple(tuple(max(out[a][b], out[b][a]) for b in range(n)) for a in range(n))
 
 
-def distance_matrices(model: HardwareModel, alpha1: float = 0.5, alpha2: float = 0.5) -> Matrix:
-    """The router's distance matrix, ``alpha1 * swap distance + alpha2 *
-    swap error`` entry by entry, built once per ``(alpha1, alpha2)`` and kept
-    on the model."""
+def distance_matrices(model: HardwareModel, alpha1=RunConfig.alpha1, alpha2=RunConfig.alpha2) -> Matrix:
+    """The router's distance matrix, ``alpha1 * hops + alpha2 * swap error``
+    entry by entry, each table scaled so that its largest entry is 1; built
+    once per ``(alpha1, alpha2)`` and kept on the model."""
     cache = model._distance_matrices
     if (alpha1, alpha2) not in cache:
         a1, a2 = float(alpha1), float(alpha2)  # float64 products, whatever real type the weights have
-        s, e = swap_distance_matrix(model), swap_error_matrix(model)
+        s, e = _normalized(hop_count_matrix(model)), _normalized(swap_error_matrix(model))
         cache[(alpha1, alpha2)] = tuple(
             tuple(a1 * x + a2 * y for x, y in zip(s_row, e_row)) for s_row, e_row in zip(s, e)
         )
@@ -363,15 +354,19 @@ def build_crosstalk(pairs: list[dict], model: HardwareModel) -> CrosstalkTable:
 
 
 def load_crosstalk(path: str | Path, model: HardwareModel) -> CrosstalkTable:
-    data = json.loads(read_text(path))
+    data = read_json(path)
     pairs = data.get("pairs", []) if isinstance(data, dict) else None
     if not isinstance(pairs, list):
         raise CrosstalkError(f"{path}: expected a JSON object with a list of \"pairs\"")
     return build_crosstalk(pairs, model)
 
 
-def extract_strong_crosstalk(table: CrosstalkTable, model: HardwareModel, factor: float = 3.0) -> CrosstalkTable:
-    """Keep only pairs whose conditional error exceeds ``factor`` times the solo error.
+STRONG_CROSSTALK_FACTOR = 3.0
+
+
+def extract_strong_crosstalk(table: CrosstalkTable, model: HardwareModel) -> CrosstalkTable:
+    """Keep only pairs whose conditional error exceeds ``STRONG_CROSSTALK_FACTOR``
+    times the solo error, the paper's rule for pairs measured by SRB.
 
     Direction matters: one direction of a pair can survive while the other is
     dropped.  Applying the filter twice changes nothing.
@@ -380,6 +375,6 @@ def extract_strong_crosstalk(table: CrosstalkTable, model: HardwareModel, factor
     for (gate, cond), err in table.entries.items():
         if gate not in model.cnot_error:
             raise CrosstalkError(f"crosstalk entry references non-edge {gate}")
-        if err > factor * model.cnot_error[gate]:
+        if err > STRONG_CROSSTALK_FACTOR * model.cnot_error[gate]:
             kept[(gate, cond)] = err
     return CrosstalkTable(kept)

@@ -77,21 +77,16 @@ def topology(name: str) -> dict:
     return {"num_qubits": n, "edges": [list(e) for e in edges]}
 
 
-def synthetic_calibration(
-    topo: dict,
-    seed: int = 0,
-    cnot_range: tuple[float, float] = (0.005, 0.03),
-    readout_range: tuple[float, float] = (0.01, 0.08),
-    single_range: tuple[float, float] = (2e-4, 1.5e-3),
-) -> dict:
-    """Calibration snapshot with errors drawn uniformly from realistic ranges."""
+def synthetic_calibration(topo: dict, seed: int = 0) -> dict:
+    """Calibration snapshot with errors drawn uniformly from realistic ranges:
+    CNOT [0.005, 0.03), readout [0.01, 0.08), single-qubit [2e-4, 1.5e-3)."""
     rng = np.random.default_rng(seed)
     n = topo["num_qubits"]
-    cnot = [[int(i), int(j), float(rng.uniform(*cnot_range))] for i, j in topo["edges"]]
+    cnot = [[int(i), int(j), float(rng.uniform(0.005, 0.03))] for i, j in topo["edges"]]
     return {
         "cnot_errors": cnot,
-        "readout_errors": [float(rng.uniform(*readout_range)) for _ in range(n)],
-        "single_qubit_errors": [float(rng.uniform(*single_range)) for _ in range(n)],
+        "readout_errors": [float(rng.uniform(0.01, 0.08)) for _ in range(n)],
+        "single_qubit_errors": [float(rng.uniform(2e-4, 1.5e-3)) for _ in range(n)],
     }
 
 

@@ -419,7 +419,6 @@ def mapping_transition(
     dist,
     l2p: list[int],
     config: RunConfig,
-    stall_limit: int | None = None,
     max_inserted: int | None = None,
 ) -> Route:
     """Route the circuit of ``tables`` inside its partition from the
@@ -428,19 +427,18 @@ def mapping_transition(
     Each round emits whatever is executable, then inserts at most one repair
     gate if the circuit is still blocked.  A circuit that keeps inserting
     swaps without emitting anything falls back to deterministic
-    shortest-path routing after ``stall_limit`` insertions (default: scales
-    with its partition size).  An iteration cap of ten times the gate count
-    remains as the guard against a non-terminating selection loop, which
-    would be a bug rather than an input problem.  A circuit that has
-    inserted more than ``max_inserted`` CNOTs stops early and the route
-    comes back ``aborted``.  ``dist`` is the ``hardware.distance_matrices``
-    table.
+    shortest-path routing after ``2 * partition size + 4`` insertions.  An
+    iteration cap of ten times the gate count remains as the guard against a
+    non-terminating selection loop, which would be a bug rather than an
+    input problem.  A circuit that has inserted more than ``max_inserted``
+    CNOTs stops early and the route comes back ``aborted``.  ``dist`` is the
+    ``hardware.distance_matrices`` table.
     """
     job = _Job(tables, l2p)
     cap = 10 * max(len(job.circuit.gates), 1)
     records: list[Record] = []
     round_ends: list[int] = []
-    limit = stall_limit if stall_limit is not None else 2 * len(job.partition) + 4
+    limit = 2 * len(job.partition) + 4
     aborted = False
     while not job.done:
         if max_inserted is not None and 3 * (job.swaps + job.bridges) > max_inserted:

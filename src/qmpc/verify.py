@@ -37,6 +37,7 @@ SIMULATION_QUBIT_CAP = 12
 # the largest cap `qmpc verify --cap` takes: 2**20 amplitudes (16 MB) per branch
 SIMULATION_QUBIT_CAP_MAX = 20
 _BRANCH_CAP = 4096
+EQUIVALENCE_TOLERANCE = 1e-9  # check_equivalence passes below this total variation distance
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -295,7 +296,6 @@ def check_equivalence(
     merged: QuantumCircuit,
     manifest: dict,
     cap: int = SIMULATION_QUBIT_CAP,
-    tol: float = 1e-9,
 ) -> EquivalenceReport:
     """Compare each source circuit's ideal distribution against the matching
     marginal of the merged circuit's distribution.
@@ -328,7 +328,7 @@ def check_equivalence(
         (want,) = marginals(src, [list(range(src.num_clbits))], cap=cap)
         per_circuit[src.id] = total_variation(dist, want)
     max_tv = max(per_circuit.values(), default=0.0)
-    return EquivalenceReport(max_tv < tol, max_tv, per_circuit)
+    return EquivalenceReport(max_tv < EQUIVALENCE_TOLERANCE, max_tv, per_circuit)
 
 
 def check_compliance(merged: QuantumCircuit, manifest: dict, plan: ExecutionPlan, model: HardwareModel) -> None:

@@ -84,7 +84,7 @@ def test_criterion_1_equivalence_suite(suite, request):
         by_id = {c.id: c for c in members}
         for compiled in result.plans:
             sources = [by_id[cid] for cid in compiled.plan.selected]
-            report = check_equivalence(sources, compiled.merged, compiled.manifest, tol=1e-9)
+            report = check_equivalence(sources, compiled.merged, compiled.manifest)
             worst = max(worst, report.max_tv)
             checked += 1
             assert report.passed, f"{label}: TV {report.max_tv:.3e}"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -135,6 +137,19 @@ def test_index_out_of_range():
         parse_qasm("qreg q[2]; h q[2];")
 
 
+def test_index_of_5000_digits_rejected_at_the_index():
+    # more digits than int() converts: this used to raise ValueError
+    literal = "1" * 5000
+    with pytest.raises(QasmError, match=f"index {literal} exceeds the limit of {MAX_REGISTER_SIZE}") as err:
+        parse_qasm(f"qreg q[2];\ncx q[0],q[{literal}];")
+    assert (err.value.line, err.value.col) == (2, 11)
+
+
+def test_index_with_5000_leading_zeros_parses():
+    circuit = parse_qasm("qreg q[2]; creg c[2]; measure q[" + "0" * 5000 + "1] -> c[" + "0" * 5000 + "];")
+    assert circuit.gates == (Gate("measure", (1,), clbit=0),)
+
+
 def test_cx_same_qubit_rejected():
     with pytest.raises(QasmError):
         parse_qasm("qreg q[2]; cx q[0],q[0];")
@@ -249,3 +264,38 @@ def test_round_trip_is_gate_identical(bell):
     assert again.gates == bell.gates
     assert again.num_qubits == bell.num_qubits
     assert again.num_clbits == bell.num_clbits
+
+
+# --- Gate values -----------------------------------------------------------------
+
+
+def test_gate_equality_and_hash_follow_the_fields():
+    a, b = Gate("rz", (1,), (0.5,)), Gate("rz", (1,), (0.5,))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Gate("rz", (1,), (0.25,)) and a != Gate("rz", (2,), (0.5,))
+    assert Gate("measure", (0,), clbit=0) != Gate("measure", (0,), clbit=1)
+    assert a != ("rz", (1,), (0.5,), None) and ("rz", (1,), (0.5,), None) != a
+
+
+def test_gate_fields_cannot_be_assigned_or_deleted():
+    gate = Gate("cx", (0, 1))
+    for field in ("kind", "qubits", "params", "clbit", "other"):
+        with pytest.raises(AttributeError):
+            setattr(gate, field, None)
+        with pytest.raises(AttributeError):
+            delattr(gate, field)
+    assert gate == Gate("cx", (0, 1))
+
+
+def test_gate_copies_and_repr():
+    gate = Gate("measure", (3,), clbit=2)
+    for twin in (pickle.loads(pickle.dumps(gate)), copy.copy(gate), copy.deepcopy(gate)):
+        assert type(twin) is Gate and twin == gate
+    assert repr(gate) == "Gate(kind='measure', qubits=(3,), params=(), clbit=2)"
+
+
+def test_gate_keyword_construction_and_cx_check():
+    gate = Gate(kind="u2", qubits=(0,), params=(0.1, 0.2))
+    assert (gate.kind, gate.qubits, gate.params, gate.clbit) == ("u2", (0,), (0.1, 0.2), None)
+    with pytest.raises(ValueError, match="two distinct qubits"):
+        Gate("cx", (1, 1))

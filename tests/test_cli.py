@@ -570,3 +570,30 @@ def test_crosstalk_that_is_not_an_object_is_user_error(device_files, capsys):
     (device_files / "crosstalk.json").write_text("[1, 2]")
     assert main(_compile_args(device_files, extra=("--crosstalk", str(device_files / "crosstalk.json")))) == 1
     assert "crosstalk.json" in capsys.readouterr().err
+
+
+# a JSON integer int() refuses, and an array nested deeper than json decodes;
+# both used to exit 2 as internal errors (ValueError and RecursionError)
+UNREADABLE_JSON = {"5000-digit-integer": "[" + "1" * 5000 + "]", "nested-100000-deep": "[" * 100_000}
+
+
+@pytest.mark.parametrize("name", ["topology.json", "calibration.json", "crosstalk.json", "manifest_0.json"])
+@pytest.mark.parametrize("text", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+def test_unreadable_json_input_is_user_error_naming_the_file(device_files, capsys, name, text):
+    (device_files / "crosstalk.json").write_text('{"pairs": []}')
+    argv = _compile_args(device_files, extra=("--crosstalk", str(device_files / "crosstalk.json")))
+    if name == "manifest_0.json":
+        assert main(argv) == 0
+        capsys.readouterr()
+        path, argv = device_files / "out" / name, _verify_args(device_files)
+    else:
+        path = device_files / name
+    path.write_text(text)
+    assert main(argv) == 1
+    _one_error_line(capsys, f"{path}: invalid JSON")
+
+
+def test_index_of_5000_digits_is_user_error(device_files, capsys):
+    (device_files / "bell.qasm").write_text("qreg q[2]; creg c[2]; h q[" + "1" * 5000 + "]; measure q -> c;")
+    assert main(_compile_args(device_files)) == 1
+    _one_error_line(capsys, "line 1, col 27: index 1111", "exceeds the limit of 2048")

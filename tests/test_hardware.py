@@ -12,7 +12,6 @@ from qmpc.hardware import (
     extract_strong_crosstalk,
     hop_count_matrix,
     subgraph_diameter,
-    swap_distance_matrix,
     swap_error_matrix,
 )
 from qmpc.presets import line_topology, synthetic_calibration, topology, uniform_calibration
@@ -145,7 +144,7 @@ def test_toronto_hops_match_bfs_oracle(toronto):
 
 
 def test_swap_distance_normalized(line5):
-    s = swap_distance_matrix(line5)
+    s = distance_matrices(line5, 1.0, 0.0)
     assert max(map(max, s)) == 1.0
     assert s[0][4] == 1.0 and s[0][1] == 0.25
 
@@ -158,7 +157,7 @@ def test_swap_error_single_edge():
         {"num_qubits": 2, "edges": [[0, 1]]},
         {"cnot_errors": [[0, 1, 0.01]], "readout_errors": [0.0, 0.0]},
     )
-    raw = swap_error_matrix(model, normalize=False)
+    raw = swap_error_matrix(model)
     assert raw[0][1] == pytest.approx(1 - 0.99**3, abs=1e-12)
 
 
@@ -166,7 +165,7 @@ def test_swap_error_zero_on_error_free_path():
     topo = line_topology(3)
     cal = {"cnot_errors": [[0, 1, 0.0], [1, 2, 0.0]], "readout_errors": [0.0] * 3}
     model = build_hardware(topo, cal)
-    raw = swap_error_matrix(model, normalize=False)
+    raw = swap_error_matrix(model)
     assert raw[0][2] == 0.0
 
 
@@ -176,7 +175,7 @@ def test_swap_error_diamond_matches_path_enumeration():
     topo = {"num_qubits": 4, "edges": [list(e) for e in edges]}
     cal = {"cnot_errors": [[a, b, e] for (a, b), e in errors.items()], "readout_errors": [0.0] * 4}
     model = build_hardware(topo, cal)
-    raw = swap_error_matrix(model, normalize=False)
+    raw = swap_error_matrix(model)
     for i in range(4):
         for j in range(4):
             if i != j:
@@ -185,7 +184,7 @@ def test_swap_error_diamond_matches_path_enumeration():
 
 def test_swap_error_beats_or_ties_hop_shortest_path(jakarta):
     # taking the most reliable path can only help vs. the hop-shortest one
-    raw = swap_error_matrix(jakarta, normalize=False)
+    raw = swap_error_matrix(jakarta)
     edges = list(jakarta.edges)
     errors = dict(jakarta.cnot_error)
     from oracles import all_simple_paths
@@ -204,20 +203,29 @@ def test_swap_error_beats_or_ties_hop_shortest_path(jakarta):
 # --- combined ------------------------------------------------------------------
 
 
+def _scaled(matrix):
+    """``matrix`` divided by its largest entry, as ``distance_matrices`` scales each table."""
+    peak = max(map(max, matrix))
+    return tuple(tuple(x / peak for x in row) for row in matrix)
+
+
 def test_combined_weighted_sum(line5):
-    e = swap_error_matrix(line5)
+    e = _scaled(swap_error_matrix(line5))
     d = distance_matrices(line5, 0.5, 0.5)
     assert d[0][4] == 1.0  # both matrices peak at the two ends of the line
     assert d[0][1] == 0.5 * 0.25 + 0.5 * e[0][1]
-    assert distance_matrices(line5, 1.0, 0.0) == swap_distance_matrix(line5)
+    assert distance_matrices(line5, 1.0, 0.0) == _scaled(hop_count_matrix(line5))
 
 
 def test_matrices_symmetric_zero_diagonal(guadalupe):
-    for mat in (swap_distance_matrix(guadalupe), swap_error_matrix(guadalupe)):
+    raw = (hop_count_matrix(guadalupe), swap_error_matrix(guadalupe))
+    scaled = (distance_matrices(guadalupe, 1.0, 0.0), distance_matrices(guadalupe, 0.0, 1.0))
+    for mat in (*raw, *scaled):
         mat = np.array(mat)
         assert np.allclose(mat, mat.T)
         assert np.all(np.diag(mat) == 0)
-        assert mat.max() == 1.0
+    assert [np.array(mat).max() for mat in scaled] == [1.0, 1.0]
+    assert np.array(raw[0]).max() > 1.0 > np.array(raw[1]).max()
 
 
 def test_distance_matrices_built_once_per_model_and_weights(guadalupe):
@@ -241,7 +249,7 @@ def test_distance_matrices_are_read_only(guadalupe):
 
 
 def test_distance_matrices_depend_on_weights(guadalupe):
-    s, e = swap_distance_matrix(guadalupe), swap_error_matrix(guadalupe)
+    s, e = _scaled(hop_count_matrix(guadalupe)), _scaled(swap_error_matrix(guadalupe))
     n = guadalupe.num_qubits
     for alpha1, alpha2 in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.3, 0.7), (2, -1.5)):
         table = distance_matrices(guadalupe, alpha1, alpha2)

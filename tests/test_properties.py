@@ -25,7 +25,6 @@ from qmpc.hardware import (
     hop_count_matrix,
     induced_edges,
     subgraph_diameter,
-    swap_distance_matrix,
     swap_error_matrix,
 )
 from qmpc.errors import DisconnectedGraphError, HardwareError, PartitionError, SimulationError
@@ -260,9 +259,9 @@ def test_density_identity(circuit):
 @settings(max_examples=25, **COMMON)
 @given(connected_device())
 def test_distance_matrices_symmetric_zero_diag_normalized(model):
-    s, e = np.array(swap_distance_matrix(model)), np.array(swap_error_matrix(model))
+    s, e = np.array(distance_matrices(model, 1.0, 0.0)), np.array(distance_matrices(model, 0.0, 1.0))
     combined = np.array(distance_matrices(model))
-    for m in (s, e, combined):
+    for m in (s, e, combined, np.array(hop_count_matrix(model)), np.array(swap_error_matrix(model))):
         assert np.allclose(m, m.T, atol=1e-12)
         assert np.all(np.diag(m) == 0)
     assert s.max() == 1.0
@@ -319,9 +318,10 @@ PUSH_ORDER_RING = build_hardware(
 @example(PUSH_ORDER_RING)
 def test_routing_matrices_match_networkx_bit_for_bit(model):
     assert np.array(hop_count_matrix(model)).tobytes() == hop_count_matrix_nx(model).tobytes()
-    for normalize in (True, False):
-        table = swap_error_matrix(model, normalize)
-        assert np.array(table).tobytes() == swap_error_matrix_nx(model, normalize).tobytes()
+    assert np.array(swap_error_matrix(model)).tobytes() == swap_error_matrix_nx(model, False).tobytes()
+    # scaled to a largest entry of 1 only inside the router's matrix
+    scaled = distance_matrices(model, 0.0, 1.0)
+    assert np.array(scaled).tobytes() == swap_error_matrix_nx(model, True).tobytes()
 
 
 @settings(max_examples=100, **COMMON)
@@ -925,6 +925,13 @@ def _mistyped(path, value):
     return "compile", files, ALPHA_OVERFLOW[2], ["--seed", "1"]
 
 
+def _unreadable(name, text):
+    """ALPHA_OVERFLOW's device and programs at default flags, and an empty
+    crosstalk table, with the file ``name`` holding ``text`` verbatim."""
+    files = {**ALPHA_OVERFLOW[1], "crosstalk.json": {"pairs": []}, name: text}
+    return "compile", files, ALPHA_OVERFLOW[2], ["--seed", "1"]
+
+
 @settings(max_examples=150, **COMMON)
 @given(cli_case())
 @example(ALPHA_OVERFLOW)
@@ -942,15 +949,23 @@ def _mistyped(path, value):
 @example(_mistyped(["calibration.json", "cnot_errors", 0, 2], "x"))
 @example(_mistyped(["calibration.json", "readout_errors"], 5))
 @example(_mistyped(["calibration.json", "readout_errors", 0], "x"))
+# JSON that json.loads cannot decode: an integer of more than 4,300 digits
+# (ValueError) and an array nested 100,000 deep (RecursionError)
+@example(_unreadable("topology.json", '{"num_qubits": ' + "1" * 5000 + ', "edges": []}'))
+@example(_unreadable("calibration.json", '{"readout_errors": [' + "1" * 5000 + "]}"))
+@example(_unreadable("crosstalk.json", '{"pairs": [' + "1" * 5000 + "]}"))
+@example(_unreadable("topology.json", "[" * 100_000))
 def test_cli_exits_0_or_1_with_one_error_line(case):
     command, files, programs, flags = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, content in files.items():
-            (tmp / name).write_text(json.dumps(content))
+        for name, content in files.items():  # a string is the file's text
+            (tmp / name).write_text(content if isinstance(content, str) else json.dumps(content))
         for i, text in enumerate(programs):
             (tmp / f"p{i}.qasm").write_text(text)
         argv = [command, "--topology", str(tmp / "topology.json"), "--calibration", str(tmp / "calibration.json")]
+        if "crosstalk.json" in files:
+            argv += ["--crosstalk", str(tmp / "crosstalk.json")]
         if command == "compile":
             argv += ["--out-dir", str(tmp / "out")]
         code, err = _run_cli([*argv, *flags, *(str(tmp / f"p{i}.qasm") for i in range(len(programs)))])

@@ -9,7 +9,10 @@ from qmpc.pipeline import RunConfig, compile_workloads
 from qmpc.scheduler import (
     BRIDGE,
     SWAP,
+    Route,
     TentativeGate,
+    _emit_ready,
+    _forced_path_route,
     _Job,
     _Tables,
     cost_h,
@@ -463,12 +466,16 @@ def test_stall_fallback_recovers_from_adversarial_costs():
 
 
 def test_forced_route_counts_swaps_once():
-    # trigger the fallback immediately (stall_limit=0) on a distance-4 gate:
-    # three shortest-path swaps, each counted exactly once
+    # the shortest-path fallback on a distance-4 gate, then the gate it
+    # unblocks: three swaps, each counted exactly once
     model = line_model(5)
     circuit = QuantumCircuit("c", 5, 0, (Gate(CX, (0, 4)),))
-    D = distance_matrices(model)
-    route = mapping_transition(tables(model, circuit, range(5)), D, list(range(5)), RunConfig(), stall_limit=0)
+    job = _Job(tables(model, circuit, range(5)), range(5))
+    records = []
+    _forced_path_route(job, records)
+    _emit_ready(job, records)
+    assert job.done
+    route = Route(circuit, records, [len(records)], job.swaps, job.bridges, job.l2p)
     assert route.swaps == 3
     emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
     assert emitted_cx == 1 + route.additional_cnots == 10
