@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import MultiRegisterError, QasmError, UnsupportedGateError
+from .errors import BRIEF, MultiRegisterError, QasmError, UnsupportedGateError, brief
 
 ONE_QUBIT_GATES = frozenset(
     {"id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "u1", "u2", "u3"}
@@ -229,7 +229,7 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
         raise cls(message, *(_position(source, k)[1:] if k >= 0 else (1, 1)))
 
     def expected(k: int, what: str):
-        fail(k, f"expected {what}, got {toks[k]!r}")
+        fail(k, f"expected {what}, got {BRIEF.repr(toks[k])}")
 
     # parameter expressions: + - * / with parentheses, numbers and pi,
     # evaluated left to right; each returns its value and the next index, and
@@ -268,7 +268,7 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
             return float(tok), i + 1
         if tok == "pi":
             return math.pi, i + 1
-        fail(i, f"bad parameter expression near {tok!r}")
+        fail(i, f"bad parameter expression near {BRIEF.repr(tok)}")
 
     qreg: tuple[str, int] | None = None
     cregs: dict[str, int] = {}
@@ -279,7 +279,7 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
         """The decimal literal at token ``k``, at most ``MAX_REGISTER_SIZE``."""
         value = float(toks[k])  # int() refuses more than 4,300 digits
         if value > MAX_REGISTER_SIZE:
-            fail(k, f"{what} {toks[k]} exceeds the limit of {MAX_REGISTER_SIZE}")
+            fail(k, f"{what} {brief(toks[k])} exceeds the limit of {MAX_REGISTER_SIZE}")
         return int(value)
 
     def ref(i: int, quantum: bool) -> tuple[int | None, int]:
@@ -297,14 +297,14 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
             j += 3
         if quantum:
             if qreg is None or reg != qreg[0]:
-                fail(i, f"unknown quantum register {reg!r}")
+                fail(i, f"unknown quantum register {BRIEF.repr(reg)}")
             size = qreg[1]
         else:
             if reg not in cregs:
-                fail(i, f"unknown classical register {reg!r}")
+                fail(i, f"unknown classical register {BRIEF.repr(reg)}")
             size = cregs[reg]
         if idx is not None and not 0 <= idx < size:
-            fail(i, f"index {idx} out of range for {reg}[{size}]")
+            fail(i, f"index {idx} out of range for {brief(reg)}[{size}]")
         return idx, j
 
     i = 0
@@ -357,7 +357,7 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
             offset = creg_offsets[toks[c]]
             if qidx is None and cidx is None:
                 if qreg[1] != cregs[toks[c]]:
-                    fail(c, f"register sizes differ in measure {qreg[0]} -> {toks[c]}")
+                    fail(c, f"register sizes differ in measure {brief(qreg[0])} -> {brief(toks[c])}")
                 gates += [Gate(MEASURE, (q,), clbit=offset + q) for q in range(qreg[1])]
             elif qidx is not None and cidx is not None:
                 gates.append(Gate(MEASURE, (qidx,), clbit=offset + cidx))
@@ -398,13 +398,13 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
                 if cregs and not allow_multiple_cregs:
                     fail(i, "multiple classical registers are not supported", MultiRegisterError)
                 if name in cregs:
-                    fail(i, f"classical register {name!r} redeclared")
+                    fail(i, f"classical register {BRIEF.repr(name)} redeclared")
                 creg_offsets[name] = sum(cregs.values())
                 cregs[name] = size
             i += 6
         elif tok == "OPENQASM" or tok == "include":
             if tok == "OPENQASM" and toks[i + 1] != "2.0":
-                fail(i + 1, f"unsupported OpenQASM version {toks[i + 1]}")
+                fail(i + 1, f"unsupported OpenQASM version {brief(toks[i + 1])}")
             if tok == "include" and toks[i + 1][:1] != '"':
                 expected(i + 1, "include path")
             if toks[i + 2] != ";":
@@ -413,9 +413,9 @@ def _parse_program(source: str, allow_multiple_cregs: bool):
         elif tok in ("gate", "opaque", "if", "reset"):
             fail(i, f"unsupported statement {tok!r}")
         elif tok[:1].isidentifier():
-            fail(i, f"unsupported gate {tok!r}", UnsupportedGateError)
+            fail(i, f"unsupported gate {BRIEF.repr(tok)}", UnsupportedGateError)
         else:
-            fail(i, f"unexpected token {tok!r}")
+            fail(i, f"unexpected token {BRIEF.repr(tok)}")
 
     if qreg is None:
         raise QasmError("no quantum register declared", 1, 1)

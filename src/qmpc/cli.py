@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 user error (bad input, infeasible request),
-2 internal error.  ``QMPC_SEED`` overrides ``--seed`` when set; without
-either, CI runs refuse to fall back to the wall clock.
+2 internal error.
 """
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -48,7 +46,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--ext-layer", dest="ext_layer", type=int, default=RunConfig.ext_layer, help="lookahead window size"
     )
     parser.add_argument("--attempts", type=int, default=RunConfig.attempts, help="random initial placements to try")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="random seed for placements")
     parser.add_argument(
         "--swap-only", dest="swap_only", action="store_true", default=RunConfig.swap_only,
         help="disable bridged CNOTs",
@@ -59,25 +57,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("QMPC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"QMPC_SEED must be a non-negative integer, got {env!r}") from None
-    if args.seed is not None:
-        return args.seed
-    if os.environ.get("CI"):
-        raise QmpcError("no seed given: pass --seed or set QMPC_SEED (required under CI)")
-    return int(time.time())
-
-
-def _config(args, seed: int = 0) -> RunConfig:
-    """The run's settings: every ``RunConfig`` field but the seed comes from
-    the flag of the same name."""
-    knobs = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "seed"}
-    return RunConfig(seed=seed, **knobs)
+def _config(args) -> RunConfig:
+    """The run's settings: every ``RunConfig`` field comes from the flag of
+    the same name."""
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _load_inputs(args):
@@ -117,7 +100,7 @@ def _out_dir(path: str) -> Path:
 
 
 def cmd_compile(args) -> int:
-    config = _config(args, _resolve_seed(args))
+    config = _config(args)
     model, strong = _load_inputs(args)
     circuits = _load_circuits(args.circuits)
     out_dir = _out_dir(args.out_dir)  # before the compile, so that a bad path fails fast

@@ -7,7 +7,20 @@ maps it to exit code 1.  ``RoutingError`` signals an internal scheduler bug
 from __future__ import annotations
 
 import json
+import reprlib
+import sys
 from pathlib import Path
+
+# how a message quotes a value from the input: ten items of a list and about 40
+# characters of a string or an integer, so that no one value floods the message
+BRIEF = reprlib.Repr()
+BRIEF.maxlist = 10
+BRIEF.maxstring = BRIEF.maxlong = 40
+
+
+def brief(text: str) -> str:
+    """``text`` cut as ``BRIEF`` cuts a string, without the quotes."""
+    return BRIEF.repr(text)[1:-1]
 
 
 class QmpcError(Exception):
@@ -38,8 +51,11 @@ def read_json(path: str | Path):
     cannot be read, is not JSON or is too deep or long for ``json`` to decode."""
     try:
         return json.loads(read_text(path))
-    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputFileError(f"{path}: invalid JSON: {exc}") from None
+    except ValueError:
+        digits = sys.get_int_max_str_digits()  # int() refuses a longer integer
+        raise InputFileError(f"{path}: invalid JSON: an integer has more than {digits} digits") from None
 
 
 class OutputDirError(QmpcError):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-import reprlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +18,7 @@ from types import MappingProxyType
 
 from .circuits import MAX_REGISTER_SIZE
 from .config import RunConfig
-from .errors import CalibrationError, CrosstalkError, DisconnectedGraphError, HardwareError, read_json
+from .errors import BRIEF, CalibrationError, CrosstalkError, DisconnectedGraphError, HardwareError, read_json
 
 Edge = tuple[int, int]
 Matrix = tuple[tuple[float, ...], ...]
@@ -96,10 +95,11 @@ def _hops_from(adjacency: Mapping[int, Sequence[int]], src: int) -> dict[int, in
 def _number(value, error: type[HardwareError], what: str, *args, integer: bool = False) -> float:
     """``value`` as a float, or as an int for ``integer``; a boolean, a
     non-number or a non-integral ``integer`` raises ``error`` naming
-    ``what.format(*args)``, which is formatted only then."""
+    ``what.format(*args)``, formatted only then, each of ``args`` by ``BRIEF``."""
     real = type(value) in (int, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not real or integer and value % 1 != 0:
-        raise error(f"{what.format(*args)} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        name = what.format(*map(BRIEF.repr, args))
+        raise error(f"{name} must be {'an integer' if integer else 'a number'}, got {BRIEF.repr(value)}")
     return int(value) if integer else float(value)
 
 
@@ -107,15 +107,11 @@ def _entry(value, fields: tuple[str, ...], error: type[HardwareError], what: str
     """A list with one item per field: a field named "qubit" holds an integer
     (a qubit index), any other a number."""
     if not isinstance(value, (list, tuple)) or len(value) != len(fields):
-        raise error(f"bad {what} {value!r}")
-    return [_number(v, error, "{} in {} {!r}", f, what, value, integer=f == "qubit") for f, v in zip(fields, value)]
+        raise error(f"bad {what} {BRIEF.repr(value)}")
+    return [_number(v, error, f"{f} in {what} {{}}", value, integer=f == "qubit") for f, v in zip(fields, value)]
 
 
 _QUBIT_PAIR = ("qubit", "qubit")
-
-# lists in error messages show at most ten items each, then "..."
-_BRIEF = reprlib.Repr()
-_BRIEF.maxlist = 10
 
 
 def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
@@ -126,9 +122,9 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
     except (KeyError, TypeError) as exc:
         raise HardwareError(f"topology is missing field: {exc}") from None
     if not 1 <= n <= MAX_REGISTER_SIZE:
-        raise HardwareError(f"device must have 1 to {MAX_REGISTER_SIZE} qubits, got {n}")
+        raise HardwareError(f"device must have 1 to {MAX_REGISTER_SIZE} qubits, got {BRIEF.repr(n)}")
     if not isinstance(raw_edges, (list, tuple)):
-        raise HardwareError(f"edges must be a list of qubit pairs, got {raw_edges!r}")
+        raise HardwareError(f"edges must be a list of qubit pairs, got {BRIEF.repr(raw_edges)}")
     if not isinstance(calibration, dict):
         raise CalibrationError(f"calibration must be a JSON object, got {type(calibration).__name__}")
 
@@ -136,10 +132,10 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
     seen = set()
     for pair in raw_edges:
         i, j = _entry(pair, _QUBIT_PAIR, HardwareError, "edge entry")
+        if not (0 <= i < n and 0 <= j < n):
+            raise HardwareError(f"edge entry {BRIEF.repr(pair)} references a qubit outside 0..{n - 1}")
         if i == j:
             raise HardwareError(f"self-loop edge ({i},{j})")
-        if not (0 <= i < n and 0 <= j < n):
-            raise HardwareError(f"edge ({i},{j}) references a qubit outside 0..{n - 1}")
         e = _edge(i, j)
         if e in seen:
             continue
@@ -156,17 +152,17 @@ def build_hardware(topology: dict, calibration: dict) -> HardwareModel:
             reached.update(part)
             parts.append(sorted(part))
     if len(parts) > 1:
-        raise DisconnectedGraphError(f"coupling graph is disconnected: {len(parts)} components {_BRIEF.repr(parts)}")
+        raise DisconnectedGraphError(f"coupling graph is disconnected: {len(parts)} components {BRIEF.repr(parts)}")
 
     cnot_error: dict[Edge, float] = {}
     raw_cnot = calibration.get("cnot_errors", [])
     if not isinstance(raw_cnot, (list, tuple)):
-        raise CalibrationError(f"cnot_errors must be a list, got {raw_cnot!r}")
+        raise CalibrationError(f"cnot_errors must be a list, got {BRIEF.repr(raw_cnot)}")
     for entry in raw_cnot:
         i, j, err = _entry(entry, (*_QUBIT_PAIR, "CNOT error"), CalibrationError, "cnot_errors entry")
         e = _edge(i, j)
         if e not in seen:
-            raise CalibrationError(f"cnot_errors entry ({i},{j}) is not a coupling edge")
+            raise CalibrationError(f"cnot_errors entry {BRIEF.repr(entry)} is not a coupling edge")
         if not 0.0 <= err < 1.0:
             raise CalibrationError(f"CNOT error {err} for edge ({i},{j}) outside [0,1)")
         cnot_error[e] = err  # both orders may appear; last one wins
@@ -186,7 +182,8 @@ def _error_rates(values, n: int, field: str, what: str) -> tuple[float, ...]:
     entry is checked to be a number before any is checked for range."""
     if not isinstance(values, (list, tuple)) or len(values) != n:
         raise CalibrationError(f"{field} must list all {n} qubits")
-    rates = tuple(_number(v, CalibrationError, "{} error for qubit {}", what, q) for q, v in enumerate(values))
+    name = what + " error for qubit {}"
+    rates = tuple(_number(v, CalibrationError, name, q) for q, v in enumerate(values))
     for q, rate in enumerate(rates):
         if not 0.0 <= rate < 1.0:  # NaN is outside too
             raise CalibrationError(f"{what} error for qubit {q} outside [0,1)")
@@ -328,7 +325,7 @@ _NO_CONDITIONS: Mapping[Edge, float] = MappingProxyType({})
 def _validate_pair(gate: Edge, cond: Edge, model: HardwareModel) -> None:
     for e in (gate, cond):
         if e not in model.cnot_error:
-            raise CrosstalkError(f"crosstalk entry references non-edge {e}")
+            raise CrosstalkError(f"crosstalk entry references non-edge {BRIEF.repr(e)}")
     if set(gate) & set(cond):
         raise CrosstalkError(f"crosstalk pair {gate}|{cond} shares a qubit")
     # two edges that share no qubit are one hop apart iff an edge joins them
@@ -345,7 +342,7 @@ def build_crosstalk(pairs: list[dict], model: HardwareModel) -> CrosstalkTable:
             cond = _edge(*_entry(item["conditioned_on"], _QUBIT_PAIR, CrosstalkError, "crosstalk conditioned_on"))
             err = _number(item["error"], CrosstalkError, "conditional error for {}|{}", gate, cond)
         except (KeyError, TypeError):
-            raise CrosstalkError(f"bad crosstalk entry {item!r}") from None
+            raise CrosstalkError(f"bad crosstalk entry {BRIEF.repr(item)}") from None
         _validate_pair(gate, cond, model)
         if not 0.0 <= err < 1.0:
             raise CrosstalkError(f"conditional error {err} for {gate}|{cond} outside [0,1)")

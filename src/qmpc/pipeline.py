@@ -94,11 +94,10 @@ def compile_plan(
 def compile_workloads(
     model: HardwareModel,
     circuits: list[QuantumCircuit],
-    config: RunConfig | None = None,
+    config: RunConfig = DEFAULT_CONFIG,
     strong_pairs: CrosstalkTable | None = None,
 ) -> CompileResult:
     """Full pipeline: order by density, gate batch sizes, partition, route."""
-    config = config or DEFAULT_CONFIG
     dist = distance_matrices(model, config.alpha1, config.alpha2)
     plans = plan_all(model, circuits, config, strong_pairs)
     by_id = {c.id: c for c in circuits}

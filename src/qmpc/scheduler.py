@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .circuits import CX, Gate, QuantumCircuit, build_dag, emit_qasm
 from .config import DEFAULT_CONFIG, RunConfig
@@ -31,6 +30,9 @@ from .errors import RoutingError
 from .floats import left_sum
 from .hardware import HardwareModel, induced_edges
 from .partition import Partition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SWAP = "SWAP"
 BRIDGE = "BRIDGE"

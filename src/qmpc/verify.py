@@ -312,7 +312,7 @@ def check_equivalence(
         if entry is None:
             raise VerificationError(f"manifest has no entry for circuit {src.id!r}")
         clbits = entry.get("clbits", []) if isinstance(entry, dict) else None
-        if not isinstance(clbits, list) or not all(isinstance(b, int) for b in clbits):
+        if not isinstance(clbits, list) or not all(isinstance(b, int) and not isinstance(b, bool) for b in clbits):
             raise VerificationError(f"manifest entry for {src.id!r} needs a list of integer \"clbits\"")
         if len(clbits) != src.num_clbits:
             raise VerificationError(

@@ -118,26 +118,19 @@ def test_compile_deterministic_bytes(device_files):
         assert (device_files / "a" / name).read_bytes() == (device_files / "b" / name).read_bytes()
 
 
-def test_env_seed_overrides_flag(device_files, monkeypatch):
+def test_seed_defaults_to_run_config_whatever_the_environment(device_files, monkeypatch):
+    zero = _compile_args(device_files, out="zero")
+    zero[zero.index("--seed") + 1] = "0"
+    assert main(zero) == 0
+    # QMPC_SEED used to override the flag, and CI to refuse a run without one
     monkeypatch.setenv("QMPC_SEED", "7")
-    args = _compile_args(device_files, out="env")
-    args[args.index("--seed") + 1] = "999"  # flag should lose to the env var
-    assert main(args) == 0
-    monkeypatch.delenv("QMPC_SEED")
-    assert main(_compile_args(device_files, out="flag")) == 0
-    assert (device_files / "env" / "merged_0.qasm").read_bytes() == (
-        device_files / "flag" / "merged_0.qasm"
-    ).read_bytes()
-
-
-def test_ci_requires_seed(device_files, monkeypatch, capsys):
     monkeypatch.setenv("CI", "true")
-    monkeypatch.delenv("QMPC_SEED", raising=False)
-    args = _compile_args(device_files, out="ci")
-    del args[args.index("--seed") + 1]
-    args.remove("--seed")
-    assert main(args) == 1
-    assert "seed" in capsys.readouterr().err
+    unseeded = _compile_args(device_files, out="unseeded")
+    at = unseeded.index("--seed")
+    del unseeded[at:at + 2]
+    assert main(unseeded) == 0
+    for name in ("merged_0.qasm", "manifest_0.json", "stats_0.json", "plans.json"):
+        assert (device_files / "unseeded" / name).read_bytes() == (device_files / "zero" / name).read_bytes()
 
 
 def test_verify_round_trip(device_files, capsys):
@@ -530,14 +523,14 @@ def test_negative_seed_is_user_error(device_files, capsys):
     args[args.index("--seed") + 1] = "-1"
     assert main(args) == 1
     assert "seed must be non-negative" in capsys.readouterr().err
+    # partition checks its seed as compile does; it used to ignore --seed
+    assert main([
+        "partition", "--topology", str(device_files / "topology.json"),
+        "--calibration", str(device_files / "calibration.json"), "--seed", "-1", str(device_files / "bell.qasm"),
+    ]) == 1
+    _one_error_line(capsys, "seed must be non-negative")
     with pytest.raises(ConfigError, match="seed"):
         RunConfig(seed=-1)
-
-
-def test_non_integer_env_seed_is_user_error(device_files, monkeypatch, capsys):
-    monkeypatch.setenv("QMPC_SEED", "abc")
-    assert main(_compile_args(device_files)) == 1
-    assert "QMPC_SEED" in capsys.readouterr().err
 
 
 def test_undecodable_circuit_file_is_user_error(device_files, capsys):
@@ -597,3 +590,35 @@ def test_index_of_5000_digits_is_user_error(device_files, capsys):
     (device_files / "bell.qasm").write_text("qreg q[2]; creg c[2]; h q[" + "1" * 5000 + "]; measure q -> c;")
     assert main(_compile_args(device_files)) == 1
     _one_error_line(capsys, "line 1, col 27: index 1111", "exceeds the limit of 2048")
+
+
+LONG, DIGITS = "x" * 5000, "1" * 5000
+# (file, its text, words of the message): each used to be echoed whole
+LONG_ECHOES = {
+    "register-size-digits": ("bell.qasm", f"qreg q[{DIGITS}];", ["line 1, col 8: register size 11111", "...1111"]),
+    "index-digits": ("bell.qasm", f"qreg q[2]; h q[{DIGITS}];", ["line 1, col 16: index 11111", "exceeds the limit"]),
+    "gate-name": ("bell.qasm", f"qreg q[2]; {LONG} q[0];", ["line 1, col 12: unsupported gate 'xxxxx", "...xxx"]),
+    "register-name": ("bell.qasm", f"qreg q[2]; h {LONG}[0];", ["line 1, col 14: unknown quantum register 'xxxxx"]),
+    "num-qubits-string": (
+        "topology.json", json.dumps({"num_qubits": LONG, "edges": []}), ["num_qubits must be an integer, got 'xxxxx"],
+    ),
+    "edge-qubit-string": (
+        "topology.json", json.dumps({"num_qubits": 5, "edges": [[0, LONG]]}), ["qubit in edge entry [0, 'xxxxx"],
+    ),
+    "cnot-error-string": (
+        "calibration.json", json.dumps({"cnot_errors": [[0, 1, LONG]]}), ["CNOT error in cnot_errors entry [0, 1, 'xxx"],
+    ),
+    "json-integer-digits": (
+        "calibration.json", f"[{DIGITS}]",
+        ["calibration.json: invalid JSON: an integer has more than", f"{sys.get_int_max_str_digits()} digits"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name, text, words", LONG_ECHOES.values(), ids=LONG_ECHOES.keys())
+def test_long_input_is_echoed_short(device_files, capsys, name, text, words):
+    (device_files / name).write_text(text)
+    assert main(_compile_args(device_files)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and all(w in err[0] for w in words), [e[:300] for e in err]
+    assert len(err[0]) <= 200, err[0][:300]

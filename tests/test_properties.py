@@ -194,6 +194,8 @@ def _outcome(parse):
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
 
 
+# every generated token is shorter than errors.BRIEF cuts a quoted value, so
+# the two parsers' messages agree character for character
 @settings(max_examples=400, **COMMON)
 @given(qasm_tokens())
 @example("qreg q[1];\nh q[0] !\n")  # a stray character after the last token of a line
@@ -840,17 +842,26 @@ def _mistype(draw, files: dict) -> None:
     target[key] = draw(st.sampled_from(MISTYPED))
 
 
+def _complete(n: int) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
 @st.composite
 def cli_case(draw):
     """A small device (sometimes disconnected, some rates out of range or
-    NaN, sometimes one field of the wrong type), a few valid or mutated
-    programs and a vector of flags."""
-    n = draw(st.integers(1, 6))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
-    edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
-    if draw(st.integers(0, 3)):  # a spine keeps it connected
-        edges |= {(i - 1, i) for i in range(1, n)}
-    edges = sorted(edges)
+    NaN, sometimes one field of the wrong type; one in eight a star or a
+    complete graph of 7 to 16 qubits), a few valid or mutated programs and a
+    vector of flags, which may leave out ``--seed``."""
+    if draw(st.integers(0, 7)) == 0:  # a dense device, where regions are many
+        n = draw(st.integers(7, 16))
+        edges = _complete(n) if draw(st.booleans()) else [(0, i) for i in range(1, n)]
+    else:
+        n = draw(st.integers(1, 6))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+        edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+        if draw(st.integers(0, 3)):  # a spine keeps it connected
+            edges |= {(i - 1, i) for i in range(1, n)}
+        edges = sorted(edges)
     rate = st.floats(0.0, 0.2)
     if draw(st.integers(0, 3)) == 0:
         rate |= st.sampled_from(ODD_RATES)
@@ -871,8 +882,6 @@ def cli_case(draw):
     for flag in draw(st.lists(st.sampled_from(sorted(ODD_FLAGS)), max_size=4, unique=True)):
         flags += [flag, draw(st.sampled_from(ODD_FLAGS[flag]))]
     flags += draw(st.lists(st.sampled_from(["--swap-only", "--no-self-cost"]), max_size=2, unique=True))
-    if "--seed" not in flags:
-        flags += ["--seed", "1"]
     return draw(st.sampled_from(["compile", "partition"])), files, programs, flags
 
 
@@ -916,6 +925,16 @@ DENSE_GSP = (
 )
 
 
+# the same circuit on a 65-qubit complete graph, where every set of qubits is
+# a connected region: it exits 1 at the region budget too
+COMPLETE = {"num_qubits": 65, "edges": [list(e) for e in _complete(65)]}
+DENSE_COMPLETE_GSP = (
+    "compile",
+    {"topology.json": COMPLETE, "calibration.json": presets.uniform_calibration(COMPLETE)},
+    *DENSE_GSP[2:],
+)
+
+
 def _mistyped(path, value):
     """ALPHA_OVERFLOW's device and programs at default flags, with the field
     at ``path`` (file name first) replaced by ``value``."""
@@ -939,6 +958,7 @@ def _unreadable(name, text):
 @example(WEIGHT_COST_OVERFLOW)
 @example(LAMBDA_OVERFLOW)
 @example(DENSE_GSP)
+@example(DENSE_COMPLETE_GSP)
 # mistyped device fields that used to exit 2 as internal errors, or were truncated
 @example(_mistyped(["topology.json", "num_qubits"], "x"))
 @example(_mistyped(["topology.json", "num_qubits"], 3.7))

@@ -156,6 +156,13 @@ def test_manifest_mismatch_errors(bell):
         check_equivalence([bell], bell, {"bell": {"clbits": [0]}})
 
 
+@pytest.mark.parametrize("clbits", [[False, True], [0, True], [0, 1.0], [0, "1"]])
+def test_manifest_clbits_must_be_integers(bell, clbits):
+    # a boolean is an int to Python, and used to be read as bit 0 or 1
+    with pytest.raises(VerificationError, match='needs a list of integer "clbits"'):
+        check_equivalence([bell], bell, {"bell": {"clbits": clbits}})
+
+
 def _ghz(cid, n):
     gates = [Gate("h", (0,))] + [Gate("cx", (q, q + 1)) for q in range(n - 1)]
     gates += [Gate("measure", (q,), clbit=q) for q in range(n)]
