@@ -8,13 +8,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .circuits import parse_merged_qasm, parse_qasm
 from .config import RunConfig
-from .errors import ConfigError, OutputDirError, QmpcError, read_json, read_text
+from .errors import BRIEF, ConfigError, OutputDirError, QmpcError, brief, read_json, read_text
 from .hardware import extract_strong_crosstalk, load_crosstalk, load_hardware
 from .manager import plan_all
 from .pipeline import compile_workloads
@@ -22,9 +23,13 @@ from .verify import SIMULATION_QUBIT_CAP, SIMULATION_QUBIT_CAP_MAX, check_equiva
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is a user error (exit 1), not argparse's exit 2."""
+    """A usage error is a user error (exit 1), not argparse's exit 2; a long
+    value in its message is cut through ``errors.brief``, a short one kept."""
 
     def error(self, message):
+        # argparse echoes a value quoted (its repr) or bare
+        echoed = r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+"""
+        message = re.sub(echoed, lambda m: brief(m[0]) if len(m[0]) > BRIEF.maxstring else m[0], message)
         raise QmpcError(f"{self.prog}: {message}")
 
 

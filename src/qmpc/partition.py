@@ -274,11 +274,9 @@ def qhsp_partition(
     values = fidelity_degree(model, lam)
     rows: list[Region] = []
     seen: set[frozenset[int]] = set()
-    for start in sorted(starting_points(model, circuit)):
+    for start in sorted(set(starting_points(model, circuit)) - used):
         region = _grow_region(model, start, k, values, used)
         if region is None:
-            continue
-        if used & set(region):  # only possible when the start itself is taken
             continue
         key = frozenset(region)
         if key in seen:

@@ -73,10 +73,10 @@ def compile_plan(
 
     Each circuit's route is the winning trial of its placement search, and
     the merged circuit joins the routes round by round in plan order.
-    ``dist`` is the ``hardware.distance_matrices`` table.  Circuit ``j``
-    draws its placements from ``SeedSequence(config.seed, spawn_key=(index,
-    j))``, the child of a spawn per plan and then per circuit.  The merged
-    program is checked against the device and the plan before it is returned
+    ``dist`` is the router's distance table.  Circuit ``j`` draws its
+    placements from ``SeedSequence(config.seed, spawn_key=(index, j))``,
+    the child of a spawn per plan and then per circuit.  The merged program
+    is checked against the device and the plan before it is returned
     (``check_compliance``); a violation is a ``RoutingError``.
     """
     circuits = [circuits_by_id[cid] for cid in plan.selected]

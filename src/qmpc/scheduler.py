@@ -97,18 +97,22 @@ class Route:
 
 
 class _Tables:
-    """What every placement trial of one circuit in one partition reads,
-    the circuit's dependency DAG included.
+    """What every placement trial of one circuit in one partition reads: the
+    circuit's dependency DAG, the partition's coupling tables, the distance
+    table ``dist`` and the routing settings ``config``.
 
-    ``initial_mapping`` builds these once per call and shares them with its
-    trials; nothing is kept on the model, so memory does not grow with the
-    number of partitions routed.
+    ``dist`` is the ``hardware.distance_matrices`` table, read as
+    ``dist[p][q]``.  ``initial_mapping`` builds these once per call and
+    shares them with its trials; nothing is kept on the model, so memory
+    does not grow with the number of partitions routed.
     """
 
-    def __init__(self, model: HardwareModel, circuit: QuantumCircuit, partition: Partition):
+    def __init__(self, model: HardwareModel, circuit: QuantumCircuit, partition: Partition, dist, config: RunConfig):
         if len(partition.qubits) != circuit.num_qubits:
             raise ValueError(f"partition size {len(partition.qubits)} != circuit qubits {circuit.num_qubits}")
         self.circuit = circuit
+        self.dist = dist
+        self.config = config
         self.dag = build_dag(circuit)
         self.partition = tuple(partition.qubits)
         part_set = set(self.partition)
@@ -117,8 +121,8 @@ class _Tables:
         neighbours = {q: set(model.neighbors(q)) & part_set for q in self.partition}
         self.adjacency = {q: tuple(sorted(ns)) for q, ns in neighbours.items()}
         self.swap_gates = [TentativeGate(SWAP, e) for e in edges]
-        # the middle qubits of a bridge from c to t, for every pair that has one
-        self.middles = {
+        # the middle qubits of a bridge from c to t, for every pair with one; none under swap_only
+        self.middles = {} if config.swap_only else {
             (c, t): tuple(sorted(neighbours[c] & neighbours[t]))
             for c in self.partition
             for t in self.partition
@@ -135,6 +139,8 @@ class _Job:
         self.circuit = tables.circuit
         self.dag = dag = tables.dag
         self.partition = tables.partition
+        self.dist = tables.dist
+        self.config = tables.config
         self.l2p = list(l2p)
         if sorted(self.l2p) != sorted(self.partition):
             raise ValueError("initial mapping is not a bijection onto the partition")
@@ -157,7 +163,7 @@ class _Job:
         self.stalled = 0
         # blocked_front and extended_layer results, kept until a node executes
         self._front_layer: list[tuple[int, int, int]] | None = None
-        self._extended: tuple[int, list[tuple[int, int]]] | None = None
+        self._extended: list[tuple[int, int]] | None = None
 
     @property
     def done(self) -> bool:
@@ -193,15 +199,16 @@ class _Job:
             self._front_layer = [(node, *gates[node].qubits) for node in sorted(self.front)]
         return self._front_layer
 
-    def extended_layer(self, size: int) -> list[tuple[int, int]]:
-        """Next unexecuted CNOTs beyond the front layer, in program order.
+    def extended_layer(self) -> list[tuple[int, int]]:
+        """Next ``config.ext_layer`` unexecuted CNOTs beyond the front layer, in program order.
 
         The scan starts at a cursor on the first unexecuted CNOT; the
         cursor only moves forward.  The list is shared until a node
         executes; callers must not change it.
         """
-        if self._extended is not None and self._extended[0] == size:
-            return self._extended[1]
+        if self._extended is not None:
+            return self._extended
+        size = self.config.ext_layer
         nodes, executed, front, pairs = self.cx_nodes, self.executed, self.front, self.cx_pairs
         start, n = self.cx_cursor, len(nodes)
         while start < n and executed[nodes[start]]:
@@ -215,7 +222,7 @@ class _Job:
                     out.append(pairs[i])
                     if len(out) == size:
                         break
-        self._extended = (size, out)
+        self._extended = out
         return out
 
 
@@ -225,7 +232,8 @@ def find_swap_bridge_pairs(job: _Job, front: list[tuple[int, int, int]]) -> list
 
     SWAPs: every partition-internal edge touching a front-gate operand.
     BRIDGEs: every front CNOT whose operands are exactly two apart inside the
-    partition, one candidate per valid middle qubit.
+    partition, one candidate per valid middle qubit; none under
+    ``config.swap_only``.
     """
     l2p = job.l2p
     endpoints = set()
@@ -271,10 +279,9 @@ def cost_h(
     unchanged.  The charge is part of the self-cost term, so it vanishes
     with ``self_cost=False``, and SWAP candidates never carry it.
 
-    ``dist`` is the ``hardware.distance_matrices`` table, read as ``dist[p][q]``.
-    Every sum adds its terms one by one from the left, as ``left_sum`` does;
-    ``sum`` over Python floats is compensated from Python 3.12 on and would
-    move the last bits, which can flip a choice.
+    Every sum adds its terms one by one from the left, as ``left_sum``
+    does; ``sum`` over Python floats is compensated from Python 3.12 on and
+    would move the last bits, which can flip a choice.
     """
     if tentative.kind == SWAP:
         a, b = tentative.qubits
@@ -378,14 +385,10 @@ def _emit_ready(job: _Job, records: list[Record]) -> None:
         job.stalled = 0
 
 
-def _repair(job: _Job, dist, config: RunConfig, records: list[Record]) -> None:
+def _repair(job: _Job, records: list[Record]) -> None:
     """Insert the cheapest SWAP or BRIDGE for a blocked front layer."""
     front = job.blocked_front()
     candidates = find_swap_bridge_pairs(job, front)
-    if config.swap_only:
-        candidates = [c for c in candidates if c.kind == SWAP]
-        if not candidates:
-            raise RoutingError("swap-only routing found no SWAP candidate")
     # a swap edge used since the last emitted gate would likely just
     # oscillate (a cheap retreat edge can outscore every approach),
     # so prune those while alternatives exist; emission lifts the ban
@@ -393,8 +396,8 @@ def _repair(job: _Job, dist, config: RunConfig, records: list[Record]) -> None:
         pruned = [c for c in candidates if not (c.kind == SWAP and c.qubits in job.banned_edges)]
         if pruned:
             candidates = pruned
-    extended = job.extended_layer(config.ext_layer)
-    weight_w, self_cost = config.weight_w, config.self_cost
+    extended = job.extended_layer()
+    dist, weight_w, self_cost = job.dist, job.config.weight_w, job.config.self_cost
     best = min(
         candidates,
         key=lambda cand: (
@@ -416,13 +419,7 @@ def _repair(job: _Job, dist, config: RunConfig, records: list[Record]) -> None:
         job.stalled = 0
 
 
-def mapping_transition(
-    tables: _Tables,
-    dist,
-    l2p: list[int],
-    config: RunConfig,
-    max_inserted: int | None = None,
-) -> Route:
+def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None = None) -> Route:
     """Route the circuit of ``tables`` inside its partition from the
     placement ``l2p``.
 
@@ -433,8 +430,7 @@ def mapping_transition(
     iteration cap of ten times the gate count remains as the guard against a
     non-terminating selection loop, which would be a bug rather than an
     input problem.  A circuit that has inserted more than ``max_inserted``
-    CNOTs stops early and the route comes back ``aborted``.  ``dist`` is the
-    ``hardware.distance_matrices`` table.
+    CNOTs stops early and the route comes back ``aborted``.
     """
     job = _Job(tables, l2p)
     cap = 10 * max(len(job.circuit.gates), 1)
@@ -453,7 +449,7 @@ def mapping_transition(
             if job.stalled >= limit:
                 _forced_path_route(job, records)
             else:
-                _repair(job, dist, config, records)
+                _repair(job, records)
         round_ends.append(len(records))
     return Route(job.circuit, records, round_ends, job.swaps, job.bridges, job.l2p, aborted)
 
@@ -467,7 +463,7 @@ def initial_mapping(
     config: RunConfig = DEFAULT_CONFIG,
 ) -> tuple[list[int], Route]:
     """Pick the best of ``config.attempts`` random placements; return it and
-    its route.  ``dist`` is the ``hardware.distance_matrices`` table.
+    its route.  ``dist`` and ``config`` go to the trials' ``_Tables``.
 
     Each candidate bijection is evaluated by routing the circuit and
     counting inserted CNOTs; ties fall back to the summed routing distance
@@ -480,7 +476,7 @@ def initial_mapping(
     permutation, so the choice is that of routing every trial to the end.
     """
     base = sorted(partition.qubits)
-    tables = _Tables(model, circuit, partition)
+    tables = _Tables(model, circuit, partition, dist, config)
     best_key = None
     best: tuple[list[int], Route] | None = None
     for attempt in range(config.attempts):
@@ -488,11 +484,11 @@ def initial_mapping(
         # added left to right, as the built-in sum did on 3.10 and 3.11
         # when this value was first defined, so that ties break alike on
         # every Python version
-        tie = left_sum(dist[l2p[a]][l2p[b]] for a, b in tables.cx_pairs)
+        tie = left_sum(tables.dist[l2p[a]][l2p[b]] for a, b in tables.cx_pairs)
         bound = None
         if best_key is not None:  # a later attempt wins a tie on inserted CNOTs only by a lower tie value
             bound = best_key[0] if tie < best_key[1] else best_key[0] - 1
-        trial = mapping_transition(tables, dist, l2p, config, max_inserted=bound)
+        trial = mapping_transition(tables, l2p, max_inserted=bound)
         key = (trial.additional_cnots, tie, attempt)
         if not trial.aborted and (best_key is None or key < best_key):
             best_key = key

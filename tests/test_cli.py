@@ -622,3 +622,33 @@ def test_long_input_is_echoed_short(device_files, capsys, name, text, words):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and all(w in err[0] for w in words), [e[:300] for e in err]
     assert len(err[0]) <= 200, err[0][:300]
+
+
+# (arguments after `compile`'s own, or the whole command line; words of the message)
+LONG_ARGUMENTS = {
+    "seed": (["--seed", DIGITS], ["argument --seed: invalid int value: '1111", "...1111"]),
+    "attempts": (["--attempts", DIGITS], ["argument --attempts: invalid int value: '1111"]),
+    "ext-layer": (["--ext-layer", DIGITS], ["argument --ext-layer: invalid int value: '1111"]),
+    "method": (["--method", LONG], ["argument --method: invalid choice: 'xxxx", "(choose from 'gsp', 'qhsp')"]),
+    "flag": ([f"--{LONG}"], ["unrecognized arguments: --xxxx"]),
+    "command": (None, ["argument command: invalid choice: 'xxxx", "(choose from 'compile'"]),
+}
+
+
+@pytest.mark.parametrize("extra, words", LONG_ARGUMENTS.values(), ids=LONG_ARGUMENTS.keys())
+def test_long_argument_is_echoed_short(device_files, capsys, extra, words):
+    argv = [LONG] if extra is None else _compile_args(device_files, extra=extra)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: qmpc") and all(w in err[0] for w in words), [e[:300] for e in err]
+    assert len(err[0]) <= 200, err[0][:300]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--attempts", "abc", "argument --attempts: invalid int value: 'abc'"),
+     ("--method", "sabre", "argument --method: invalid choice: 'sabre' (choose from 'gsp', 'qhsp')")],
+)
+def test_short_argument_is_echoed_as_argparse_wrote_it(device_files, capsys, flag, value, message):
+    assert main(_compile_args(device_files, extra=(flag, value))) == 1
+    assert capsys.readouterr().err == f"error: qmpc compile: {message}\n"

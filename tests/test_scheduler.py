@@ -35,18 +35,18 @@ def make_part(cid, qubits):
     return Partition(cid, tuple(qubits), 0.0, "QHSP")
 
 
-def tables(model, circuit, qubits):
-    return _Tables(model, circuit, make_part(circuit.id, qubits))
+def tables(model, circuit, qubits, dist=None, config=RunConfig()):
+    dist = distance_matrices(model) if dist is None else dist
+    return _Tables(model, circuit, make_part(circuit.id, qubits), dist, config)
 
 
 def route_single(model, circuit, l2p, config=RunConfig(), **kw):
-    D = distance_matrices(model)
-    return mapping_transition(tables(model, circuit, sorted(l2p)), D, list(l2p), config, **kw)
+    return mapping_transition(tables(model, circuit, sorted(l2p), config=config), list(l2p), **kw)
 
 
 def route_solo(model, D, specs):
     """Each circuit routed alone from its placement, with default settings."""
-    return [mapping_transition(_Tables(model, c, part), D, l2p, RunConfig()) for c, part, l2p in specs]
+    return [mapping_transition(_Tables(model, c, part, D, RunConfig()), l2p) for c, part, l2p in specs]
 
 
 def emitted(routes, model):
@@ -77,7 +77,7 @@ def test_initial_mapping_finds_zero_insertion_layout():
 
     zero_layouts = []
     for perm in permutations([0, 1, 2]):
-        route = mapping_transition(tables(model, circuit, [0, 1, 2]), D, list(perm), RunConfig())
+        route = mapping_transition(tables(model, circuit, [0, 1, 2], D), list(perm))
         if route.additional_cnots == 0:
             zero_layouts.append(perm)
     assert zero_layouts  # oracle: some bijection needs no insertions
@@ -101,8 +101,8 @@ def test_initial_mapping_deterministic_under_seed():
 # --- candidate generation --------------------------------------------------------
 
 
-def _job_for(model, circuit, l2p, partition):
-    return _Job(tables(model, circuit, partition), l2p)
+def _job_for(model, circuit, l2p, partition, config=RunConfig()):
+    return _Job(tables(model, circuit, partition, config=config), l2p)
 
 
 def test_candidates_distance_two():
@@ -123,6 +123,18 @@ def test_candidates_distance_three_no_bridge():
     cands = find_swap_bridge_pairs(job, job.blocked_front())
     assert all(c.kind == SWAP for c in cands)
     assert {c.qubits for c in cands} == {(0, 1), (2, 3)}
+
+
+def test_swap_only_candidates_are_the_default_swaps_and_no_bridge():
+    # two blocked CNOTs, each two apart: the default offers a bridge for each
+    model = line_model(5)
+    circuit = QuantumCircuit("c", 5, 0, (Gate(CX, (0, 2)), Gate(CX, (3, 1))))
+    default, swap_only = (_job_for(model, circuit, range(5), range(5), RunConfig(swap_only=s)) for s in (False, True))
+    full = find_swap_bridge_pairs(default, default.blocked_front())
+    only = find_swap_bridge_pairs(swap_only, swap_only.blocked_front())
+    assert [c.qubits for c in full if c.kind == BRIDGE] == [(0, 1, 2), (3, 2, 1)]
+    assert [c.kind for c in only] == [SWAP] * len(only)
+    assert [c.qubits for c in only] == [c.qubits for c in full if c.kind == SWAP]
 
 
 # --- cost function ----------------------------------------------------------------
@@ -264,7 +276,7 @@ def test_accounting_identity_on_random_circuits(circuit_factory, guadalupe):
 
         part = qhsp_partition(guadalupe, circuit, set())[0]
         l2p, _ = initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(trial))
-        route = mapping_transition(_Tables(guadalupe, circuit, part), D, l2p, RunConfig())
+        route = mapping_transition(_Tables(guadalupe, circuit, part, D, RunConfig()), l2p)
         emitted_cx = sum(1 for g in emitted([route], guadalupe) if g.kind == CX)
         assert emitted_cx == circuit.cnot_count + route.additional_cnots
         assert route.additional_cnots == 3 * (route.swaps + route.bridges)
@@ -273,12 +285,15 @@ def test_accounting_identity_on_random_circuits(circuit_factory, guadalupe):
 def test_extended_layer_returns_at_most_size_lookahead_cnots(circuit_factory):
     model = line_model(4)
     circuit = circuit_factory(np.random.default_rng(3), "c", n_qubits=4)
-    job = _job_for(model, circuit, [0, 1, 2, 3], [0, 1, 2, 3])
-    full = job.extended_layer(len(circuit.gates))
+
+    def extended_layer(size):
+        return _job_for(model, circuit, [0, 1, 2, 3], [0, 1, 2, 3], RunConfig(ext_layer=size)).extended_layer()
+
+    full = extended_layer(len(circuit.gates))
     assert len(full) >= 2
-    assert job.extended_layer(0) == []
+    assert extended_layer(0) == []
     for size in range(1, len(full) + 1):
-        assert job.extended_layer(size) == full[:size]
+        assert extended_layer(size) == full[:size]
 
 
 def test_extended_layer_matches_a_naive_scan_at_every_routing_step(monkeypatch, circuit_factory, guadalupe):
@@ -288,10 +303,10 @@ def test_extended_layer_matches_a_naive_scan_at_every_routing_step(monkeypatch, 
     original = _Job.extended_layer
     checked = []
 
-    def checking(job, size):
-        got = original(job, size)
-        assert got == naive_extended_layer(job, size)
-        checked.append(size)
+    def checking(job):
+        got = original(job)
+        assert got == naive_extended_layer(job, job.config.ext_layer)
+        checked.append(job.config.ext_layer)
         return got
 
     monkeypatch.setattr(_Job, "extended_layer", checking)
@@ -328,7 +343,7 @@ def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory
     assert len(trials) == 10
     assert any(t.aborted for t in trials)
     assert not best.aborted and best in trials
-    alone = route(_Tables(guadalupe, circuit, part), D, l2p, RunConfig())
+    alone = route(_Tables(guadalupe, circuit, part, D, RunConfig()), l2p)
     assert (alone.records, alone.round_ends) == (best.records, best.round_ends)
     assert alone.additional_cnots == best.additional_cnots
 
@@ -448,7 +463,7 @@ def test_iteration_guard_surfaces_routing_bugs(monkeypatch):
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 2)),))
     D = distance_matrices(model)
     with pytest.raises(RoutingError, match="terminate"):
-        sched_mod.mapping_transition(tables(model, circuit, [0, 1, 2]), D, [0, 1, 2], RunConfig(swap_only=True))
+        sched_mod.mapping_transition(tables(model, circuit, [0, 1, 2], D, RunConfig(swap_only=True)), [0, 1, 2])
 
 
 def test_stall_fallback_recovers_from_adversarial_costs():
@@ -460,9 +475,33 @@ def test_stall_fallback_recovers_from_adversarial_costs():
     np.fill_diagonal(hostile, 0.0)
     for a, b in ((0, 1), (4, 5)):
         hostile[a, b] = hostile[b, a] = -1000.0
-    route = mapping_transition(tables(model, circuit, range(6)), hostile.tolist(), list(range(6)), RunConfig())
+    route = mapping_transition(tables(model, circuit, range(6), hostile.tolist()), list(range(6)))
     emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
     assert emitted_cx == 1 + route.additional_cnots
+
+
+@pytest.mark.parametrize("alpha2, escapes", [(-1.0, 1), (RunConfig.alpha2, 0)])
+def test_stall_fallback_is_reached_through_the_settings(monkeypatch, circuit_factory, guadalupe, alpha2, escapes):
+    # a negative swap-error weight makes retreat swaps look cheap; the
+    # shortest-path fallback must then finish the route, and the merged
+    # program must still be equivalent to its sources
+    import qmpc.scheduler as sched_mod
+
+    force, calls = sched_mod._forced_path_route, []
+
+    def counting(job, records):
+        calls.append(job.circuit.id)
+        return force(job, records)
+
+    monkeypatch.setattr(sched_mod, "_forced_path_route", counting)
+    rng = np.random.default_rng(9)
+    circuits = [circuit_factory(rng, f"c{i}", 6, 40) for i in range(2)]
+    result = compile_workloads(guadalupe, circuits, RunConfig(seed=1, alpha2=alpha2))
+    assert len(calls) == escapes
+    by_id = {c.id: c for c in circuits}
+    for compiled in result.plans:
+        sources = [by_id[cid] for cid in compiled.plan.selected]
+        assert check_equivalence(sources, compiled.merged, compiled.manifest).passed
 
 
 def test_forced_route_counts_swaps_once():
@@ -492,7 +531,7 @@ def test_immediate_swap_revert_is_banned():
     model = build_hardware(topo, cal)
     D = distance_matrices(model)
     circuit = QuantumCircuit("c", 4, 0, (Gate(CX, (1, 3)),))
-    route = mapping_transition(tables(model, circuit, [0, 1, 2, 3]), D, [0, 1, 2, 3], RunConfig())
+    route = mapping_transition(tables(model, circuit, [0, 1, 2, 3], D), [0, 1, 2, 3])
     emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
     assert emitted_cx == 1 + route.additional_cnots
 
