@@ -24,7 +24,16 @@ from .verify import SIMULATION_QUBIT_CAP, SIMULATION_QUBIT_CAP_MAX, check_equiva
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is a user error (exit 1), not argparse's exit 2; a long
-    value in its message is cut through ``errors.brief``, a short one kept."""
+    value in its message is cut through ``errors.brief``, a short one kept;
+    past ``BRIEF.maxlist`` unrecognized arguments, the rest are counted."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            rest = len(extras) - BRIEF.maxlist
+            named = " ".join(extras[: BRIEF.maxlist]) + (f" ... ({rest} more)" if rest > 0 else "")
+            self.error(f"unrecognized arguments: {named}")
+        return args
 
     def error(self, message):
         # argparse echoes a value quoted (its repr) or bare

@@ -56,6 +56,16 @@ class HardwareModel:
         """``partition.region_table`` results by region size."""
         return {}
 
+    @cached_property
+    def _fidelity_degrees(self) -> dict[float, tuple[float, ...]]:
+        """``partition.fidelity_degree`` results by ``lam``."""
+        return {}
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        """Every qubit's degree, in qubit order."""
+        return tuple(self.degree(q) for q in range(self.num_qubits))
+
     def has_edge(self, i: int, j: int) -> bool:
         return _edge(i, j) in self.cnot_error
 

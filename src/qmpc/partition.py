@@ -68,18 +68,22 @@ class Partition:
         }
 
 
-def fidelity_degree(model: HardwareModel, lam: float = RunConfig.lam) -> list[float]:
+def fidelity_degree(model: HardwareModel, lam: float = RunConfig.lam) -> tuple[float, ...]:
     """Score each qubit by weighted neighbour CNOT fidelity plus readout fidelity.
 
     degree(q) = sum over neighbours v of lam * (1 - E[q][v]), plus (1 - R[q]).
-    High values mark well-connected, low-error qubits.
+    High values mark well-connected, low-error qubits.  Built once per
+    ``lam`` and kept on the model.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    return [
-        left_sum(lam * (1.0 - model.edge_error(q, v)) for v in model.neighbors(q)) + (1.0 - model.readout_error[q])
-        for q in range(model.num_qubits)
-    ]
+    values = model._fidelity_degrees
+    if lam not in values:
+        values[lam] = tuple(
+            left_sum(lam * (1.0 - model.edge_error(q, v)) for v in model.neighbors(q)) + (1.0 - model.readout_error[q])
+            for q in range(model.num_qubits)
+        )
+    return values[lam]
 
 
 def starting_points(model: HardwareModel, circuit: QuantumCircuit) -> list[int]:
@@ -89,7 +93,7 @@ def starting_points(model: HardwareModel, circuit: QuantumCircuit) -> list[int]:
     the circuit's largest logical degree.
     """
     largest_logical = circuit.largest_logical_degree
-    degrees = [model.degree(q) for q in range(model.num_qubits)]
+    degrees = model._degrees
     max_degree = max(degrees)
     if max_degree < largest_logical:
         return [q for q in range(model.num_qubits) if degrees[q] == max_degree]
@@ -240,7 +244,7 @@ def gsp_partition(
     return ranked
 
 
-def _grow_region(model: HardwareModel, start: int, k: int, values: list[float], used: set[int]) -> list[int] | None:
+def _grow_region(model: HardwareModel, start: int, k: int, values: tuple[float, ...], used: set[int]) -> list[int] | None:
     """Grow a region from ``start`` by repeatedly letting the highest-degree
     member adopt its best free neighbour.  Returns None when growth stalls."""
     region = [start]

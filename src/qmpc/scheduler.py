@@ -45,21 +45,24 @@ class TentativeGate:
     """A candidate repair: SWAP over an edge, or BRIDGE over a 2-hop path.
 
     ``cnot_pairs`` are the CNOTs the repair emits, in order, and ``n_tent``
-    their number.
+    their number.  Built with the distance table ``dist``, it keeps its own
+    CNOT cost ``self_term``: ``dist`` over ``cnot_pairs``, added left to
+    right from ``0``.
     """
 
-    __slots__ = ("kind", "qubits", "node", "cnot_pairs", "n_tent")
+    __slots__ = ("kind", "qubits", "node", "cnot_pairs", "n_tent", "self_term")
 
-    def __init__(self, kind: str, qubits: tuple[int, ...], node: int | None = None):
+    def __init__(self, kind: str, qubits: tuple[int, ...], node: int | None = None, dist=None):
         self.kind = kind
         self.qubits = qubits  # physical: (a, b) for SWAP, (control, middle, target) for BRIDGE
-        self.node = node  # DAG node the bridge executes
+        self.node = node  # DAG node the bridge executes; the router's bridges find it by their ends
         if kind == SWAP:
             a, b = qubits
             self.cnot_pairs = ((a, b), (b, a), (a, b))
         else:
             self.cnot_pairs = tuple((qubits[i], qubits[j]) for i, j in BRIDGE_PATTERN)
         self.n_tent = len(self.cnot_pairs)
+        self.self_term = None if dist is None else left_sum(dist[p][q] for p, q in self.cnot_pairs)
 
 
 # One record per emitted gate: (source node, *physical qubits), node -1 for
@@ -98,8 +101,9 @@ class Route:
 
 class _Tables:
     """What every placement trial of one circuit in one partition reads: the
-    circuit's dependency DAG, the partition's coupling tables, the distance
-    table ``dist`` and the routing settings ``config``.
+    circuit's dependency DAG and its gates' operands, the partition's
+    coupling tables and every repair in it, the distance table ``dist`` and
+    the routing settings ``config``.
 
     ``dist`` is the ``hardware.distance_matrices`` table, read as
     ``dist[p][q]``.  ``initial_mapping`` builds these once per call and
@@ -120,16 +124,20 @@ class _Tables:
         self.coupled = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}  # directed
         neighbours = {q: set(model.neighbors(q)) & part_set for q in self.partition}
         self.adjacency = {q: tuple(sorted(ns)) for q, ns in neighbours.items()}
-        self.swap_gates = [TentativeGate(SWAP, e) for e in edges]
-        # the middle qubits of a bridge from c to t, for every pair with one; none under swap_only
-        self.middles = {} if config.swap_only else {
-            (c, t): tuple(sorted(neighbours[c] & neighbours[t]))
+        # every repair in the partition: SWAPs by edge, and bridges by (control,
+        # target), one per middle qubit in order; no bridge under swap_only
+        self.swap_gates = {e: TentativeGate(SWAP, e, dist=dist) for e in edges}
+        self.bridge_gates = {} if config.swap_only else {
+            (c, t): tuple(TentativeGate(BRIDGE, (c, m, t), dist=dist) for m in sorted(neighbours[c] & neighbours[t]))
             for c in self.partition
             for t in self.partition
             if c != t and neighbours[c] & neighbours[t]
         }
-        self.cx_nodes = [i for i, g in enumerate(circuit.gates) if g.kind == CX]
-        self.cx_pairs = [circuit.gates[i].qubits for i in self.cx_nodes]  # (control, target)
+        gates = circuit.gates
+        self.front_entries = [(i, *g.qubits) for i, g in enumerate(gates)]  # blocked_front's entry per node
+        self.cx_operands = [g.qubits if g.kind == CX else None for g in gates]  # (control, target) per CNOT node
+        self.cx_nodes = [i for i, g in enumerate(gates) if g.kind == CX]
+        self.cx_pairs = [gates[i].qubits for i in self.cx_nodes]  # (control, target)
 
 
 class _Job:
@@ -152,7 +160,9 @@ class _Job:
         self.coupled = tables.coupled
         self.adjacency = tables.adjacency
         self.swap_gates = tables.swap_gates
-        self.middles = tables.middles
+        self.bridge_gates = tables.bridge_gates
+        self.front_entries = tables.front_entries
+        self.cx_operands = tables.cx_operands
         self.cx_nodes = tables.cx_nodes
         self.cx_pairs = tables.cx_pairs
         self.cx_cursor = 0  # index into cx_nodes of the first CNOT not yet executed
@@ -195,8 +205,8 @@ class _Job:
         The list is shared until a node executes; callers must not change it.
         """
         if self._front_layer is None:
-            gates = self.circuit.gates
-            self._front_layer = [(node, *gates[node].qubits) for node in sorted(self.front)]
+            entries = self.front_entries
+            self._front_layer = [entries[node] for node in sorted(self.front)]
         return self._front_layer
 
     def extended_layer(self) -> list[tuple[int, int]]:
@@ -228,7 +238,7 @@ class _Job:
 
 def find_swap_bridge_pairs(job: _Job, front: list[tuple[int, int, int]]) -> list[TentativeGate]:
     """Repair candidates for a job whose front layer ``front``
-    (``job.blocked_front()``) is fully blocked.
+    (``job.blocked_front()``) is fully blocked, taken from its ``_Tables``.
 
     SWAPs: every partition-internal edge touching a front-gate operand.
     BRIDGEs: every front CNOT whose operands are exactly two apart inside the
@@ -241,13 +251,11 @@ def find_swap_bridge_pairs(job: _Job, front: list[tuple[int, int, int]]) -> list
         endpoints.add(l2p[lq1])
         endpoints.add(l2p[lq2])
     candidates: list[TentativeGate] = [
-        g for g in job.swap_gates if g.qubits[0] in endpoints or g.qubits[1] in endpoints
+        g for g in job.swap_gates.values() if g.qubits[0] in endpoints or g.qubits[1] in endpoints
     ]
-    middles = job.middles
-    for node, lq1, lq2 in front:
-        c, t = l2p[lq1], l2p[lq2]
-        for middle in middles.get((c, t), ()):
-            candidates.append(TentativeGate(BRIDGE, (c, middle, t), node))
+    bridges = job.bridge_gates
+    for _, lq1, lq2 in front:
+        candidates += bridges.get((l2p[lq1], l2p[lq2]), ())
     if not candidates:
         raise RoutingError("no SWAP or BRIDGE candidate for a blocked front layer")
     return candidates
@@ -267,8 +275,10 @@ def cost_h(
 
     A SWAP is judged under the post-swap mapping and charges its own three
     CNOTs; a BRIDGE is judged under the unchanged mapping, charges its four
-    CNOTs, and the CNOT it executes drops out of the front-layer term.  The
-    lookahead term is scaled by ``weight_w`` and averaged over its window.
+    CNOTs, and the front CNOT it executes, the one mapped onto its ends,
+    drops out of the front-layer term.  A repair's own CNOT cost, its
+    self-term, is read from ``tentative.self_term``.  The lookahead term is
+    scaled by ``weight_w`` and averaged over its window.
 
     Recurrence charge: a bridge leaves its logical pair as far apart as
     before, so every later CNOT on the same unordered pair is blocked again
@@ -287,21 +297,18 @@ def cost_h(
         a, b = tentative.qubits
         mapping = list(l2p)
         mapping[p2l[a]], mapping[p2l[b]] = b, a
-        resolved = None
+        x = y = None
     else:
         mapping = l2p
-        resolved = tentative.node
+        x, y = p2l[tentative.qubits[0]], p2l[tentative.qubits[2]]  # the logical pair it executes
 
     front_term = 0
-    for node, lq1, lq2 in front:
-        if node != resolved:
+    for _, lq1, lq2 in front:
+        if lq1 != x or lq2 != y:
             front_term += dist[mapping[lq1]][mapping[lq2]]
     if self_cost:
-        self_term = 0
-        for p, q in tentative.cnot_pairs:
-            self_term += dist[p][q]
-        if resolved is not None:
-            x, y = next((lq1, lq2) for node, lq1, lq2 in front if node == resolved)
+        self_term = tentative.self_term
+        if x is not None:
             repeats = 0
             for lq1, lq2 in extended:
                 if (lq1 == x and lq2 == y) or (lq1 == y and lq2 == x):
@@ -329,9 +336,7 @@ def _forced_path_route(job: _Job, records: list[Record]) -> None:
     arXiv:2409.08368), which routes one front-layer gate along a shortest
     path once the heuristic stops making progress.
     """
-    node = min(job.front)
-    gate = job.dag.gate(node)
-    src, dst = job.l2p[gate.qubits[0]], job.l2p[gate.qubits[1]]
+    src, dst = [job.l2p[q] for q in job.cx_operands[min(job.front)]]
     parent = {src: None}
     queue = [src]
     while queue:
@@ -350,7 +355,7 @@ def _forced_path_route(job: _Job, records: list[Record]) -> None:
     path.reverse()
     for step in path[1:-1]:  # move the control up to the target's neighbour
         edge = (min(src, step), max(src, step))
-        for p, q in TentativeGate(SWAP, edge).cnot_pairs:
+        for p, q in job.swap_gates[edge].cnot_pairs:
             records.append((-1, p, q))
         job.apply_swap(*edge)  # apply_swap also counts the swap
         src = step
@@ -363,20 +368,20 @@ def _emit_ready(job: _Job, records: list[Record]) -> None:
     in here, so a CNOT blocked in one pass stays blocked, and every pass
     after the first visits only the nodes the pass before made ready.
     """
-    l2p, gates, coupled = job.l2p, job.circuit.gates, job.coupled
+    l2p, entries, cx_operands, coupled = job.l2p, job.front_entries, job.cx_operands, job.coupled
     visit = sorted(job.front)
     emitted_any = False
     while visit:
         ready: list[int] = []
         for node in visit:
-            gate = gates[node]
-            if gate.kind == CX:
-                a, b = l2p[gate.qubits[0]], l2p[gate.qubits[1]]
+            pair = cx_operands[node]
+            if pair is None:  # 1q gates, measurements and barriers never block
+                records.append((node, *[l2p[q] for q in entries[node][1:]]))
+            else:
+                a, b = l2p[pair[0]], l2p[pair[1]]
                 if (a, b) not in coupled:
                     continue
                 records.append((node, a, b))
-            else:  # 1q gates, measurements and barriers never block
-                records.append((node, *[l2p[q] for q in gate.qubits]))
             ready += job.mark_executed(node)
             emitted_any = True
         visit = sorted(ready)
@@ -397,15 +402,14 @@ def _repair(job: _Job, records: list[Record]) -> None:
         if pruned:
             candidates = pruned
     extended = job.extended_layer()
-    dist, weight_w, self_cost = job.dist, job.config.weight_w, job.config.self_cost
-    best = min(
-        candidates,
-        key=lambda cand: (
-            cost_h(cand, front, extended, dist, job.l2p, job.p2l, weight_w, self_cost),
-            0 if cand.kind == BRIDGE else 1,
-            cand.qubits,
-        ),
-    )
+    dist, l2p, p2l, weight_w, self_cost = job.dist, job.l2p, job.p2l, job.config.weight_w, job.config.self_cost
+    best = best_h = None
+    for cand in candidates:  # the cheapest; an exact tie goes to a bridge, then to the lower qubits
+        h = cost_h(cand, front, extended, dist, l2p, p2l, weight_w, self_cost)
+        if best is None or h < best_h or (
+            h == best_h and (cand.kind != BRIDGE, cand.qubits) < (best.kind != BRIDGE, best.qubits)
+        ):
+            best, best_h = cand, h
     for p, q in best.cnot_pairs:
         records.append((-1, p, q))
     if best.kind == SWAP:
@@ -413,8 +417,9 @@ def _repair(job: _Job, records: list[Record]) -> None:
         job.banned_edges.add(best.qubits)
         job.stalled += 1
     else:
+        c, _, t = best.qubits
         job.bridges += 1
-        job.mark_executed(best.node)
+        job.mark_executed(next(node for node, lq1, lq2 in front if l2p[lq1] == c and l2p[lq2] == t))
         job.banned_edges.clear()
         job.stalled = 0
 

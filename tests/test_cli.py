@@ -644,6 +644,15 @@ def test_long_argument_is_echoed_short(device_files, capsys, extra, words):
     assert len(err[0]) <= 200, err[0][:300]
 
 
+def test_many_unrecognized_arguments_are_named_ten_and_counted(capsys):
+    argv = ["xtalk-filter", "--topology", "t", "--calibration", "c", "--crosstalk", "x"]
+    assert main(argv + [str(i) for i in range(1, 2001)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: qmpc: unrecognized arguments: 1 2 3 4 5 6 7 8 9 10 ... (1990 more)"], [e[:300] for e in err]
+    assert main(argv + ["1", "2"]) == 1
+    assert capsys.readouterr().err == "error: qmpc: unrecognized arguments: 1 2\n"
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [("--attempts", "abc", "argument --attempts: invalid int value: 'abc'"),

@@ -137,6 +137,62 @@ def test_swap_only_candidates_are_the_default_swaps_and_no_bridge():
     assert [c.qubits for c in only] == [c.qubits for c in full if c.kind == SWAP]
 
 
+@pytest.mark.parametrize("swap_only", [False, True])
+def test_prebuilt_candidates_match_the_reference_at_every_repair(monkeypatch, circuit_factory, guadalupe, swap_only):
+    # at every repair of a routed random circuit: find_swap_bridge_pairs
+    # offers the first router's candidates, and _repair scores exactly
+    # those left after the ban on recently swapped edges
+    import qmpc.scheduler as sched_mod
+    from oracles import _ref_candidates, _RefJob
+    from qmpc.partition import qhsp_partition
+
+    circuit = circuit_factory(np.random.default_rng(6), "c", n_qubits=6, max_gates=80)
+    part = qhsp_partition(guadalupe, circuit, set())[0]
+    repair, cost, scored, checked = sched_mod._repair, sched_mod.cost_h, [], []
+
+    def keys(cands):
+        return {(c.kind, c.qubits) for c in cands}
+
+    def scoring(tentative, *args):
+        scored.append(tentative)
+        return cost(tentative, *args)
+
+    def checking(job, records):
+        ref = _RefJob(guadalupe, job.circuit, job.dag, part, job.l2p, 0)
+        ref.front = set(job.front)
+        expected = {(kind, qubits) for kind, qubits in keys(_ref_candidates(ref)) if kind == SWAP or not swap_only}
+        assert keys(find_swap_bridge_pairs(job, job.blocked_front())) == expected
+        unbanned = {(kind, qubits) for kind, qubits in expected if kind != SWAP or qubits not in job.banned_edges}
+        scored.clear()
+        repair(job, records)
+        assert keys(scored) == (unbanned or expected)
+        checked.append(unbanned != expected)  # the ban removed a candidate
+
+    monkeypatch.setattr(sched_mod, "cost_h", scoring)
+    monkeypatch.setattr(sched_mod, "_repair", checking)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        l2p = [int(p) for p in rng.permutation(sorted(part.qubits))]
+        route_single(guadalupe, circuit, l2p, RunConfig(swap_only=swap_only))
+    assert len(checked) > 50 and any(checked)
+
+
+def test_each_candidate_keeps_its_own_cnot_cost(circuit_factory, guadalupe):
+    from qmpc.partition import qhsp_partition
+
+    D = distance_matrices(guadalupe)
+    circuit = circuit_factory(np.random.default_rng(6), "c", n_qubits=6, max_gates=40)
+    part = qhsp_partition(guadalupe, circuit, set())[0]
+    t = _Tables(guadalupe, circuit, part, D, RunConfig())
+    candidates = [*t.swap_gates.values(), *(b for bridges in t.bridge_gates.values() for b in bridges)]
+    assert {c.kind for c in candidates} == {SWAP, BRIDGE}
+    for cand in candidates:
+        total = 0
+        for p, q in cand.cnot_pairs:
+            total += D[p][q]
+        assert cand.self_term == total
+
+
 # --- cost function ----------------------------------------------------------------
 
 
@@ -146,11 +202,11 @@ def test_cost_formula_single_gate_empty_lookahead():
     l2p = [0, 1, 2]
     p2l = {0: 0, 1: 1, 2: 2}
     front = [(0, 0, 2)]  # node 0: CX(l0, l2) at physical (0, 2)
-    swap = TentativeGate(SWAP, (1, 2))
+    swap = TentativeGate(SWAP, (1, 2), dist=D)
     # post-swap the gate sits on (0, 1); the swap itself burns 3 CNOTs on (1, 2)
     expected = (D[0][1] + 3 * D[1][2]) / 4
     assert cost_h(swap, front, [], D, l2p, p2l) == pytest.approx(expected, abs=1e-15)
-    bridge = TentativeGate(BRIDGE, (0, 1, 2), node=0)
+    bridge = TentativeGate(BRIDGE, (0, 1, 2), dist=D)
     expected_b = (2 * D[0][1] + 2 * D[1][2]) / 5
     assert cost_h(bridge, front, [], D, l2p, p2l) == pytest.approx(expected_b, abs=1e-15)
 
@@ -161,7 +217,7 @@ def test_cost_ignores_lookahead_when_weight_zero():
     l2p = [0, 1, 2, 3]
     p2l = {i: i for i in range(4)}
     front = [(0, 0, 1)]
-    swap = TentativeGate(SWAP, (0, 1))
+    swap = TentativeGate(SWAP, (0, 1), dist=D)
     with_ext = cost_h(swap, front, [(2, 3)], D, l2p, p2l, weight_w=0.0)
     without = cost_h(swap, front, [], D, l2p, p2l, weight_w=0.0)
     assert with_ext == without
@@ -176,8 +232,8 @@ def test_swap_wins_exactly_when_it_helps_lookahead():
     l2p = [0, 2, 3, 4, 1]  # l0->0, l1->2, l2->3, l3->4, l4->1
     p2l = {p: l for l, p in enumerate(l2p)}
     front = [(0, 0, 1)]
-    swap01 = TentativeGate(SWAP, (0, 1))
-    bridge = TentativeGate(BRIDGE, (0, 1, 2), node=0)
+    swap01 = TentativeGate(SWAP, (0, 1), dist=D)
+    bridge = TentativeGate(BRIDGE, (0, 1, 2), dist=D)
     ext = [(0, 2)]  # CX(l0, l2) at (0,3) now, (1,3) after the swap
     h_swap = cost_h(swap01, front, ext, D, l2p, p2l)
     h_bridge = cost_h(bridge, front, ext, D, l2p, p2l)
@@ -195,8 +251,8 @@ def test_self_cost_ablation_changes_choice():
     p2l = {p: l for l, p in enumerate(l2p)}
     front = [(0, 0, 1)]
     ext = [(0, 2)]
-    swap01 = TentativeGate(SWAP, (0, 1))
-    bridge = TentativeGate(BRIDGE, (0, 1, 2), node=0)
+    swap01 = TentativeGate(SWAP, (0, 1), dist=D)
+    bridge = TentativeGate(BRIDGE, (0, 1, 2), dist=D)
 
     def choice(self_cost):
         cands = [swap01, bridge]
@@ -218,8 +274,8 @@ def test_recurring_bridged_pair_makes_swap_win():
     l2p = [0, 1, 2]
     p2l = {0: 0, 1: 1, 2: 2}
     front = [(0, 0, 2)]
-    swap = TentativeGate(SWAP, (1, 2))
-    bridge = TentativeGate(BRIDGE, (0, 1, 2), node=0)
+    swap = TentativeGate(SWAP, (1, 2), dist=D)
+    bridge = TentativeGate(BRIDGE, (0, 1, 2), dist=D)
     ext = [(2, 0), (0, 1)]
     lookahead = 0.5 * (D[0][1] + D[0][2]) / 2
     h_swap = cost_h(swap, front, ext, D, l2p, p2l)
