@@ -10,6 +10,13 @@ numpy call however many branches there are.  Terminal measurements are read
 off the final state jointly, which keeps the common all-measures-at-the-end
 case to a single branch.
 
+Before simulating, one pass lowers the router's traffic (``_lower``): a SWAP
+triple only exchanges two qubits' state axes and a bridge runs as one CX, so
+a routed program costs what its source costs.  Whether a measurement
+branches, which axes the final reads take and where every gate lands are all
+decided on axes, so a measured state that SWAPs merely carry around is still
+read off the final state: a routed program branches no more than its sources.
+
 The equivalence check never simulates a merged program whole.  It splits the
 program into connected components over qubit and classical-bit wires and
 simulates each component that measures anything on its own; a circuit's
@@ -23,7 +30,9 @@ measures).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -90,27 +99,64 @@ def gate_matrix(kind: str, params: tuple[float, ...]) -> np.ndarray:
     raise SimulationError(f"no matrix for gate kind {kind!r}")
 
 
-def _apply(state: np.ndarray, g: Gate, axis_of: dict[int, int]) -> np.ndarray:
+def _apply(state: np.ndarray, axes: tuple[int, ...], matrix: np.ndarray | None) -> np.ndarray:
     """Apply a one-qubit gate or a CX to every branch at once.
 
-    Axis 0 of ``state`` runs over branches and ``axis_of`` maps a qubit to
-    its axis.  A CX swaps two quarter views in place; a one-qubit gate is one
-    ``matmul`` of its 2x2 matrix with an ``(L, 2, R)`` reshape.
+    Axis 0 of ``state`` runs over branches and every other axis has length
+    2; ``state`` is C-contiguous (every producer here allocates it fresh),
+    so each reshape is a view and the CX writes reach it.  A CX (``matrix`` is None, axes control then target) reverses the
+    target axis of the control-1 half in place, through an ``(L, 2, M, 2,
+    R)`` reshape; a one-qubit gate is one ``matmul`` of its 2x2 matrix with
+    an ``(L, 2, R)`` reshape.
     """
-    if g.kind == CX:
-        on10 = [slice(None)] * state.ndim
-        on10[axis_of[g.qubits[0]]] = 1
-        on11 = list(on10)
-        on10[axis_of[g.qubits[1]]] = 0
-        on11[axis_of[g.qubits[1]]] = 1
-        zero, one = state[tuple(on10)], state[tuple(on11)]
-        held = zero.copy()
-        zero[...] = one
-        one[...] = held
+    if matrix is None:
+        c, t = axes
+        lo, hi = min(c, t), max(c, t)
+        view = state.reshape(state.shape[0] << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1)
+        if c < t:
+            view[:, 1] = view[:, 1, :, ::-1]
+        else:
+            view[:, :, :, 1] = view[:, ::-1, :, 1]
         return state
-    axis = axis_of[g.qubits[0]]
-    lead = math.prod(state.shape[:axis])
-    return np.matmul(gate_matrix(g.kind, g.params), state.reshape(lead, 2, -1)).reshape(state.shape)
+    return np.matmul(matrix, state.reshape(state.shape[0] << (axes[0] - 1), 2, -1)).reshape(state.shape)
+
+
+def _lower(gates: list[Gate], axis_of: dict[int, int]) -> list[tuple]:
+    """The gates as operations on state axes, with the router's traffic
+    folded away.
+
+    ``cx a,b; cx b,a; cx a,b`` is a SWAP: it only exchanges the entries of
+    a and b in ``axis_of``.  ``cx c,m; cx m,t; cx c,m; cx m,t`` is one
+    ``cx c,t`` that leaves m untouched.  Both rewrites are exact for any
+    input, because a CNOT only permutes amplitudes.  ``axis_of`` ends as the
+    final axis map; ``gates`` holds no barriers.  An operation is ``(axes, matrix, clbit)``: a CX has
+    axes ``(control, target)`` and no matrix, a one-qubit gate its 2x2
+    matrix, and a measurement its bit.
+    """
+    cx_pairs = [g.qubits if g.kind == CX else () for g in gates] + [()] * 3  # padded past the end
+    ops: list[tuple] = []
+    i, n = 0, len(gates)
+    while i < n:
+        g = gates[i]
+        if g.kind == MEASURE:
+            ops.append(((axis_of[g.qubits[0]],), None, g.clbit))
+        elif g.kind != CX:
+            ops.append(((axis_of[g.qubits[0]],), gate_matrix(g.kind, g.params), None))
+        else:
+            a, b = g.qubits
+            mid = cx_pairs[i + 1]
+            if mid[:1] == (b,) and cx_pairs[i + 2] == g.qubits:
+                if mid[1] == a:  # cx a,b; cx b,a; cx a,b
+                    axis_of[a], axis_of[b] = axis_of[b], axis_of[a]
+                    i += 3
+                    continue
+                if cx_pairs[i + 3] == mid:  # cx a,b; cx b,t; cx a,b; cx b,t
+                    ops.append(((axis_of[a], axis_of[mid[1]]), None, None))
+                    i += 4
+                    continue
+            ops.append(((axis_of[a], axis_of[b]), None, None))
+        i += 1
+    return ops
 
 
 def _measure(state: np.ndarray, weights: np.ndarray, axis: int):
@@ -152,30 +198,32 @@ def simulate(circuit: QuantumCircuit, cap: int = SIMULATION_QUBIT_CAP) -> dict[s
     qubits.  The cap applies to the number of *active* qubits, so merged
     circuits on big devices are fine while their occupied region is small.
     """
-    gates = circuit.gates
-    active = sorted({q for g in gates for q in g.qubits})
+    gates = [g for g in circuit.gates if g.kind != BARRIER]
+    active = sorted({q for g in circuit.gates for q in g.qubits})
     if len(active) > cap:
         raise SimulationError(f"{len(active)} active qubits exceed the simulation cap of {cap}")
     axis_of = {q: i + 1 for i, q in enumerate(active)}  # axis 0 holds the branches
+    ops = _lower(gates, axis_of)
 
     # One reverse scan.  A measurement can be read off the final state unless
-    # a gate acts on its qubit afterwards, in which case every branch splits
-    # on its outcome; only the last measurement into a bit sets its value.
+    # an operation acts on its axis afterwards, in which case every branch
+    # splits on its outcome; only the last measurement into a bit sets its
+    # value.  Router traffic acts on no axis it merely relabels or bridges.
     must_branch: set[int] = set()
     acted_on_later: set[int] = set()
     last_write: dict[int, int] = {}
-    for i in range(len(gates) - 1, -1, -1):
-        g = gates[i]
-        if g.kind == MEASURE:
-            if g.qubits[0] in acted_on_later:
+    for i in range(len(ops) - 1, -1, -1):
+        axes, _, clbit = ops[i]
+        if clbit is None:
+            acted_on_later.update(axes)
+        else:
+            if axes[0] in acted_on_later:
                 must_branch.add(i)
-            last_write.setdefault(g.clbit, i)
-        elif g.kind != BARRIER:
-            acted_on_later.update(g.qubits)
+            last_write.setdefault(clbit, i)
     if last_write:
         width = circuit.num_clbits
-        read = {b: axis_of[gates[i].qubits[0]] for b, i in last_write.items() if i not in must_branch}
-    else:  # keys over qubits: every active qubit is read at the end
+        read = {b: ops[i][0][0] for b, i in last_write.items() if i not in must_branch}
+    else:  # keys over qubits: every active qubit is read where it ends
         width = circuit.num_qubits
         read = {q: axis_of[q] for q in active}
 
@@ -183,16 +231,14 @@ def simulate(circuit: QuantumCircuit, cap: int = SIMULATION_QUBIT_CAP) -> dict[s
     state.flat[0] = 1.0
     weights = np.ones(1)
     bits = np.zeros((1, width), dtype=np.uint8)  # per branch: bits set by branching
-    for i, g in enumerate(gates):
-        if g.kind == BARRIER or (g.kind == MEASURE and i not in must_branch):
-            continue
-        if g.kind == MEASURE:
-            state, weights, parent, outcome = _measure(state, weights, axis_of[g.qubits[0]])
+    for i, (axes, matrix, clbit) in enumerate(ops):
+        if clbit is None:
+            state = _apply(state, axes, matrix)
+        elif i in must_branch:
+            state, weights, parent, outcome = _measure(state, weights, axes[0])
             bits = bits[parent]
-            if last_write[g.clbit] == i:
-                bits[:, g.clbit] = outcome
-        else:
-            state = _apply(state, g, axis_of)
+            if last_write[clbit] == i:
+                bits[:, clbit] = outcome
 
     read_axes = sorted(set(read.values()))
     probs = np.abs(state) ** 2
@@ -212,9 +258,10 @@ def total_variation(p: dict[str, float], q: dict[str, float]) -> float:
 
 def marginalize(dist: dict[str, float], positions: list[int]) -> dict[str, float]:
     """Project a distribution over bit strings onto the given positions."""
+    pick = itemgetter(*positions) if positions else itemgetter(slice(0))
     out: dict[str, float] = {}
     for key, p in dist.items():
-        sub = "".join(key[i] for i in positions)
+        sub = "".join(pick(key))
         out[sub] = out.get(sub, 0.0) + p
     return out
 
@@ -226,7 +273,11 @@ def _components(circuit: QuantumCircuit) -> list[tuple[list[Gate], list[int]]]:
     Wires are qubits and classical bits (bit b is wire ~b, as in
     ``DagCircuit``); a gate joins every wire it touches, and barriers join
     nothing.  Components share no wire, so their outcomes are independent.
+    Only CXs and measurements join two wires, so each distinct pair of them
+    is joined once and each wire is then labelled once.
     """
+    ops = [g for g in circuit.gates if g.kind != BARRIER]
+    measures = [g for g in ops if g.kind == MEASURE]
     root: dict[int, int] = {}
 
     def find(w: int) -> int:
@@ -235,19 +286,17 @@ def _components(circuit: QuantumCircuit) -> list[tuple[list[Gate], list[int]]]:
             w = root[w]
         return w
 
-    ops = [g for g in circuit.gates if g.kind != BARRIER]
+    for a, b in {g.qubits for g in ops if g.kind == CX} | {(g.qubits[0], ~g.clbit) for g in measures}:
+        root[find(b)] = find(a)
+    label = {w: find(w) for w in root}  # a wire no pair joins is its own label
+    parts: defaultdict[int, list[Gate]] = defaultdict(list)
     for g in ops:
-        wires = g.qubits if g.clbit is None else (*g.qubits, ~g.clbit)
-        first = find(wires[0])
-        for w in wires[1:]:
-            root[find(w)] = first
-    parts: dict[int, tuple[list[Gate], set[int]]] = {}
-    for g in ops:
-        gates, written = parts.setdefault(find(g.qubits[0]), ([], set()))
-        gates.append(g)
-        if g.kind == MEASURE:
-            written.add(g.clbit)
-    return [(gates, sorted(written)) for gates, written in parts.values() if written]
+        q = g.qubits[0]
+        parts[label.get(q, q)].append(g)
+    written: defaultdict[int, set[int]] = defaultdict(set)
+    for g in measures:
+        written[label[g.qubits[0]]].add(g.clbit)
+    return [(gates, sorted(written[k])) for k, gates in parts.items() if k in written]
 
 
 def marginals(circuit: QuantumCircuit, bit_lists: list[list[int]], cap: int = SIMULATION_QUBIT_CAP):
@@ -261,23 +310,26 @@ def marginals(circuit: QuantumCircuit, bit_lists: list[list[int]], cap: int = SI
     factors = []  # (bit -> position in the component's keys, its distribution)
     for gates, written in _components(circuit):
         local = {b: i for i, b in enumerate(written)}
-        renumbered = tuple(Gate(MEASURE, g.qubits, clbit=local[g.clbit]) if g.kind == MEASURE else g for g in gates)
-        part = QuantumCircuit(circuit.id, circuit.num_qubits, len(written), renumbered)
+        renumbered = [Gate(MEASURE, g.qubits, clbit=local[g.clbit]) if g.kind == MEASURE else g for g in gates]
+        part = QuantumCircuit(circuit.id, circuit.num_qubits, len(written), tuple(renumbered))
         factors.append((local, simulate(part, cap=cap)))
     out = []
     for bits in bit_lists:
-        dist = {"0" * len(bits): 1.0}
+        width = len(bits)
+        dist = {"0" * width: 1.0}
         for local, part_dist in factors:
             picks = [(k, local[b]) for k, b in enumerate(bits) if b in local]
             if not picks:
                 continue
+            # key + sub -> the grown key: position k of a pick reads sub's j-th character
+            slots = list(range(width))
+            for j, (k, _) in enumerate(picks):
+                slots[k] = width + j
+            fill = itemgetter(*slots)
             grown: dict[str, float] = {}
             for sub, q in marginalize(part_dist, [i for _, i in picks]).items():
                 for key, p in dist.items():
-                    chars = list(key)
-                    for (k, _), c in zip(picks, sub):
-                        chars[k] = c
-                    joined = "".join(chars)
+                    joined = "".join(fill(key + sub))
                     grown[joined] = grown.get(joined, 0.0) + p * q
             dist = grown
         out.append(dist)
@@ -307,6 +359,7 @@ def check_equivalence(
     """
     if not isinstance(manifest, dict):
         raise VerificationError(f"manifest must be a JSON object keyed by circuit id, got {type(manifest).__name__}")
+    owner: dict[int, str] = {}  # each merged bit carries one source bit
     for src in sources:
         entry = manifest.get(src.id)
         if entry is None:
@@ -322,6 +375,11 @@ def check_equivalence(
             raise VerificationError(f"circuit {src.id!r} has no measurements to compare")
         if any(not 0 <= b < merged.num_clbits for b in clbits):
             raise VerificationError(f"manifest clbits for {src.id!r} fall outside the merged register")
+        for b in clbits:
+            if b in owner:
+                shared = "twice" if owner[b] == src.id else f"for {owner[b]!r} too"
+                raise VerificationError(f"manifest lists clbit {b} of {src.id!r} {shared}")
+            owner[b] = src.id
     got = marginals(merged, [list(manifest[src.id]["clbits"]) for src in sources], cap=cap)
     per_circuit: dict[str, float] = {}
     for src, dist in zip(sources, got):

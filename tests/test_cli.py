@@ -661,3 +661,40 @@ def test_many_unrecognized_arguments_are_named_ten_and_counted(capsys):
 def test_short_argument_is_echoed_as_argparse_wrote_it(device_files, capsys, flag, value, message):
     assert main(_compile_args(device_files, extra=(flag, value))) == 1
     assert capsys.readouterr().err == f"error: qmpc compile: {message}\n"
+
+
+def test_verify_rejects_bits_shared_by_two_circuits(tmp_path, capsys):
+    # compile bell.qasm and a copy, drop the copy's gates and point its
+    # manifest at the first circuit's bits: this passed with TV 0
+    topo = topology("guadalupe")
+    (tmp_path / "topology.json").write_text(json.dumps(topo))
+    (tmp_path / "calibration.json").write_text(json.dumps(synthetic_calibration(topo, seed=1)))
+    sources = [tmp_path / "bell.qasm", tmp_path / "copy.qasm"]
+    for path in sources:
+        path.write_text(BELL)
+    out = tmp_path / "out"
+    assert main([
+        "compile", "--topology", str(tmp_path / "topology.json"), "--calibration", str(tmp_path / "calibration.json"),
+        "--seed", "1", "--out-dir", str(out), *map(str, sources),
+    ]) == 0
+    manifest = json.loads((out / "manifest_0.json").read_text())
+    region = set(manifest["copy"]["logical_to_physical"].values())
+    lines = (out / "merged_0.qasm").read_text().splitlines(keepends=True)
+    kept = [line for line in lines if line.startswith("qreg") or region.isdisjoint(map(int, re.findall(r"q\[(\d+)\]", line)))]
+    assert len(lines) - len(kept) == 4  # h, cx and two measurements
+    (out / "merged_0.qasm").write_text("".join(kept))
+    manifest["copy"]["clbits"] = manifest["bell"]["clbits"]
+    (out / "manifest_0.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["verify", "--merged", str(out / "merged_0.qasm"), "--manifest", str(out / "manifest_0.json"), *map(str, sources)]) == 1
+    _one_error_line(capsys, "manifest lists clbit 0 of 'copy' for 'bell' too")
+
+
+def test_verify_rejects_a_bit_listed_twice(tmp_path, capsys):
+    # both Bell bits read one measurement of |+>: this passed with TV 0
+    (tmp_path / "merged.qasm").write_text("qreg q[1]; creg c[1]; h q[0]; measure q[0] -> c[0];\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({"bell": {"clbits": [0, 0]}}))
+    (tmp_path / "bell.qasm").write_text(BELL)
+    argv = ["verify", "--merged", str(tmp_path / "merged.qasm"), "--manifest", str(tmp_path / "manifest.json")]
+    assert main([*argv, str(tmp_path / "bell.qasm")]) == 1
+    _one_error_line(capsys, "manifest lists clbit 0 of 'bell' twice")

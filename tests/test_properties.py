@@ -664,6 +664,44 @@ def test_batched_simulate_matches_per_branch_oracle(circuit, cap):
     assert_close(simulate(circuit, cap=cap), want)
 
 
+# runs of CNOTs over qubits (a, b, c): what the router inserts, and near misses
+TRAFFIC = {
+    "swap": ((0, 1), (1, 0), (0, 1)),
+    "bridge": ((0, 1), (1, 2), (0, 1), (1, 2)),
+    "half swap": ((0, 1), (1, 0)),
+    "bridge, last cx differs": ((0, 1), (1, 2), (0, 1), (2, 1)),
+    "swap, then one more": ((0, 1), (1, 0), (0, 1), (1, 0)),
+    "two swaps": ((0, 1), (1, 0), (0, 1), (1, 2), (2, 1), (1, 2)),
+}
+
+
+@st.composite
+def program_with_router_traffic(draw):
+    """Random gates on 3-6 qubits with runs from ``TRAFFIC`` inserted, some
+    right after a measurement of a qubit the run touches; no bits at all
+    (keys over qubits) in about a third of the cases.  At most 12
+    measurements, so no input reaches the branch cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 6))
+    qubits = [int(q) for q in rng.choice(n + draw(st.integers(0, 2)), size=n, replace=False)]
+    width = draw(st.integers(0, 2)) * 2
+    gates = random_gates(rng, qubits, list(range(width)), draw(st.integers(0, 8)))
+    for name in draw(st.lists(st.sampled_from(sorted(TRAFFIC)), min_size=1, max_size=4)):
+        abc = [int(q) for q in rng.choice(qubits, size=3, replace=False)]
+        run = [Gate("cx", (abc[i], abc[j])) for i, j in TRAFFIC[name]]
+        if width and rng.random() < 0.5:
+            run.insert(0, Gate("measure", (abc[int(rng.integers(3))],), clbit=int(rng.integers(width))))
+        at = int(rng.integers(len(gates) + 1))
+        gates[at:at] = run
+    return QuantumCircuit("p", max(qubits) + 1, width, tuple(gates))
+
+
+@settings(max_examples=200, **COMMON)
+@given(program_with_router_traffic())
+def test_lowered_simulation_matches_the_unlowered_oracle(circuit):
+    assert_close(simulate(circuit), per_branch_simulate(circuit))
+
+
 @st.composite
 def multi_region_program(draw):
     """Up to three regions, each with qubits and bits of its own and ending

@@ -11,6 +11,7 @@ from qmpc.verify import (
     check_compliance,
     check_equivalence,
     estimate_success,
+    gate_matrix,
     marginalize,
     simulate,
     total_variation,
@@ -45,7 +46,8 @@ def _amplitudes(circuit):
     state = np.zeros((1,) + (2,) * n, dtype=complex)
     state.flat[0] = 1.0
     for g in circuit.gates:
-        state = _apply(state, g, {q: q + 1 for q in range(n)})
+        matrix = None if g.kind == "cx" else gate_matrix(g.kind, g.params)
+        state = _apply(state, tuple(q + 1 for q in g.qubits), matrix)
     # axis q + 1 carries qubit q; little-endian flat order wants qubit 0 last
     return np.transpose(state[0], axes=tuple(reversed(range(n)))).reshape(-1)
 
@@ -145,6 +147,10 @@ def test_corrupted_manifest_fails(bell):
     bad["bell"] = dict(bad["bell"], clbits=list(reversed(good["other"]["clbits"])))
     ok = check_equivalence([bell, other], compiled.merged, good)
     assert ok.passed
+    # bell now reads other's bits, which other still lists too
+    with pytest.raises(VerificationError, match="for 'bell' too"):
+        check_equivalence([bell, other], compiled.merged, bad)
+    bad["other"] = dict(bad["other"], clbits=good["bell"]["clbits"])
     corrupted = check_equivalence([bell, other], compiled.merged, bad)
     assert not corrupted.passed
 
@@ -161,6 +167,46 @@ def test_manifest_clbits_must_be_integers(bell, clbits):
     # a boolean is an int to Python, and used to be read as bit 0 or 1
     with pytest.raises(VerificationError, match='needs a list of integer "clbits"'):
         check_equivalence([bell], bell, {"bell": {"clbits": clbits}})
+
+
+def test_bits_shared_by_two_circuits_are_rejected(guadalupe, bell):
+    # the copy's gates are gone, and its manifest reads the first circuit's
+    # bits: the same distribution, so this passed with TV 0
+    copy = QuantumCircuit("copy", bell.num_qubits, bell.num_clbits, bell.gates)
+    compiled = _compile_pair(guadalupe, [bell, copy])
+    region = set(compiled.manifest["copy"]["logical_to_physical"].values())
+    gates = tuple(g for g in compiled.merged.gates if region.isdisjoint(g.qubits))
+    merged = QuantumCircuit("merged", compiled.merged.num_qubits, compiled.merged.num_clbits, gates)
+    manifest = {cid: dict(entry) for cid, entry in compiled.manifest.items()}
+    manifest["copy"]["clbits"] = list(manifest["bell"]["clbits"])
+    with pytest.raises(VerificationError, match="manifest lists clbit 0 of 'copy' for 'bell' too"):
+        check_equivalence([bell, copy], merged, manifest)
+
+
+def test_bit_listed_twice_for_one_circuit_is_rejected(bell):
+    # both Bell bits read one measurement of |+>: the Bell distribution, so
+    # this passed with TV 0
+    merged = parse_qasm("qreg q[1]; creg c[1]; h q[0]; measure q[0] -> c[0];", "merged")
+    with pytest.raises(VerificationError, match="manifest lists clbit 0 of 'bell' twice"):
+        check_equivalence([bell], merged, {"bell": {"clbits": [0, 0]}})
+
+
+def test_routed_program_branches_no_more_than_its_sources(monkeypatch, circuit_factory):
+    # every source measures only at its end; the router's SWAPs and bridges
+    # through measured qubits must not make the merged side branch
+    from qmpc import presets, verify
+    from qmpc.pipeline import RunConfig, compile_workloads
+
+    model = presets.model("manhattan", seed=5)
+    rng = np.random.default_rng(2)
+    circuits = [circuit_factory(rng, f"c{i}", int(rng.integers(5, 9)), max_gates=60) for i in range(6)]
+    (compiled,) = compile_workloads(model, circuits, RunConfig(seed=1)).plans
+    assert compiled.merged.cnot_count > sum(c.cnot_count for c in circuits)  # the router added CNOTs
+    calls = []
+    measure = verify._measure
+    monkeypatch.setattr(verify, "_measure", lambda *args: calls.append(args[2]) or measure(*args))
+    assert check_equivalence(compiled.circuits, compiled.merged, compiled.manifest).passed
+    assert calls == []
 
 
 def _ghz(cid, n):
