@@ -167,9 +167,6 @@ class DagCircuit:
     def num_nodes(self) -> int:
         return len(self.circuit.gates)
 
-    def gate(self, node: int) -> Gate:
-        return self.circuit.gates[node]
-
     def front_layer(self) -> list[int]:
         """Nodes with no predecessors."""
         return [i for i, d in enumerate(self._in_degree) if d == 0]

@@ -3,18 +3,22 @@
 The router's distance matrix weighs hops against swap failure probability,
 each raw table divided by its maximum so that equal weights compare like
 with like.  A matrix is a tuple of rows of Python floats, read as ``m[a][b]``.
+
+Every table derived from a model, here or in ``partition``, is built once per
+model and key by ``derived`` and kept in the model's one memo.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import numbers
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from pathlib import Path
 from types import MappingProxyType
+from typing import TypeVar
 
 from .circuits import MAX_REGISTER_SIZE
 from .config import RunConfig
@@ -22,6 +26,7 @@ from .errors import BRIEF, CalibrationError, CrosstalkError, DisconnectedGraphEr
 
 Edge = tuple[int, int]
 Matrix = tuple[tuple[float, ...], ...]
+T = TypeVar("T")
 
 
 def _edge(i: int, j: int) -> Edge:
@@ -47,24 +52,9 @@ class HardwareModel:
         return _sorted_adjacency(self.num_qubits, self.edges)
 
     @cached_property
-    def _distance_matrices(self) -> dict[tuple[float, float], Matrix]:
-        """``distance_matrices`` results by ``(alpha1, alpha2)``."""
+    def _memo(self) -> dict[tuple, object]:
+        """``derived`` results by key."""
         return {}
-
-    @cached_property
-    def _region_tables(self) -> dict[int, tuple]:
-        """``partition.region_table`` results by region size."""
-        return {}
-
-    @cached_property
-    def _fidelity_degrees(self) -> dict[float, tuple[float, ...]]:
-        """``partition.fidelity_degree`` results by ``lam``."""
-        return {}
-
-    @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        """Every qubit's degree, in qubit order."""
-        return tuple(self.degree(q) for q in range(self.num_qubits))
 
     def has_edge(self, i: int, j: int) -> bool:
         return _edge(i, j) in self.cnot_error
@@ -258,18 +248,27 @@ def swap_error_matrix(model: HardwareModel) -> Matrix:
     return tuple(tuple(max(out[a][b], out[b][a]) for b in range(n)) for a in range(n))
 
 
+def derived(model: HardwareModel, key: tuple, build: Callable[[], T]) -> T:
+    """``build()``, called once per model and ``key`` and kept in the model's
+    memo; a key starts with its builder's name, as ``("region_table", k)``.
+    Every caller shares the table, so none may change it."""
+    memo = model._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def distance_matrices(model: HardwareModel, alpha1=RunConfig.alpha1, alpha2=RunConfig.alpha2) -> Matrix:
     """The router's distance matrix, ``alpha1 * hops + alpha2 * swap error``
     entry by entry, each table scaled so that its largest entry is 1; built
-    once per ``(alpha1, alpha2)`` and kept on the model."""
-    cache = model._distance_matrices
-    if (alpha1, alpha2) not in cache:
+    once per model and ``(alpha1, alpha2)`` (see ``derived``)."""
+
+    def build() -> Matrix:
         a1, a2 = float(alpha1), float(alpha2)  # float64 products, whatever real type the weights have
         s, e = _normalized(hop_count_matrix(model)), _normalized(swap_error_matrix(model))
-        cache[(alpha1, alpha2)] = tuple(
-            tuple(a1 * x + a2 * y for x, y in zip(s_row, e_row)) for s_row, e_row in zip(s, e)
-        )
-    return cache[(alpha1, alpha2)]
+        return tuple(tuple(a1 * x + a2 * y for x, y in zip(s_row, e_row)) for s_row, e_row in zip(s, e))
+
+    return derived(model, ("distance_matrices", alpha1, alpha2), build)
 
 
 def induced_edges(model: HardwareModel, qubits) -> list[Edge]:

@@ -30,11 +30,15 @@ class Verdict(enum.Enum):
 class ExecutionPlan:
     """One batch of circuits cleared to run together, with its partitions."""
 
-    selected: tuple[str, ...]
     partitions: tuple[Partition, ...]
     delta_s: float
     threshold: float
     verdict: Verdict
+
+    @property
+    def selected(self) -> tuple[str, ...]:
+        """The batch's circuit ids, in partition order."""
+        return tuple(p.circuit_id for p in self.partitions)
 
     @property
     def trf(self) -> int:
@@ -127,8 +131,8 @@ def fidelity_gate(
             delta_s = left_sum(p.score - scores[p.circuit_id] for p in joint[:n]) / n
             if delta_s < config.delta:
                 verdict = Verdict.SIMULTANEOUS if n == len(circuits) else Verdict.REDUCED
-                return ExecutionPlan(tuple(c.id for c in circuits[:n]), tuple(joint[:n]), delta_s, config.delta, verdict)
-    return ExecutionPlan((circuits[0].id,), (alone_region(circuits[0]),), 0.0, config.delta, Verdict.INDEPENDENT)
+                return ExecutionPlan(tuple(joint[:n]), delta_s, config.delta, verdict)
+    return ExecutionPlan((alone_region(circuits[0]),), 0.0, config.delta, Verdict.INDEPENDENT)
 
 
 def plan_all(

@@ -10,12 +10,14 @@ as a connectivity penalty for the exhaustive rows (the heuristic's carry
 none).  The score raises the CNOT error of region edges that sit under
 strong crosstalk from already-allocated neighbours.
 
-The exhaustive search reads a region table, built once per device and region
-size: every connected k-subset of the device with its qubit bitmask, internal
-edges, mean solo CNOT error, readout sum and diameter.  A search skips the
-rows that meet the used qubits.  Only a row holding a "hot" edge, one with a
-strong conditioner wholly inside the used qubits, has its mean CNOT error
-recomputed; every other row's mean is its solo mean.
+The exhaustive search reads a region table: every connected k-subset of the
+device with its qubit bitmask, internal edges, mean solo CNOT error, readout
+sum and diameter.  A search skips the rows that meet the used qubits.  Only a
+row holding a "hot" edge, one with a strong conditioner wholly inside the
+used qubits, has its mean CNOT error recomputed; every other row's mean is
+its solo mean.  Region tables, fidelity degrees and qubit degrees are built
+once per device and key through ``hardware.derived``, which keeps them in
+the model's memo.
 
 Allocation is greedy: circuits take the best region left in density order,
 as in Das et al., "A Case for Multi-Programming Quantum Computers" (MICRO
@@ -30,7 +32,7 @@ from .circuits import QuantumCircuit
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import PartitionError, PartitionSizeError
 from .floats import left_sum
-from .hardware import CrosstalkTable, Edge, HardwareModel, induced_edges, subgraph_diameter
+from .hardware import CrosstalkTable, Edge, HardwareModel, derived, induced_edges, subgraph_diameter
 
 GSP_MAX_QUBITS = 8
 
@@ -73,17 +75,14 @@ def fidelity_degree(model: HardwareModel, lam: float = RunConfig.lam) -> tuple[f
 
     degree(q) = sum over neighbours v of lam * (1 - E[q][v]), plus (1 - R[q]).
     High values mark well-connected, low-error qubits.  Built once per
-    ``lam`` and kept on the model.
+    model and ``lam`` (see ``hardware.derived``).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    values = model._fidelity_degrees
-    if lam not in values:
-        values[lam] = tuple(
-            left_sum(lam * (1.0 - model.edge_error(q, v)) for v in model.neighbors(q)) + (1.0 - model.readout_error[q])
-            for q in range(model.num_qubits)
-        )
-    return values[lam]
+    return derived(model, ("fidelity_degree", lam), lambda: tuple(
+        left_sum(lam * (1.0 - model.edge_error(q, v)) for v in model.neighbors(q)) + (1.0 - model.readout_error[q])
+        for q in range(model.num_qubits)
+    ))
 
 
 def starting_points(model: HardwareModel, circuit: QuantumCircuit) -> list[int]:
@@ -93,7 +92,7 @@ def starting_points(model: HardwareModel, circuit: QuantumCircuit) -> list[int]:
     the circuit's largest logical degree.
     """
     largest_logical = circuit.largest_logical_degree
-    degrees = model._degrees
+    degrees = derived(model, ("degrees",), lambda: tuple(model.degree(q) for q in range(model.num_qubits)))
     max_degree = max(degrees)
     if max_degree < largest_logical:
         return [q for q in range(model.num_qubits) if degrees[q] == max_degree]
@@ -177,14 +176,11 @@ def region_row(model: HardwareModel, qubits, diameter: int | None) -> Region:
 
 def region_table(model: HardwareModel, k: int) -> tuple[Region, ...]:
     """Every connected k-qubit region of the device, in sorted order; built
-    once per ``k`` and kept on the model."""
-    tables = model._region_tables
-    if k not in tables:
-        tables[k] = tuple(
-            region_row(model, qubits, subgraph_diameter(model, qubits))
-            for qubits in connected_k_subsets(model, set(range(model.num_qubits)), k)
-        )
-    return tables[k]
+    once per model and ``k`` (see ``hardware.derived``)."""
+    return derived(model, ("region_table", k), lambda: tuple(
+        region_row(model, qubits, subgraph_diameter(model, qubits))
+        for qubits in connected_k_subsets(model, set(range(model.num_qubits)), k)
+    ))
 
 
 def score(

@@ -45,24 +45,22 @@ class TentativeGate:
     """A candidate repair: SWAP over an edge, or BRIDGE over a 2-hop path.
 
     ``cnot_pairs`` are the CNOTs the repair emits, in order, and ``n_tent``
-    their number.  Built with the distance table ``dist``, it keeps its own
-    CNOT cost ``self_term``: ``dist`` over ``cnot_pairs``, added left to
-    right from ``0``.
+    their number.  ``self_term`` is its own CNOT cost: the distance table
+    ``dist`` over ``cnot_pairs``, added left to right from ``0``.
     """
 
-    __slots__ = ("kind", "qubits", "node", "cnot_pairs", "n_tent", "self_term")
+    __slots__ = ("kind", "qubits", "cnot_pairs", "n_tent", "self_term")
 
-    def __init__(self, kind: str, qubits: tuple[int, ...], node: int | None = None, dist=None):
+    def __init__(self, kind: str, qubits: tuple[int, ...], dist):
         self.kind = kind
         self.qubits = qubits  # physical: (a, b) for SWAP, (control, middle, target) for BRIDGE
-        self.node = node  # DAG node the bridge executes; the router's bridges find it by their ends
         if kind == SWAP:
             a, b = qubits
             self.cnot_pairs = ((a, b), (b, a), (a, b))
         else:
             self.cnot_pairs = tuple((qubits[i], qubits[j]) for i, j in BRIDGE_PATTERN)
         self.n_tent = len(self.cnot_pairs)
-        self.self_term = None if dist is None else left_sum(dist[p][q] for p, q in self.cnot_pairs)
+        self.self_term = left_sum(dist[p][q] for p, q in self.cnot_pairs)
 
 
 # One record per emitted gate: (source node, *physical qubits), node -1 for
@@ -106,9 +104,9 @@ class _Tables:
     the routing settings ``config``.
 
     ``dist`` is the ``hardware.distance_matrices`` table, read as
-    ``dist[p][q]``.  ``initial_mapping`` builds these once per call and
-    shares them with its trials; nothing is kept on the model, so memory
-    does not grow with the number of partitions routed.
+    ``dist[p][q]``.  ``initial_mapping`` builds these once per call, and each
+    trial's ``_Job`` reads them; they die with the call, so memory does not
+    grow with the number of partitions routed.
     """
 
     def __init__(self, model: HardwareModel, circuit: QuantumCircuit, partition: Partition, dist, config: RunConfig):
@@ -126,9 +124,9 @@ class _Tables:
         self.adjacency = {q: tuple(sorted(ns)) for q, ns in neighbours.items()}
         # every repair in the partition: SWAPs by edge, and bridges by (control,
         # target), one per middle qubit in order; no bridge under swap_only
-        self.swap_gates = {e: TentativeGate(SWAP, e, dist=dist) for e in edges}
+        self.swap_gates = {e: TentativeGate(SWAP, e, dist) for e in edges}
         self.bridge_gates = {} if config.swap_only else {
-            (c, t): tuple(TentativeGate(BRIDGE, (c, m, t), dist=dist) for m in sorted(neighbours[c] & neighbours[t]))
+            (c, t): tuple(TentativeGate(BRIDGE, (c, m, t), dist) for m in sorted(neighbours[c] & neighbours[t]))
             for c in self.partition
             for t in self.partition
             if c != t and neighbours[c] & neighbours[t]
@@ -141,31 +139,19 @@ class _Tables:
 
 
 class _Job:
-    """Mutable routing state for one circuit."""
+    """Mutable routing state for one trial; what all trials share stays on ``tables``."""
 
     def __init__(self, tables: _Tables, l2p):
-        self.circuit = tables.circuit
-        self.dag = dag = tables.dag
-        self.partition = tables.partition
-        self.dist = tables.dist
-        self.config = tables.config
+        self.tables = tables
         self.l2p = list(l2p)
-        if sorted(self.l2p) != sorted(self.partition):
+        if sorted(self.l2p) != sorted(tables.partition):
             raise ValueError("initial mapping is not a bijection onto the partition")
         self.p2l = {p: l for l, p in enumerate(self.l2p)}
-        self.in_deg = dag.in_degrees()
+        self.in_deg = tables.dag.in_degrees()
         self.front = {i for i, d in enumerate(self.in_deg) if d == 0}
-        self.executed = [False] * dag.num_nodes
-        self.remaining = dag.num_nodes
-        self.coupled = tables.coupled
-        self.adjacency = tables.adjacency
-        self.swap_gates = tables.swap_gates
-        self.bridge_gates = tables.bridge_gates
-        self.front_entries = tables.front_entries
-        self.cx_operands = tables.cx_operands
-        self.cx_nodes = tables.cx_nodes
-        self.cx_pairs = tables.cx_pairs
-        self.cx_cursor = 0  # index into cx_nodes of the first CNOT not yet executed
+        self.executed = [False] * tables.dag.num_nodes
+        self.remaining = tables.dag.num_nodes
+        self.cx_cursor = 0  # index into tables.cx_nodes of the first CNOT not yet executed
         self.swaps = 0
         self.bridges = 0
         # anti-oscillation state, cleared whenever the circuit emits a gate
@@ -186,7 +172,7 @@ class _Job:
         self.remaining -= 1
         self._front_layer = self._extended = None
         ready = []
-        for succ in self.dag.successors[node]:
+        for succ in self.tables.dag.successors[node]:
             self.in_deg[succ] -= 1
             if self.in_deg[succ] == 0:
                 self.front.add(succ)
@@ -205,12 +191,12 @@ class _Job:
         The list is shared until a node executes; callers must not change it.
         """
         if self._front_layer is None:
-            entries = self.front_entries
+            entries = self.tables.front_entries
             self._front_layer = [entries[node] for node in sorted(self.front)]
         return self._front_layer
 
     def extended_layer(self) -> list[tuple[int, int]]:
-        """Next ``config.ext_layer`` unexecuted CNOTs beyond the front layer, in program order.
+        """Next ``tables.config.ext_layer`` unexecuted CNOTs beyond the front layer, in program order.
 
         The scan starts at a cursor on the first unexecuted CNOT; the
         cursor only moves forward.  The list is shared until a node
@@ -218,8 +204,8 @@ class _Job:
         """
         if self._extended is not None:
             return self._extended
-        size = self.config.ext_layer
-        nodes, executed, front, pairs = self.cx_nodes, self.executed, self.front, self.cx_pairs
+        tables, executed, front = self.tables, self.executed, self.front
+        size, nodes, pairs = tables.config.ext_layer, tables.cx_nodes, tables.cx_pairs
         start, n = self.cx_cursor, len(nodes)
         while start < n and executed[nodes[start]]:
             start += 1
@@ -245,17 +231,16 @@ def find_swap_bridge_pairs(job: _Job, front: list[tuple[int, int, int]]) -> list
     partition, one candidate per valid middle qubit; none under
     ``config.swap_only``.
     """
-    l2p = job.l2p
+    l2p, tables = job.l2p, job.tables
     endpoints = set()
     for _, lq1, lq2 in front:
         endpoints.add(l2p[lq1])
         endpoints.add(l2p[lq2])
     candidates: list[TentativeGate] = [
-        g for g in job.swap_gates.values() if g.qubits[0] in endpoints or g.qubits[1] in endpoints
+        g for g in tables.swap_gates.values() if g.qubits[0] in endpoints or g.qubits[1] in endpoints
     ]
-    bridges = job.bridge_gates
     for _, lq1, lq2 in front:
-        candidates += bridges.get((l2p[lq1], l2p[lq2]), ())
+        candidates += tables.bridge_gates.get((l2p[lq1], l2p[lq2]), ())
     if not candidates:
         raise RoutingError("no SWAP or BRIDGE candidate for a blocked front layer")
     return candidates
@@ -336,26 +321,27 @@ def _forced_path_route(job: _Job, records: list[Record]) -> None:
     arXiv:2409.08368), which routes one front-layer gate along a shortest
     path once the heuristic stops making progress.
     """
-    src, dst = [job.l2p[q] for q in job.cx_operands[min(job.front)]]
+    tables = job.tables
+    src, dst = [job.l2p[q] for q in tables.cx_operands[min(job.front)]]
     parent = {src: None}
     queue = [src]
     while queue:
         nxt = []
         for u in queue:
-            for v in job.adjacency[u]:
+            for v in tables.adjacency[u]:
                 if v not in parent:
                     parent[v] = u
                     nxt.append(v)
         queue = nxt
     if dst not in parent:
-        raise RoutingError(f"partition of circuit {job.circuit.id!r} is not internally connected")
+        raise RoutingError(f"partition of circuit {tables.circuit.id!r} is not internally connected")
     path = [dst]
     while path[-1] != src:
         path.append(parent[path[-1]])
     path.reverse()
     for step in path[1:-1]:  # move the control up to the target's neighbour
         edge = (min(src, step), max(src, step))
-        for p, q in job.swap_gates[edge].cnot_pairs:
+        for p, q in tables.swap_gates[edge].cnot_pairs:
             records.append((-1, p, q))
         job.apply_swap(*edge)  # apply_swap also counts the swap
         src = step
@@ -368,8 +354,8 @@ def _emit_ready(job: _Job, records: list[Record]) -> None:
     in here, so a CNOT blocked in one pass stays blocked, and every pass
     after the first visits only the nodes the pass before made ready.
     """
-    l2p, entries, cx_operands, coupled = job.l2p, job.front_entries, job.cx_operands, job.coupled
-    visit = sorted(job.front)
+    tables, l2p, visit = job.tables, job.l2p, sorted(job.front)
+    entries, cx_operands, coupled = tables.front_entries, tables.cx_operands, tables.coupled
     emitted_any = False
     while visit:
         ready: list[int] = []
@@ -402,7 +388,8 @@ def _repair(job: _Job, records: list[Record]) -> None:
         if pruned:
             candidates = pruned
     extended = job.extended_layer()
-    dist, l2p, p2l, weight_w, self_cost = job.dist, job.l2p, job.p2l, job.config.weight_w, job.config.self_cost
+    dist, config, l2p, p2l = job.tables.dist, job.tables.config, job.l2p, job.p2l
+    weight_w, self_cost = config.weight_w, config.self_cost
     best = best_h = None
     for cand in candidates:  # the cheapest; an exact tie goes to a bridge, then to the lower qubits
         h = cost_h(cand, front, extended, dist, l2p, p2l, weight_w, self_cost)
@@ -438,10 +425,10 @@ def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None
     CNOTs stops early and the route comes back ``aborted``.
     """
     job = _Job(tables, l2p)
-    cap = 10 * max(len(job.circuit.gates), 1)
+    cap = 10 * max(len(tables.circuit.gates), 1)
     records: list[Record] = []
     round_ends: list[int] = []
-    limit = 2 * len(job.partition) + 4
+    limit = 2 * len(tables.partition) + 4
     aborted = False
     while not job.done:
         if max_inserted is not None and 3 * (job.swaps + job.bridges) > max_inserted:
@@ -456,7 +443,7 @@ def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None
             else:
                 _repair(job, records)
         round_ends.append(len(records))
-    return Route(job.circuit, records, round_ends, job.swaps, job.bridges, job.l2p, aborted)
+    return Route(tables.circuit, records, round_ends, job.swaps, job.bridges, job.l2p, aborted)
 
 
 def initial_mapping(

@@ -195,11 +195,12 @@ def simulate(circuit: QuantumCircuit, cap: int = SIMULATION_QUBIT_CAP) -> dict[s
     """Exact noiseless outcome distribution.
 
     Keys run over classical bits when the circuit measures, otherwise over
-    qubits.  The cap applies to the number of *active* qubits, so merged
-    circuits on big devices are fine while their occupied region is small.
+    qubits.  The cap applies to the number of *active* qubits, those a gate
+    other than a barrier touches, so merged circuits on big devices are
+    fine while their occupied region is small.
     """
     gates = [g for g in circuit.gates if g.kind != BARRIER]
-    active = sorted({q for g in circuit.gates for q in g.qubits})
+    active = sorted({q for g in gates for q in g.qubits})
     if len(active) > cap:
         raise SimulationError(f"{len(active)} active qubits exceed the simulation cap of {cap}")
     axis_of = {q: i + 1 for i, q in enumerate(active)}  # axis 0 holds the branches
@@ -355,7 +356,8 @@ def check_equivalence(
     Both sides are simulated one independent component at a time (see
     ``marginals``).  Nothing is taken on trust from the manifest beyond
     which bits to read: a gate that crosses two regions merges their
-    components, and the check stays exact.
+    components, and the check stays exact.  A source with no measurement
+    has nothing to compare and raises ``VerificationError``.
     """
     if not isinstance(manifest, dict):
         raise VerificationError(f"manifest must be a JSON object keyed by circuit id, got {type(manifest).__name__}")
@@ -371,7 +373,7 @@ def check_equivalence(
             raise VerificationError(
                 f"manifest lists {len(clbits)} clbits for {src.id!r}, circuit has {src.num_clbits}"
             )
-        if src.num_clbits == 0:
+        if not any(g.kind == MEASURE for g in src.gates):
             raise VerificationError(f"circuit {src.id!r} has no measurements to compare")
         if any(not 0 <= b < merged.num_clbits for b in clbits):
             raise VerificationError(f"manifest clbits for {src.id!r} fall outside the merged register")

@@ -52,7 +52,7 @@ from qmpc.partition import (
     gsp_partition,
     qhsp_partition,
 )
-from qmpc.scheduler import BRIDGE, SWAP, TentativeGate
+from qmpc.scheduler import BRIDGE, SWAP
 
 
 def bfs_hops(n: int, edges: list[tuple[int, int]], src: int) -> dict[int, int]:
@@ -331,9 +331,9 @@ def trim_and_reallocate_gate(model, circuits, method="qhsp", lam=2.0, threshold=
         delta_s = sum(p.score - alone[p.circuit_id] for p in joint) / len(current)
         if delta_s < threshold:
             verdict = Verdict.SIMULTANEOUS if len(current) == len(circuits) else Verdict.REDUCED
-            return ExecutionPlan(tuple(c.id for c in current), tuple(joint), delta_s, threshold, verdict)
+            return ExecutionPlan(tuple(joint), delta_s, threshold, verdict)
         current = current[:-1]
-    return ExecutionPlan((current[0].id,), (best_alone(current[0]),), 0.0, threshold, Verdict.INDEPENDENT)
+    return ExecutionPlan((best_alone(current[0]),), 0.0, threshold, Verdict.INDEPENDENT)
 
 
 def reference_gsp_partition(model, circuit, used_qubits, strong_pairs=None):
@@ -458,7 +458,7 @@ def _project(state: np.ndarray, axis: int):
 def per_branch_simulate(circuit: QuantumCircuit, cap: int = ORACLE_QUBIT_CAP) -> dict[str, float]:
     """The whole program as one state, one state per measurement branch, and
     a forward rescan per measurement to decide whether it must branch."""
-    active = sorted({q for g in circuit.gates for q in g.qubits})
+    active = sorted({q for g in circuit.gates if g.kind != BARRIER for q in g.qubits})  # a barrier acts on nothing
     if len(active) > cap:
         raise SimulationError(f"{len(active)} active qubits exceed the simulation cap of {cap}")
     axis_of = {q: i for i, q in enumerate(active)}
@@ -591,27 +591,42 @@ class _RefJob:
         self.swaps += 1
 
     def blocked_front(self):
-        return [(node, *self.dag.gate(node).qubits) for node in sorted(self.front)]
+        return [(node, *self.circuit.gates[node].qubits) for node in sorted(self.front)]
 
 
-def naive_extended_layer(job, size: int) -> list[tuple[int, int]]:
-    """The first ``size`` unexecuted CNOTs outside the front, scanned from
-    the circuit's first gate."""
+def naive_extended_layer(circuit, job, size: int) -> list[tuple[int, int]]:
+    """The first ``size`` CNOTs of ``circuit`` that ``job`` has neither
+    executed nor in its front, scanned from the circuit's first gate."""
     out = []
-    for node, g in enumerate(job.circuit.gates):
+    for node, g in enumerate(circuit.gates):
         if g.kind == CX and not job.executed[node] and node not in job.front:
             out.append((g.qubits[0], g.qubits[1]))
     return out[:size]
 
 
+class _RefCandidate(NamedTuple):
+    """A repair as the first router kept it: ``node`` is the front CNOT a
+    bridge executes, None for a SWAP."""
+
+    kind: str
+    qubits: tuple[int, ...]
+    node: int | None
+    cnot_pairs: tuple[tuple[int, int], ...]
+
+
+def _ref_swap(edge):
+    a, b = edge
+    return _RefCandidate(SWAP, edge, None, ((a, b), (b, a), (a, b)))
+
+
 def _ref_candidates(job):
     front = job.blocked_front()
     endpoints = {job.l2p[lq] for _, lq1, lq2 in front for lq in (lq1, lq2)}
-    cands = [TentativeGate(SWAP, e) for e in job.part_edges if e[0] in endpoints or e[1] in endpoints]
+    cands = [_ref_swap(e) for e in job.part_edges if e[0] in endpoints or e[1] in endpoints]
     for node, lq1, lq2 in front:
         c, t = job.l2p[lq1], job.l2p[lq2]
-        for middle in sorted(job.adjacency[c] & job.adjacency[t]):
-            cands.append(TentativeGate(BRIDGE, (c, middle, t), node))
+        for m in sorted(job.adjacency[c] & job.adjacency[t]):
+            cands.append(_RefCandidate(BRIDGE, (c, m, t), node, ((c, m), (m, t), (c, m), (m, t))))
     if not cands:
         raise RoutingError("no SWAP or BRIDGE candidate for a blocked front layer")
     return cands
@@ -633,7 +648,7 @@ def _ref_cost(tentative, front, extended, dist, l2p, p2l, weight_w, self_cost):
         if resolved is not None:
             pair = next({lq1, lq2} for node, lq1, lq2 in front if node == resolved)
             self_term *= 1 + sum(1 for lq1, lq2 in extended if {lq1, lq2} == pair)
-        h = (front_term + self_term) / (len(front) + tentative.n_tent)
+        h = (front_term + self_term) / (len(front) + len(tentative.cnot_pairs))
     else:
         h = front_term / len(front)
     if extended:
@@ -642,8 +657,7 @@ def _ref_cost(tentative, front, extended, dist, l2p, p2l, weight_w, self_cost):
 
 
 def _ref_forced_path(job, gates):
-    node = min(job.front)
-    gate = job.dag.gate(node)
+    gate = job.circuit.gates[min(job.front)]
     src, dst = job.l2p[gate.qubits[0]], job.l2p[gate.qubits[1]]
     parent = {src: None}
     queue = [src]
@@ -661,7 +675,7 @@ def _ref_forced_path(job, gates):
     path.reverse()
     for step in path[1:-1]:
         edge = (min(src, step), max(src, step))
-        for p, q in TentativeGate(SWAP, edge).cnot_pairs:
+        for p, q in _ref_swap(edge).cnot_pairs:
             gates.append(Gate(CX, (p, q)))
         job.apply_swap(*edge)
         src = step
@@ -672,7 +686,7 @@ def _ref_emit_ready(job, model, gates):
     while progress:
         progress = False
         for node in sorted(job.front):
-            gate = job.dag.gate(node)
+            gate = job.circuit.gates[node]
             if gate.kind == CX:
                 a, b = job.l2p[gate.qubits[0]], job.l2p[gate.qubits[1]]
                 if not model.has_edge(a, b):
@@ -730,7 +744,7 @@ def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only
                 if pruned:
                     candidates = pruned
             front = job.blocked_front()
-            extended = naive_extended_layer(job, ext_size)
+            extended = naive_extended_layer(job.circuit, job, ext_size)
             best = min(
                 candidates,
                 key=lambda cand: (

@@ -698,3 +698,22 @@ def test_verify_rejects_a_bit_listed_twice(tmp_path, capsys):
     argv = ["verify", "--merged", str(tmp_path / "merged.qasm"), "--manifest", str(tmp_path / "manifest.json")]
     assert main([*argv, str(tmp_path / "bell.qasm")]) == 1
     _one_error_line(capsys, "manifest lists clbit 0 of 'bell' twice")
+
+
+def test_verify_rejects_a_source_that_measures_nothing(tmp_path, capsys):
+    # compiled with bell.qasm; its bits read 0 in the source and in the
+    # merged program, so this passed with TV 0 though it compared nothing
+    topo = topology("guadalupe")
+    (tmp_path / "topology.json").write_text(json.dumps(topo))
+    (tmp_path / "calibration.json").write_text(json.dumps(synthetic_calibration(topo, seed=1)))
+    (tmp_path / "silent.qasm").write_text("qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1];\n")
+    (tmp_path / "bell.qasm").write_text(BELL)
+    sources = [str(tmp_path / "silent.qasm"), str(tmp_path / "bell.qasm")]
+    out = tmp_path / "out"
+    assert main([
+        "compile", "--topology", str(tmp_path / "topology.json"), "--calibration", str(tmp_path / "calibration.json"),
+        "--seed", "1", "--out-dir", str(out), *sources,
+    ]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--merged", str(out / "merged_0.qasm"), "--manifest", str(out / "manifest_0.json"), *sources]) == 1
+    _one_error_line(capsys, "circuit 'silent' has no measurements to compare")

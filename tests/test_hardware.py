@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from qmpc.hardware import (
     subgraph_diameter,
     swap_error_matrix,
 )
+from qmpc.partition import fidelity_degree, region_table
 from qmpc.presets import line_topology, synthetic_calibration, topology, uniform_calibration
 
 from oracles import all_pairs_hops, best_swap_path_error, floyd_warshall
@@ -235,6 +237,23 @@ def test_distance_matrices_built_once_per_model_and_weights(guadalupe):
     rebuilt = build_hardware(topology("guadalupe"), synthetic_calibration(topology("guadalupe"), seed=2))
     assert distance_matrices(rebuilt) is not first
     assert distance_matrices(rebuilt) == first
+
+
+@pytest.mark.parametrize(
+    "build, args, other",
+    [(distance_matrices, (0.5, 0.5), (0.3, 0.7)), (region_table, (3,), (4,)), (fidelity_degree, (2.0,), (1.0,))],
+)
+def test_derived_tables_are_built_once_per_model_and_key(build, args, other):
+    topo = topology("guadalupe")
+    text = json.dumps(topo), json.dumps(synthetic_calibration(topo, seed=2))
+    model, twin = (build_hardware(*map(json.loads, text)) for _ in range(2))
+    first = build(model, *args)
+    assert build(model, *args) is first
+    second = build(model, *other)
+    assert second is not first and second != first
+    # a second model from the same JSON builds equal tables of its own
+    assert build(twin, *args) == first and build(twin, *args) is not first
+    assert build(twin, *other) == second and build(twin, *other) is not second
 
 
 def test_distance_matrices_are_read_only(guadalupe):

@@ -156,7 +156,7 @@ def test_dense_device_exhausts_the_region_budget():
     model = build_hardware(topo, uniform_calibration(topo))
     with pytest.raises(PartitionSizeError, match="65-qubit device .* qhsp"):
         gsp_partition(model, cx_circuit("c", 6, chain(6)), set())
-    assert 6 not in model._region_tables
+    assert ("region_table", 6) not in model._memo
 
 
 # --- fidelity degree and starting points ------------------------------------------

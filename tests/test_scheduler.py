@@ -158,7 +158,7 @@ def test_prebuilt_candidates_match_the_reference_at_every_repair(monkeypatch, ci
         return cost(tentative, *args)
 
     def checking(job, records):
-        ref = _RefJob(guadalupe, job.circuit, job.dag, part, job.l2p, 0)
+        ref = _RefJob(guadalupe, job.tables.circuit, job.tables.dag, part, job.l2p, 0)
         ref.front = set(job.front)
         expected = {(kind, qubits) for kind, qubits in keys(_ref_candidates(ref)) if kind == SWAP or not swap_only}
         assert keys(find_swap_bridge_pairs(job, job.blocked_front())) == expected
@@ -361,8 +361,8 @@ def test_extended_layer_matches_a_naive_scan_at_every_routing_step(monkeypatch, 
 
     def checking(job):
         got = original(job)
-        assert got == naive_extended_layer(job, job.config.ext_layer)
-        checked.append(job.config.ext_layer)
+        assert got == naive_extended_layer(job.tables.circuit, job, job.tables.config.ext_layer)
+        checked.append(job.tables.config.ext_layer)
         return got
 
     monkeypatch.setattr(_Job, "extended_layer", checking)
@@ -546,7 +546,7 @@ def test_stall_fallback_is_reached_through_the_settings(monkeypatch, circuit_fac
     force, calls = sched_mod._forced_path_route, []
 
     def counting(job, records):
-        calls.append(job.circuit.id)
+        calls.append(job.tables.circuit.id)
         return force(job, records)
 
     monkeypatch.setattr(sched_mod, "_forced_path_route", counting)

@@ -99,6 +99,12 @@ def test_cap_counts_active_not_declared_qubits():
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_qubits_only_a_barrier_touches_are_not_active():
+    # the barrier used to count all 14 qubits against the cap of 12
+    dist = simulate(parse_qasm("qreg q[14]; creg c[1]; barrier q; h q[0]; measure q[0] -> c[0];"))
+    assert dist == pytest.approx({"0": 0.5, "1": 0.5}, abs=1e-12)
+
+
 def test_mid_circuit_measurement_branches():
     src = "qreg q[2]; creg c[2]; h q[0]; measure q[0] -> c[0]; x q[0]; measure q[0] -> c[1];"
     dist = simulate(parse_qasm(src))
@@ -189,6 +195,15 @@ def test_bit_listed_twice_for_one_circuit_is_rejected(bell):
     merged = parse_qasm("qreg q[1]; creg c[1]; h q[0]; measure q[0] -> c[0];", "merged")
     with pytest.raises(VerificationError, match="manifest lists clbit 0 of 'bell' twice"):
         check_equivalence([bell], merged, {"bell": {"clbits": [0, 0]}})
+
+
+def test_source_that_measures_nothing_is_rejected(guadalupe):
+    # its bits read 0 in the source and in the merged program, so this
+    # passed with TV 0 though it compared nothing
+    silent = parse_qasm("qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1];", "silent")
+    compiled = _compile_pair(guadalupe, [silent])
+    with pytest.raises(VerificationError, match="circuit 'silent' has no measurements to compare"):
+        check_equivalence([silent], compiled.merged, compiled.manifest)
 
 
 def test_routed_program_branches_no_more_than_its_sources(monkeypatch, circuit_factory):
