@@ -86,12 +86,20 @@ def _load_inputs(args):
 
 
 def _load_circuits(paths):
+    """Each file's circuit, with its stem as its id; a repeated stem takes
+    the smallest ``stem#k`` (k >= 2) that no file stem and no earlier id holds."""
+    stems = [Path(path).stem for path in paths]
+    taken = set(stems)
+    next_k: dict[str, int] = {}  # per stem seen, where its search for a free k resumes
     circuits = []
-    names: dict[str, int] = {}
-    for path in paths:
-        stem = Path(path).stem
-        names[stem] = names.get(stem, 0) + 1
-        cid = stem if names[stem] == 1 else f"{stem}#{names[stem]}"
+    for path, stem in zip(paths, stems):
+        cid, k = stem, next_k.get(stem)
+        if k is not None:
+            while f"{stem}#{k}" in taken:
+                k += 1
+            cid = f"{stem}#{k}"
+            taken.add(cid)
+        next_k[stem] = 2 if k is None else k + 1
         circuits.append(parse_qasm(read_text(path), cid))
     return circuits
 

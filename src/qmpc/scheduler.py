@@ -44,12 +44,12 @@ BRIDGE_PATTERN = ((0, 1), (1, 2), (0, 1), (1, 2))
 class TentativeGate:
     """A candidate repair: SWAP over an edge, or BRIDGE over a 2-hop path.
 
-    ``cnot_pairs`` are the CNOTs the repair emits, in order, and ``n_tent``
-    their number.  ``self_term`` is its own CNOT cost: the distance table
-    ``dist`` over ``cnot_pairs``, added left to right from ``0``.
+    ``cnot_pairs`` are the CNOTs the repair emits, in order.  ``self_term``
+    is its own CNOT cost: the distance table ``dist`` over ``cnot_pairs``,
+    added left to right from ``0``.
     """
 
-    __slots__ = ("kind", "qubits", "cnot_pairs", "n_tent", "self_term")
+    __slots__ = ("kind", "qubits", "cnot_pairs", "self_term")
 
     def __init__(self, kind: str, qubits: tuple[int, ...], dist):
         self.kind = kind
@@ -59,7 +59,6 @@ class TentativeGate:
             self.cnot_pairs = ((a, b), (b, a), (a, b))
         else:
             self.cnot_pairs = tuple((qubits[i], qubits[j]) for i, j in BRIDGE_PATTERN)
-        self.n_tent = len(self.cnot_pairs)
         self.self_term = left_sum(dist[p][q] for p, q in self.cnot_pairs)
 
 
@@ -99,9 +98,10 @@ class Route:
 
 class _Tables:
     """What every placement trial of one circuit in one partition reads: the
-    circuit's dependency DAG and its gates' operands, the partition's
-    coupling tables and every repair in it, the distance table ``dist`` and
-    the routing settings ``config``.
+    circuit, its dependency DAG, each CNOT node's operands and the CNOT nodes
+    in program order (what a trial's window cursor walks), the partition's
+    adjacency and every repair in it, the distance table ``dist`` and the
+    routing settings ``config``.
 
     ``dist`` is the ``hardware.distance_matrices`` table, read as
     ``dist[p][q]``.  ``initial_mapping`` builds these once per call, and each
@@ -119,7 +119,6 @@ class _Tables:
         self.partition = tuple(partition.qubits)
         part_set = set(self.partition)
         edges = induced_edges(model, self.partition)
-        self.coupled = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}  # directed
         neighbours = {q: set(model.neighbors(q)) & part_set for q in self.partition}
         self.adjacency = {q: tuple(sorted(ns)) for q, ns in neighbours.items()}
         # every repair in the partition: SWAPs by edge, and bridges by (control,
@@ -131,15 +130,18 @@ class _Tables:
             for t in self.partition
             if c != t and neighbours[c] & neighbours[t]
         }
-        gates = circuit.gates
-        self.front_entries = [(i, *g.qubits) for i, g in enumerate(gates)]  # blocked_front's entry per node
-        self.cx_operands = [g.qubits if g.kind == CX else None for g in gates]  # (control, target) per CNOT node
-        self.cx_nodes = [i for i, g in enumerate(gates) if g.kind == CX]
-        self.cx_pairs = [gates[i].qubits for i in self.cx_nodes]  # (control, target)
+        self.cx_operands = [g.qubits if g.kind == CX else None for g in circuit.gates]  # (control, target)
+        self.cx_nodes = [i for i, op in enumerate(self.cx_operands) if op is not None]
 
 
 class _Job:
-    """Mutable routing state for one trial; what all trials share stays on ``tables``."""
+    """Mutable routing state for one trial; what all trials share stays on ``tables``.
+
+    A trial holds the mapping, the in-degrees, the front, the window cursor,
+    the counters and the swap ban; the rest is derived.  A node is retired
+    or in the front exactly when its ``in_deg`` is 0, and as the DAG is
+    acyclic, the front empties only once every node has retired.
+    """
 
     def __init__(self, tables: _Tables, l2p):
         self.tables = tables
@@ -149,28 +151,16 @@ class _Job:
         self.p2l = {p: l for l, p in enumerate(self.l2p)}
         self.in_deg = tables.dag.in_degrees()
         self.front = {i for i, d in enumerate(self.in_deg) if d == 0}
-        self.executed = [False] * tables.dag.num_nodes
-        self.remaining = tables.dag.num_nodes
-        self.cx_cursor = 0  # index into tables.cx_nodes of the first CNOT not yet executed
+        self.cx_cursor = 0  # index into tables.cx_nodes; every CNOT before it has in_deg 0
         self.swaps = 0
         self.bridges = 0
         # anti-oscillation state, cleared whenever the circuit emits a gate
         self.banned_edges: set[tuple[int, int]] = set()
         self.stalled = 0
-        # blocked_front and extended_layer results, kept until a node executes
-        self._front_layer: list[tuple[int, int, int]] | None = None
-        self._extended: list[tuple[int, int]] | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.remaining == 0
 
     def mark_executed(self, node: int) -> list[int]:
         """Retire ``node``; return the successors this moved into the front."""
-        self.executed[node] = True
         self.front.discard(node)
-        self.remaining -= 1
-        self._front_layer = self._extended = None
         ready = []
         for succ in self.tables.dag.successors[node]:
             self.in_deg[succ] -= 1
@@ -186,39 +176,34 @@ class _Job:
         self.swaps += 1
 
     def blocked_front(self) -> list[tuple[int, int, int]]:
-        """(node, logical control, logical target) for every front gate.
-
-        The list is shared until a node executes; callers must not change it.
-        """
-        if self._front_layer is None:
-            entries = self.tables.front_entries
-            self._front_layer = [entries[node] for node in sorted(self.front)]
-        return self._front_layer
+        """(node, logical control, logical target) for every front gate; after
+        ``_emit_ready`` the front holds only blocked CNOTs."""
+        cx_operands = self.tables.cx_operands
+        return [(node, *cx_operands[node]) for node in sorted(self.front)]
 
     def extended_layer(self) -> list[tuple[int, int]]:
-        """Next ``tables.config.ext_layer`` unexecuted CNOTs beyond the front layer, in program order.
+        """Next ``tables.config.ext_layer`` CNOTs beyond the front layer, in program order.
 
-        The scan starts at a cursor on the first unexecuted CNOT; the
-        cursor only moves forward.  The list is shared until a node
-        executes; callers must not change it.
+        Those are the CNOTs with ``in_deg`` above 0: retired and front nodes
+        have 0, and ``in_deg`` never grows.  The scan starts at a cursor that
+        passes each CNOT for good once its ``in_deg`` is 0, so a trial skips
+        the retired prefix once in all, not once per call, which would make
+        a long circuit route in quadratic time.
         """
-        if self._extended is not None:
-            return self._extended
-        tables, executed, front = self.tables, self.executed, self.front
-        size, nodes, pairs = tables.config.ext_layer, tables.cx_nodes, tables.cx_pairs
+        tables, in_deg = self.tables, self.in_deg
+        size, nodes, operands = tables.config.ext_layer, tables.cx_nodes, tables.cx_operands
         start, n = self.cx_cursor, len(nodes)
-        while start < n and executed[nodes[start]]:
+        while start < n and in_deg[nodes[start]] == 0:
             start += 1
         self.cx_cursor = start
         out: list[tuple[int, int]] = []
         if size > 0:
             for i in range(start, n):
                 node = nodes[i]
-                if not executed[node] and node not in front:
-                    out.append(pairs[i])
+                if in_deg[node] > 0:
+                    out.append(operands[node])
                     if len(out) == size:
                         break
-        self._extended = out
         return out
 
 
@@ -299,7 +284,7 @@ def cost_h(
                 if (lq1 == x and lq2 == y) or (lq1 == y and lq2 == x):
                     repeats += 1
             self_term *= 1 + repeats
-        h = (front_term + self_term) / (len(front) + tentative.n_tent)
+        h = (front_term + self_term) / (len(front) + len(tentative.cnot_pairs))
     else:
         h = front_term / len(front)
     if extended:
@@ -355,17 +340,17 @@ def _emit_ready(job: _Job, records: list[Record]) -> None:
     after the first visits only the nodes the pass before made ready.
     """
     tables, l2p, visit = job.tables, job.l2p, sorted(job.front)
-    entries, cx_operands, coupled = tables.front_entries, tables.cx_operands, tables.coupled
+    gates, cx_operands, adjacency = tables.circuit.gates, tables.cx_operands, tables.adjacency
     emitted_any = False
     while visit:
         ready: list[int] = []
         for node in visit:
             pair = cx_operands[node]
             if pair is None:  # 1q gates, measurements and barriers never block
-                records.append((node, *[l2p[q] for q in entries[node][1:]]))
+                records.append((node, *[l2p[q] for q in gates[node].qubits]))
             else:
                 a, b = l2p[pair[0]], l2p[pair[1]]
-                if (a, b) not in coupled:
+                if b not in adjacency[a]:
                     continue
                 records.append((node, a, b))
             ready += job.mark_executed(node)
@@ -430,7 +415,7 @@ def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None
     round_ends: list[int] = []
     limit = 2 * len(tables.partition) + 4
     aborted = False
-    while not job.done:
+    while job.front:
         if max_inserted is not None and 3 * (job.swaps + job.bridges) > max_inserted:
             aborted = True
             break
@@ -476,7 +461,7 @@ def initial_mapping(
         # added left to right, as the built-in sum did on 3.10 and 3.11
         # when this value was first defined, so that ties break alike on
         # every Python version
-        tie = left_sum(tables.dist[l2p[a]][l2p[b]] for a, b in tables.cx_pairs)
+        tie = left_sum(tables.dist[l2p[a]][l2p[b]] for a, b in (tables.cx_operands[n] for n in tables.cx_nodes))
         bound = None
         if best_key is not None:  # a later attempt wins a tie on inserted CNOTs only by a lower tie value
             bound = best_key[0] if tie < best_key[1] else best_key[0] - 1

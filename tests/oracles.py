@@ -565,7 +565,7 @@ class _RefJob:
         self.p2l = {p: l for l, p in enumerate(self.l2p)}
         self.in_deg = dag.in_degrees()
         self.front = {i for i, d in enumerate(self.in_deg) if d == 0}
-        self.executed = [False] * dag.num_nodes
+        self.retired: set[int] = set()
         self.remaining = dag.num_nodes
         self.part_edges = sorted(e for e in model.edges if e[0] in self.part_set and e[1] in self.part_set)
         self.adjacency = {q: set(model.neighbors(q)) & self.part_set for q in self.partition}
@@ -576,7 +576,7 @@ class _RefJob:
         self.stalled = 0
 
     def mark_executed(self, node):
-        self.executed[node] = True
+        self.retired.add(node)
         self.front.discard(node)
         self.remaining -= 1
         for succ in self.dag.successors[node]:
@@ -594,12 +594,12 @@ class _RefJob:
         return [(node, *self.circuit.gates[node].qubits) for node in sorted(self.front)]
 
 
-def naive_extended_layer(circuit, job, size: int) -> list[tuple[int, int]]:
-    """The first ``size`` CNOTs of ``circuit`` that ``job`` has neither
-    executed nor in its front, scanned from the circuit's first gate."""
+def naive_extended_layer(circuit, retired, front, size: int) -> list[tuple[int, int]]:
+    """The first ``size`` CNOTs of ``circuit`` neither in ``retired`` nor in
+    ``front``, scanned from the circuit's first gate."""
     out = []
     for node, g in enumerate(circuit.gates):
-        if g.kind == CX and not job.executed[node] and node not in job.front:
+        if g.kind == CX and node not in retired and node not in front:
             out.append((g.qubits[0], g.qubits[1]))
     return out[:size]
 
@@ -744,7 +744,7 @@ def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only
                 if pruned:
                     candidates = pruned
             front = job.blocked_front()
-            extended = naive_extended_layer(job.circuit, job, ext_size)
+            extended = naive_extended_layer(job.circuit, job.retired, job.front, ext_size)
             best = min(
                 candidates,
                 key=lambda cand: (

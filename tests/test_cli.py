@@ -145,6 +145,27 @@ def test_verify_round_trip(device_files, capsys):
     assert "PASS" in captured
 
 
+def test_repeated_stems_take_free_ids(tmp_path, capsys):
+    # the second b.qasm would be b#2, which a file already holds: it takes b#3
+    topo = topology("guadalupe")
+    (tmp_path / "topology.json").write_text(json.dumps(topo))
+    (tmp_path / "calibration.json").write_text(json.dumps(synthetic_calibration(topo, seed=1)))
+    (tmp_path / "d").mkdir()
+    (tmp_path / "b.qasm").write_text(BELL)
+    (tmp_path / "b#2.qasm").write_text(GHZ3)
+    (tmp_path / "d" / "b.qasm").write_text(BELL.replace("h q[0];", "x q[1];"))
+    sources = [str(tmp_path / name) for name in ("b.qasm", "b#2.qasm", "d/b.qasm")]
+    device = ["--topology", str(tmp_path / "topology.json"), "--calibration", str(tmp_path / "calibration.json")]
+    out = tmp_path / "out"
+    assert main(["compile", *device, "--seed", "1", "--out-dir", str(out), *sources]) == 0
+    plans = json.loads((out / "plans.json").read_text())
+    assert [sorted(plan["selected"]) for plan in plans] == [["b", "b#2", "b#3"]]
+    capsys.readouterr()
+    merged, manifest = str(out / "merged_0.qasm"), str(out / "manifest_0.json")
+    assert main(["verify", "--merged", merged, "--manifest", manifest, *sources]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
 def _verify_args(device_files, *extra):
     out = device_files / "out"
     return [

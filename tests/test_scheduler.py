@@ -352,16 +352,38 @@ def test_extended_layer_returns_at_most_size_lookahead_cnots(circuit_factory):
         assert extended_layer(size) == full[:size]
 
 
+def recording_jobs(monkeypatch):
+    """Route through ``_Job``s that record, in ``job.retired``, each node
+    that ``mark_executed`` retires; return the list of jobs made."""
+    import qmpc.scheduler as sched_mod
+
+    made = []
+
+    class Recording(_Job):
+        def __init__(self, tables, l2p):
+            super().__init__(tables, l2p)
+            self.retired = set()
+            made.append(self)
+
+        def mark_executed(self, node):
+            self.retired.add(node)
+            return super().mark_executed(node)
+
+    monkeypatch.setattr(sched_mod, "_Job", Recording)
+    return made
+
+
 def test_extended_layer_matches_a_naive_scan_at_every_routing_step(monkeypatch, circuit_factory, guadalupe):
     from oracles import naive_extended_layer
     from qmpc.partition import qhsp_partition
 
     original = _Job.extended_layer
     checked = []
+    recording_jobs(monkeypatch)
 
     def checking(job):
         got = original(job)
-        assert got == naive_extended_layer(job.tables.circuit, job, job.tables.config.ext_layer)
+        assert got == naive_extended_layer(job.tables.circuit, job.retired, job.front, job.tables.config.ext_layer)
         checked.append(job.tables.config.ext_layer)
         return got
 
@@ -375,6 +397,52 @@ def test_extended_layer_matches_a_naive_scan_at_every_routing_step(monkeypatch, 
             config = RunConfig(attempts=3, ext_layer=size)
             initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(trial), config)
     assert len(checked) > 100
+
+
+@pytest.mark.parametrize("swap_only", [False, True])
+def test_front_and_end_of_a_trial_follow_its_retired_nodes(monkeypatch, circuit_factory, guadalupe, swap_only):
+    # at the start of every round and at the end of every trial, the front
+    # is exactly the unretired nodes whose predecessors have all retired; a
+    # round runs only while a node is left, and a trial that is not aborted
+    # ends with every node retired
+    import qmpc.scheduler as sched_mod
+    from qmpc.partition import qhsp_partition
+
+    jobs = recording_jobs(monkeypatch)
+    emit, route, rounds, ends = sched_mod._emit_ready, sched_mod.mapping_transition, [], []
+
+    def derived_front(job):
+        successors = job.tables.dag.successors
+        unretired = [node for node in range(len(successors)) if node not in job.retired]
+        waiting = {succ for node in unretired for succ in successors[node]}
+        return {node for node in unretired if node not in waiting}
+
+    def checking(job, records):
+        assert job.front == derived_front(job)
+        assert len(job.retired) < job.tables.dag.num_nodes
+        rounds.append(job)
+        emit(job, records)
+
+    def routing(*args, **kwargs):
+        trial = route(*args, **kwargs)
+        job = jobs[-1]
+        assert job.front == derived_front(job)
+        assert trial.aborted == (len(job.retired) < job.tables.dag.num_nodes)
+        ends.append(trial.aborted)
+        return trial
+
+    monkeypatch.setattr(sched_mod, "_emit_ready", checking)
+    monkeypatch.setattr(sched_mod, "mapping_transition", routing)
+    D = distance_matrices(guadalupe)
+    rng = np.random.default_rng(12)
+    for trial in range(3):
+        circuit = circuit_factory(rng, f"c{trial}", n_qubits=6, max_gates=60)
+        part = qhsp_partition(guadalupe, circuit, set())[0]
+        for size in (0, 1, 3, 20):
+            config = RunConfig(attempts=3, ext_layer=size, swap_only=swap_only)
+            initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(trial), config)
+    assert len(rounds) > 100 and len(ends) == 3 * 4 * 3
+    assert any(ends) and not all(ends)
 
 
 def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory, guadalupe):
@@ -569,7 +637,7 @@ def test_forced_route_counts_swaps_once():
     records = []
     _forced_path_route(job, records)
     _emit_ready(job, records)
-    assert job.done
+    assert not job.front
     route = Route(circuit, records, [len(records)], job.swaps, job.bridges, job.l2p)
     assert route.swaps == 3
     emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
