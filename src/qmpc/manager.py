@@ -94,7 +94,6 @@ def fidelity_gate(
     circuits: list[QuantumCircuit],
     config: RunConfig = DEFAULT_CONFIG,
     strong_pairs: CrosstalkTable | None = None,
-    alone: dict[str, Partition] | None = None,
 ) -> ExecutionPlan:
     """Plan a non-empty, density-ordered batch by its joint-vs-alone scores.
 
@@ -108,31 +107,24 @@ def fidelity_gate(
     of every shorter prefix are the first entries of that one allocation.
     When the device runs out of room, the batch shrinks to the prefix that
     fits; when not even the first circuit fits, that allocation's error
-    propagates.  ``alone`` caches alone regions by circuit id across calls
-    with the same device and knobs; the first circuit's joint region is its
-    alone region, and a circuit is searched alone only when it is missing.
+    propagates.  Each alone region is an ``allocate_all`` of one circuit,
+    which the model's memo answers after the first search of the same
+    circuit shape (see ``partition.allocate_prefix``).
     """
     if not circuits:
         raise ValueError("fidelity_gate needs at least one circuit")
-    alone = {} if alone is None else alone
-
-    def alone_region(circuit: QuantumCircuit) -> Partition:
-        if circuit.id not in alone:
-            alone[circuit.id] = allocate_all(model, [circuit], config, strong_pairs)[0]
-        return alone[circuit.id]
-
     if len(circuits) > 1:
         joint, error = allocate_prefix(model, circuits, config, strong_pairs)
         if not joint:
             raise error
-        alone.setdefault(joint[0].circuit_id, joint[0])
-        scores = {c.id: alone_region(c).score for c in circuits[:len(joint)]}
+        scores = {c.id: allocate_all(model, [c], config, strong_pairs)[0].score for c in circuits[:len(joint)]}
         for n in range(len(joint), 1, -1):
             delta_s = left_sum(p.score - scores[p.circuit_id] for p in joint[:n]) / n
             if delta_s < config.delta:
                 verdict = Verdict.SIMULTANEOUS if n == len(circuits) else Verdict.REDUCED
                 return ExecutionPlan(tuple(joint[:n]), delta_s, config.delta, verdict)
-    return ExecutionPlan((alone_region(circuits[0]),), 0.0, config.delta, Verdict.INDEPENDENT)
+    alone = allocate_all(model, circuits[:1], config, strong_pairs)
+    return ExecutionPlan(tuple(alone), 0.0, config.delta, Verdict.INDEPENDENT)
 
 
 def plan_all(
@@ -142,16 +134,14 @@ def plan_all(
     strong_pairs: CrosstalkTable | None = None,
 ) -> list[ExecutionPlan]:
     """Cover every submitted circuit with a plan, re-queueing whatever the
-    fidelity gate drops or the device has no room for.  Each circuit's alone
-    region is searched at most once, however often it is re-queued."""
+    fidelity gate drops or the device has no room for."""
     ids = [c.id for c in circuits]
     if len(set(ids)) != len(ids):
         raise PartitionError("circuit ids must be unique")
     remaining = sort_by_density(circuits)
     plans: list[ExecutionPlan] = []
-    alone: dict[str, Partition] = {}
     while remaining:
-        plans.append(fidelity_gate(model, select_k(remaining, model.num_qubits), config, strong_pairs, alone))
+        plans.append(fidelity_gate(model, select_k(remaining, model.num_qubits), config, strong_pairs))
         taken = set(plans[-1].selected)
         remaining = [c for c in remaining if c.id not in taken]
     return plans

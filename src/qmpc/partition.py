@@ -15,9 +15,9 @@ device with its qubit bitmask, internal edges, mean solo CNOT error, readout
 sum and diameter.  A search skips the rows that meet the used qubits.  Only a
 row holding a "hot" edge, one with a strong conditioner wholly inside the
 used qubits, has its mean CNOT error recomputed; every other row's mean is
-its solo mean.  Region tables, fidelity degrees and qubit degrees are built
-once per device and key through ``hardware.derived``, which keeps them in
-the model's memo.
+its solo mean.  Region tables, fidelity degrees, qubit degrees and the best
+region of each search on the empty device are built once per device and
+key through ``hardware.derived``, which keeps them in the model's memo.
 
 Allocation is greedy: circuits take the best region left in density order,
 as in Das et al., "A Case for Multi-Programming Quantum Computers" (MICRO
@@ -305,6 +305,14 @@ def allocate_prefix(
     the error that stopped the pass (None when every circuit fits).  A
     ``PartitionSizeError`` is a refused request, not a full device, and
     propagates.
+
+    The first circuit is searched on an empty device, where no edge is hot
+    and crosstalk cannot move a score.  That search reads only the model,
+    the circuit's qubit and CNOT counts and, under ``qhsp``, its largest
+    logical degree and ``config.lam``; its best region is kept in the
+    model's memo under that key (see ``hardware.derived``) and bound to
+    each caller's circuit id.  An error is never kept: it is raised again
+    on every call.
     """
     dens = [c.density for c in circuits]
     if any(dens[i] < dens[i + 1] for i in range(len(dens) - 1)):
@@ -313,10 +321,7 @@ def allocate_prefix(
     out: list[Partition] = []
     for circuit in circuits:
         try:
-            if config.method == "gsp":
-                best = gsp_partition(model, circuit, used, strong_pairs)[0]
-            else:
-                best = qhsp_partition(model, circuit, used, strong_pairs, lam=config.lam)[0]
+            best = _best_region(model, circuit, used, config, strong_pairs)
         except PartitionSizeError:
             raise
         except PartitionError as exc:
@@ -324,6 +329,30 @@ def allocate_prefix(
         out.append(best)
         used |= best.qubit_set
     return out, None
+
+
+def _best_region(
+    model: HardwareModel, circuit: QuantumCircuit, used: set[int], config: RunConfig, strong_pairs
+) -> Partition:
+    """The best region for ``circuit`` beside the ``used`` qubits; on an
+    empty device, read from the model's memo (see ``allocate_prefix``)."""
+
+    def search() -> Partition:
+        if config.method == "gsp":
+            return gsp_partition(model, circuit, used, strong_pairs)[0]
+        return qhsp_partition(model, circuit, used, strong_pairs, lam=config.lam)[0]
+
+    if used:
+        return search()
+    key = ("alone_region", config.method, circuit.num_qubits, circuit.cnot_count)
+    if config.method == "qhsp":
+        key += (circuit.largest_logical_degree, config.lam)
+
+    def unbound() -> tuple[tuple[int, ...], float, str]:
+        best = search()
+        return best.qubits, best.score, best.method
+
+    return Partition(circuit.id, *derived(model, key, unbound))
 
 
 def allocate_all(

@@ -1,9 +1,10 @@
-"""Helpers shared by the test modules: a seeded circuit generator and the
-acceptance-criteria summary lines."""
+"""Helpers shared by the test modules: a seeded circuit generator, a spy on
+the region searches and the acceptance-criteria summary lines."""
 from __future__ import annotations
 
 import numpy as np
 
+from qmpc import partition
 from qmpc.circuits import Gate, QuantumCircuit
 
 
@@ -25,6 +26,21 @@ def random_circuit(rng: np.random.Generator, cid: str, n_qubits: int | None = No
     for q in range(n):
         gates.append(Gate("measure", (q,), clbit=q))
     return QuantumCircuit(cid, n, n, tuple(gates))
+
+
+def count_empty_device_searches(monkeypatch) -> list[str]:
+    """Ids of the circuits that ``gsp_partition`` or ``qhsp_partition`` is
+    asked to search with no qubit used, until ``monkeypatch`` is undone."""
+    searched = []
+    for name in ("gsp_partition", "qhsp_partition"):
+
+        def counting(model, circuit, used_qubits, *args, _search=getattr(partition, name), **kwargs):
+            if not used_qubits:
+                searched.append(circuit.id)
+            return _search(model, circuit, used_qubits, *args, **kwargs)
+
+        monkeypatch.setattr(partition, name, counting)
+    return searched
 
 
 def record_criterion(config, number: int, ok: bool, detail: str) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,14 +6,14 @@ import pytest
 
 from qmpc.circuits import Gate, QuantumCircuit
 from qmpc.errors import CircuitTooLargeError, PartitionError
-from qmpc import manager
+from qmpc import partition
 from qmpc.hardware import build_hardware
 from qmpc.manager import Verdict, fidelity_gate, plan_all, select_k, sort_by_density
 from qmpc.pipeline import RunConfig, compile_workloads
 from qmpc.presets import line_topology, uniform_calibration
 from qmpc.verify import check_equivalence
 
-from helpers import random_circuit
+from helpers import count_empty_device_searches, random_circuit
 
 
 def cx_circuit(cid, n, n_cx):
@@ -152,45 +153,38 @@ def test_plan_all_searches_each_alone_region_once(toronto, monkeypatch, method):
     rng = np.random.default_rng(3)
     circuits = [random_circuit(rng, f"c{i}") for i in range(4)]
     config = RunConfig(method=method, delta=0.0)
-    reference = []  # the same loop without a shared cache: every call searches again
+    fresh = dataclasses.replace(toronto)  # the same device with an empty memo
+    reference = []
     remaining = sort_by_density(circuits)
     while remaining:
-        plan = fidelity_gate(toronto, select_k(remaining, toronto.num_qubits), config)
+        plan = fidelity_gate(fresh, select_k(remaining, fresh.num_qubits), config)
         reference.append(plan)
         remaining = [c for c in remaining if c.id not in plan.selected]
 
-    searched = _count_alone_searches(monkeypatch)
+    searched = count_empty_device_searches(monkeypatch)
     assert plan_all(toronto, circuits, config) == reference
     assert len(reference) == len(circuits)
     assert sorted(searched) == sorted(set(searched))
-
-
-def _count_alone_searches(monkeypatch):
-    """Ids of the circuits that ``manager.allocate_all`` is asked to place alone."""
-    searched = []
-    allocate_all = manager.allocate_all
-
-    def counting(model, batch, *args, **kwargs):
-        if len(batch) == 1:
-            searched.append(batch[0].id)
-        return allocate_all(model, batch, *args, **kwargs)
-
-    monkeypatch.setattr(manager, "allocate_all", counting)
-    return searched
+    searched.clear()
+    assert plan_all(toronto, circuits, config) == reference
+    assert searched == []  # a second plan on the same model reads every alone region from its memo
 
 
 def test_batch_of_one_runs_alone_and_fills_the_cache(toronto, monkeypatch):
     circuit = random_circuit(np.random.default_rng(3), "c0")
     config = RunConfig(method="gsp")
-    alone = {}
-    plan = fidelity_gate(toronto, [circuit], config, alone=alone)
+    plan = fidelity_gate(toronto, [circuit], config)
     assert plan.verdict is Verdict.INDEPENDENT and plan.delta_s == 0.0 and plan.threshold == config.delta
     assert plan.selected == ("c0",)
-    assert plan.partitions == (manager.allocate_all(toronto, [circuit], config)[0],)
-    assert alone == {"c0": plan.partitions[0]}
+    alone = partition.gsp_partition(toronto, circuit, set())[0]
+    assert plan.partitions == (alone,)
+    key = ("alone_region", "gsp", circuit.num_qubits, circuit.cnot_count)
+    assert toronto._memo[key] == (alone.qubits, alone.score, alone.method)
 
-    searched = _count_alone_searches(monkeypatch)
-    assert fidelity_gate(toronto, [circuit], config, alone=alone) == plan
+    searched = count_empty_device_searches(monkeypatch)
+    assert fidelity_gate(toronto, [circuit], config) == plan
+    twin = dataclasses.replace(circuit, id="twin")  # another circuit of the same shape
+    assert fidelity_gate(toronto, [twin], config).partitions == (dataclasses.replace(alone, circuit_id="twin"),)
     assert searched == []
 
 

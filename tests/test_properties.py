@@ -22,16 +22,18 @@ from qmpc.hardware import (
     build_crosstalk,
     build_hardware,
     distance_matrices,
+    extract_strong_crosstalk,
     hop_count_matrix,
     induced_edges,
     subgraph_diameter,
     swap_error_matrix,
 )
-from qmpc.errors import DisconnectedGraphError, HardwareError, PartitionError, SimulationError
+from qmpc.errors import DisconnectedGraphError, HardwareError, PartitionError, PartitionSizeError, SimulationError
 from qmpc.manager import Verdict, fidelity_gate, select_k, sort_by_density
 from qmpc.partition import (
     GSP_MAX_QUBITS,
     allocate_all,
+    allocate_prefix,
     crosstalk_adjust,
     gsp_partition,
     qhsp_partition,
@@ -435,6 +437,20 @@ def test_partitions_disjoint_connected_and_gsp_dominates(model, k):
     assert best.score <= score(model, row, c1, set(), set(), None) + 1e-12
 
 
+def random_crosstalk(model, rng: np.random.Generator, keep: float):
+    """Each ordered pair of disjoint edges one hop apart, kept with
+    probability ``keep``, with a conditional error drawn from [0, 0.5)."""
+    pairs = []
+    for gate in model.edges:
+        for cond in model.edges:
+            one_hop = any(model.has_edge(a, b) for a in gate for b in cond)
+            if set(gate) & set(cond) or not one_hop or rng.random() >= keep:
+                continue
+            # errors below the solo error too, which never replace it
+            pairs.append({"gate": list(gate), "conditioned_on": list(cond), "error": float(rng.uniform(0, 0.5))})
+    return build_crosstalk(pairs, model)
+
+
 @st.composite
 def exhaustive_search(draw):
     """A device (two presets, whose region tables persist between examples,
@@ -448,18 +464,8 @@ def exhaustive_search(draw):
     used = {q for q in range(model.num_qubits) if rng.random() < used_share}
     for i in rng.choice(len(model.edges), size=draw(st.integers(0, 2))):  # whole edges can condition
         used.update(model.edges[int(i)])
-    strong = None
     keep = draw(st.sampled_from([None, 0.0, 0.3, 1.0]))
-    if keep is not None:
-        pairs = []
-        for gate in model.edges:
-            for cond in model.edges:
-                one_hop = any(model.has_edge(a, b) for a in gate for b in cond)
-                if set(gate) & set(cond) or not one_hop or rng.random() >= keep:
-                    continue
-                # errors below the solo error too, which never replace it
-                pairs.append({"gate": list(gate), "conditioned_on": list(cond), "error": float(rng.uniform(0, 0.5))})
-        strong = build_crosstalk(pairs, model)
+    strong = None if keep is None else random_crosstalk(model, rng, keep)
     cnots = tuple(Gate("cx", (i % k, (i + 1) % k)) for i in range(draw(st.integers(0, 20)))) if k > 1 else ()
     return model, QuantumCircuit("c", k, 0, cnots), used, strong
 
@@ -492,6 +498,70 @@ def test_qhsp_matches_reference_search(case):
         return
     got = qhsp_partition(model, circuit, used, strong)
     assert got == want  # ids, qubits in merge order, order, and every score exactly
+
+
+@st.composite
+def same_key_twins(draw):
+    """A random device, its strong pairs from a random crosstalk table, and
+    three circuits of one size and CNOT count.  The first two agree on
+    everything an empty-device search reads (qubit count, CNOT count,
+    largest logical degree) but on no gate list or id: the second relabels
+    the first's qubits and starts with a one-qubit gate.  The third is a star
+    whose CNOTs all act on qubit 0, so its largest logical degree differs."""
+    model = draw(connected_device(min_qubits=4, max_qubits=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    strong = extract_strong_crosstalk(random_crosstalk(model, rng, draw(st.sampled_from([0.3, 1.0]))), model)
+    k = draw(st.sampled_from(range(1, GSP_MAX_QUBITS + 2)))  # evenly, one past the cap
+    pairs = [tuple(map(int, rng.choice(k, size=2, replace=False))) for _ in range(draw(st.integers(0, 20)))] if k > 1 else []
+    relabel = [int(q) for q in rng.permutation(k)]
+    first = QuantumCircuit("first", k, 0, tuple(Gate("cx", p) for p in pairs))
+    second = QuantumCircuit("second", k, 0, (Gate("h", (0,)), *(Gate("cx", (relabel[a], relabel[b])) for a, b in pairs)))
+    star = QuantumCircuit("star", k, 0, tuple(Gate("cx", (0, 1 + i % (k - 1))) for i in range(len(pairs))))
+    return model, strong, first, second, star
+
+
+@settings(max_examples=150, **COMMON)
+@given(same_key_twins(), st.sampled_from(["gsp", "qhsp"]))
+def test_empty_device_memo_answers_each_circuit_as_a_fresh_search(case, method):
+    """``allocate_prefix`` keeps each empty-device search on the model.  The
+    twin reads the first circuit's regions from the memo; the star, and each
+    circuit under another ``lam``, has inputs that may move the region.
+    Every call must return what a fresh search gives, and an error is
+    raised again on every call and never kept."""
+    model, strong, first, second, star = case
+
+    def alone_keys():
+        return {key for key in model._memo if key[0] == "alone_region"}
+
+    def check(circuit) -> bool:
+        """Whether the search of ``circuit`` fails, after comparing it with
+        ``allocate_prefix`` at a small and a large ``lam``."""
+        for lam in (0.01, 100.0):
+            config = RunConfig(method=method, lam=lam)
+            try:
+                if method == "gsp":
+                    want = gsp_partition(model, circuit, set(), strong)[0]
+                else:
+                    want = qhsp_partition(model, circuit, set(), strong, lam=lam)[0]
+            except PartitionSizeError as exc:
+                with pytest.raises(PartitionSizeError, match=re.escape(str(exc))):
+                    allocate_prefix(model, [circuit], config, strong)
+                return True
+            except PartitionError as exc:
+                got, error = allocate_prefix(model, [circuit], config, strong)
+                assert got == [] and type(error) is type(exc) and str(error) == str(exc)
+                return True
+            assert allocate_prefix(model, [circuit], config, strong) == ([want], None)
+        return False
+
+    failed = check(first)
+    kept = alone_keys()
+    assert bool(kept) is not failed  # a region is kept, an error never
+    assert check(second) is failed
+    assert alone_keys() == kept  # the twin searched nothing
+    assert check(star) is failed and check(first) is failed
+    if failed:
+        assert not alone_keys()
 
 
 @settings(max_examples=25, **COMMON)
