@@ -18,7 +18,7 @@ from .hardware import (
     subgraph_diameter,
 )
 from .config import RunConfig
-from .pipeline import CompiledPlan, CompileResult, compile_workloads
+from .pipeline import compile_workloads
 from .verify import check_equivalence
 
 __version__ = "0.1.0"

@@ -205,8 +205,8 @@ def _position(source: str, k: int) -> tuple[int, int, int]:
 def _parse_program(source: str, allow_multiple_cregs: bool):
     """Shared parser core.
 
-    Returns (num_qubits, creg_sizes, gates).  ``creg_sizes`` is an ordered
-    dict creg name -> size; clbit indices in gates are global across cregs in
+    Returns (num_qubits, cregs, gates).  ``cregs`` is an ordered dict
+    creg name -> size; clbit indices in gates are global across cregs in
     declaration order.  A character that starts no token is reported before
     any syntax error.  A token's kind is read from its text: an id starts
     with a letter or ``_`` (``isidentifier``), a number with a digit or

@@ -1,16 +1,16 @@
-"""End-to-end compilation: plan batches, place, route, and package outputs."""
+"""End-to-end compilation: plan batches, place, route, check the merged
+program, and package it with its stats and analytic success estimate."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import QuantumCircuit, depth
+from .circuits import CX, MEASURE, QuantumCircuit, depth
 from .config import DEFAULT_CONFIG, RunConfig
 from .hardware import CrosstalkTable, HardwareModel, distance_matrices
 from .manager import ExecutionPlan, plan_all
-from .scheduler import Route, emit_merged_qasm, initial_mapping, merged_circuit
-from .verify import check_compliance, estimate_success
+from .scheduler import Route, check_compliance, emit_merged_qasm, initial_mapping, merged_circuit
 
 
 @dataclass
@@ -30,6 +30,18 @@ class CompiledPlan:
 @dataclass
 class CompileResult:
     plans: list[CompiledPlan] = field(default_factory=list)
+
+
+def estimate_success(circuit: QuantumCircuit, model: HardwareModel) -> float:
+    """Product of per-operation success probabilities: (1 - E) per executed
+    CNOT and (1 - R) per measured qubit.  An analytic fidelity proxy."""
+    p = 1.0
+    for g in circuit.gates:
+        if g.kind == CX:
+            p *= 1.0 - model.cnot_error[(min(g.qubits), max(g.qubits))]
+        elif g.kind == MEASURE:
+            p *= 1.0 - model.readout_error[g.qubits[0]]
+    return p
 
 
 def _plan_stats(
@@ -86,8 +98,8 @@ def compile_plan(
         _, route = initial_mapping(model, dist, part, circuit, rng, config)
         routes.append(route)
     merged, manifest = merged_circuit(routes, model)
-    check_compliance(merged, manifest, plan, model)
-    qasm, _ = emit_merged_qasm(routes, model)
+    check_compliance(merged, manifest, plan.partitions, model)
+    qasm = emit_merged_qasm(routes, model)
     return CompiledPlan(plan, routes, merged, qasm, manifest, _plan_stats(model, plan, routes, merged, index))
 
 

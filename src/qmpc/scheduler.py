@@ -14,7 +14,9 @@ circuit's partition.
 
 Partitions are disjoint, so every circuit is routed alone into one ``Route``,
 and a plan is the list of its circuits' routes; ``merged_circuit`` joins them
-round by round.  The placement search reuses this: the winning trial of
+round by round, and ``check_compliance`` guards the result: a merged program
+that leaves the coupling graph or a circuit's region or bits is a
+``RoutingError``.  The placement search reuses this: the winning trial of
 ``initial_mapping`` is the circuit's route, and trials that can no longer win
 stop early.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .circuits import CX, Gate, QuantumCircuit, build_dag, emit_qasm
+from .circuits import CX, MEASURE, Gate, QuantumCircuit, build_dag, emit_qasm
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import RoutingError
 from .floats import left_sum
@@ -511,7 +513,31 @@ def merged_circuit(routes: list[Route], model: HardwareModel):
     return merged, manifest
 
 
-def emit_merged_qasm(routes: list[Route], model: HardwareModel):
+def check_compliance(merged: QuantumCircuit, manifest: dict, partitions: list[Partition], model: HardwareModel) -> None:
+    """Raise ``RoutingError`` unless the merged program obeys the device and
+    the plan: every CX on a coupling edge, every gate inside one circuit's
+    region, every measurement into that circuit's bits, and each manifest
+    map a bijection onto its circuit's region.  One pass over the gates."""
+    owner: dict[int, str] = {}
+    bits: dict[str, set[int]] = {}
+    for part in partitions:
+        region = set(part.qubits)
+        placed = list(manifest[part.circuit_id]["logical_to_physical"].values())
+        if len(placed) != len(region) or set(placed) != region:
+            raise RoutingError(f"manifest map of {part.circuit_id!r} is not a bijection onto its region")
+        owner.update((q, part.circuit_id) for q in region)
+        bits[part.circuit_id] = set(manifest[part.circuit_id]["clbits"])
+    for i, g in enumerate(merged.gates):
+        if g.kind == CX and not model.has_edge(*g.qubits):
+            raise RoutingError(f"gate {i}: cx {g.qubits} is not on a coupling edge")
+        cids = {owner.get(q) for q in g.qubits}
+        if len(cids) != 1 or None in cids:
+            raise RoutingError(f"gate {i}: {g.kind} {g.qubits} leaves every circuit's region")
+        if g.kind == MEASURE and g.clbit not in bits[owner[g.qubits[0]]]:
+            raise RoutingError(f"gate {i}: measurement writes bit {g.clbit}, which its circuit does not own")
+
+
+def emit_merged_qasm(routes: list[Route], model: HardwareModel) -> str:
     """Render a plan's routes as OpenQASM with one creg per circuit."""
-    merged, manifest = merged_circuit(routes, model)
-    return emit_qasm(merged, {f"c{i}": route.circuit.num_clbits for i, route in enumerate(routes)}), manifest
+    merged, _ = merged_circuit(routes, model)
+    return emit_qasm(merged, {f"c{i}": route.circuit.num_clbits for i, route in enumerate(routes)})

@@ -1,5 +1,4 @@
-"""Desk-scale correctness checks: exact simulation, equivalence, compliance
-and metrics.
+"""Desk-scale correctness checks: exact simulation and equivalence.
 
 The simulator is a dense statevector over the qubits a circuit actually
 touches, so a merged circuit on a large device stays cheap as long as its
@@ -37,10 +36,8 @@ from operator import itemgetter
 import numpy as np
 
 from .circuits import BARRIER, CX, MEASURE, Gate, QuantumCircuit
-from .errors import RoutingError, SimulationError, VerificationError
+from .errors import SimulationError, VerificationError
 from .floats import left_sum
-from .hardware import HardwareModel
-from .manager import ExecutionPlan
 
 SIMULATION_QUBIT_CAP = 12
 # the largest cap `qmpc verify --cap` takes: 2**20 amplitudes (16 MB) per branch
@@ -389,39 +386,3 @@ def check_equivalence(
         per_circuit[src.id] = total_variation(dist, want)
     max_tv = max(per_circuit.values(), default=0.0)
     return EquivalenceReport(max_tv < EQUIVALENCE_TOLERANCE, max_tv, per_circuit)
-
-
-def check_compliance(merged: QuantumCircuit, manifest: dict, plan: ExecutionPlan, model: HardwareModel) -> None:
-    """Raise ``RoutingError`` unless the merged program obeys the device and
-    the plan: every CX on a coupling edge, every gate inside one circuit's
-    region, every measurement into that circuit's bits, and each manifest
-    map a bijection onto its circuit's region.  One pass over the gates."""
-    owner: dict[int, str] = {}
-    bits: dict[str, set[int]] = {}
-    for part in plan.partitions:
-        region = set(part.qubits)
-        placed = list(manifest[part.circuit_id]["logical_to_physical"].values())
-        if len(placed) != len(region) or set(placed) != region:
-            raise RoutingError(f"manifest map of {part.circuit_id!r} is not a bijection onto its region")
-        owner.update((q, part.circuit_id) for q in region)
-        bits[part.circuit_id] = set(manifest[part.circuit_id]["clbits"])
-    for i, g in enumerate(merged.gates):
-        if g.kind == CX and not model.has_edge(*g.qubits):
-            raise RoutingError(f"gate {i}: cx {g.qubits} is not on a coupling edge")
-        cids = {owner.get(q) for q in g.qubits}
-        if len(cids) != 1 or None in cids:
-            raise RoutingError(f"gate {i}: {g.kind} {g.qubits} leaves every circuit's region")
-        if g.kind == MEASURE and g.clbit not in bits[owner[g.qubits[0]]]:
-            raise RoutingError(f"gate {i}: measurement writes bit {g.clbit}, which its circuit does not own")
-
-
-def estimate_success(circuit: QuantumCircuit, model: HardwareModel) -> float:
-    """Product of per-operation success probabilities: (1 - E) per executed
-    CNOT and (1 - R) per measured qubit.  An analytic fidelity proxy."""
-    p = 1.0
-    for g in circuit.gates:
-        if g.kind == CX:
-            p *= 1.0 - model.cnot_error[(min(g.qubits), max(g.qubits))]
-        elif g.kind == MEASURE:
-            p *= 1.0 - model.readout_error[g.qubits[0]]
-    return p

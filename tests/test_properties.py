@@ -41,9 +41,9 @@ from qmpc.partition import (
     score,
 )
 from qmpc.partition import Partition
-from qmpc.pipeline import RunConfig, compile_workloads
-from qmpc.scheduler import initial_mapping, merged_circuit
-from qmpc.verify import check_compliance, check_equivalence, estimate_success, marginalize, marginals, simulate
+from qmpc.pipeline import RunConfig, compile_workloads, estimate_success
+from qmpc.scheduler import check_compliance, initial_mapping, merged_circuit
+from qmpc.verify import check_equivalence, marginalize, marginals, simulate
 
 from oracles import (
     conditional_errors_scan,
@@ -844,7 +844,7 @@ def test_filled_device_compiles_to_compliant_verified_programs(case, seed):
     placed = [cid for compiled in result.plans for cid in compiled.plan.selected]
     assert sorted(placed) == sorted(c.id for c in circuits)
     for compiled in result.plans:
-        check_compliance(compiled.merged, compiled.manifest, compiled.plan, model)
+        check_compliance(compiled.merged, compiled.manifest, compiled.plan.partitions, model)
         report = check_equivalence(compiled.circuits, compiled.merged, compiled.manifest)
         assert report.passed, report
 

@@ -708,7 +708,8 @@ def test_merged_single_gate_circuit_reparses():
     model = line_model(2)
     circuit = parse_qasm("qreg q[1]; h q[0];", "solo")
     route = route_single(model, circuit, [0])
-    text, manifest = emit_merged_qasm([route], model)
+    text = emit_merged_qasm([route], model)
+    _, manifest = merged_circuit([route], model)
     parsed, layout = parse_merged_qasm(text)
     assert len(parsed.gates) == 1
     assert parsed.gates[0].kind == "h"
@@ -724,7 +725,8 @@ def test_merged_two_circuits_have_two_cregs(bell):
         [(bell, make_part("bell", [0, 1]), [0, 1]),
          (other, make_part("other", [3, 4]), [3, 4])],
     )
-    text, manifest = emit_merged_qasm(routes, model)
+    text = emit_merged_qasm(routes, model)
+    _, manifest = merged_circuit(routes, model)
     assert text.count("creg") == 2
     merged, layout = parse_merged_qasm(text)
     assert merged.num_clbits == 4
@@ -737,6 +739,6 @@ def test_merged_circuit_matches_emitted_qasm(bell):
     model = line_model(3)
     route = route_single(model, bell, [0, 1])
     direct, manifest = merged_circuit([route], model)
-    text, _ = emit_merged_qasm([route], model)
+    text = emit_merged_qasm([route], model)
     reparsed, _ = parse_merged_qasm(text)
     assert direct.gates == reparsed.gates

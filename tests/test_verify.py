@@ -4,13 +4,13 @@ import pytest
 from qmpc.circuits import Gate, QuantumCircuit, parse_qasm
 from qmpc.errors import RoutingError, SimulationError, VerificationError
 from qmpc.hardware import build_hardware
+from qmpc.pipeline import estimate_success
 from qmpc.presets import line_topology, uniform_calibration
+from qmpc.scheduler import check_compliance
 from qmpc.verify import (
     _BRANCH_CAP,
     _apply,
-    check_compliance,
     check_equivalence,
-    estimate_success,
     gate_matrix,
     marginalize,
     simulate,
@@ -277,7 +277,7 @@ def _compiled_two(bell):
 
 def test_compliance_accepts_compiled_plan(bell):
     model, compiled = _compiled_two(bell)
-    check_compliance(compiled.merged, compiled.manifest, compiled.plan, model)
+    check_compliance(compiled.merged, compiled.manifest, compiled.plan.partitions, model)
 
 
 def test_compliance_rejects_each_violation(bell):
@@ -297,11 +297,11 @@ def test_compliance_rejects_each_violation(bell):
     }
     for message, program in bad_programs.items():
         with pytest.raises(RoutingError, match=message):
-            check_compliance(program, manifest, plan, model)
+            check_compliance(program, manifest, plan.partitions, model)
     cid = plan.partitions[0].circuit_id
     folded = dict(manifest, **{cid: dict(manifest[cid], logical_to_physical={"0": a[0], "1": a[0]})})
     with pytest.raises(RoutingError, match="bijection"):
-        check_compliance(merged, folded, plan, model)
+        check_compliance(merged, folded, plan.partitions, model)
 
 
 def test_total_variation_adds_in_key_order():
