@@ -5,10 +5,11 @@ Run with:  python3 demos/05_multiprogramming_pipeline.py
 """
 import json
 
-from qmpc import check_equivalence, parse_qasm
+from qmpc import parse_qasm
 from qmpc.hardware import build_hardware
 from qmpc.pipeline import RunConfig, compile_workloads
 from qmpc.presets import synthetic_calibration, topology
+from qmpc.verify import check_equivalence
 
 GHZ4 = """
 qreg q[4]; creg c[4];

@@ -5,7 +5,8 @@ small circuits to them, routes each with SWAP/bridged-CNOT insertion, and
 emits one merged hardware-compliant program plus metrics.
 
 The package root exports the pipeline and the building blocks the demos use;
-everything else lives in its submodule.
+everything else lives in its submodule.  The equivalence checker is not
+exported: only ``qmpc.verify`` loads the simulator, and compiling never does.
 """
 
 from .circuits import build_dag, emit_qasm, parse_qasm
@@ -19,6 +20,5 @@ from .hardware import (
 )
 from .config import RunConfig
 from .pipeline import compile_workloads
-from .verify import check_equivalence
 
 __version__ = "0.1.0"

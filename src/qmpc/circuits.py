@@ -33,6 +33,12 @@ BARRIER = "barrier"
 # how many gates a broadcast builds and how many bits a manifest lists.
 MAX_REGISTER_SIZE = 2048
 
+# The simulator's active qubits per component: `qmpc verify --cap`'s default,
+# and its most, 2**20 amplitudes (16 MB) per branch.  Here, so that the parser
+# can be built without loading the simulator.
+SIMULATION_QUBIT_CAP = 12
+SIMULATION_QUBIT_CAP_MAX = 20
+
 
 class _GateFields:
     __slots__ = ("kind", "qubits", "params", "clbit")

@@ -13,13 +13,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .circuits import parse_merged_qasm, parse_qasm
+from .circuits import SIMULATION_QUBIT_CAP, SIMULATION_QUBIT_CAP_MAX, parse_merged_qasm, parse_qasm
 from .config import RunConfig
 from .errors import BRIEF, ConfigError, OutputDirError, QmpcError, brief, read_json, read_text
 from .hardware import extract_strong_crosstalk, load_crosstalk, load_hardware
 from .manager import plan_all
 from .pipeline import compile_workloads
-from .verify import SIMULATION_QUBIT_CAP, SIMULATION_QUBIT_CAP_MAX, check_equivalence
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,6 +152,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import check_equivalence  # only this command loads the simulator
     if not 1 <= args.cap <= SIMULATION_QUBIT_CAP_MAX:
         raise ConfigError(f"--cap must be in 1..{SIMULATION_QUBIT_CAP_MAX}, got {args.cap}")
     merged, _ = parse_merged_qasm(read_text(args.merged))

@@ -103,28 +103,26 @@ def fidelity_gate(
     check repeats; a single survivor, like a batch of one, runs alone
     (INDEPENDENT, delta_s 0).
 
-    A longer batch is allocated once, greedily in batch order, so the regions
-    of every shorter prefix are the first entries of that one allocation.
+    The batch is allocated once, greedily in batch order, so the regions of
+    every prefix are the first entries of that one allocation, and the first
+    region, searched on the empty device, is its circuit's alone region.
     When the device runs out of room, the batch shrinks to the prefix that
     fits; when not even the first circuit fits, that allocation's error
-    propagates.  Each alone region is an ``allocate_all`` of one circuit,
-    which the model's memo answers after the first search of the same
-    circuit shape (see ``partition.allocate_prefix``).
+    propagates.  Each later alone region is an ``allocate_all`` of one
+    circuit, which the model's memo answers (see ``partition.allocate_prefix``).
     """
     if not circuits:
         raise ValueError("fidelity_gate needs at least one circuit")
-    if len(circuits) > 1:
-        joint, error = allocate_prefix(model, circuits, config, strong_pairs)
-        if not joint:
-            raise error
-        scores = {c.id: allocate_all(model, [c], config, strong_pairs)[0].score for c in circuits[:len(joint)]}
-        for n in range(len(joint), 1, -1):
-            delta_s = left_sum(p.score - scores[p.circuit_id] for p in joint[:n]) / n
-            if delta_s < config.delta:
-                verdict = Verdict.SIMULTANEOUS if n == len(circuits) else Verdict.REDUCED
-                return ExecutionPlan(tuple(joint[:n]), delta_s, config.delta, verdict)
-    alone = allocate_all(model, circuits[:1], config, strong_pairs)
-    return ExecutionPlan(tuple(alone), 0.0, config.delta, Verdict.INDEPENDENT)
+    joint, error = allocate_prefix(model, circuits, config, strong_pairs)
+    if not joint:
+        raise error
+    alone = [joint[0].score] + [allocate_all(model, [c], config, strong_pairs)[0].score for c in circuits[1:len(joint)]]
+    for n in range(len(joint), 1, -1):
+        delta_s = left_sum(p.score - score for p, score in zip(joint[:n], alone)) / n
+        if delta_s < config.delta:
+            verdict = Verdict.SIMULTANEOUS if n == len(circuits) else Verdict.REDUCED
+            return ExecutionPlan(tuple(joint[:n]), delta_s, config.delta, verdict)
+    return ExecutionPlan(tuple(joint[:1]), 0.0, config.delta, Verdict.INDEPENDENT)
 
 
 def plan_all(

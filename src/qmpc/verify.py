@@ -20,7 +20,7 @@ The equivalence check never simulates a merged program whole.  It splits the
 program into connected components over qubit and classical-bit wires and
 simulates each component that measures anything on its own; a circuit's
 distribution is the product of its components' marginals.  The active-qubit
-cap and the branch cap therefore apply per component.
+cap and the branch and amplitude caps therefore apply per component.
 
 Bit-order conventions (also documented in the README): in a distribution key,
 string position i holds classical bit i (or qubit i when the circuit never
@@ -35,14 +35,12 @@ from operator import itemgetter
 
 import numpy as np
 
-from .circuits import BARRIER, CX, MEASURE, Gate, QuantumCircuit
+from .circuits import BARRIER, CX, MEASURE, SIMULATION_QUBIT_CAP, Gate, QuantumCircuit
 from .errors import SimulationError, VerificationError
 from .floats import left_sum
 
-SIMULATION_QUBIT_CAP = 12
-# the largest cap `qmpc verify --cap` takes: 2**20 amplitudes (16 MB) per branch
-SIMULATION_QUBIT_CAP_MAX = 20
 _BRANCH_CAP = 4096
+_AMPLITUDE_CAP = _BRANCH_CAP << SIMULATION_QUBIT_CAP  # over all branches: 2**24 amplitudes, 256 MiB
 EQUIVALENCE_TOLERANCE = 1e-9  # check_equivalence passes below this total variation distance
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -167,8 +165,11 @@ def _measure(state: np.ndarray, weights: np.ndarray, axis: int):
     view = state.reshape(shape[0], math.prod(shape[1:axis]), 2, -1)
     probs = (np.abs(view) ** 2).sum(axis=(1, 3))
     keep = probs > 1e-30
-    if np.count_nonzero(keep) > _BRANCH_CAP:
+    branches = np.count_nonzero(keep)
+    if branches > _BRANCH_CAP:
         raise SimulationError("too many mid-circuit measurement branches")
+    if branches << (state.ndim - 1) > _AMPLITUDE_CAP:
+        raise SimulationError(f"{branches} branches of {state.ndim - 1} qubits exceed {_AMPLITUDE_CAP} amplitudes")
     parent, outcome = np.nonzero(keep)
     post = view[parent]
     post[np.arange(len(parent)), :, 1 - outcome] = 0.0
@@ -301,7 +302,7 @@ def marginals(circuit: QuantumCircuit, bit_lists: list[list[int]], cap: int = SI
     """Outcome distribution of each list of classical bits of ``circuit``.
 
     Each independent component that measures anything is simulated once on
-    its own, so ``cap`` and the branch cap apply per component, and each
+    its own, so ``cap`` and the branch caps apply per component, and each
     list's distribution is the product of its components' marginals; bits
     that nothing writes read 0.  Key position i holds the list's i-th bit.
     """

@@ -1,11 +1,18 @@
-"""Helpers shared by the test modules: a seeded circuit generator, a spy on
-the region searches and the acceptance-criteria summary lines."""
+"""Helpers shared by the test modules: a seeded circuit generator, a
+branching program, a spy on the region searches and the acceptance-criteria
+summary lines."""
 from __future__ import annotations
 
 import numpy as np
 
 from qmpc import partition
 from qmpc.circuits import Gate, QuantumCircuit
+
+# three uniform qubits, each measured and then acted on again: 8 branches of 8 amplitudes
+REMEASURED_QASM = (
+    "qreg q[3]; creg c[6]; h q; cx q[0],q[1]; cx q[1],q[2]; measure q[0] -> c[0]; measure q[1] -> c[1];"
+    " measure q[2] -> c[2]; h q; measure q[0] -> c[3]; measure q[1] -> c[4]; measure q[2] -> c[5];\n"
+)
 
 
 def random_circuit(rng: np.random.Generator, cid: str, n_qubits: int | None = None, max_gates: int = 18) -> QuantumCircuit:

@@ -22,7 +22,7 @@ from qmpc.manager import plan_all
 from qmpc.pipeline import CompileResult, RunConfig, compile_workloads
 from qmpc.presets import line_topology, star_topology, synthetic_calibration, topology, uniform_calibration
 
-from helpers import random_circuit
+from helpers import REMEASURED_QASM, random_circuit
 
 BELL = "qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q -> c;\n"
 GHZ3 = "qreg q[3]; creg c[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2]; measure q -> c;\n"
@@ -191,6 +191,24 @@ def test_verify_cap_bounds_are_accepted(device_files, capsys, cap, code, said):
     captured = capsys.readouterr()
     assert said in captured.out + captured.err
     assert "--cap must be" not in captured.err
+
+
+def test_verify_branches_past_the_amplitude_cap_are_a_user_error(device_files, capsys, monkeypatch):
+    # --cap 20 admits 4096 branches of 2**20 amplitudes each; the bound on
+    # their total (made small here) must end the check with exit 1, not with
+    # a MemoryError (exit 2)
+    remeasured = device_files / "remeasured.qasm"
+    remeasured.write_text(REMEASURED_QASM)
+    device = ["--topology", str(device_files / "topology.json"), "--calibration", str(device_files / "calibration.json")]
+    out = device_files / "out"
+    assert main(["compile", *device, "--out-dir", str(out), str(remeasured)]) == 0
+    merged, manifest = str(out / "merged_0.qasm"), str(out / "manifest_0.json")
+    verify_args = ["verify", "--merged", merged, "--manifest", manifest, "--cap", "20", str(remeasured)]
+    assert main(verify_args) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("qmpc.verify._AMPLITUDE_CAP", 63)
+    assert main(verify_args) == 1
+    assert capsys.readouterr().err == "error: 8 branches of 3 qubits exceed 63 amplitudes\n"
 
 
 def test_partition_methods_agree_on_valencia(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmpc import verify
 from qmpc.circuits import Gate, QuantumCircuit, parse_qasm
 from qmpc.errors import RoutingError, SimulationError, VerificationError
 from qmpc.hardware import build_hardware
@@ -17,6 +18,7 @@ from qmpc.verify import (
     total_variation,
 )
 
+from helpers import REMEASURED_QASM
 from oracles import circuit_unitary
 
 
@@ -266,6 +268,17 @@ def test_one_component_over_the_branch_cap_still_raises():
     merged, manifest = _side_by_side([coin, _ghz("g", 3)])
     with pytest.raises(SimulationError, match="branches"):
         check_equivalence([coin, _ghz("g", 3)], merged, manifest)
+
+
+def test_branch_array_is_bounded_by_its_amplitudes(monkeypatch):
+    # a component under both the qubit and the branch cap can still hold too
+    # many amplitudes in all: at --cap 20, 4096 branches would be 64 GiB
+    circuit = parse_qasm(REMEASURED_QASM, "remeasured")
+    monkeypatch.setattr(verify, "_AMPLITUDE_CAP", 63)
+    with pytest.raises(SimulationError, match="8 branches of 3 qubits exceed 63 amplitudes"):
+        simulate(circuit, cap=20)
+    monkeypatch.setattr(verify, "_AMPLITUDE_CAP", 64)
+    assert len(simulate(circuit, cap=20)) == 64
 
 
 def _compiled_two(bell):
