@@ -27,10 +27,10 @@ print(f"density (CNOTs per qubit): {circuit.density} = {float(circuit.density):.
 print(f"largest logical degree: {circuit.largest_logical_degree}  (qubit 0 talks to 1 and 2)")
 
 dag = build_dag(circuit)
-front = dag.front_layer()
+front = [i for i, d in enumerate(dag.in_degree) if d == 0]
 print(f"initial front layer: {front} -> {[circuit.gates[i].kind for i in front]}")
 print("dependency edges:")
-for node in range(dag.num_nodes):
+for node in range(len(circuit.gates)):
     for succ in dag.successors[node]:
         print(f"  {node}:{circuit.gates[node].kind}{circuit.gates[node].qubits}"
               f" -> {succ}:{circuit.gates[succ].kind}{circuit.gates[succ].qubits}")

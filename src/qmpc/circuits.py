@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import BRIEF, MultiRegisterError, QasmError, UnsupportedGateError, brief
 
@@ -142,8 +143,9 @@ def depth(gates) -> int:
     return deepest
 
 
-class DagCircuit:
-    """Dependency DAG over gate indices.
+class Dag(NamedTuple):
+    """Dependency DAG over gate indices: each node's successors, in
+    increasing order, and its number of distinct predecessors.
 
     An edge a -> b exists iff the two gates share a wire and no gate between
     them touches that wire.  The wires are the qubits and the classical bits:
@@ -152,37 +154,24 @@ class DagCircuit:
     which makes them scheduling fences for every qubit they span.
     """
 
-    def __init__(self, circuit: QuantumCircuit):
-        self.circuit = circuit
-        n = len(circuit.gates)
-        succ: list[set[int]] = [set() for _ in range(n)]
-        in_degree = [0] * n
-        last_on: dict[int, int] = {}
-        for i, g in enumerate(circuit.gates):
-            # classical bit b is wire ~b: negative, so apart from every qubit
-            wires = g.qubits if g.clbit is None else (*g.qubits, ~g.clbit)
-            for w in wires:
-                if w in last_on and i not in succ[last_on[w]]:
-                    succ[last_on[w]].add(i)
-                    in_degree[i] += 1
-                last_on[w] = i
-        self.successors = [tuple(sorted(s)) for s in succ]
-        self._in_degree = tuple(in_degree)  # distinct predecessors of each node
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.circuit.gates)
-
-    def front_layer(self) -> list[int]:
-        """Nodes with no predecessors."""
-        return [i for i, d in enumerate(self._in_degree) if d == 0]
-
-    def in_degrees(self) -> list[int]:
-        return list(self._in_degree)
+    successors: list[tuple[int, ...]]
+    in_degree: tuple[int, ...]
 
 
-def build_dag(circuit: QuantumCircuit) -> DagCircuit:
-    return DagCircuit(circuit)
+def build_dag(circuit: QuantumCircuit) -> Dag:
+    n = len(circuit.gates)
+    succ: list[set[int]] = [set() for _ in range(n)]
+    in_degree = [0] * n
+    last_on: dict[int, int] = {}
+    for i, g in enumerate(circuit.gates):
+        # classical bit b is wire ~b: negative, so apart from every qubit
+        wires = g.qubits if g.clbit is None else (*g.qubits, ~g.clbit)
+        for w in wires:
+            if w in last_on and i not in succ[last_on[w]]:
+                succ[last_on[w]].add(i)
+                in_degree[i] += 1
+            last_on[w] = i
+    return Dag([tuple(sorted(s)) for s in succ], tuple(in_degree))
 
 
 # --- parsing ---------------------------------------------------------------

@@ -167,9 +167,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_xtalk_filter(args) -> int:
-    model = load_hardware(args.topology, args.calibration)
-    table = load_crosstalk(args.crosstalk, model)
-    strong = extract_strong_crosstalk(table, model)
+    _, strong = _load_inputs(args)  # --crosstalk is required here
     pairs = [
         {"gate": list(gate), "conditioned_on": list(cond), "error": err}
         for (gate, cond), err in sorted(strong.entries.items())

@@ -89,16 +89,17 @@ def compile_plan(
     placements from ``SeedSequence(config.seed, spawn_key=(index, j))``,
     the child of a spawn per plan and then per circuit.  The merged program
     is checked against the device and the plan before it is returned
-    (``check_compliance``); a violation is a ``RoutingError``.
+    (``check_compliance``); a violation is a ``RoutingError``.  The router
+    is handed each partition's qubits only.
     """
     circuits = [circuits_by_id[cid] for cid in plan.selected]
     routes = []
     for j, (circuit, part) in enumerate(zip(circuits, plan.partitions)):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index, j)))
-        _, route = initial_mapping(model, dist, part, circuit, rng, config)
+        _, route = initial_mapping(model, dist, part.qubits, circuit, rng, config)
         routes.append(route)
     merged, manifest = merged_circuit(routes, model)
-    check_compliance(merged, manifest, plan.partitions, model)
+    check_compliance(merged, manifest, {p.circuit_id: p.qubits for p in plan.partitions}, model)
     qasm = emit_merged_qasm(routes, model)
     return CompiledPlan(plan, routes, merged, qasm, manifest, _plan_stats(model, plan, routes, merged, index))
 

@@ -1,8 +1,8 @@
-"""Routing: turn partitioned circuits into one hardware-compliant gate sequence.
+"""Routing: turn circuits in disjoint regions into one compliant gate sequence.
 
 Gates whose operands sit on a coupling edge pass straight through.  A blocked
 CNOT is repaired either by a SWAP (three CNOTs, permutes the mapping) or, when
-control and target are exactly two apart inside the partition, by a bridged
+control and target are exactly two apart inside the region, by a bridged
 CNOT (four CNOTs, mapping unchanged).  Candidates are ranked by a cost that
 charges each option's own CNOTs against the distance it saves for the front
 layer and, with a smaller weight, for a lookahead window.  Because a bridge
@@ -10,9 +10,11 @@ leaves its pair apart, its own CNOTs are charged once more for every repeat
 of its logical pair in the lookahead window (see ``cost_h``); this charge is
 part of the self-cost term, so the ``self_cost=False`` and ``swap_only``
 ablations score exactly as without it.  All movement stays inside the owning
-circuit's partition.
+circuit's region.
 
-Partitions are disjoint, so every circuit is routed alone into one ``Route``,
+A region is a tuple of physical qubits, read as a set; the router knows
+nothing of how the planner chose it, and the two meet only in ``pipeline``.
+Regions are disjoint, so every circuit is routed alone into one ``Route``,
 and a plan is the list of its circuits' routes; ``merged_circuit`` joins them
 round by round, and ``check_compliance`` guards the result: a merged program
 that leaves the coupling graph or a circuit's region or bits is a
@@ -31,7 +33,6 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import RoutingError
 from .floats import left_sum
 from .hardware import HardwareModel, induced_edges
-from .partition import Partition
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,7 +72,7 @@ Record = tuple[int, ...]
 
 @dataclass
 class Route:
-    """One circuit routed inside its partition.
+    """One circuit routed inside its region.
 
     ``records`` are what the route emitted and ``round_ends``, for each
     routing round, the number of records after it; a round emits what is
@@ -99,37 +100,38 @@ class Route:
 
 
 class _Tables:
-    """What every placement trial of one circuit in one partition reads: the
-    circuit, its dependency DAG, each CNOT node's operands and the CNOT nodes
-    in program order (what a trial's window cursor walks), the partition's
-    adjacency and every repair in it, the distance table ``dist`` and the
-    routing settings ``config``.
+    """What every placement trial of one circuit in one region reads: the
+    circuit, its DAG's successors and in-degrees, each CNOT node's operands
+    and the CNOT nodes in program order (what a trial's window cursor walks),
+    the region's qubits and adjacency and every repair in it, the distance
+    table ``dist`` and the routing settings ``config``.
 
+    ``region`` is the physical qubits the circuit is placed in, in any order.
     ``dist`` is the ``hardware.distance_matrices`` table, read as
     ``dist[p][q]``.  ``initial_mapping`` builds these once per call, and each
     trial's ``_Job`` reads them; they die with the call, so memory does not
-    grow with the number of partitions routed.
+    grow with the number of regions routed.
     """
 
-    def __init__(self, model: HardwareModel, circuit: QuantumCircuit, partition: Partition, dist, config: RunConfig):
-        if len(partition.qubits) != circuit.num_qubits:
-            raise ValueError(f"partition size {len(partition.qubits)} != circuit qubits {circuit.num_qubits}")
+    def __init__(self, model: HardwareModel, circuit: QuantumCircuit, region: tuple[int, ...], dist, config: RunConfig):
+        if len(region) != circuit.num_qubits:
+            raise ValueError(f"region size {len(region)} != circuit qubits {circuit.num_qubits}")
         self.circuit = circuit
         self.dist = dist
         self.config = config
-        self.dag = build_dag(circuit)
-        self.partition = tuple(partition.qubits)
-        part_set = set(self.partition)
-        edges = induced_edges(model, self.partition)
-        neighbours = {q: set(model.neighbors(q)) & part_set for q in self.partition}
+        self.successors, self.in_degree = build_dag(circuit)
+        self.region = region
+        region_set = set(self.region)
+        edges = induced_edges(model, self.region)
+        neighbours = {q: set(model.neighbors(q)) & region_set for q in self.region}
         self.adjacency = {q: tuple(sorted(ns)) for q, ns in neighbours.items()}
-        # every repair in the partition: SWAPs by edge, and bridges by (control,
+        # every repair in the region: SWAPs by edge, and bridges by (control,
         # target), one per middle qubit in order; no bridge under swap_only
         self.swap_gates = {e: TentativeGate(SWAP, e, dist) for e in edges}
         self.bridge_gates = {} if config.swap_only else {
             (c, t): tuple(TentativeGate(BRIDGE, (c, m, t), dist) for m in sorted(neighbours[c] & neighbours[t]))
-            for c in self.partition
-            for t in self.partition
+            for c in self.region
+            for t in self.region
             if c != t and neighbours[c] & neighbours[t]
         }
         self.cx_operands = [g.qubits if g.kind == CX else None for g in circuit.gates]  # (control, target)
@@ -148,10 +150,10 @@ class _Job:
     def __init__(self, tables: _Tables, l2p):
         self.tables = tables
         self.l2p = list(l2p)
-        if sorted(self.l2p) != sorted(tables.partition):
-            raise ValueError("initial mapping is not a bijection onto the partition")
+        if sorted(self.l2p) != sorted(tables.region):
+            raise ValueError("initial mapping is not a bijection onto the region")
         self.p2l = {p: l for l, p in enumerate(self.l2p)}
-        self.in_deg = tables.dag.in_degrees()
+        self.in_deg = list(tables.in_degree)
         self.front = {i for i, d in enumerate(self.in_deg) if d == 0}
         self.cx_cursor = 0  # index into tables.cx_nodes; every CNOT before it has in_deg 0
         self.swaps = 0
@@ -164,7 +166,7 @@ class _Job:
         """Retire ``node``; return the successors this moved into the front."""
         self.front.discard(node)
         ready = []
-        for succ in self.tables.dag.successors[node]:
+        for succ in self.tables.successors[node]:
             self.in_deg[succ] -= 1
             if self.in_deg[succ] == 0:
                 self.front.add(succ)
@@ -213,9 +215,9 @@ def find_swap_bridge_pairs(job: _Job, front: list[tuple[int, int, int]]) -> list
     """Repair candidates for a job whose front layer ``front``
     (``job.blocked_front()``) is fully blocked, taken from its ``_Tables``.
 
-    SWAPs: every partition-internal edge touching a front-gate operand.
+    SWAPs: every region-internal edge touching a front-gate operand.
     BRIDGEs: every front CNOT whose operands are exactly two apart inside the
-    partition, one candidate per valid middle qubit; none under
+    region, one candidate per valid middle qubit; none under
     ``config.swap_only``.
     """
     l2p, tables = job.l2p, job.tables
@@ -299,7 +301,7 @@ def cost_h(
 
 def _forced_path_route(job: _Job, records: list[Record]) -> None:
     """Stall escape hatch: walk the oldest blocked gate's control along the
-    shortest partition-internal path until the gate is executable.
+    shortest region-internal path until the gate is executable.
 
     The cost-driven selection can orbit between retreat swaps whose own CNOTs
     look cheaper than any approach; this deterministic fallback guarantees
@@ -321,7 +323,7 @@ def _forced_path_route(job: _Job, records: list[Record]) -> None:
                     nxt.append(v)
         queue = nxt
     if dst not in parent:
-        raise RoutingError(f"partition of circuit {tables.circuit.id!r} is not internally connected")
+        raise RoutingError(f"region of circuit {tables.circuit.id!r} is not internally connected")
     path = [dst]
     while path[-1] != src:
         path.append(parent[path[-1]])
@@ -399,13 +401,13 @@ def _repair(job: _Job, records: list[Record]) -> None:
 
 
 def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None = None) -> Route:
-    """Route the circuit of ``tables`` inside its partition from the
+    """Route the circuit of ``tables`` inside its region from the
     placement ``l2p``.
 
     Each round emits whatever is executable, then inserts at most one repair
     gate if the circuit is still blocked.  A circuit that keeps inserting
     swaps without emitting anything falls back to deterministic
-    shortest-path routing after ``2 * partition size + 4`` insertions.  An
+    shortest-path routing after ``2 * region size + 4`` insertions.  An
     iteration cap of ten times the gate count remains as the guard against a
     non-terminating selection loop, which would be a bug rather than an
     input problem.  A circuit that has inserted more than ``max_inserted``
@@ -415,7 +417,7 @@ def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None
     cap = 10 * max(len(tables.circuit.gates), 1)
     records: list[Record] = []
     round_ends: list[int] = []
-    limit = 2 * len(tables.partition) + 4
+    limit = 2 * len(tables.region) + 4
     aborted = False
     while job.front:
         if max_inserted is not None and 3 * (job.swaps + job.bridges) > max_inserted:
@@ -436,13 +438,14 @@ def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None
 def initial_mapping(
     model: HardwareModel,
     dist,
-    partition: Partition,
+    region: tuple[int, ...],
     circuit: QuantumCircuit,
     rng: np.random.Generator,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> tuple[list[int], Route]:
-    """Pick the best of ``config.attempts`` random placements; return it and
-    its route.  ``dist`` and ``config`` go to the trials' ``_Tables``.
+    """Pick the best of ``config.attempts`` random placements of ``circuit``
+    onto the qubits ``region``, in any order; return it and its route.
+    ``dist`` and ``config`` go to the trials' ``_Tables``.
 
     Each candidate bijection is evaluated by routing the circuit and
     counting inserted CNOTs; ties fall back to the summed routing distance
@@ -454,8 +457,8 @@ def initial_mapping(
     best so far (branch and bound).  Every attempt still draws its
     permutation, so the choice is that of routing every trial to the end.
     """
-    base = sorted(partition.qubits)
-    tables = _Tables(model, circuit, partition, dist, config)
+    base = sorted(region)
+    tables = _Tables(model, circuit, region, dist, config)
     best_key = None
     best: tuple[list[int], Route] | None = None
     for attempt in range(config.attempts):
@@ -513,20 +516,23 @@ def merged_circuit(routes: list[Route], model: HardwareModel):
     return merged, manifest
 
 
-def check_compliance(merged: QuantumCircuit, manifest: dict, partitions: list[Partition], model: HardwareModel) -> None:
+def check_compliance(
+    merged: QuantumCircuit, manifest: dict, regions: dict[str, tuple[int, ...]], model: HardwareModel
+) -> None:
     """Raise ``RoutingError`` unless the merged program obeys the device and
     the plan: every CX on a coupling edge, every gate inside one circuit's
     region, every measurement into that circuit's bits, and each manifest
-    map a bijection onto its circuit's region.  One pass over the gates."""
+    map a bijection onto its circuit's region.  ``regions`` maps each
+    circuit id to its qubits, in plan order.  One pass over the gates."""
     owner: dict[int, str] = {}
     bits: dict[str, set[int]] = {}
-    for part in partitions:
-        region = set(part.qubits)
-        placed = list(manifest[part.circuit_id]["logical_to_physical"].values())
+    for cid, qubits in regions.items():
+        region = set(qubits)
+        placed = list(manifest[cid]["logical_to_physical"].values())
         if len(placed) != len(region) or set(placed) != region:
-            raise RoutingError(f"manifest map of {part.circuit_id!r} is not a bijection onto its region")
-        owner.update((q, part.circuit_id) for q in region)
-        bits[part.circuit_id] = set(manifest[part.circuit_id]["clbits"])
+            raise RoutingError(f"manifest map of {cid!r} is not a bijection onto its region")
+        owner.update((q, cid) for q in region)
+        bits[cid] = set(manifest[cid]["clbits"])
     for i, g in enumerate(merged.gates):
         if g.kind == CX and not model.has_edge(*g.qubits):
             raise RoutingError(f"gate {i}: cx {g.qubits} is not on a coupling edge")

@@ -270,7 +270,7 @@ def _components(circuit: QuantumCircuit) -> list[tuple[list[Gate], list[int]]]:
     measures anything, in order of first gate.
 
     Wires are qubits and classical bits (bit b is wire ~b, as in
-    ``DagCircuit``); a gate joins every wire it touches, and barriers join
+    ``build_dag``); a gate joins every wire it touches, and barriers join
     nothing.  Components share no wire, so their outcomes are independent.
     Only CXs and measurements join two wires, so each distinct pair of them
     is joined once and each wire is then labelled once.

@@ -555,18 +555,18 @@ def per_branch_simulate(circuit: QuantumCircuit, cap: int = ORACLE_QUBIT_CAP) ->
 class _RefJob:
     """Routing state for one circuit, as the first router kept it."""
 
-    def __init__(self, model, circuit, dag, partition, l2p, clbit_offset):
+    def __init__(self, model, circuit, dag, region, l2p, clbit_offset):
         self.circuit = circuit
         self.clbit_offset = clbit_offset  # where the circuit's bits start in the merged register
         self.dag = dag
-        self.partition = tuple(partition.qubits)
+        self.partition = tuple(region)
         self.part_set = set(self.partition)
         self.l2p = list(l2p)
         self.p2l = {p: l for l, p in enumerate(self.l2p)}
-        self.in_deg = dag.in_degrees()
+        self.in_deg = list(dag.in_degree)
         self.front = {i for i, d in enumerate(self.in_deg) if d == 0}
         self.retired: set[int] = set()
-        self.remaining = dag.num_nodes
+        self.remaining = len(circuit.gates)
         self.part_edges = sorted(e for e in model.edges if e[0] in self.part_set and e[1] in self.part_set)
         self.adjacency = {q: set(model.neighbors(q)) & self.part_set for q in self.partition}
         self.cx_nodes = [i for i, g in enumerate(circuit.gates) if g.kind == CX]
@@ -717,8 +717,8 @@ def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only
     round, with the numpy matrix ``dist``.  Each circuit's classical bits
     follow those of the circuits before it."""
     jobs, offset = [], 0
-    for c, dag, part, l2p in jobs_spec:
-        jobs.append(_RefJob(model, c, dag, part, l2p, offset))
+    for c, dag, region, l2p in jobs_spec:
+        jobs.append(_RefJob(model, c, dag, region, l2p, offset))
         offset += c.num_clbits
     gates: list = []
     cap = 10 * max(sum(len(j.circuit.gates) for j in jobs), 1)
@@ -773,15 +773,16 @@ def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only
     )
 
 
-def reference_placement(model, dist, partition, circuit, dag, rng, attempts=10, **route_kw) -> list[int]:
-    """Best of ``attempts`` random placements, each routed to completion;
-    key (inserted CNOTs, summed CNOT distance, attempt)."""
-    base = sorted(partition.qubits)
+def reference_placement(model, dist, region, circuit, dag, rng, attempts=10, **route_kw) -> list[int]:
+    """Best of ``attempts`` random placements onto the qubits ``region``,
+    each routed to completion; key (inserted CNOTs, summed CNOT distance,
+    attempt)."""
+    base = sorted(region)
     cx_pairs = [(g.qubits[0], g.qubits[1]) for g in circuit.gates if g.kind == CX]
     best_key = best_l2p = None
     for attempt in range(attempts):
         l2p = [int(p) for p in rng.permutation(base)]
-        trial = reference_route(model, dist, [(circuit, dag, partition, l2p)], **route_kw)
+        trial = reference_route(model, dist, [(circuit, dag, region, l2p)], **route_kw)
         inserted = 3 * (trial.swaps[0] + trial.bridges[0])
         key = (inserted, sum(float(dist[l2p[a], l2p[b]]) for a, b in cx_pairs), attempt)
         if best_key is None or key < best_key:

@@ -6,7 +6,8 @@ path, the package root included, imports it; ``cli`` imports it inside
 ``cmd_verify`` only.  The static checks read each module's import lines, and
 a fresh process checks that a whole compile really leaves ``qmpc.verify``
 unloaded.  The merged program's compliance check belongs to the router, so
-only ``scheduler`` raises ``RoutingError``.
+only ``scheduler`` raises ``RoutingError``.  The router reads a region as its
+qubits, so the planner and the router meet only in ``pipeline``.
 """
 import ast
 import json
@@ -47,6 +48,10 @@ def test_verify_imports_only_circuits_errors_and_floats():
 
 def test_compile_path_does_not_import_verify():
     assert [m for m in COMPILE_PATH if "verify" in imported(m)] == []
+
+
+def test_router_imports_nothing_of_the_planner():
+    assert imported("scheduler") & {"partition", "manager"} == set()
 
 
 def test_only_scheduler_raises_routing_error():

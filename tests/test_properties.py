@@ -40,7 +40,6 @@ from qmpc.partition import (
     region_row,
     score,
 )
-from qmpc.partition import Partition
 from qmpc.pipeline import RunConfig, compile_workloads, estimate_success
 from qmpc.scheduler import check_compliance, initial_mapping, merged_circuit
 from qmpc.verify import check_equivalence, marginalize, marginals, simulate
@@ -233,7 +232,7 @@ def test_parser_matches_first_parser_on_results_and_errors(text):
 def test_topological_orders_preserve_per_qubit_sequence(circuit, seed):
     dag = build_dag(circuit)
     rng = np.random.default_rng(seed)
-    in_deg = dag.in_degrees()
+    in_deg = list(dag.in_degree)
     ready = [i for i, d in enumerate(in_deg) if d == 0]
     order = []
     while ready:
@@ -844,7 +843,8 @@ def test_filled_device_compiles_to_compliant_verified_programs(case, seed):
     placed = [cid for compiled in result.plans for cid in compiled.plan.selected]
     assert sorted(placed) == sorted(c.id for c in circuits)
     for compiled in result.plans:
-        check_compliance(compiled.merged, compiled.manifest, compiled.plan.partitions, model)
+        regions = {p.circuit_id: p.qubits for p in compiled.plan.partitions}
+        check_compliance(compiled.merged, compiled.manifest, regions, model)
         report = check_equivalence(compiled.circuits, compiled.merged, compiled.manifest)
         assert report.passed, report
 
@@ -871,7 +871,7 @@ def routing_case(draw):
         k = len(region)
         gates = random_gates(rng, list(range(k)), list(range(k)), draw(st.integers(0, 50)), measure_p=0.1)
         gates += [Gate("measure", (q,), clbit=q) for q in range(k)]
-        jobs.append((QuantumCircuit(f"c{i}", k, k, tuple(gates)), Partition(f"c{i}", tuple(sorted(region)), 0.0, "QHSP")))
+        jobs.append((QuantumCircuit(f"c{i}", k, k, tuple(gates)), tuple(sorted(region))))
     config = RunConfig(
         ext_layer=draw(st.sampled_from([0, 1, 5, 20])),
         swap_only=draw(st.booleans()),
@@ -889,15 +889,15 @@ def test_bounded_placement_and_interleaved_routes_match_reference_router(case):
     dist = distance_matrices(model)
     combined = np.array(dist)  # the reference router indexes a numpy matrix
     routes, specs = [], []
-    for circuit, part in jobs:
+    for circuit, region in jobs:
         dag = build_dag(circuit)
-        l2p, route = initial_mapping(model, dist, part, circuit, np.random.default_rng(seed), config)
+        l2p, route = initial_mapping(model, dist, region, circuit, np.random.default_rng(seed), config)
         want = reference_placement(
-            model, combined, part, circuit, dag, np.random.default_rng(seed), attempts=config.attempts, **route_kw
+            model, combined, region, circuit, dag, np.random.default_rng(seed), attempts=config.attempts, **route_kw
         )
         assert l2p == want
         routes.append(route)
-        specs.append((circuit, dag, part, l2p))
+        specs.append((circuit, dag, region, l2p))
     ref = reference_route(model, combined, specs, **route_kw)
     assert not any(route.aborted for route in routes)
     merged, _ = merged_circuit(routes, model)
@@ -906,6 +906,24 @@ def test_bounded_placement_and_interleaved_routes_match_reference_router(case):
     assert [route.bridges for route in routes] == ref.bridges
     assert [route.final_l2p for route in routes] == ref.final_l2p
     assert max(route.iterations for route in routes) == ref.iterations
+
+
+@settings(max_examples=60, **COMMON)
+@given(routing_case(), st.data())
+def test_region_order_does_not_change_the_route(case, data):
+    # the router reads a region as a set: initial_mapping permutes the
+    # sorted region, _Job compares sorted, and repairs are looked up by key
+    model, jobs, _, seed = case
+    dist = distance_matrices(model)
+    for circuit, region in jobs:
+        shuffled = tuple(data.draw(st.permutations(region)))
+        for config in (RunConfig(), RunConfig(swap_only=True)):
+            (l2p, route), (l2p_shuffled, route_shuffled) = (
+                initial_mapping(model, dist, qubits, circuit, np.random.default_rng(seed), config)
+                for qubits in (region, shuffled)
+            )
+            assert l2p == l2p_shuffled
+            assert (route.records, route.round_ends) == (route_shuffled.records, route_shuffled.round_ends)
 
 
 # --- command line --------------------------------------------------------------

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from qmpc.circuits import CX, Gate, QuantumCircuit, parse_merged_qasm, parse_qasm
+from qmpc.circuits import CX, Gate, QuantumCircuit, build_dag, parse_merged_qasm, parse_qasm
 from qmpc.errors import RoutingError
 from qmpc.hardware import build_hardware, distance_matrices
-from qmpc.partition import Partition
 from qmpc.pipeline import RunConfig, compile_workloads
 from qmpc.scheduler import (
     BRIDGE,
@@ -31,13 +30,9 @@ def line_model(n, cnot=0.01, readout=0.02):
     return build_hardware(topo, uniform_calibration(topo, cnot=cnot, readout=readout))
 
 
-def make_part(cid, qubits):
-    return Partition(cid, tuple(qubits), 0.0, "QHSP")
-
-
 def tables(model, circuit, qubits, dist=None, config=RunConfig()):
     dist = distance_matrices(model) if dist is None else dist
-    return _Tables(model, circuit, make_part(circuit.id, qubits), dist, config)
+    return _Tables(model, circuit, tuple(qubits), dist, config)
 
 
 def route_single(model, circuit, l2p, config=RunConfig(), **kw):
@@ -46,7 +41,7 @@ def route_single(model, circuit, l2p, config=RunConfig(), **kw):
 
 def route_solo(model, D, specs):
     """Each circuit routed alone from its placement, with default settings."""
-    return [mapping_transition(_Tables(model, c, part, D, RunConfig()), l2p) for c, part, l2p in specs]
+    return [mapping_transition(_Tables(model, c, region, D, RunConfig()), l2p) for c, region, l2p in specs]
 
 
 def emitted(routes, model):
@@ -62,7 +57,7 @@ def test_initial_mapping_trivial_two_qubits():
     model = line_model(2)
     circuit = QuantumCircuit("c", 2, 0, (Gate(CX, (0, 1)),))
     D = distance_matrices(model)
-    l2p, _ = initial_mapping(model, D, make_part("c", [0, 1]), circuit, np.random.default_rng(0))
+    l2p, _ = initial_mapping(model, D, (0, 1), circuit, np.random.default_rng(0))
     route = route_single(model, circuit, l2p)
     assert route.additional_cnots == 0
 
@@ -81,7 +76,7 @@ def test_initial_mapping_finds_zero_insertion_layout():
         if route.additional_cnots == 0:
             zero_layouts.append(perm)
     assert zero_layouts  # oracle: some bijection needs no insertions
-    l2p, _ = initial_mapping(model, D, make_part("c", [0, 1, 2]), circuit, np.random.default_rng(1))
+    l2p, _ = initial_mapping(model, D, (0, 1, 2), circuit, np.random.default_rng(1))
     assert l2p[1] == 1
     assert tuple(l2p) in zero_layouts
 
@@ -90,9 +85,8 @@ def test_initial_mapping_deterministic_under_seed():
     model = line_model(4)
     circuit = QuantumCircuit("c", 4, 0, tuple(Gate(CX, ((i * 2) % 4, (i * 2 + 3) % 4)) for i in range(5)))
     D = distance_matrices(model)
-    part = make_part("c", [0, 1, 2, 3])
     runs = [
-        initial_mapping(model, D, part, circuit, np.random.default_rng(42))[0]
+        initial_mapping(model, D, (0, 1, 2, 3), circuit, np.random.default_rng(42))[0]
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -147,7 +141,7 @@ def test_prebuilt_candidates_match_the_reference_at_every_repair(monkeypatch, ci
     from qmpc.partition import qhsp_partition
 
     circuit = circuit_factory(np.random.default_rng(6), "c", n_qubits=6, max_gates=80)
-    part = qhsp_partition(guadalupe, circuit, set())[0]
+    region = qhsp_partition(guadalupe, circuit, set())[0].qubits
     repair, cost, scored, checked = sched_mod._repair, sched_mod.cost_h, [], []
 
     def keys(cands):
@@ -158,7 +152,7 @@ def test_prebuilt_candidates_match_the_reference_at_every_repair(monkeypatch, ci
         return cost(tentative, *args)
 
     def checking(job, records):
-        ref = _RefJob(guadalupe, job.tables.circuit, job.tables.dag, part, job.l2p, 0)
+        ref = _RefJob(guadalupe, job.tables.circuit, build_dag(job.tables.circuit), region, job.l2p, 0)
         ref.front = set(job.front)
         expected = {(kind, qubits) for kind, qubits in keys(_ref_candidates(ref)) if kind == SWAP or not swap_only}
         assert keys(find_swap_bridge_pairs(job, job.blocked_front())) == expected
@@ -172,7 +166,7 @@ def test_prebuilt_candidates_match_the_reference_at_every_repair(monkeypatch, ci
     monkeypatch.setattr(sched_mod, "_repair", checking)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        l2p = [int(p) for p in rng.permutation(sorted(part.qubits))]
+        l2p = [int(p) for p in rng.permutation(sorted(region))]
         route_single(guadalupe, circuit, l2p, RunConfig(swap_only=swap_only))
     assert len(checked) > 50 and any(checked)
 
@@ -182,8 +176,8 @@ def test_each_candidate_keeps_its_own_cnot_cost(circuit_factory, guadalupe):
 
     D = distance_matrices(guadalupe)
     circuit = circuit_factory(np.random.default_rng(6), "c", n_qubits=6, max_gates=40)
-    part = qhsp_partition(guadalupe, circuit, set())[0]
-    t = _Tables(guadalupe, circuit, part, D, RunConfig())
+    region = qhsp_partition(guadalupe, circuit, set())[0].qubits
+    t = _Tables(guadalupe, circuit, region, D, RunConfig())
     candidates = [*t.swap_gates.values(), *(b for bridges in t.bridge_gates.values() for b in bridges)]
     assert {c.kind for c in candidates} == {SWAP, BRIDGE}
     for cand in candidates:
@@ -330,9 +324,9 @@ def test_accounting_identity_on_random_circuits(circuit_factory, guadalupe):
         circuit = circuit_factory(rng, f"c{trial}", n_qubits=4)
         from qmpc.partition import qhsp_partition
 
-        part = qhsp_partition(guadalupe, circuit, set())[0]
-        l2p, _ = initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(trial))
-        route = mapping_transition(_Tables(guadalupe, circuit, part, D, RunConfig()), l2p)
+        region = qhsp_partition(guadalupe, circuit, set())[0].qubits
+        l2p, _ = initial_mapping(guadalupe, D, region, circuit, np.random.default_rng(trial))
+        route = mapping_transition(_Tables(guadalupe, circuit, region, D, RunConfig()), l2p)
         emitted_cx = sum(1 for g in emitted([route], guadalupe) if g.kind == CX)
         assert emitted_cx == circuit.cnot_count + route.additional_cnots
         assert route.additional_cnots == 3 * (route.swaps + route.bridges)
@@ -392,10 +386,10 @@ def test_extended_layer_matches_a_naive_scan_at_every_routing_step(monkeypatch, 
     rng = np.random.default_rng(11)
     for trial in range(3):
         circuit = circuit_factory(rng, f"c{trial}", n_qubits=6, max_gates=60)
-        part = qhsp_partition(guadalupe, circuit, set())[0]
+        region = qhsp_partition(guadalupe, circuit, set())[0].qubits
         for size in (1, 3, 20):
             config = RunConfig(attempts=3, ext_layer=size)
-            initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(trial), config)
+            initial_mapping(guadalupe, D, region, circuit, np.random.default_rng(trial), config)
     assert len(checked) > 100
 
 
@@ -412,14 +406,14 @@ def test_front_and_end_of_a_trial_follow_its_retired_nodes(monkeypatch, circuit_
     emit, route, rounds, ends = sched_mod._emit_ready, sched_mod.mapping_transition, [], []
 
     def derived_front(job):
-        successors = job.tables.dag.successors
+        successors = job.tables.successors
         unretired = [node for node in range(len(successors)) if node not in job.retired]
         waiting = {succ for node in unretired for succ in successors[node]}
         return {node for node in unretired if node not in waiting}
 
     def checking(job, records):
         assert job.front == derived_front(job)
-        assert len(job.retired) < job.tables.dag.num_nodes
+        assert len(job.retired) < len(job.tables.circuit.gates)
         rounds.append(job)
         emit(job, records)
 
@@ -427,7 +421,7 @@ def test_front_and_end_of_a_trial_follow_its_retired_nodes(monkeypatch, circuit_
         trial = route(*args, **kwargs)
         job = jobs[-1]
         assert job.front == derived_front(job)
-        assert trial.aborted == (len(job.retired) < job.tables.dag.num_nodes)
+        assert trial.aborted == (len(job.retired) < len(job.tables.circuit.gates))
         ends.append(trial.aborted)
         return trial
 
@@ -437,10 +431,10 @@ def test_front_and_end_of_a_trial_follow_its_retired_nodes(monkeypatch, circuit_
     rng = np.random.default_rng(12)
     for trial in range(3):
         circuit = circuit_factory(rng, f"c{trial}", n_qubits=6, max_gates=60)
-        part = qhsp_partition(guadalupe, circuit, set())[0]
+        region = qhsp_partition(guadalupe, circuit, set())[0].qubits
         for size in (0, 1, 3, 20):
             config = RunConfig(attempts=3, ext_layer=size, swap_only=swap_only)
-            initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(trial), config)
+            initial_mapping(guadalupe, D, region, circuit, np.random.default_rng(trial), config)
     assert len(rounds) > 100 and len(ends) == 3 * 4 * 3
     assert any(ends) and not all(ends)
 
@@ -461,13 +455,13 @@ def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory
 
     monkeypatch.setattr(sched_mod, "mapping_transition", recording)
     circuit = circuit_factory(np.random.default_rng(5), "c", n_qubits=6, max_gates=60)
-    part = qhsp_partition(guadalupe, circuit, set())[0]
+    region = qhsp_partition(guadalupe, circuit, set())[0].qubits
     D = distance_matrices(guadalupe)
-    l2p, best = initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(0))
+    l2p, best = initial_mapping(guadalupe, D, region, circuit, np.random.default_rng(0))
     assert len(trials) == 10
     assert any(t.aborted for t in trials)
     assert not best.aborted and best in trials
-    alone = route(_Tables(guadalupe, circuit, part, D, RunConfig()), l2p)
+    alone = route(_Tables(guadalupe, circuit, region, D, RunConfig()), l2p)
     assert (alone.records, alone.round_ends) == (best.records, best.round_ends)
     assert alone.additional_cnots == best.additional_cnots
 
@@ -502,9 +496,9 @@ def test_placement_trials_build_no_gates(monkeypatch, circuit_factory, guadalupe
     monkeypatch.setattr(sched_mod, "mapping_transition", recording)
     built = counting_gates(monkeypatch)
     circuit = circuit_factory(np.random.default_rng(5), "c", n_qubits=6, max_gates=60)
-    part = qhsp_partition(guadalupe, circuit, set())[0]
+    region = qhsp_partition(guadalupe, circuit, set())[0].qubits
     D = distance_matrices(guadalupe)
-    _, best = initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(0))
+    _, best = initial_mapping(guadalupe, D, region, circuit, np.random.default_rng(0))
     assert len(trials) == 10 and any(t.aborted for t in trials)
     assert built == []
     gates = emitted([best], guadalupe)
@@ -560,9 +554,9 @@ def test_partition_tables_are_not_kept_on_the_model(circuit_factory, guadalupe):
 
     D = distance_matrices(guadalupe)
     circuit = circuit_factory(np.random.default_rng(3), "c", n_qubits=5, max_gates=40)
-    part = qhsp_partition(guadalupe, circuit, set())[0]
+    region = qhsp_partition(guadalupe, circuit, set())[0].qubits
     before = snapshot(guadalupe)
-    initial_mapping(guadalupe, D, part, circuit, np.random.default_rng(0))
+    initial_mapping(guadalupe, D, region, circuit, np.random.default_rng(0))
     assert snapshot(guadalupe) == before
 
 
@@ -665,11 +659,11 @@ def test_two_independent_circuits_match_solo_compilations():
     c1 = parse_qasm("qreg q[3]; creg c[3]; h q[0]; cx q[0],q[2]; cx q[1],q[2]; measure q -> c;", "one")
     c2 = parse_qasm("qreg q[3]; creg c[3]; cx q[0],q[1]; cx q[0],q[2]; t q[1]; measure q -> c;", "two")
     D = distance_matrices(model)
-    p1, m1 = make_part("one", [0, 1, 2]), [0, 1, 2]
-    p2, m2 = make_part("two", [4, 5, 6]), [5, 4, 6]
+    p1, m1 = (0, 1, 2), [0, 1, 2]
+    p2, m2 = (4, 5, 6), [5, 4, 6]
     solo1, solo2 = route_solo(model, D, [(c1, p1, m1), (c2, p2, m2)])
     joint = emitted([solo1, solo2], model)
-    in_region = lambda region: [g for g in joint if set(g.qubits) <= set(region.qubits)]
+    in_region = lambda region: [g for g in joint if set(g.qubits) <= set(region)]
     assert in_region(p1) == list(emitted([solo1], model))
     # the second circuit's bits follow the first's three
     shifted = [g if g.clbit is None else Gate(g.kind, g.qubits, g.params, g.clbit + 3) for g in emitted([solo2], model)]
@@ -685,8 +679,8 @@ def test_partition_confinement():
     part1, part2 = {0, 1, 2}, {4, 5, 6}
     routes = route_solo(
         model, D,
-        [(c1, make_part("one", sorted(part1)), [0, 2, 1]),
-         (c2, make_part("two", sorted(part2)), [4, 6, 5])],
+        [(c1, tuple(sorted(part1)), [0, 2, 1]),
+         (c2, tuple(sorted(part2)), [4, 6, 5])],
     )
     owner = {"one": part1, "two": part2}
     merged, manifest = merged_circuit(routes, model)
@@ -722,8 +716,8 @@ def test_merged_two_circuits_have_two_cregs(bell):
     D = distance_matrices(model)
     routes = route_solo(
         model, D,
-        [(bell, make_part("bell", [0, 1]), [0, 1]),
-         (other, make_part("other", [3, 4]), [3, 4])],
+        [(bell, (0, 1), [0, 1]),
+         (other, (3, 4), [3, 4])],
     )
     text = emit_merged_qasm(routes, model)
     _, manifest = merged_circuit(routes, model)

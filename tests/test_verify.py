@@ -288,9 +288,13 @@ def _compiled_two(bell):
     return model, _compile_pair(model, [bell, other])
 
 
+def _regions(plan):
+    return {p.circuit_id: p.qubits for p in plan.partitions}
+
+
 def test_compliance_accepts_compiled_plan(bell):
     model, compiled = _compiled_two(bell)
-    check_compliance(compiled.merged, compiled.manifest, compiled.plan.partitions, model)
+    check_compliance(compiled.merged, compiled.manifest, _regions(compiled.plan), model)
 
 
 def test_compliance_rejects_each_violation(bell):
@@ -310,11 +314,11 @@ def test_compliance_rejects_each_violation(bell):
     }
     for message, program in bad_programs.items():
         with pytest.raises(RoutingError, match=message):
-            check_compliance(program, manifest, plan.partitions, model)
+            check_compliance(program, manifest, _regions(plan), model)
     cid = plan.partitions[0].circuit_id
     folded = dict(manifest, **{cid: dict(manifest[cid], logical_to_physical={"0": a[0], "1": a[0]})})
     with pytest.raises(RoutingError, match="bijection"):
-        check_compliance(merged, folded, plan.partitions, model)
+        check_compliance(merged, folded, _regions(plan), model)
 
 
 def test_total_variation_adds_in_key_order():
