@@ -84,7 +84,7 @@ def compile_plan(
     """Place and route one plan's circuits simultaneously.
 
     Each circuit's route is the winning trial of its placement search, and
-    the merged circuit joins the routes round by round in plan order.
+    the merged circuit joins the routes one after another in plan order.
     ``dist`` is the router's distance table.  Circuit ``j`` draws its
     placements from ``SeedSequence(config.seed, spawn_key=(index, j))``,
     the child of a spawn per plan and then per circuit.  The merged program

@@ -16,7 +16,7 @@ A region is a tuple of physical qubits, read as a set; the router knows
 nothing of how the planner chose it, and the two meet only in ``pipeline``.
 Regions are disjoint, so every circuit is routed alone into one ``Route``,
 and a plan is the list of its circuits' routes; ``merged_circuit`` joins them
-round by round, and ``check_compliance`` guards the result: a merged program
+in plan order, and ``check_compliance`` guards the result: a merged program
 that leaves the coupling graph or a circuit's region or bits is a
 ``RoutingError``.  The placement search reuses this: the winning trial of
 ``initial_mapping`` is the circuit's route, and trials that can no longer win
@@ -74,25 +74,20 @@ Record = tuple[int, ...]
 class Route:
     """One circuit routed inside its region.
 
-    ``records`` are what the route emitted and ``round_ends``, for each
-    routing round, the number of records after it; a round emits what is
-    ready and then at most one repair.  Only ``merged_circuit`` turns records
-    into gates, so a placement trial builds none.  An ``aborted`` route is a
-    placement trial stopped once it could no longer win; its records and
-    counts are incomplete.
+    ``records`` are what the route emitted and ``iterations`` the number of
+    routing rounds it took; a round emits what is ready and then at most one
+    repair.  Only ``merged_circuit`` turns records into gates, so a placement
+    trial builds none.  An ``aborted`` route is a placement trial stopped
+    once it could no longer win; its records and counts are incomplete.
     """
 
     circuit: QuantumCircuit
     records: list[Record]
-    round_ends: list[int]
+    iterations: int
     swaps: int
     bridges: int
     final_l2p: list[int]
     aborted: bool = False
-
-    @property
-    def iterations(self) -> int:
-        return len(self.round_ends)
 
     @property
     def additional_cnots(self) -> int:
@@ -407,23 +402,25 @@ def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None
     Each round emits whatever is executable, then inserts at most one repair
     gate if the circuit is still blocked.  A circuit that keeps inserting
     swaps without emitting anything falls back to deterministic
-    shortest-path routing after ``2 * region size + 4`` insertions.  An
-    iteration cap of ten times the gate count remains as the guard against a
-    non-terminating selection loop, which would be a bug rather than an
-    input problem.  A circuit that has inserted more than ``max_inserted``
-    CNOTs stops early and the route comes back ``aborted``.
+    shortest-path routing after ``limit = 2 * region size + 4`` insertions.
+    So every ``limit + 2`` rounds retire at least one gate: at most
+    ``limit`` swaps, the forced path, and the round that emits the gate it
+    unblocked.  A cap of ``limit + 2`` rounds per gate is therefore the
+    guard against a non-terminating selection loop, which would be a bug
+    rather than an input problem.  A circuit that has inserted more than
+    ``max_inserted`` CNOTs stops early and the route comes back ``aborted``.
     """
     job = _Job(tables, l2p)
-    cap = 10 * max(len(tables.circuit.gates), 1)
-    records: list[Record] = []
-    round_ends: list[int] = []
     limit = 2 * len(tables.region) + 4
+    cap = (limit + 2) * max(len(tables.circuit.gates), 1)
+    records: list[Record] = []
+    rounds = 0
     aborted = False
     while job.front:
         if max_inserted is not None and 3 * (job.swaps + job.bridges) > max_inserted:
             aborted = True
             break
-        if len(round_ends) >= cap:
+        if rounds >= cap:
             raise RoutingError(f"routing did not terminate within {cap} iterations")
         _emit_ready(job, records)
         if job.front:
@@ -431,8 +428,8 @@ def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None
                 _forced_path_route(job, records)
             else:
                 _repair(job, records)
-        round_ends.append(len(records))
-    return Route(tables.circuit, records, round_ends, job.swaps, job.bridges, job.l2p, aborted)
+        rounds += 1
+    return Route(tables.circuit, records, rounds, job.swaps, job.bridges, job.l2p, aborted)
 
 
 def initial_mapping(
@@ -485,26 +482,24 @@ def initial_mapping(
 def merged_circuit(routes: list[Route], model: HardwareModel):
     """Flatten a plan's routes into one circuit over the whole device.
 
-    Round ``r`` of the circuit is round ``r`` of every route that has one,
-    in plan order: what routing the circuits together in one loop would
-    emit.  Classical bits are concatenated per circuit in plan order; the
-    manifest records, for every circuit, its final logical-to-physical map
-    and the global classical bits its measurements landed in.
+    The routes follow one another in plan order.  Their regions are
+    disjoint, so no gate of one route depends on a gate of another, and the
+    order across routes changes no depth, success estimate or outcome.
+    Classical bits are concatenated per circuit in plan order; the manifest
+    records, for every circuit, its final logical-to-physical map and the
+    global classical bits its measurements landed in.
     """
     offsets = list(accumulate((route.circuit.num_clbits for route in routes), initial=0))  # the last is the total
     gates: list[Gate] = []
-    for r in range(max((route.iterations for route in routes), default=0)):
-        for route, offset in zip(routes, offsets):
-            ends = route.round_ends
-            if r < len(ends):
-                source = route.circuit.gates
-                for record in route.records[ends[r - 1] if r else 0 : ends[r]]:
-                    node, qubits = record[0], record[1:]
-                    if node < 0:  # a CNOT of a repair
-                        gates.append(Gate(CX, qubits))
-                    else:
-                        g = source[node]
-                        gates.append(Gate(g.kind, qubits, g.params, None if g.clbit is None else offset + g.clbit))
+    for route, offset in zip(routes, offsets):
+        source = route.circuit.gates
+        for record in route.records:
+            node, qubits = record[0], record[1:]
+            if node < 0:  # a CNOT of a repair
+                gates.append(Gate(CX, qubits))
+            else:
+                g = source[node]
+                gates.append(Gate(g.kind, qubits, g.params, None if g.clbit is None else offset + g.clbit))
     merged = QuantumCircuit("merged", model.num_qubits, offsets[-1], tuple(gates))
     manifest = {
         route.circuit.id: {

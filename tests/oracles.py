@@ -14,14 +14,17 @@ enumerated and scored from scratch) for the table-driven one, the per-branch sim
 measurement branch, the whole program at once) for the branch-batched one,
 and the first router (every circuit of a plan routed in one joint loop,
 every placement trial routed to completion, lookahead rescanned from the
-first CNOT, numpy-scalar distance sums) for the bounded, interleaved one.
+first CNOT, numpy-scalar distance sums) for the bounded one that routes each
+circuit alone.  ``optimal_added_cnots`` is an exact search, not a router: a
+lower bound that no route can beat.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heappop, heappush
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 import networkx as nx
@@ -705,36 +708,38 @@ def _ref_emit_ready(job, model, gates):
 
 @dataclass
 class RefRouting:
-    gates: list  # the merged program's gates
-    swaps: list  # per circuit, in plan order, as are the next two
+    gates: list  # per circuit, in plan order, as are the rest
+    swaps: list
     bridges: list
     final_l2p: list
-    iterations: int
+    iterations: list
 
 
 def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only=False, self_cost=True):
     """All of a plan's circuits routed in one joint loop, densest-first each
-    round, with the numpy matrix ``dist``.  Each circuit's classical bits
-    follow those of the circuits before it."""
+    round, with the numpy matrix ``dist``.  Each circuit's gates go to its
+    own list, and its classical bits follow those of the circuits before it.
+    A circuit may take ``2 * |region| + 6`` rounds per gate, as in the
+    router."""
     jobs, offset = [], 0
     for c, dag, region, l2p in jobs_spec:
         jobs.append(_RefJob(model, c, dag, region, l2p, offset))
         offset += c.num_clbits
-    gates: list = []
-    cap = 10 * max(sum(len(j.circuit.gates) for j in jobs), 1)
-    iterations = 0
+    gates: list = [[] for _ in jobs]
+    iterations = [0 for _ in jobs]
     while any(j.remaining for j in jobs):
-        iterations += 1
-        if iterations > cap:
-            raise RoutingError(f"routing did not terminate within {cap} iterations")
-        for job in jobs:
+        for i, job in enumerate(jobs):
             if not job.remaining:
                 continue
-            _ref_emit_ready(job, model, gates)
+            iterations[i] += 1
+            cap = (2 * len(job.partition) + 6) * len(job.circuit.gates)
+            if iterations[i] > cap:
+                raise RoutingError(f"routing did not terminate within {cap} iterations")
+            _ref_emit_ready(job, model, gates[i])
             if not job.front:
                 continue
             if job.stalled >= 2 * len(job.partition) + 4:
-                _ref_forced_path(job, gates)
+                _ref_forced_path(job, gates[i])
                 continue
             candidates = _ref_candidates(job)
             if swap_only:
@@ -754,7 +759,7 @@ def reference_route(model, dist, jobs_spec, weight_w=0.5, ext_size=20, swap_only
                 ),
             )
             for p, q in best.cnot_pairs:
-                gates.append(Gate(CX, (p, q)))
+                gates[i].append(Gate(CX, (p, q)))
             if best.kind == SWAP:
                 job.apply_swap(*best.qubits)
                 job.banned_edges.add(best.qubits)
@@ -788,6 +793,82 @@ def reference_placement(model, dist, region, circuit, dag, rng, attempts=10, **r
         if best_key is None or key < best_key:
             best_key, best_l2p = key, l2p
     return best_l2p
+
+
+def optimal_added_cnots(model, region, circuit) -> int:
+    """The fewest CNOTs any router can add to route ``circuit`` inside the
+    qubits ``region``: Dijkstra over (placement, CNOTs retired per logical
+    wire), from every placement at cost 0.
+
+    A SWAP on a region edge costs 3, a bridge of a front CNOT whose operands
+    share a neighbour in the region costs 3, and a front CNOT on an edge
+    retires for free, so every state retires all it can at once.  Only the
+    CNOTs' order on each wire is kept.  A router also orders gates through
+    barriers and classical bits, so every route is one of the paths searched
+    here, and the result is a lower bound on its ``additional_cnots``.
+    """
+    region = tuple(region)
+    edges = [(a, b) for a, b in model.edges if a in region and b in region]
+    adjacency = {q: {v for v in model.neighbors(q) if v in region} for q in region}
+    cnots = [g.qubits for g in circuit.gates if g.kind == CX]
+    wires: list[list[int]] = [[] for _ in range(circuit.num_qubits)]
+    place = []  # (index on the control's wire, index on the target's wire)
+    for j, (a, b) in enumerate(cnots):
+        place.append((len(wires[a]), len(wires[b])))
+        wires[a].append(j)
+        wires[b].append(j)
+    done = tuple(len(w) for w in wires)
+
+    def front(counts):
+        for w, count in enumerate(counts):
+            if count < len(wires[w]):
+                j = wires[w][count]
+                a, b = cnots[j]
+                if a == w and counts[b] == place[j][1]:
+                    yield j
+
+    def retire_free(l2p, counts):
+        counts = list(counts)
+        progress = True
+        while progress:
+            progress = False
+            for j in list(front(counts)):
+                a, b = cnots[j]
+                if l2p[b] in adjacency[l2p[a]]:
+                    counts[a] += 1
+                    counts[b] += 1
+                    progress = True
+        return tuple(counts)
+
+    heap, best = [], {}
+    for l2p in permutations(region):
+        state = (l2p, retire_free(l2p, (0,) * circuit.num_qubits))
+        if state not in best:
+            best[state] = 0
+            heappush(heap, (0, state))
+    while heap:
+        cost, (l2p, counts) = heappop(heap)
+        if counts == done:
+            return cost
+        if cost > best[(l2p, counts)]:
+            continue
+        moves = []
+        for p, q in edges:
+            swapped = tuple(q if x == p else p if x == q else x for x in l2p)
+            moves.append((swapped, counts))
+        for j in front(counts):
+            a, b = cnots[j]
+            if adjacency[l2p[a]] & adjacency[l2p[b]]:
+                bridged = list(counts)
+                bridged[a] += 1
+                bridged[b] += 1
+                moves.append((l2p, bridged))
+        for new_l2p, new_counts in moves:
+            state = (new_l2p, retire_free(new_l2p, new_counts))
+            if cost + 3 < best.get(state, math.inf):
+                best[state] = cost + 3
+                heappush(heap, (cost + 3, state))
+    raise RoutingError(f"region of circuit {circuit.id!r} cannot route it")
 
 
 # --- the first OpenQASM parser -------------------------------------------------

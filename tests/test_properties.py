@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qmpc import cli, presets
-from qmpc.circuits import PARAM_COUNTS, Gate, QuantumCircuit, build_dag, emit_qasm, parse_merged_qasm, parse_qasm
+from qmpc.circuits import PARAM_COUNTS, Gate, QuantumCircuit, build_dag, depth, emit_qasm, parse_merged_qasm, parse_qasm
 from qmpc.hardware import (
     build_crosstalk,
     build_hardware,
@@ -48,6 +48,7 @@ from oracles import (
     conditional_errors_scan,
     hop_count_matrix_nx,
     induced_edges_scan,
+    optimal_added_cnots,
     per_branch_simulate,
     reference_gsp_partition,
     reference_parse_program,
@@ -901,11 +902,11 @@ def test_bounded_placement_and_interleaved_routes_match_reference_router(case):
     ref = reference_route(model, combined, specs, **route_kw)
     assert not any(route.aborted for route in routes)
     merged, _ = merged_circuit(routes, model)
-    assert list(merged.gates) == ref.gates
+    assert list(merged.gates) == [g for gates in ref.gates for g in gates]
     assert [route.swaps for route in routes] == ref.swaps
     assert [route.bridges for route in routes] == ref.bridges
     assert [route.final_l2p for route in routes] == ref.final_l2p
-    assert max(route.iterations for route in routes) == ref.iterations
+    assert [route.iterations for route in routes] == ref.iterations
 
 
 @settings(max_examples=60, **COMMON)
@@ -923,7 +924,72 @@ def test_region_order_does_not_change_the_route(case, data):
                 for qubits in (region, shuffled)
             )
             assert l2p == l2p_shuffled
-            assert (route.records, route.round_ends) == (route_shuffled.records, route_shuffled.round_ends)
+            assert (route.records, route.iterations) == (route_shuffled.records, route_shuffled.iterations)
+
+
+@settings(max_examples=40, **COMMON)
+@given(routing_case(), st.data())
+def test_the_order_across_circuits_changes_nothing_measured(case, data):
+    # regions are disjoint, so any interleave of a plan's routes that keeps
+    # each circuit's own order has the plan-order program's depth, gates per
+    # region, success estimate and outcome distributions
+    model, jobs, config, seed = case
+    dist = distance_matrices(model)
+    routes = [initial_mapping(model, dist, region, c, np.random.default_rng(seed), config)[1] for c, region in jobs]
+    merged, manifest = merged_circuit(routes, model)
+    owner = {q: i for i, (_, region) in enumerate(jobs) for q in region}
+    queues = [[g for g in merged.gates if owner[g.qubits[0]] == i] for i in range(len(jobs))]
+    order = data.draw(st.permutations([i for i, queue in enumerate(queues) for _ in queue]))
+    pending = [iter(queue) for queue in queues]
+    shuffled = QuantumCircuit("merged", merged.num_qubits, merged.num_clbits, tuple(next(pending[i]) for i in order))
+    assert [[g for g in shuffled.gates if owner[g.qubits[0]] == i] for i in range(len(jobs))] == queues
+    assert depth(shuffled.gates) == depth(merged.gates)
+    assert math.isclose(estimate_success(shuffled, model), estimate_success(merged, model), rel_tol=1e-12)
+    sources = [c for c, _ in jobs]
+    for program in (merged, shuffled):
+        report = check_equivalence(sources, program, manifest)
+        assert report.passed, report
+
+
+@st.composite
+def small_routing_case(draw):
+    """One random circuit of 3-5 qubits in a connected region of
+    ``guadalupe`` or ``toronto``, and the router's settings."""
+    model = PRESET_MODELS[draw(st.sampled_from(["guadalupe", "toronto"]))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    region = [int(rng.integers(model.num_qubits))]
+    for _ in range(draw(st.integers(2, 4))):
+        region.append(int(rng.choice(sorted({v for q in region for v in model.neighbors(q)} - set(region)))))
+    k = len(region)
+    gates = random_gates(rng, list(range(k)), list(range(k)), draw(st.integers(10, 50)), measure_p=0.1)
+    circuit = QuantumCircuit("c", k, k, tuple(gates + [Gate("measure", (q,), clbit=q) for q in range(k)]))
+    config = RunConfig(
+        ext_layer=draw(st.sampled_from([0, 5, 20])),
+        swap_only=draw(st.booleans()),
+        self_cost=draw(st.booleans()),
+        attempts=draw(st.integers(1, 3)),
+    )
+    return model, circuit, tuple(sorted(region)), config, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, **COMMON)
+@given(small_routing_case())
+def test_no_route_adds_fewer_cnots_than_the_optimum(case):
+    # the exact search drops every dependency but the CNOTs' order on each
+    # wire, so a route below it would be an accounting bug
+    model, circuit, region, config, seed = case
+    route_kw = dict(ext_size=config.ext_layer, swap_only=config.swap_only, self_cost=config.self_cost)
+    dist = distance_matrices(model)
+    _, route = initial_mapping(model, dist, region, circuit, np.random.default_rng(seed), config)
+    dag = build_dag(circuit)
+    combined = np.array(dist)
+    l2p = reference_placement(
+        model, combined, region, circuit, dag, np.random.default_rng(seed), attempts=config.attempts, **route_kw
+    )
+    ref = reference_route(model, combined, [(circuit, dag, region, l2p)], **route_kw)
+    optimum = optimal_added_cnots(model, region, circuit)
+    assert route.additional_cnots >= optimum
+    assert 3 * (ref.swaps[0] + ref.bridges[0]) >= optimum
 
 
 # --- command line --------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qmpc.circuits import CX, Gate, QuantumCircuit, build_dag, parse_merged_qasm, parse_qasm
+from qmpc import presets
+from qmpc.circuits import CX, MEASURE, Gate, QuantumCircuit, build_dag, parse_merged_qasm, parse_qasm
 from qmpc.errors import RoutingError
 from qmpc.hardware import build_hardware, distance_matrices
 from qmpc.pipeline import RunConfig, compile_workloads
@@ -462,7 +463,7 @@ def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory
     assert any(t.aborted for t in trials)
     assert not best.aborted and best in trials
     alone = route(_Tables(guadalupe, circuit, region, D, RunConfig()), l2p)
-    assert (alone.records, alone.round_ends) == (best.records, best.round_ends)
+    assert (alone.records, alone.iterations) == (best.records, best.iterations)
     assert alone.additional_cnots == best.additional_cnots
 
 
@@ -622,6 +623,80 @@ def test_stall_fallback_is_reached_through_the_settings(monkeypatch, circuit_fac
         assert check_equivalence(sources, compiled.merged, compiled.manifest).passed
 
 
+def measured_cnots(rng, cid, n, count):
+    """``count`` random CNOTs on ``n`` qubits, then every qubit measured."""
+    gates = [Gate(CX, tuple(int(q) for q in rng.choice(n, 2, replace=False))) for _ in range(count)]
+    gates += [Gate(MEASURE, (q,), clbit=q) for q in range(n)]
+    return QuantumCircuit(cid, n, n, tuple(gates))
+
+
+def test_round_cap_admits_every_stall_escape():
+    # the stall escape retires a gate at least once every 2 * |region| + 6
+    # rounds, so a valid circuit may need that many rounds per gate; a cap of
+    # ten rounds per gate stopped this 12-qubit circuit at 470 rounds
+    model = presets.model("toronto", seed=0)
+    rng = np.random.default_rng(26)
+    circuit = measured_cnots(rng, "wide", 12, int(rng.integers(10, 40)))
+    result = compile_workloads(model, [circuit], RunConfig(alpha2=-1.0))
+    for compiled in result.plans:
+        assert check_equivalence(compiled.circuits, compiled.merged, compiled.manifest).passed
+
+
+def test_routing_rounds_stay_within_the_stall_bound(monkeypatch):
+    # negative lookahead and swap-error weights make retreat swaps look
+    # cheap, so trials stall and take the forced path; every trial, complete
+    # or aborted, still ends within 2 * |region| + 6 rounds per gate
+    import qmpc.scheduler as sched_mod
+    from qmpc.partition import qhsp_partition
+
+    route, force = sched_mod.mapping_transition, sched_mod._forced_path_route
+    trials, forced = [], []
+
+    def recording(tables, l2p, max_inserted=None):
+        trials.append((route(tables, l2p, max_inserted), len(tables.region)))
+        return trials[-1][0]
+
+    def counting(job, records):
+        forced.append(job.tables.circuit.id)
+        return force(job, records)
+
+    monkeypatch.setattr(sched_mod, "mapping_transition", recording)
+    monkeypatch.setattr(sched_mod, "_forced_path_route", counting)
+    model = presets.model("toronto", seed=0)
+    config = RunConfig(weight_w=-1.0, alpha2=-1.0, attempts=3)
+    D = distance_matrices(model, config.alpha1, config.alpha2)
+    rng = np.random.default_rng(0)
+    for i in range(6):
+        n = int(rng.integers(6, 13))
+        circuit = measured_cnots(rng, f"c{i}", n, int(rng.integers(10, 30)))
+        region = qhsp_partition(model, circuit, set())[0].qubits
+        initial_mapping(model, D, region, circuit, rng, config)
+    assert len(trials) == 18 and len(forced) > 10
+    for trial, size in trials:
+        assert trial.iterations <= (2 * size + 6) * len(trial.circuit.gates)
+
+
+def test_gap_to_the_optimum_does_not_grow(circuit_factory):
+    # 30 seeded circuits of 4-5 qubits, half CNOTs, each in its alone region
+    # of manhattan: the router added 21.4 CNOTs per circuit where the exact
+    # optimum needs 16.9, a gap of 4.5 (135 in all) that may only shrink
+    from oracles import optimal_added_cnots
+    from qmpc.partition import qhsp_partition
+
+    model = presets.model("manhattan", seed=1)
+    D = distance_matrices(model)
+    rng = np.random.default_rng(12)
+    routed = optimum = 0
+    for i in range(30):
+        circuit = circuit_factory(rng, f"c{i}", n_qubits=int(rng.integers(4, 6)), max_gates=int(rng.integers(30, 61)))
+        region = qhsp_partition(model, circuit, set())[0].qubits
+        _, route = initial_mapping(model, D, region, circuit, np.random.default_rng(i))
+        routed += route.additional_cnots
+        optimum += optimal_added_cnots(model, region, circuit)
+    assert optimum == 507
+    assert routed - optimum <= 135
+
+
 def test_forced_route_counts_swaps_once():
     # the shortest-path fallback on a distance-4 gate, then the gate it
     # unblocks: three swaps, each counted exactly once
@@ -632,7 +707,7 @@ def test_forced_route_counts_swaps_once():
     _forced_path_route(job, records)
     _emit_ready(job, records)
     assert not job.front
-    route = Route(circuit, records, [len(records)], job.swaps, job.bridges, job.l2p)
+    route = Route(circuit, records, 1, job.swaps, job.bridges, job.l2p)
     assert route.swaps == 3
     emitted_cx = sum(1 for g in emitted([route], model) if g.kind == CX)
     assert emitted_cx == 1 + route.additional_cnots == 10
