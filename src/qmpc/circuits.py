@@ -98,6 +98,10 @@ class QuantumCircuit:
             for q in g.qubits:
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(f"gate {g.kind} references qubit {q} outside register of size {self.num_qubits}")
+            if g.kind == MEASURE and not (isinstance(g.clbit, int) and 0 <= g.clbit < self.num_clbits):
+                raise ValueError(f"measure has clbit {g.clbit!r} outside register of size {self.num_clbits}")
+            if g.kind != MEASURE and g.clbit is not None:
+                raise ValueError(f"gate {g.kind} has clbit {g.clbit!r}; only measurements write classical bits")
 
     @cached_property
     def cnot_count(self) -> int:

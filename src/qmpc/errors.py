@@ -98,7 +98,7 @@ class CrosstalkError(HardwareError):
 
 
 class PartitionError(QmpcError):
-    """No feasible partition, or a contract violation in the allocation call."""
+    """No feasible partition, or circuit ids that are not unique."""
 
 
 class PartitionSizeError(PartitionError):

@@ -1,10 +1,12 @@
 """Decide how many circuits share the device at once.
 
-Capacity gives an upper bound K; the fidelity gate then compares the score of
-partitioning each circuit alone against partitioning them together, and trims
-the batch until the mean degradation stays under the user threshold.  A batch
-that fits by qubit count but not by free connected regions shrinks to the
-prefix that does fit; the rest is re-queued.
+Capacity gives an upper bound K: the longest densest-first prefix that fits by
+qubit count (``partition`` allocates in the order given and checks neither).
+The fidelity gate then compares the score of partitioning each circuit alone
+against partitioning them together, and trims the batch until the mean
+degradation stays under the user threshold.  A batch that fits by qubit count
+but not by free connected regions shrinks to the prefix that does fit; the
+rest is re-queued.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import CircuitTooLargeError, PartitionError
 from .floats import left_sum
 from .hardware import CrosstalkTable, HardwareModel
-from .partition import Partition, allocate_all, allocate_prefix
+from .partition import Partition, allocate_prefix, alone_region
 
 
 class Verdict(enum.Enum):
@@ -95,28 +97,25 @@ def fidelity_gate(
     config: RunConfig = DEFAULT_CONFIG,
     strong_pairs: CrosstalkTable | None = None,
 ) -> ExecutionPlan:
-    """Plan a non-empty, density-ordered batch by its joint-vs-alone scores.
+    """Plan a non-empty batch, densest first, by its joint-vs-alone scores.
 
     delta_s is the mean over the batch of (score allocated together - score of
-    the circuit partitioned alone).  While it does not stay under the
-    threshold ``config.delta``, the lowest-density circuit is dropped and the
-    check repeats; a single survivor, like a batch of one, runs alone
+    the circuit's ``alone_region``).  While it does not stay under the
+    threshold ``config.delta``, the last, lowest-density circuit is dropped
+    and the check repeats; a single survivor, like a batch of one, runs alone
     (INDEPENDENT, delta_s 0).
 
     The batch is allocated once, greedily in batch order, so the regions of
-    every prefix are the first entries of that one allocation, and the first
-    region, searched on the empty device, is its circuit's alone region.
-    When the device runs out of room, the batch shrinks to the prefix that
-    fits; when not even the first circuit fits, that allocation's error
-    propagates.  Each later alone region is an ``allocate_all`` of one
-    circuit, which the model's memo answers (see ``partition.allocate_prefix``).
+    every prefix are the first entries of that one allocation.  When the
+    device runs out of room, the batch shrinks to the prefix that fits; when
+    not even the first circuit fits, that allocation's error propagates.
     """
     if not circuits:
         raise ValueError("fidelity_gate needs at least one circuit")
     joint, error = allocate_prefix(model, circuits, config, strong_pairs)
     if not joint:
         raise error
-    alone = [joint[0].score] + [allocate_all(model, [c], config, strong_pairs)[0].score for c in circuits[1:len(joint)]]
+    alone = [alone_region(model, c, config).score for c in circuits[:len(joint)]]
     for n in range(len(joint), 1, -1):
         delta_s = left_sum(p.score - score for p, score in zip(joint[:n], alone)) / n
         if delta_s < config.delta:
@@ -136,7 +135,7 @@ def plan_all(
     ids = [c.id for c in circuits]
     if len(set(ids)) != len(ids):
         raise PartitionError("circuit ids must be unique")
-    remaining = sort_by_density(circuits)
+    remaining = circuits
     plans: list[ExecutionPlan] = []
     while remaining:
         plans.append(fidelity_gate(model, select_k(remaining, model.num_qubits), config, strong_pairs))

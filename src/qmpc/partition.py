@@ -19,9 +19,10 @@ its solo mean.  Region tables, fidelity degrees, qubit degrees and the best
 region of each search on the empty device are built once per device and
 key through ``hardware.derived``, which keeps them in the model's memo.
 
-Allocation is greedy: circuits take the best region left in density order,
-as in Das et al., "A Case for Multi-Programming Quantum Computers" (MICRO
-2019), and the pass stops at the first circuit that finds no region.
+Allocation is greedy: circuits take the best region left in the order given
+(``manager`` puts the densest first, as in Das et al., "A Case for Multi-
+Programming Quantum Computers", MICRO 2019), and the pass stops at the first
+circuit that finds no region.
 """
 from __future__ import annotations
 
@@ -295,8 +296,8 @@ def allocate_prefix(
     config: RunConfig = DEFAULT_CONFIG,
     strong_pairs: CrosstalkTable | None = None,
 ) -> tuple[list[Partition], PartitionError | None]:
-    """Allocate disjoint regions to circuits already ordered by density,
-    greedily and in order, until a circuit finds none.
+    """Allocate disjoint regions to circuits greedily, in the order given,
+    until a circuit finds none.
 
     Each allocation marks its qubits used, and later candidates see their
     edge errors adjusted against everything allocated so far, so the regions
@@ -304,24 +305,13 @@ def allocate_prefix(
     the whole list.  Returns the regions of the longest prefix that fits and
     the error that stopped the pass (None when every circuit fits).  A
     ``PartitionSizeError`` is a refused request, not a full device, and
-    propagates.
-
-    The first circuit is searched on an empty device, where no edge is hot
-    and crosstalk cannot move a score.  That search reads only the model,
-    the circuit's qubit and CNOT counts and, under ``qhsp``, its largest
-    logical degree and ``config.lam``; its best region is kept in the
-    model's memo under that key (see ``hardware.derived``) and bound to
-    each caller's circuit id.  An error is never kept: it is raised again
-    on every call.
+    propagates.  The first circuit takes its ``alone_region``.
     """
-    dens = [c.density for c in circuits]
-    if any(dens[i] < dens[i + 1] for i in range(len(dens) - 1)):
-        raise PartitionError("circuits must be ordered by density, descending")
     used: set[int] = set()
     out: list[Partition] = []
     for circuit in circuits:
         try:
-            best = _best_region(model, circuit, used, config, strong_pairs)
+            best = _search(model, circuit, used, config, strong_pairs) if used else alone_region(model, circuit, config)
         except PartitionSizeError:
             raise
         except PartitionError as exc:
@@ -331,25 +321,29 @@ def allocate_prefix(
     return out, None
 
 
-def _best_region(
-    model: HardwareModel, circuit: QuantumCircuit, used: set[int], config: RunConfig, strong_pairs
-) -> Partition:
-    """The best region for ``circuit`` beside the ``used`` qubits; on an
-    empty device, read from the model's memo (see ``allocate_prefix``)."""
+def _search(model: HardwareModel, circuit: QuantumCircuit, used: set[int], config: RunConfig, strong_pairs) -> Partition:
+    """The best region for ``circuit`` beside the ``used`` qubits."""
+    if config.method == "gsp":
+        return gsp_partition(model, circuit, used, strong_pairs)[0]
+    return qhsp_partition(model, circuit, used, strong_pairs, lam=config.lam)[0]
 
-    def search() -> Partition:
-        if config.method == "gsp":
-            return gsp_partition(model, circuit, used, strong_pairs)[0]
-        return qhsp_partition(model, circuit, used, strong_pairs, lam=config.lam)[0]
 
-    if used:
-        return search()
+def alone_region(model: HardwareModel, circuit: QuantumCircuit, config: RunConfig = DEFAULT_CONFIG) -> Partition:
+    """The best region for ``circuit`` on the empty device.
+
+    No edge is hot there, so crosstalk cannot move a score.  The search
+    reads only the model, the circuit's qubit and CNOT counts and, under
+    ``qhsp``, its largest logical degree and ``config.lam``; its best region
+    is kept in the model's memo under that key (see ``hardware.derived``)
+    and bound to each caller's circuit id.  An error is never kept: it is
+    raised again on every call.
+    """
     key = ("alone_region", config.method, circuit.num_qubits, circuit.cnot_count)
     if config.method == "qhsp":
         key += (circuit.largest_logical_degree, config.lam)
 
     def unbound() -> tuple[tuple[int, ...], float, str]:
-        best = search()
+        best = _search(model, circuit, set(), config, None)
         return best.qubits, best.score, best.method
 
     return Partition(circuit.id, *derived(model, key, unbound))
@@ -361,10 +355,9 @@ def allocate_all(
     config: RunConfig = DEFAULT_CONFIG,
     strong_pairs: CrosstalkTable | None = None,
 ) -> list[Partition]:
-    """Allocate disjoint regions to circuits already ordered by density, as
-    ``allocate_prefix`` does, but raise ``PartitionError`` unless all fit."""
-    if sum(c.num_qubits for c in circuits) > model.num_qubits:
-        raise PartitionError("combined circuit size exceeds the device")
+    """Allocate disjoint regions to circuits in the order given, as
+    ``allocate_prefix`` does, but raise the ``PartitionError`` of the first
+    circuit that finds no room."""
     out, error = allocate_prefix(model, circuits, config, strong_pairs)
     if error is not None:
         raise error

@@ -2,7 +2,9 @@
 simple synthetic shapes, and a seeded calibration generator.
 
 These exist so tests, demos and benchmarks can build models without shipping
-calibration files; real deployments load JSON snapshots instead.
+calibration files; real deployments load JSON snapshots instead.  Only the
+tests call ``line_topology``, ``ring_topology``, ``star_topology``,
+``uniform_calibration`` and ``model``.
 """
 from __future__ import annotations
 

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -18,6 +19,12 @@ from qmpc.presets import (
 )
 
 from helpers import random_circuit
+
+# examples are drawn at random on every run and a CI leg keeps no example
+# database, so a failing property prints the @reproduce_failure line that
+# replays it
+settings.register_profile("qmpc", print_blob=True)
+settings.load_profile("qmpc")
 
 
 @pytest.fixture

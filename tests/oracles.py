@@ -16,7 +16,9 @@ and the first router (every circuit of a plan routed in one joint loop,
 every placement trial routed to completion, lookahead rescanned from the
 first CNOT, numpy-scalar distance sums) for the bounded one that routes each
 circuit alone.  ``optimal_added_cnots`` is an exact search, not a router: a
-lower bound that no route can beat.
+lower bound that no route can beat.  Python floats are summed with
+``floats.left_sum``, as the package sums them, so that exact comparisons
+with the package hold on every Python version (``tests/test_oracles.py``).
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from qmpc.errors import (
     SimulationError,
     UnsupportedGateError,
 )
+from qmpc.floats import left_sum
 from qmpc.hardware import subgraph_diameter
 from qmpc.manager import ExecutionPlan, Verdict
 from qmpc.partition import (
@@ -331,7 +334,7 @@ def trim_and_reallocate_gate(model, circuits, method="qhsp", lam=2.0, threshold=
     current = list(circuits)
     while len(current) >= 2:
         joint = allocate_all(model, current, RunConfig(method=method, lam=lam), strong_pairs)
-        delta_s = sum(p.score - alone[p.circuit_id] for p in joint) / len(current)
+        delta_s = left_sum(p.score - alone[p.circuit_id] for p in joint) / len(current)
         if delta_s < threshold:
             verdict = Verdict.SIMULTANEOUS if len(current) == len(circuits) else Verdict.REDUCED
             return ExecutionPlan(tuple(joint), delta_s, threshold, verdict)
@@ -358,8 +361,8 @@ def reference_gsp_partition(model, circuit, used_qubits, strong_pairs=None):
     candidates = []
     for subset in subsets:
         adjusted = crosstalk_adjust(model, subset, used, strong_pairs)
-        avg = sum(adjusted.values()) / len(adjusted) if adjusted else 0.0
-        readout = sum(float(model.readout_error[q]) for q in subset)
+        avg = left_sum(adjusted.values()) / len(adjusted) if adjusted else 0.0
+        readout = left_sum(float(model.readout_error[q]) for q in subset)
         total = avg * circuit.cnot_count + readout
         total += subgraph_diameter(model, subset)
         candidates.append(Partition(circuit.id, subset, total, METHOD_GSP))
@@ -401,8 +404,8 @@ def reference_qhsp_partition(model, circuit, used_qubits, strong_pairs=None, lam
             continue
         seen.add(frozenset(region))
         adjusted = crosstalk_adjust(model, region, used, strong_pairs)
-        avg = sum(adjusted.values()) / len(adjusted) if adjusted else 0.0
-        readout = sum(float(model.readout_error[q]) for q in region)
+        avg = left_sum(adjusted.values()) / len(adjusted) if adjusted else 0.0
+        readout = left_sum(float(model.readout_error[q]) for q in region)
         candidates.append(Partition(circuit.id, tuple(region), avg * circuit.cnot_count + readout, METHOD_QHSP))
     if not candidates:
         raise PartitionError(f"no feasible {k}-qubit region from any starting point")
@@ -789,7 +792,7 @@ def reference_placement(model, dist, region, circuit, dag, rng, attempts=10, **r
         l2p = [int(p) for p in rng.permutation(base)]
         trial = reference_route(model, dist, [(circuit, dag, region, l2p)], **route_kw)
         inserted = 3 * (trial.swaps[0] + trial.bridges[0])
-        key = (inserted, sum(float(dist[l2p[a], l2p[b]]) for a, b in cx_pairs), attempt)
+        key = (inserted, left_sum(float(dist[l2p[a], l2p[b]]) for a, b in cx_pairs), attempt)
         if best_key is None or key < best_key:
             best_key, best_l2p = key, l2p
     return best_l2p

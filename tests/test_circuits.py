@@ -168,6 +168,21 @@ def test_barrier_whole_register_and_explicit():
     assert c.gates[1].qubits == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [
+        Gate("measure", (0,), clbit=-1),  # DAG wire ~-1 == 0 is qubit 0's: the measurement would depend on itself
+        Gate("measure", (0,), clbit=3),  # past the one classical bit
+        Gate("measure", (0,)),  # a measurement that writes no bit
+        Gate("measure", (0,), clbit=0.0),
+        Gate("h", (0,), clbit=0),  # only measurements write a bit
+    ],
+)
+def test_circuit_rejects_a_clbit_outside_its_register_or_off_a_measurement(gate):
+    with pytest.raises(ValueError, match="clbit"):
+        QuantumCircuit("t", 1, 1, (Gate("h", (0,)), gate))
+
+
 # --- DAG -------------------------------------------------------------------
 
 

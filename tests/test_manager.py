@@ -6,7 +6,7 @@ import pytest
 
 from qmpc.circuits import Gate, QuantumCircuit
 from qmpc.errors import CircuitTooLargeError, PartitionError
-from qmpc import partition
+from qmpc import manager, partition
 from qmpc.hardware import build_hardware
 from qmpc.manager import Verdict, fidelity_gate, plan_all, select_k, sort_by_density
 from qmpc.pipeline import RunConfig, compile_workloads
@@ -186,6 +186,45 @@ def test_batch_of_one_runs_alone_and_fills_the_cache(toronto, monkeypatch):
     twin = dataclasses.replace(circuit, id="twin")  # another circuit of the same shape
     assert fidelity_gate(toronto, [twin], config).partitions == (dataclasses.replace(alone, circuit_id="twin"),)
     assert searched == []
+
+
+def test_gate_reads_each_alone_score_from_one_alone_region_call(toronto, monkeypatch):
+    rng = np.random.default_rng(5)
+    batch = select_k([random_circuit(rng, f"c{i}") for i in range(4)], toronto.num_qubits)
+    config = RunConfig(method="qhsp", delta=math.inf)
+    asked = []
+
+    def alone_region(model, circuit, config=None, _alone=partition.alone_region):
+        asked.append(circuit.id)
+        return _alone(model, circuit, config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fidelity_gate called allocate_all")
+
+    monkeypatch.setattr(manager, "alone_region", alone_region)
+    for module in (manager, partition):
+        monkeypatch.setattr(module, "allocate_all", refuse, raising=False)
+    plan = fidelity_gate(toronto, batch, config)
+    assert len(batch) > 1 and plan.selected == tuple(c.id for c in batch)
+    assert asked == list(plan.selected)
+
+
+def test_plan_all_orders_batches_only_through_select_k(toronto, monkeypatch):
+    # plan_all sorts nowhere but in select_k, once per batch; the sort is
+    # stable, so a presorted submission plans as the submission itself
+    rng = np.random.default_rng(7)
+    circuits = [random_circuit(rng, f"c{i}") for i in range(6)]
+    config = RunConfig(method="qhsp", delta=0.05)
+    want = plan_all(toronto, sort_by_density(circuits), config)
+    sorts = []
+
+    def counting(batch, _sort=sort_by_density):
+        sorts.append(len(batch))
+        return _sort(batch)
+
+    monkeypatch.setattr(manager, "sort_by_density", counting)
+    assert plan_all(toronto, circuits, config) == want
+    assert len(want) > 1 and len(sorts) == len(want)
 
 
 @pytest.mark.parametrize(

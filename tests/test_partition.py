@@ -8,6 +8,8 @@ from qmpc.errors import PartitionError, PartitionSizeError
 from qmpc.hardware import build_crosstalk, build_hardware, extract_strong_crosstalk, subgraph_diameter
 from qmpc.partition import (
     allocate_all,
+    allocate_prefix,
+    alone_region,
     connected_k_subsets,
     crosstalk_adjust,
     fidelity_degree,
@@ -309,11 +311,32 @@ def test_allocate_two_on_line_respects_density_priority():
     assert parts[1].qubit_set == {2, 3}
 
 
-def test_allocate_rejects_unsorted_input(line5):
+def test_allocate_prefix_gives_the_best_edge_to_whichever_circuit_comes_first():
+    # ordering a batch is the manager's: the partitioner allocates in the
+    # order given, so the sparse circuit first takes the best edge (0, 1)
+    topo = line_topology(4)
+    cal = {
+        "cnot_errors": [[0, 1, 0.01], [1, 2, 0.02], [2, 3, 0.03]],
+        "readout_errors": [0.01] * 4,
+    }
+    model = build_hardware(topo, cal)
     dense = cx_circuit("dense", 2, [(0, 1)] * 8)
     sparse = cx_circuit("sparse", 2, [(0, 1)] * 2)
-    with pytest.raises(PartitionError, match="density"):
-        allocate_all(line5, [sparse, dense], RunConfig(method="gsp"))
+    for first, second in ((sparse, dense), (dense, sparse)):
+        parts, error = allocate_prefix(model, [first, second], RunConfig(method="gsp"))
+        assert error is None
+        assert [(p.circuit_id, p.qubit_set) for p in parts] == [(first.id, {0, 1}), (second.id, {2, 3})]
+        assert parts[0] == alone_region(model, first, RunConfig(method="gsp"))
+
+
+def test_oversize_batch_raises_from_the_first_circuit_without_room(line5):
+    # capacity is the manager's rule: allocate_all runs the batch until a
+    # circuit finds no free qubits and raises that circuit's error
+    circuits = [cx_circuit(cid, 2, [(0, 1)]) for cid in "abc"]
+    with pytest.raises(PartitionError, match="only 1 free qubits for a 2-qubit circuit"):
+        allocate_all(line5, circuits, RunConfig(method="gsp"))
+    parts, error = allocate_prefix(line5, circuits, RunConfig(method="gsp"))
+    assert len(parts) == 2 and isinstance(error, PartitionError)
 
 
 def test_allocations_disjoint_and_connected(guadalupe):

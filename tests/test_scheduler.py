@@ -811,3 +811,44 @@ def test_merged_circuit_matches_emitted_qasm(bell):
     text = emit_merged_qasm([route], model)
     reparsed, _ = parse_merged_qasm(text)
     assert direct.gates == reparsed.gates
+
+
+def test_bridges_lose_to_swap_only_on_at_most_44_of_criterion_5s_placements():
+    # acceptance criterion 5 compares best-of-10 placements, so a placement
+    # where bridges insert more CNOTs than swap-only hides behind a better
+    # one.  Every placement its 37 instances draw, routed to completion both
+    # ways: 44 of 490 lose, 111 win and 335 tie.  A change that moves the
+    # count quotes the new one here.
+    from dataclasses import replace
+
+    from qmpc.manager import plan_all
+    from qmpc.presets import synthetic_calibration, topology
+
+    from helpers import random_circuit
+
+    def device(name, seed):
+        topo = topology(name)
+        return build_hardware(topo, synthetic_calibration(topo, seed=seed))
+
+    rng = np.random.default_rng(2024)  # the acceptance suite's workloads and seeds
+    circuits = [random_circuit(rng, f"w{i:02d}") for i in range(25)]
+    jakarta, guadalupe = device("jakarta", 1), device("guadalupe", 2)
+    instances = [(jakarta, [c], RunConfig(seed=1000 + i)) for i, c in enumerate(circuits)]
+    instances += [(guadalupe, circuits[i:i + 2], RunConfig(seed=2000 + i)) for i in range(0, 24, 2)]
+    placements = losses = 0
+    for model, members, config in instances:
+        dist = distance_matrices(model, config.alpha1, config.alpha2)
+        by_id = {c.id: c for c in members}
+        swap_only = replace(config, swap_only=True)
+        for index, plan in enumerate(plan_all(model, members, config)):
+            for j, part in enumerate(plan.partitions):
+                circuit = by_id[part.circuit_id]
+                full, ablated = (_Tables(model, circuit, part.qubits, dist, c) for c in (config, swap_only))
+                rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index, j)))
+                for _ in range(config.attempts):  # each placement initial_mapping draws
+                    l2p = [int(p) for p in rng.permutation(sorted(part.qubits))]
+                    bridged, swapped = (mapping_transition(t, l2p).additional_cnots for t in (full, ablated))
+                    placements += 1
+                    losses += bridged > swapped
+    assert placements == 490
+    assert losses <= 44
