@@ -1,23 +1,30 @@
 """Qubit partitioning: reserve a connected, reliability-scored region of the
 device for each circuit.
 
-Two searches produce candidates.  The exhaustive one scores every connected
-k-subset of free qubits and is the quality baseline; the heuristic one grows
-regions from well-connected starting points by fidelity degree and stays
-polynomial.  Both rank their candidates, ``Region`` rows, through one
-``score``: mean CNOT error x CNOT count plus readout sum, plus the diameter
-as a connectivity penalty for the exhaustive rows (the heuristic's carry
-none).  The score raises the CNOT error of region edges that sit under
-strong crosstalk from already-allocated neighbours.
+Two searches return the best region for a circuit, as a one-element list.
+The exhaustive one looks at every connected k-subset of free qubits and is
+the quality baseline; the heuristic one grows regions from well-connected
+starting points by fidelity degree and stays polynomial.  Both score their
+candidates, ``Region`` rows, through one ``score``: mean CNOT error x CNOT
+count plus readout sum, plus the diameter as a connectivity penalty for the
+exhaustive rows (the heuristic's carry none).  The score raises the CNOT
+error of region edges that sit under strong crosstalk from already-allocated
+neighbours.  Each search keeps the row of lowest ``(score, row index)``,
+rows in sorted-qubit order, so equal scores go to the lexicographically
+first region.
 
 The exhaustive search reads a region table: every connected k-subset of the
 device with its qubit bitmask, internal edges, mean solo CNOT error, readout
-sum and diameter.  A search skips the rows that meet the used qubits.  Only a
-row holding a "hot" edge, one with a strong conditioner wholly inside the
-used qubits, has its mean CNOT error recomputed; every other row's mean is
-its solo mean.  Region tables, fidelity degrees, qubit degrees and the best
-region of each search on the empty device are built once per device and
-key through ``hardware.derived``, which keeps them in the model's memo.
+sum and diameter.  It walks the table's rows in the order of their
+empty-device score for the circuit's CNOT count, skipping the rows that meet
+the used qubits, and stops at the first row whose empty-device score already
+passes the best score found: crosstalk only raises an edge error, so no
+later row can score below its empty-device score.  Only a row holding a
+"hot" edge, one with a strong conditioner wholly inside the used qubits, has
+its mean CNOT error recomputed; every other row's mean is its solo mean.
+Region tables, their score orders, fidelity degrees, qubit degrees and the
+best region of each search on the empty device are built once per device
+and key through ``hardware.derived``, which keeps them in the model's memo.
 
 Allocation is greedy: circuits take the best region left in the order given
 (``manager`` puts the densest first, as in Das et al., "A Case for Multi-
@@ -184,6 +191,13 @@ def region_table(model: HardwareModel, k: int) -> tuple[Region, ...]:
     ))
 
 
+def _total(avg: float, cnots: int, readout: float, diameter: int | None) -> float:
+    total = avg * cnots + readout
+    if diameter is not None:
+        total += diameter
+    return total
+
+
 def score(
     model: HardwareModel, row: Region, circuit: QuantumCircuit, used: set[int], hot: set[Edge], strong_pairs
 ) -> float:
@@ -194,23 +208,26 @@ def score(
     qubits, _, edges, avg, readout, diameter = row
     if hot and not hot.isdisjoint(edges):
         avg = _mean(crosstalk_adjust(model, qubits, used, strong_pairs).values())
-    total = avg * circuit.cnot_count + readout
-    if diameter is not None:
-        total += diameter
-    return total
+    return _total(avg, circuit.cnot_count, readout, diameter)
 
 
-def _ranked(
-    model: HardwareModel, circuit: QuantumCircuit, rows, used: set[int], strong_pairs, method: str
-) -> list[Partition]:
-    """``rows`` scored and bound to ``circuit``, best first.  Equal scores
-    keep the order of ``rows``, which both searches give in sorted-qubit
-    order."""
-    hot = set()
-    if strong_pairs is not None and used:
-        hot = {gate for gate, (a, b) in strong_pairs.entries if a in used and b in used}
-    scored = sorted((score(model, row, circuit, used, hot, strong_pairs), i, row.qubits) for i, row in enumerate(rows))
-    return [Partition(circuit.id, qubits, total, method) for total, _, qubits in scored]
+def _hot_edges(used: set[int], strong_pairs: CrosstalkTable | None) -> set[Edge]:
+    """The edges with a strong conditioner wholly inside ``used``."""
+    if strong_pairs is None or not used:
+        return set()
+    return {gate for gate, (a, b) in strong_pairs.entries if a in used and b in used}
+
+
+def gsp_order(model: HardwareModel, k: int, cnots: int) -> tuple[int, ...]:
+    """Indices of the ``region_table(model, k)`` rows, stable-sorted by
+    their empty-device score for a circuit of ``cnots`` CNOTs; built once
+    per model, ``k`` and ``cnots`` (see ``hardware.derived``)."""
+
+    def build() -> tuple[int, ...]:
+        keys = [_total(row.solo_mean, cnots, row.readout, row.diameter) for row in region_table(model, k)]
+        return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+
+    return derived(model, ("gsp_order", k, cnots), build)
 
 
 def gsp_partition(
@@ -219,10 +236,15 @@ def gsp_partition(
     used_qubits,
     strong_pairs: CrosstalkTable | None = None,
 ) -> list[Partition]:
-    """Exhaustively score every connected region of the right size.
+    """The connected free region of the right size with the lowest
+    ``(score, row index)``, as a one-element list.
 
-    Cost grows exponentially with circuit size, so requests beyond
-    ``GSP_MAX_QUBITS`` qubits are refused outright.
+    The rows are walked in ``gsp_order``, and the walk stops at the first
+    row whose empty-device ``(score, index)`` passes the best one found:
+    ``crosstalk_adjust`` only raises edge errors, and every step of the
+    score is monotone in them, so no later row can beat it.  Cost grows
+    exponentially with circuit size, so requests beyond ``GSP_MAX_QUBITS``
+    qubits are refused outright.
     """
     k = circuit.num_qubits
     if k > GSP_MAX_QUBITS:
@@ -234,11 +256,25 @@ def gsp_partition(
     if len(free) < k:
         raise PartitionError(f"only {len(free)} free qubits for a {k}-qubit circuit")
     blocked = ~sum(1 << q for q in free)  # every qubit that is not free
-    rows = (row for row in region_table(model, k) if not row.mask & blocked)
-    ranked = _ranked(model, circuit, rows, used, strong_pairs, METHOD_GSP)
-    if not ranked:
+    hot = _hot_edges(used, strong_pairs)
+    cnots = circuit.cnot_count
+    table = region_table(model, k)
+    best = None
+    for i in gsp_order(model, k, cnots):
+        row = table[i]
+        key = (_total(row.solo_mean, cnots, row.readout, row.diameter), i)
+        if best is not None and key > best:
+            break
+        if row.mask & blocked:
+            continue
+        if hot:
+            key = (score(model, row, circuit, used, hot, strong_pairs), i)
+        if best is None or key < best:
+            best = key
+    if best is None:
         raise PartitionError(f"no connected {k}-qubit region among free qubits")
-    return ranked
+    total, i = best
+    return [Partition(circuit.id, table[i].qubits, total, METHOD_GSP)]
 
 
 def _grow_region(model: HardwareModel, start: int, k: int, values: tuple[float, ...], used: set[int]) -> list[int] | None:
@@ -266,7 +302,10 @@ def qhsp_partition(
     strong_pairs: CrosstalkTable | None = None,
     lam: float = RunConfig.lam,
 ) -> list[Partition]:
-    """Heuristic partition search seeded at well-connected qubits."""
+    """The grown region with the lowest ``(score, index)``, as a
+    one-element list: one region is grown from each starting point clear of
+    ``used_qubits``, and the distinct ones are indexed in sorted-qubit
+    order."""
     k = circuit.num_qubits
     used = set(used_qubits)
     free = set(range(model.num_qubits)) - used
@@ -287,7 +326,9 @@ def qhsp_partition(
     if not rows:
         raise PartitionError(f"no feasible {k}-qubit region from any starting point")
     rows.sort(key=lambda row: sorted(row.qubits))
-    return _ranked(model, circuit, rows, used, strong_pairs, METHOD_QHSP)
+    hot = _hot_edges(used, strong_pairs)
+    total, i = min((score(model, row, circuit, used, hot, strong_pairs), i) for i, row in enumerate(rows))
+    return [Partition(circuit.id, rows[i].qubits, total, METHOD_QHSP)]
 
 
 def allocate_prefix(

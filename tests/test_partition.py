@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from qmpc import partition
+from qmpc import partition, presets
 from qmpc.circuits import Gate, QuantumCircuit
 from qmpc.config import RunConfig
 from qmpc.errors import PartitionError, PartitionSizeError
@@ -20,9 +22,11 @@ from qmpc.partition import (
     score,
     starting_points,
 )
+from qmpc.pipeline import compile_workloads
 from qmpc.presets import line_topology, ring_topology, star_topology, uniform_calibration
 
-from oracles import connected_subsets_brute
+from helpers import random_circuit
+from oracles import connected_subsets_brute, reference_gsp_partition, reference_qhsp_partition
 
 
 def cx_circuit(cid: str, n: int, pairs) -> QuantumCircuit:
@@ -52,9 +56,10 @@ def test_score_substitution():
 
 def test_score_qhsp_is_gsp_minus_diameter(jakarta):
     circuit = cx_circuit("c", 3, [(0, 1), (1, 2)])
-    for cand in gsp_partition(jakarta, circuit, set()):
-        s_h = score(jakarta, region_row(jakarta, cand.qubits, None), circuit, set(), set(), None)
-        assert cand.score == pytest.approx(s_h + subgraph_diameter(jakarta, cand.qubits))
+    for row in region_table(jakarta, 3):
+        s_h = score(jakarta, region_row(jakarta, row.qubits, None), circuit, set(), set(), None)
+        s_g = score(jakarta, row, circuit, set(), set(), None)
+        assert s_g == pytest.approx(s_h + subgraph_diameter(jakarta, row.qubits))
 
 
 def test_diameter_dominates_small_errors():
@@ -66,11 +71,12 @@ def test_diameter_dominates_small_errors():
     }
     model = build_hardware(topo, cal)
     circuit = cx_circuit("c", 3, [(0, 1)] * 5)
-    cands = {tuple(sorted(p.qubits)): p.score for p in gsp_partition(model, circuit, set())}
+    cands = {tuple(sorted(p.qubits)): p.score for p in reference_gsp_partition(model, circuit, set())}
     triangle = cands[(0, 1, 2)]
     for qubits, score in cands.items():
         if qubits != (0, 1, 2):
             assert score > triangle
+    assert [p.qubits for p in gsp_partition(model, circuit, set())] == [(0, 1, 2)]
 
 
 # --- exhaustive search -----------------------------------------------------------
@@ -80,8 +86,26 @@ def test_gsp_two_qubit_on_line():
     topo = line_topology(3)
     cal = {"cnot_errors": [[0, 1, 0.02], [1, 2, 0.005]], "readout_errors": [0.01] * 3}
     model = build_hardware(topo, cal)
-    cands = gsp_partition(model, cx_circuit("c", 2, [(0, 1)]), set())
+    circuit = cx_circuit("c", 2, [(0, 1)])
+    cands = reference_gsp_partition(model, circuit, set())
     assert [p.qubits for p in cands] == [(1, 2), (0, 1)]  # lower-error edge first
+    assert gsp_partition(model, circuit, set()) == cands[:1]
+
+
+def test_gsp_walk_passes_a_raised_row_to_an_equal_score_with_a_lower_index():
+    # line 0-...-5 with (4, 5) in use: crosstalk raises (2, 3), first in the
+    # empty-device order, to exactly the error of (0, 1), next in that order;
+    # the tie goes to the lower row index, so the walk must not stop at it
+    topo = line_topology(6)
+    errors = [0.02, 0.03, 0.01, 0.04, 0.04]
+    cal = {"cnot_errors": [[i, i + 1, e] for i, e in enumerate(errors)], "readout_errors": [0.01] * 6}
+    model = build_hardware(topo, cal)
+    strong = build_crosstalk([{"gate": [2, 3], "conditioned_on": [4, 5], "error": 0.02}], model)
+    circuit = cx_circuit("c", 2, [(0, 1)] * 3)
+    assert [p.qubits for p in gsp_partition(model, circuit, set())] == [(2, 3)]
+    [best] = gsp_partition(model, circuit, {4, 5}, strong)
+    assert best == reference_gsp_partition(model, circuit, {4, 5}, strong)[0]
+    assert best.qubits == (0, 1)
 
 
 def test_gsp_whole_device_single_candidate(line5):
@@ -123,6 +147,79 @@ def test_region_table_is_built_once_per_model_and_size(guadalupe, toronto, monke
     assert other is not table and calls == [toronto] * len(other)
     assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
     hash(table)  # immutable all the way down
+
+
+def _one_hop_crosstalk(model, error):
+    """Every ordered pair of disjoint edges one hop apart, at ``error``."""
+    pairs = [
+        {"gate": list(gate), "conditioned_on": list(cond), "error": error}
+        for gate in model.edges
+        for cond in model.edges
+        if not set(gate) & set(cond) and any(model.has_edge(a, b) for a in gate for b in cond)
+    ]
+    return build_crosstalk(pairs, model)
+
+
+def test_gsp_order_is_built_once_per_model_size_and_cnot_count(guadalupe, toronto, monkeypatch):
+    builds = []
+    kept = partition.derived
+
+    def counted(model, key, build):
+        def recorded():
+            builds.append((model, key))
+            return build()
+
+        return kept(model, key, recorded)
+
+    monkeypatch.setattr(partition, "derived", counted)
+    config = RunConfig(method="gsp")
+    circuit = cx_circuit("c", 4, chain(4) * 2)
+    twin = cx_circuit("d", 4, chain(4) * 2)
+    key = ("gsp_order", 4, circuit.cnot_count)
+
+    def orders_built():
+        return [(model, key) for model, key in builds if key[0] == "gsp_order"]
+
+    alone_region(guadalupe, circuit, config)
+    order = guadalupe._memo[key]
+    assert isinstance(order, tuple) and sorted(order) == list(range(len(region_table(guadalupe, 4))))
+    parts, error = allocate_prefix(guadalupe, [circuit, twin], config)  # the twin's is a joint search
+    assert error is None and len(parts) == 2
+    assert orders_built() == [(guadalupe, key)] and guadalupe._memo[key] is order
+    gsp_partition(guadalupe, cx_circuit("e", 4, chain(4)), set())
+    gsp_partition(toronto, circuit, set())
+    assert orders_built() == [(guadalupe, key), (guadalupe, ("gsp_order", 4, 3)), (toronto, key)]
+
+    scored = []
+    kept_score = partition.score
+
+    def counted_score(*args):
+        scored.append(args[1].qubits)
+        return kept_score(*args)
+
+    monkeypatch.setattr(partition, "score", counted_score)
+    used = parts[0].qubit_set
+    assert gsp_partition(guadalupe, twin, used) == [parts[1]]
+    assert scored == []  # no strong pairs: the first free row in the order is the best
+    strong = extract_strong_crosstalk(_one_hop_crosstalk(guadalupe, 0.5), guadalupe)
+    assert gsp_partition(guadalupe, twin, used, strong) == reference_gsp_partition(guadalupe, twin, used, strong)[:1]
+    assert 0 < len(scored) < len(order)  # hot rows are rescored, and the walk stops early
+
+
+def test_gsp_compile_from_a_warm_memo_equals_a_cold_one():
+    rng = np.random.default_rng(3)
+    circuits = [random_circuit(rng, f"c{i}", n_qubits=int(rng.integers(2, 6))) for i in range(6)]
+    config = RunConfig(method="gsp", seed=1, delta=math.inf)
+
+    def compiled(model):
+        result = compile_workloads(model, circuits, config, _one_hop_crosstalk(model, 0.5))
+        return [(plan.plan, plan.qasm) for plan in result.plans]
+
+    warm = presets.model("guadalupe", 2)
+    cold = compiled(warm)
+    assert any(key[0] == "gsp_order" for key in warm._memo)
+    assert any(len(plan.partitions) > 1 for plan, _ in cold)  # joint searches ran
+    assert compiled(warm) == cold == compiled(presets.model("guadalupe", 2))
 
 
 def test_connected_subsets_match_brute_force(guadalupe):
@@ -214,20 +311,24 @@ def test_qhsp_valencia_merge_order(valencia_ranked):
 
 def test_qhsp_single_qubit_circuit(valencia_ranked):
     circuit = QuantumCircuit("c", 1, 0, (Gate("h", (0,)),))
-    cands = qhsp_partition(valencia_ranked, circuit, set())
+    cands = reference_qhsp_partition(valencia_ranked, circuit, set())
     # one candidate per starting point, scored by readout alone
+    assert len(cands) == valencia_ranked.num_qubits
     for p in cands:
         assert p.score == pytest.approx(float(valencia_ranked.readout_error[p.qubits[0]]))
+    [best] = qhsp_partition(valencia_ranked, circuit, set())
+    assert best == cands[0] and best.score == min(valencia_ranked.readout_error)
 
 
 def test_qhsp_tie_break_on_error_free_ring():
     topo = ring_topology(6)
     model = build_hardware(topo, uniform_calibration(topo, cnot=0.0, readout=0.01))
     circuit = cx_circuit("c", 3, [(0, 1), (1, 2)])
-    cands = qhsp_partition(model, circuit, set())
+    cands = reference_qhsp_partition(model, circuit, set())
     scores = {p.score for p in cands}
-    assert len(scores) == 1  # fully symmetric: every candidate ties
-    assert tuple(sorted(cands[0].qubits)) == (0, 1, 2)  # lexicographic winner
+    assert len(cands) > 1 and len(scores) == 1  # fully symmetric: every candidate ties
+    [best] = qhsp_partition(model, circuit, set())
+    assert tuple(sorted(best.qubits)) == (0, 1, 2)  # lexicographic winner
 
 
 def test_qhsp_respects_used_qubits(valencia_ranked):

@@ -38,6 +38,7 @@ from qmpc.partition import (
     gsp_partition,
     qhsp_partition,
     region_row,
+    region_table,
     score,
 )
 from qmpc.pipeline import RunConfig, compile_workloads, estimate_success
@@ -466,7 +467,8 @@ def exhaustive_search(draw):
         used.update(model.edges[int(i)])
     keep = draw(st.sampled_from([None, 0.0, 0.3, 1.0]))
     strong = None if keep is None else random_crosstalk(model, rng, keep)
-    cnots = tuple(Gate("cx", (i % k, (i + 1) % k)) for i in range(draw(st.integers(0, 20)))) if k > 1 else ()
+    # enough CNOTs for a row raised by crosstalk to fall behind later rows
+    cnots = tuple(Gate("cx", (i % k, (i + 1) % k)) for i in range(draw(st.integers(0, 60)))) if k > 1 else ()
     return model, QuantumCircuit("c", k, 0, cnots), used, strong
 
 
@@ -482,7 +484,7 @@ def test_table_driven_gsp_matches_reference_search(case):
         assert type(info.value) is type(exc) and str(info.value) == str(exc)
         return
     got = gsp_partition(model, circuit, used, strong)
-    assert got == want  # ids, qubits, methods, order, and every score exactly
+    assert got == want[:1]  # the id, qubits, method, and score exactly
 
 
 @settings(max_examples=300, **COMMON)
@@ -497,7 +499,7 @@ def test_qhsp_matches_reference_search(case):
         assert type(info.value) is type(exc) and str(info.value) == str(exc)
         return
     got = qhsp_partition(model, circuit, used, strong)
-    assert got == want  # ids, qubits in merge order, order, and every score exactly
+    assert got == want[:1]  # the id, qubits in merge order, method, and score exactly
 
 
 @st.composite
@@ -568,10 +570,7 @@ def test_empty_device_memo_answers_each_circuit_as_a_fresh_search(case, method):
 @given(connected_device(min_qubits=4, max_qubits=7), st.integers(0, 2**31 - 1))
 def test_score_monotone_in_errors(model, seed):
     circuit = QuantumCircuit("c", 3, 0, (Gate("cx", (0, 1)), Gate("cx", (1, 2))))
-    try:
-        before = {p.qubits: p.score for p in gsp_partition(model, circuit, set())}
-    except PartitionError:
-        return
+    before = {row.qubits: score(model, row, circuit, set(), set(), None) for row in region_table(model, 3)}
     rng = np.random.default_rng(seed)
     # bump one CNOT error and one readout error
     edge = tuple(sorted(model.edges[int(rng.integers(len(model.edges)))]))
@@ -586,9 +585,10 @@ def test_score_monotone_in_errors(model, seed):
             "readout_errors": [float(r) for r in readout],
         },
     )
-    after = {p.qubits: p.score for p in gsp_partition(worse, circuit, set())}
-    for qubits, score in before.items():
-        assert after[qubits] >= score - 1e-12
+    after = {row.qubits: score(worse, row, circuit, set(), set(), None) for row in region_table(worse, 3)}
+    assert after.keys() == before.keys()
+    for qubits, value in before.items():
+        assert after[qubits] >= value - 1e-12
 
 
 @settings(max_examples=20, **COMMON)
