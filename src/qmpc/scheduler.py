@@ -12,6 +12,11 @@ part of the self-cost term, so the ``self_cost=False`` and ``swap_only``
 ablations score exactly as without it.  All movement stays inside the owning
 circuit's region.
 
+A routing round emits what is ready and repairs the blocked front that this
+leaves.  A trial's stall, the SWAP edges since a gate last retired, is
+banned from repairs and, grown too long, forces a shortest path; a
+retirement ends it.
+
 A region is a tuple of physical qubits, read as a set; the router knows
 nothing of how the planner chose it, and the two meet only in ``pipeline``.
 Regions are disjoint, so every circuit is routed alone into one ``Route``,
@@ -137,9 +142,10 @@ class _Job:
     """Mutable routing state for one trial; what all trials share stays on ``tables``.
 
     A trial holds the mapping, the in-degrees, the front, the window cursor,
-    the counters and the swap ban; the rest is derived.  A node is retired
-    or in the front exactly when its ``in_deg`` is 0, and as the DAG is
-    acyclic, the front empties only once every node has retired.
+    the counters and ``stall``, the SWAP edges since a gate last retired;
+    the rest, the blocked front of a round included, is derived.  A node is
+    retired or in the front exactly when its ``in_deg`` is 0, and as the DAG
+    is acyclic, the front empties only once every node has retired.
     """
 
     def __init__(self, tables: _Tables, l2p):
@@ -153,13 +159,13 @@ class _Job:
         self.cx_cursor = 0  # index into tables.cx_nodes; every CNOT before it has in_deg 0
         self.swaps = 0
         self.bridges = 0
-        # anti-oscillation state, cleared whenever the circuit emits a gate
-        self.banned_edges: set[tuple[int, int]] = set()
-        self.stalled = 0
+        self.stall: list[tuple[int, int]] = []
 
     def mark_executed(self, node: int) -> list[int]:
-        """Retire ``node``; return the successors this moved into the front."""
+        """Retire ``node``, emitted by ``_emit_ready`` or a bridge, which ends
+        the stall; return the successors this moved into the front."""
         self.front.discard(node)
+        self.stall.clear()
         ready = []
         for succ in self.tables.successors[node]:
             self.in_deg[succ] -= 1
@@ -173,12 +179,6 @@ class _Job:
         self.l2p[la], self.l2p[lb] = b, a
         self.p2l[a], self.p2l[b] = lb, la
         self.swaps += 1
-
-    def blocked_front(self) -> list[tuple[int, int, int]]:
-        """(node, logical control, logical target) for every front gate; after
-        ``_emit_ready`` the front holds only blocked CNOTs."""
-        cx_operands = self.tables.cx_operands
-        return [(node, *cx_operands[node]) for node in sorted(self.front)]
 
     def extended_layer(self) -> list[tuple[int, int]]:
         """Next ``tables.config.ext_layer`` CNOTs beyond the front layer, in program order.
@@ -207,8 +207,8 @@ class _Job:
 
 
 def find_swap_bridge_pairs(job: _Job, front: list[tuple[int, int, int]]) -> list[TentativeGate]:
-    """Repair candidates for a job whose front layer ``front``
-    (``job.blocked_front()``) is fully blocked, taken from its ``_Tables``.
+    """Repair candidates for a job whose front layer ``front`` (what
+    ``_emit_ready`` returned) is fully blocked, taken from its ``_Tables``.
 
     SWAPs: every region-internal edge touching a front-gate operand.
     BRIDGEs: every front CNOT whose operands are exactly two apart inside the
@@ -294,19 +294,19 @@ def cost_h(
     return h
 
 
-def _forced_path_route(job: _Job, records: list[Record]) -> None:
+def _forced_path_route(job: _Job, front: list[tuple[int, int, int]], records: list[Record]) -> None:
     """Stall escape hatch: walk the oldest blocked gate's control along the
     shortest region-internal path until the gate is executable.
 
     The cost-driven selection can orbit between retreat swaps whose own CNOTs
     look cheaper than any approach; this deterministic fallback guarantees
-    progress once a circuit has gone too long without emitting anything.
+    progress once a circuit has gone too long without retiring a gate.
     It is the same idea as the "release valve" of LightSABRE (Zou et al.,
     arXiv:2409.08368), which routes one front-layer gate along a shortest
     path once the heuristic stops making progress.
     """
     tables = job.tables
-    src, dst = [job.l2p[q] for q in tables.cx_operands[min(job.front)]]
+    src, dst = [job.l2p[q] for q in front[0][1:]]
     parent = {src: None}
     queue = [src]
     while queue:
@@ -331,8 +331,10 @@ def _forced_path_route(job: _Job, records: list[Record]) -> None:
         src = step
 
 
-def _emit_ready(job: _Job, records: list[Record]) -> None:
-    """Emit every front gate that is executable as mapped, cascading.
+def _emit_ready(job: _Job, records: list[Record]) -> list[tuple[int, int, int]]:
+    """Emit every front gate that is executable as mapped, cascading; return
+    the blocked front, ``(node, logical control, logical target)`` for every
+    CNOT skipped, sorted by node; it is empty exactly when the route is done.
 
     Each pass visits its nodes in index order.  The mapping does not change
     in here, so a CNOT blocked in one pass stays blocked, and every pass
@@ -340,7 +342,7 @@ def _emit_ready(job: _Job, records: list[Record]) -> None:
     """
     tables, l2p, visit = job.tables, job.l2p, sorted(job.front)
     gates, cx_operands, adjacency = tables.circuit.gates, tables.cx_operands, tables.adjacency
-    emitted_any = False
+    blocked: list[tuple[int, int, int]] = []
     while visit:
         ready: list[int] = []
         for node in visit:
@@ -350,25 +352,22 @@ def _emit_ready(job: _Job, records: list[Record]) -> None:
             else:
                 a, b = l2p[pair[0]], l2p[pair[1]]
                 if b not in adjacency[a]:
+                    blocked.append((node, *pair))
                     continue
                 records.append((node, a, b))
             ready += job.mark_executed(node)
-            emitted_any = True
         visit = sorted(ready)
-    if emitted_any:
-        job.banned_edges.clear()
-        job.stalled = 0
+    return sorted(blocked)
 
 
-def _repair(job: _Job, records: list[Record]) -> None:
-    """Insert the cheapest SWAP or BRIDGE for a blocked front layer."""
-    front = job.blocked_front()
+def _repair(job: _Job, front: list[tuple[int, int, int]], records: list[Record]) -> None:
+    """Insert the cheapest SWAP or BRIDGE for the blocked front layer ``front``."""
     candidates = find_swap_bridge_pairs(job, front)
-    # a swap edge used since the last emitted gate would likely just
+    # a swap edge used since a gate last retired would likely just
     # oscillate (a cheap retreat edge can outscore every approach),
-    # so prune those while alternatives exist; emission lifts the ban
-    if job.banned_edges:
-        pruned = [c for c in candidates if not (c.kind == SWAP and c.qubits in job.banned_edges)]
+    # so prune those while alternatives exist; a retirement lifts the ban
+    if job.stall:
+        pruned = [c for c in candidates if not (c.kind == SWAP and c.qubits in job.stall)]
         if pruned:
             candidates = pruned
     extended = job.extended_layer()
@@ -385,14 +384,11 @@ def _repair(job: _Job, records: list[Record]) -> None:
         records.append((-1, p, q))
     if best.kind == SWAP:
         job.apply_swap(*best.qubits)
-        job.banned_edges.add(best.qubits)
-        job.stalled += 1
+        job.stall.append(best.qubits)
     else:
         c, _, t = best.qubits
         job.bridges += 1
         job.mark_executed(next(node for node, lq1, lq2 in front if l2p[lq1] == c and l2p[lq2] == t))
-        job.banned_edges.clear()
-        job.stalled = 0
 
 
 def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None = None) -> Route:
@@ -401,7 +397,7 @@ def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None
 
     Each round emits whatever is executable, then inserts at most one repair
     gate if the circuit is still blocked.  A circuit that keeps inserting
-    swaps without emitting anything falls back to deterministic
+    swaps without retiring a gate falls back to deterministic
     shortest-path routing after ``limit = 2 * region size + 4`` insertions.
     So every ``limit + 2`` rounds retire at least one gate: at most
     ``limit`` swaps, the forced path, and the round that emits the gate it
@@ -422,12 +418,12 @@ def mapping_transition(tables: _Tables, l2p: list[int], max_inserted: int | None
             break
         if rounds >= cap:
             raise RoutingError(f"routing did not terminate within {cap} iterations")
-        _emit_ready(job, records)
-        if job.front:
-            if job.stalled >= limit:
-                _forced_path_route(job, records)
+        front = _emit_ready(job, records)
+        if front:
+            if len(job.stall) >= limit:
+                _forced_path_route(job, front, records)
             else:
-                _repair(job, records)
+                _repair(job, front, records)
         rounds += 1
     return Route(tables.circuit, records, rounds, job.swaps, job.bridges, job.l2p, aborted)
 

@@ -104,7 +104,7 @@ def test_candidates_distance_two():
     model = line_model(3)
     circuit = QuantumCircuit("c", 3, 0, (Gate(CX, (0, 2)),))
     job = _job_for(model, circuit, [0, 1, 2], [0, 1, 2])
-    cands = find_swap_bridge_pairs(job, job.blocked_front())
+    cands = find_swap_bridge_pairs(job, _emit_ready(job, []))
     swaps = [c for c in cands if c.kind == SWAP]
     bridges = [c for c in cands if c.kind == BRIDGE]
     assert {c.qubits for c in swaps} == {(0, 1), (1, 2)}
@@ -115,7 +115,7 @@ def test_candidates_distance_three_no_bridge():
     model = line_model(4)
     circuit = QuantumCircuit("c", 4, 0, (Gate(CX, (0, 3)),))
     job = _job_for(model, circuit, [0, 1, 2, 3], [0, 1, 2, 3])
-    cands = find_swap_bridge_pairs(job, job.blocked_front())
+    cands = find_swap_bridge_pairs(job, _emit_ready(job, []))
     assert all(c.kind == SWAP for c in cands)
     assert {c.qubits for c in cands} == {(0, 1), (2, 3)}
 
@@ -125,8 +125,8 @@ def test_swap_only_candidates_are_the_default_swaps_and_no_bridge():
     model = line_model(5)
     circuit = QuantumCircuit("c", 5, 0, (Gate(CX, (0, 2)), Gate(CX, (3, 1))))
     default, swap_only = (_job_for(model, circuit, range(5), range(5), RunConfig(swap_only=s)) for s in (False, True))
-    full = find_swap_bridge_pairs(default, default.blocked_front())
-    only = find_swap_bridge_pairs(swap_only, swap_only.blocked_front())
+    full = find_swap_bridge_pairs(default, _emit_ready(default, []))
+    only = find_swap_bridge_pairs(swap_only, _emit_ready(swap_only, []))
     assert [c.qubits for c in full if c.kind == BRIDGE] == [(0, 1, 2), (3, 2, 1)]
     assert [c.kind for c in only] == [SWAP] * len(only)
     assert [c.qubits for c in only] == [c.qubits for c in full if c.kind == SWAP]
@@ -152,14 +152,14 @@ def test_prebuilt_candidates_match_the_reference_at_every_repair(monkeypatch, ci
         scored.append(tentative)
         return cost(tentative, *args)
 
-    def checking(job, records):
+    def checking(job, front, records):
         ref = _RefJob(guadalupe, job.tables.circuit, build_dag(job.tables.circuit), region, job.l2p, 0)
         ref.front = set(job.front)
         expected = {(kind, qubits) for kind, qubits in keys(_ref_candidates(ref)) if kind == SWAP or not swap_only}
-        assert keys(find_swap_bridge_pairs(job, job.blocked_front())) == expected
-        unbanned = {(kind, qubits) for kind, qubits in expected if kind != SWAP or qubits not in job.banned_edges}
+        assert keys(find_swap_bridge_pairs(job, front)) == expected
+        unbanned = {(kind, qubits) for kind, qubits in expected if kind != SWAP or qubits not in job.stall}
         scored.clear()
-        repair(job, records)
+        repair(job, front, records)
         assert keys(scored) == (unbanned or expected)
         checked.append(unbanned != expected)  # the ban removed a candidate
 
@@ -416,7 +416,7 @@ def test_front_and_end_of_a_trial_follow_its_retired_nodes(monkeypatch, circuit_
         assert job.front == derived_front(job)
         assert len(job.retired) < len(job.tables.circuit.gates)
         rounds.append(job)
-        emit(job, records)
+        return emit(job, records)
 
     def routing(*args, **kwargs):
         trial = route(*args, **kwargs)
@@ -438,6 +438,131 @@ def test_front_and_end_of_a_trial_follow_its_retired_nodes(monkeypatch, circuit_
             initial_mapping(guadalupe, D, region, circuit, np.random.default_rng(trial), config)
     assert len(rounds) > 100 and len(ends) == 3 * 4 * 3
     assert any(ends) and not all(ends)
+
+
+@pytest.mark.parametrize("swap_only", [False, True])
+def test_each_round_hands_its_repair_the_blocked_front_emission_leaves(monkeypatch, circuit_factory, guadalupe, swap_only):
+    # at every round of routes from random placements, _emit_ready returns
+    # the front it leaves in node order: only CNOTs whose mapped operands
+    # are not coupled, and nothing exactly when every node has retired
+    import qmpc.scheduler as sched_mod
+    from qmpc.partition import qhsp_partition
+
+    jobs = recording_jobs(monkeypatch)
+    emit, fronts = sched_mod._emit_ready, []
+
+    def checking(job, records):
+        front = emit(job, records)
+        tables = job.tables
+        assert front == [(n, *tables.cx_operands[n]) for n in sorted(job.front)]
+        for node, control, target in front:
+            assert tables.circuit.gates[node].kind == CX
+            assert job.l2p[target] not in tables.adjacency[job.l2p[control]]
+        assert (front == []) == (len(job.retired) == len(tables.circuit.gates))
+        fronts.append(front)
+        return front
+
+    monkeypatch.setattr(sched_mod, "_emit_ready", checking)
+    rng = np.random.default_rng(13)
+    routes = 0
+    for trial in range(3):
+        circuit = circuit_factory(rng, f"c{trial}", n_qubits=int(rng.integers(4, 8)), max_gates=60)
+        region = qhsp_partition(guadalupe, circuit, set())[0].qubits
+        for _ in range(3):
+            l2p = [int(p) for p in rng.permutation(sorted(region))]
+            before = len(fronts)
+            route = route_single(guadalupe, circuit, l2p, RunConfig(swap_only=swap_only))
+            assert route.iterations == len(fronts) - before and fronts[-1] == []
+            assert len(jobs[-1].retired) == len(circuit.gates)
+            routes += 1
+    assert routes == 9 and sum(1 for front in fronts if front) > 100
+
+
+def checking_stalls(monkeypatch):
+    """Check, around every emission, repair and forced path of a trial, that
+    ``job.stall`` is a model's list: the edges of the SWAP repairs since a
+    gate last retired, in order; the forced path runs exactly when the list
+    holds ``2 * |region| + 4`` edges.  Return the counts of what was seen."""
+    from collections import Counter
+
+    import qmpc.scheduler as sched_mod
+
+    emit, repair, force = sched_mod._emit_ready, sched_mod._repair, sched_mod._forced_path_route
+    model, seen = {}, Counter()
+
+    def limit(job):
+        return 2 * len(job.tables.region) + 4
+
+    def emitting(job, records):
+        before, start = model.setdefault(job, []), len(records)
+        front = emit(job, records)
+        if len(records) > start:  # a round that emits any gate ends the stall
+            seen["ended by an emission"] += bool(before)
+            model[job] = []
+        assert job.stall == model[job]
+        return front
+
+    def repairing(job, front, records):
+        before, swaps, bridges = list(model[job]), job.swaps, job.bridges
+        assert job.stall == before and len(before) < limit(job)
+        repair(job, front, records)
+        blocked = {node for node, _, _ in front}
+        if job.swaps > swaps:  # a SWAP retires nothing and appends its edge
+            assert job.front == blocked and job.bridges == bridges
+            model[job] = before + [tuple(records[-3][1:])]
+            seen["swap"] += 1
+        else:  # a bridge retires its CNOT, which ends the stall at once
+            assert job.bridges == bridges + 1 and len(blocked - job.front) == 1
+            model[job] = []
+            seen["ended by a bridge"] += bool(before)
+        assert job.stall == model[job]
+
+    def forcing(job, front, records):
+        before = list(model[job])
+        assert job.stall == before and len(before) == limit(job)
+        force(job, front, records)
+        assert job.stall == before  # the forced path retires nothing and adds no edge
+        seen["forced"] += 1
+
+    monkeypatch.setattr(sched_mod, "_emit_ready", emitting)
+    monkeypatch.setattr(sched_mod, "_repair", repairing)
+    monkeypatch.setattr(sched_mod, "_forced_path_route", forcing)
+    return seen
+
+
+def test_a_stall_is_the_swaps_since_a_gate_last_retired(monkeypatch, circuit_factory, guadalupe):
+    # default settings bridge and swap; negative lookahead and swap-error
+    # weights make retreat swaps look cheap, so trials stall and take the
+    # forced path
+    from qmpc.partition import qhsp_partition
+
+    seen = checking_stalls(monkeypatch)
+    rng = np.random.default_rng(14)
+    hostile = RunConfig(weight_w=-1.0, alpha2=-1.0, attempts=3)
+    for model, config in ((guadalupe, RunConfig(attempts=3)), (presets.model("toronto", seed=0), hostile)):
+        D = distance_matrices(model, config.alpha1, config.alpha2)
+        for trial in range(6):
+            n = int(rng.integers(6, 13))
+            if config is hostile:
+                circuit = measured_cnots(rng, f"c{trial}", n, int(rng.integers(10, 30)))
+            else:
+                circuit = circuit_factory(rng, f"c{trial}", n_qubits=n, max_gates=60)
+            region = qhsp_partition(model, circuit, set())[0].qubits
+            initial_mapping(model, D, region, circuit, rng, config)
+    assert seen["swap"] > 100 and seen["forced"] > 5
+    assert seen["ended by an emission"] > 100 and seen["ended by a bridge"] > 100
+
+
+def test_a_one_qubit_gate_ends_a_stall():
+    # a gate that retires ends the stall whatever its kind; routing itself
+    # emits one-qubit gates only after a CNOT, so the stall is set by hand
+    model = line_model(3)
+    circuit = QuantumCircuit("c", 3, 0, (Gate("h", (1,)), Gate(CX, (0, 2))))
+    job = _Job(tables(model, circuit, range(3)), range(3))
+    job.stall.append((0, 1))
+    records = []
+    assert _emit_ready(job, records) == [(1, 0, 2)]
+    assert records == [(0, 1)] and job.stall == []
 
 
 def test_placement_trials_stop_once_they_cannot_win(monkeypatch, circuit_factory, guadalupe):
@@ -608,9 +733,9 @@ def test_stall_fallback_is_reached_through_the_settings(monkeypatch, circuit_fac
 
     force, calls = sched_mod._forced_path_route, []
 
-    def counting(job, records):
+    def counting(job, front, records):
         calls.append(job.tables.circuit.id)
-        return force(job, records)
+        return force(job, front, records)
 
     monkeypatch.setattr(sched_mod, "_forced_path_route", counting)
     rng = np.random.default_rng(9)
@@ -656,9 +781,9 @@ def test_routing_rounds_stay_within_the_stall_bound(monkeypatch):
         trials.append((route(tables, l2p, max_inserted), len(tables.region)))
         return trials[-1][0]
 
-    def counting(job, records):
+    def counting(job, front, records):
         forced.append(job.tables.circuit.id)
-        return force(job, records)
+        return force(job, front, records)
 
     monkeypatch.setattr(sched_mod, "mapping_transition", recording)
     monkeypatch.setattr(sched_mod, "_forced_path_route", counting)
@@ -704,8 +829,8 @@ def test_forced_route_counts_swaps_once():
     circuit = QuantumCircuit("c", 5, 0, (Gate(CX, (0, 4)),))
     job = _Job(tables(model, circuit, range(5)), range(5))
     records = []
-    _forced_path_route(job, records)
-    _emit_ready(job, records)
+    _forced_path_route(job, _emit_ready(job, records), records)
+    assert _emit_ready(job, records) == []
     assert not job.front
     route = Route(circuit, records, 1, job.swaps, job.bridges, job.l2p)
     assert route.swaps == 3
